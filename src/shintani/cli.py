@@ -61,11 +61,16 @@ def _parse_vector(doc):
 
 def _parse_alphas(doc):
     if "alphas" in doc:
-        return [_parse_matrix(m) for m in _require(doc, "alphas", list)]
-    if "alpha" in doc:
+        alphas = [_parse_matrix(m) for m in _require(doc, "alphas", list)]
+    elif "alpha" in doc:
         m = _parse_matrix(doc["alpha"])
-        return [identity(len(m)), m]
-    raise SchemaError("need 'alphas' (list of matrices) or 'alpha'")
+        alphas = [identity(len(m)), m]
+    else:
+        raise SchemaError("need 'alphas' (list of matrices) or 'alpha'")
+    size = len(alphas[0]) if alphas else 0
+    if any(len(a) != size or any(len(row) != size for row in a) for a in alphas):
+        raise SchemaError("matrices must all be square of one size")
+    return alphas
 
 
 def _parse_char(doc) -> DirichletChar:
@@ -115,6 +120,8 @@ def _value_json(v):
 def _cmd_eval_sigma(doc):
     alphas = _parse_alphas(doc)
     w = _parse_vector(_require(doc, "w", list))
+    if alphas and len(w) != len(alphas[0]):
+        raise SchemaError("point dimension differs from the matrix size")
     return {"value": sigma_eval(alphas, w)}
 
 
@@ -126,7 +133,10 @@ def _cmd_decompose(doc):
 
 def _cmd_pair(doc):
     combo = ConeCombo.from_json(_require(doc, "combo", dict))
-    phi = SchwartzFn.from_json(_require(doc, "phi", dict))
+    try:
+        phi = SchwartzFn.from_json(_require(doc, "phi", dict))
+    except TypeError as exc:
+        raise SchemaError(f"bad test function: {exc}")
     dmax = int(doc.get("dmax", 4))
     q = pair_combo(combo, phi, dmax)
     return {"series": q.to_json()}

@@ -1,7 +1,8 @@
 """Sign invariants of perturbed vector configurations and the cocycle
 evaluation built on them.
 
-The two basic invariants:
+The two basic invariants, over the ordered field of nested
+infinitesimals:
 
   * ``dvalue(v_0, ..., v_n)``: nonzero exactly when the origin is in the
     interior of the positive hull of the n+1 vectors, in which case it
@@ -9,16 +10,27 @@ The two basic invariants:
   * ``cvalue(v_1, ..., v_n)(w)``: sign det of the basis when w has all
     positive coordinates in it, else 0 (a signed open-cone indicator).
 
-Feeding the moment vectors (1, e_i, ..., e_i^(n-1)) of nested
-infinitesimals through ``cvalue`` yields a pointwise evaluator for the
-cocycle on invertible rational matrices which is total: the infinitesimal
-perturbation resolves every degenerate configuration, and the alternating
-sum over faces equals the coboundary invariant ``tau_cocycle``.
+The cocycle on invertible rational matrices is ``cvalue`` of the moment
+columns alpha_i (1, e_i, ..., e_i^(n-1)), one infinitesimal per slot;
+the perturbation resolves every degenerate configuration, and the
+alternating sum over faces equals the coboundary invariant
+``tau_cocycle``.  ``SigmaKernel`` and ``tau_cocycle`` compute these
+signs without polynomials: each matrix is first cleared to integers (a
+positive scale changes no sign), and by multilinearity the coefficient
+of e^k in any of the determinants is the integer determinant of the
+columns alpha_j[:, k_j].  So each Cramer numerator is a list of integer
+cofactor forms in w, ordered by the exponent order, and every sign is
+the first nonzero sign of such a list.  ``dvalue``, ``cvalue`` and
+``moment_vector`` keep the polynomial ordered-field arithmetic; they take
+genuine ordered-field inputs and are the reference the kernel is tested
+against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 from .errors import (
     CaseDecompositionFailure,
@@ -28,11 +40,21 @@ from .errors import (
     ZeroVector,
 )
 from .exactnum import MPoly
-from .linalg import frac, mat_det, mat_inv, mat_vec, sign as rsign
+from .linalg import (
+    first_nonzero_sign,
+    frac,
+    int_det,
+    int_scale_point,
+    mat_det,
+    mat_inv,
+    mat_vec,
+    sign as rsign,
+)
 from .ordered_field import (
     as_elem,
     clear_denominators,
     det_mpoly_columns,
+    exponent_key,
     infer_nvars,
     sign_mpoly,
 )
@@ -136,85 +158,90 @@ def _check_matrices(alphas):
     return mats
 
 
+def _integer_columns(alphas):
+    """Columns of each checked matrix after clearing it to integers.  A
+    positive scale of alpha_i scales perturbed column i and changes no
+    sign."""
+    out = []
+    for a in _check_matrices(alphas):
+        size = len(a)
+        flat = int_scale_point([x for row in a for x in row])
+        out.append(tuple(flat[k::size] for k in range(size)))
+    return out
+
+
+def _cramer_forms(cols, slot):
+    """Cramer numerator of one slot as integer cofactor forms in w.
+
+    ``cols[j][k]`` is column k of the integer matrix of slot j.  By
+    multilinearity the coefficient of e^k in the determinant with the
+    slot's column replaced by w is the plain determinant with column j
+    equal to cols[j][k_j]; as a form in w it is the cofactor vector of the
+    slot.  Forms come back primitive, zero forms dropped, ordered by the
+    infinitesimal exponent order.
+    """
+    n = len(cols)
+    others = [j for j in range(n) if j != slot]
+    by_exp = {}
+    for ks in product(range(n), repeat=n - 1):
+        picked = [cols[j][k] for j, k in zip(others, ks)]
+        form = tuple(
+            (-1) ** (row + slot)
+            * int_det([[c[r] for c in picked] for r in range(n) if r != row])
+            for row in range(n)
+        )
+        g = gcd(*form)
+        if g:
+            exp = [0] * n
+            for j, k in zip(others, ks):
+                exp[j] = k
+            by_exp[tuple(exp)] = tuple(v // g for v in form)
+    return tuple(by_exp[e] for e in sorted(by_exp, key=exponent_key))
+
+
+def _det_sign(cols, last_forms):
+    """Sign of the perturbed determinant, given the Cramer forms of the
+    last slot.  Its coefficient at e^k is the last slot's form for the
+    other exponents at column k_last of the last matrix; the last slot is
+    the most significant infinitesimal, so its columns are scanned first."""
+    for col in cols[-1]:
+        s = first_nonzero_sign(last_forms, col)
+        if s:
+            return s
+    return 0
+
+
 class SigmaKernel:
     """Prepared evaluator for one tuple of invertible rational matrices.
 
     Column i of the symbolic matrix is alpha_i applied to the moment
-    vector of infinitesimal slot i.  The determinant and the row/column
-    minors are cached so evaluation at many points is cheap.
+    vector of infinitesimal slot i.  The kernel keeps the sign of its
+    determinant and, per slot, the integer cofactor forms of the Cramer
+    numerator; the value at w is the determinant sign when every slot's
+    form list has that first nonzero sign at w, else 0.
     """
 
     def __init__(self, alphas):
-        mats = _check_matrices(alphas)
-        n = len(mats)
-        if len(mats[0]) != n:
+        cols = _integer_columns(alphas)
+        n = len(cols)
+        if len(cols[0]) != n:
             raise ValueError("need n matrices of size n x n")
         self.n = n
-        cols = []
-        for i, a in enumerate(mats):
-            b = moment_vector(i, n, n)
-            col = []
-            for row in range(n):
-                acc = MPoly.zero(n)
-                for k in range(n):
-                    c = a[row][k]
-                    if c:
-                        acc = acc + b[k] * c
-                col.append(acc)
-            cols.append(col)
-        self.cols = cols
-        self.det = det_mpoly_columns(cols)
-        self.det_sign = sign_mpoly(self.det)
+        self.forms = tuple(_cramer_forms(cols, i) for i in range(n))
+        self.det_sign = _det_sign(cols, self.forms[-1])
         if self.det_sign == 0:
             raise SingularMatrix("perturbed column matrix is singular")
-        # minors[row][i]: determinant with row `row` and column `i` removed
-        self.minors = [
-            [self._minor(row, i) for i in range(n)] for row in range(n)
-        ]
-
-    def _minor(self, row: int, col: int) -> MPoly:
-        n = self.n
-        if n == 1:
-            return MPoly.const(1, 1)
-        sub = [
-            [self.cols[j][r] for r in range(n) if r != row]
-            for j in range(n) if j != col
-        ]
-        return det_mpoly_columns(sub)
-
-    def cramer_numerator(self, i: int, w) -> MPoly:
-        """det of the column matrix with column i replaced by w."""
-        n = self.n
-        acc = MPoly.zero(n)
-        for row in range(n):
-            c = w[row]
-            if c:
-                term = self.minors[row][i] * c
-                acc = acc + term if (row + i) % 2 == 0 else acc - term
-        return acc
 
     def eval(self, w) -> int:
-        w = [frac(x) for x in w]
+        w = int_scale_point(w)
         if len(w) != self.n:
             raise ValueError("point dimension mismatch")
-        if all(x == 0 for x in w):
+        if not any(w):
             raise ZeroVector("evaluation point must be nonzero")
-        for i in range(self.n):
-            if sign_mpoly(self.cramer_numerator(i, w)) != self.det_sign:
+        for forms in self.forms:
+            if first_nonzero_sign(forms, w) != self.det_sign:
                 return 0
         return self.det_sign
-
-    def coefficient_forms(self, i: int):
-        """The Cramer numerator for slot i as a family of linear forms in w,
-        indexed by infinitesimal exponent vectors."""
-        n = self.n
-        forms: dict[tuple, list] = {}
-        for row in range(n):
-            s = 1 if (row + i) % 2 == 0 else -1
-            for e, c in self.minors[row][i].terms.items():
-                vec = forms.setdefault(e, [Fraction(0)] * n)
-                vec[row] += s * c
-        return {e: tuple(v) for e, v in forms.items() if any(x != 0 for x in v)}
 
 
 def sigma_eval(alphas, w) -> int:
@@ -231,28 +258,18 @@ def sigma_function(alphas):
 
 def tau_cocycle(alphas) -> int:
     """Coboundary invariant of n+1 invertible matrices: the d-invariant of
-    the n+1 perturbed columns, each carrying its own infinitesimal."""
-    mats = _check_matrices(alphas)
-    m = len(mats)
+    the n+1 perturbed columns, each carrying its own infinitesimal.  The
+    minor omitting column i keeps the relative order of the remaining
+    infinitesimals, so its sign is that of an n-slot kernel determinant."""
+    cols = _integer_columns(alphas)
+    m = len(cols)
     n = m - 1
-    if n < 1 or len(mats[0]) != n:
+    if n < 1 or len(cols[0]) != n:
         raise ValueError("need n+1 matrices of size n x n")
-    cols = []
-    for i, a in enumerate(mats):
-        b = moment_vector(i, n, m)
-        col = []
-        for row in range(n):
-            acc = MPoly.zero(m)
-            for k in range(n):
-                c = a[row][k]
-                if c:
-                    acc = acc + b[k] * c
-            col.append(acc)
-        cols.append(col)
     signs = []
     for i in range(m):
         sub = cols[:i] + cols[i + 1:]
-        s = sign_mpoly(det_mpoly_columns(sub))
+        s = _det_sign(sub, _cramer_forms(sub, n - 1))
         if s == 0:
             raise SingularMatrix("perturbed configuration degenerated")
         signs.append(s if i % 2 == 0 else -s)

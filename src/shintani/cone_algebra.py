@@ -21,13 +21,15 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd
 
 from .cocycle_core import SigmaKernel
 from .errors import AllFormsZero, SingularMatrix, UnsupportedDimension, ZeroVector
 from .linalg import (
-    dot,
+    first_nonzero_sign,
     frac,
+    idot,
+    int_scale_point,
     mat_det,
     mat_inv,
     mat_vec,
@@ -35,16 +37,6 @@ from .linalg import (
     rank,
     sign as rsign,
 )
-from .ordered_field import exponent_key
-
-
-def _int_scale_point(w):
-    """Positive integer multiple of a rational point, as plain ints."""
-    w = tuple(frac(x) for x in w)
-    den = 1
-    for x in w:
-        den = lcm(den, x.denominator)
-    return tuple(int(x * den) for x in w)
 
 
 @dataclass(frozen=True)
@@ -88,12 +80,8 @@ class OpenSimplicialCone:
             if rank(cols + [e]) == len(cols) + 1:
                 cols.append(e)
         inv = mat_inv(tuple(tuple(col[i] for col in cols) for i in range(n)))
-        coord_rows = tuple(
-            tuple(int(x) for x in primitive(row)) for row in inv[: self.dim]
-        )
-        span_rows = tuple(
-            tuple(int(x) for x in primitive(row)) for row in inv[self.dim:]
-        )
+        coord_rows = tuple(primitive(row) for row in inv[: self.dim])
+        span_rows = tuple(primitive(row) for row in inv[self.dim:])
         tester = (coord_rows, span_rows)
         object.__setattr__(self, "_tester", tester)
         return tester
@@ -111,7 +99,7 @@ class OpenSimplicialCone:
         return True
 
     def contains(self, w) -> bool:
-        return self._contains_scaled(_int_scale_point(w))
+        return self._contains_scaled(int_scale_point(w))
 
     def witness(self):
         """A rational interior point: the sum of the generators."""
@@ -140,7 +128,7 @@ class ConeCombo:
         self.constant = frac(constant)
 
     def eval(self, w) -> Fraction:
-        wi = _int_scale_point(w)
+        wi = int_scale_point(w)
         if all(x == 0 for x in wi):
             raise ZeroVector("combos are functions on nonzero points")
         total = Fraction(self.constant)
@@ -224,11 +212,7 @@ class LexLinearForm:
         object.__setattr__(self, "forms", forms)
 
     def first_nonzero_sign(self, w) -> int:
-        for f in self.forms:
-            s = rsign(dot(f, w))
-            if s:
-                return s
-        return 0
+        return first_nonzero_sign(self.forms, w)
 
 
 # ---------------------------------------------------------------------------
@@ -236,35 +220,6 @@ class LexLinearForm:
 # plain integer arithmetic: generators and forms are primitive integer
 # vectors, which positive scaling makes harmless for every sign test.
 # ---------------------------------------------------------------------------
-
-def _int_primitive(vec):
-    """Primitive integer vector (plain ints) in the same direction."""
-    den = 1
-    nums = []
-    for x in vec:
-        x = frac(x)
-        nums.append(x)
-        den = lcm(den, x.denominator)
-    ints = [int(x * den) for x in nums]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g == 0:
-        raise ValueError("zero vector has no primitive form")
-    return tuple(v // g for v in ints)
-
-
-def _int_canon(vec):
-    p = _int_primitive(vec)
-    for x in p:
-        if x:
-            return p if x > 0 else tuple(-y for y in p)
-    raise ValueError("zero vector")
-
-
-def _idot(f, g) -> int:
-    return sum(a * b for a, b in zip(f, g))
-
 
 def _start_pieces(n: int):
     """The relatively open faces of the fan of coordinate orthants: a
@@ -284,16 +239,14 @@ def _cross(vp, vq, hp, hq):
     """Positive combination of the generators vp, vq on which the split
     form vanishes: hp * vq - hq * vp with hp > 0 > hq."""
     vec = tuple(hp * b - hq * a for a, b in zip(vp, vq))
-    g = 0
-    for v in vec:
-        g = gcd(g, abs(v))
+    g = gcd(*vec)
     return tuple(v // g for v in vec)
 
 
 def _split_piece(gens, form):
     """Split one relatively open simplicial cone along a hyperplane into
     relatively open simplicial pieces (dimension of the cone <= 3)."""
-    vals = [_idot(form, g) for g in gens]
+    vals = [idot(form, g) for g in gens]
     pos = [i for i, v in enumerate(vals) if v > 0]
     neg = [i for i, v in enumerate(vals) if v < 0]
     if not pos or not neg:
@@ -339,48 +292,13 @@ def _split_piece(gens, form):
     raise UnsupportedDimension("splitting supports cones of dimension <= 3")
 
 
-def refine_fan(n: int, forms):
-    """Disjoint relatively open simplicial cover of the punctured space on
-    which every given linear form has a constant sign.  Pieces come back
-    as tuples of primitive integer generators."""
-    dedup = {}
-    for f in forms:
-        if any(x != 0 for x in f):
-            dedup[_int_canon(f)] = None
-    pieces = _start_pieces(n)
-    for form in dedup:
-        pieces = [q for p in pieces for q in _split_piece(p, form)]
-    return pieces
-
-
 # ---------------------------------------------------------------------------
 # Decomposition of the cocycle into a cone combo
 # ---------------------------------------------------------------------------
 
-def sigma_forms(alphas):
-    """Prepared sign data: determinant sign and, per slot, the list of
-    linear coefficient forms of the Cramer numerator ordered by the
-    infinitesimal exponent order."""
-    kernel = SigmaKernel(alphas)
-    lists = []
-    for i in range(kernel.n):
-        by_exp = kernel.coefficient_forms(i)
-        ordered = [by_exp[e] for e in sorted(by_exp, key=exponent_key)]
-        lists.append(LexLinearForm(tuple(ordered)))
-    return kernel, lists
-
-
 def _int_witness(gens):
     n = len(gens[0])
     return tuple(sum(g[i] for g in gens) for i in range(n))
-
-
-def _first_nonzero_sign_int(forms, w) -> int:
-    for f in forms:
-        v = _idot(f, w)
-        if v:
-            return 1 if v > 0 else -1
-    return 0
 
 
 def _classify_piece(gens, int_lists, target):
@@ -395,7 +313,7 @@ def _classify_piece(gens, int_lists, target):
     for forms in int_lists:
         decided = None
         for f in forms:
-            vals = [_idot(f, g) for g in gens]
+            vals = [idot(f, g) for g in gens]
             pos = any(v > 0 for v in vals)
             neg = any(v < 0 for v in vals)
             if pos and neg:
@@ -443,17 +361,14 @@ def sigma_decompose(alphas, validate: bool = False) -> ConeCombo:
     n = len(alphas)
     if n > 3:
         raise UnsupportedDimension("decomposition implemented for n <= 3")
-    kernel, lists = sigma_forms(alphas)
-    int_lists = [
-        tuple(_int_primitive(f) for f in lst.forms) for lst in lists
-    ]
+    kernel = SigmaKernel(alphas)
     target = kernel.det_sign
-    pieces = _decompose_region(n, int_lists, target)
+    pieces = _decompose_region(n, kernel.forms, target)
     terms = []
     for gens in pieces:
         if validate:
             w = _int_witness(gens)
-            if any(_first_nonzero_sign_int(fs, w) != target for fs in int_lists):
+            if any(first_nonzero_sign(fs, w) != target for fs in kernel.forms):
                 raise AssertionError("kept piece fails the sign resolution")
             if kernel.eval(w) != target:
                 raise AssertionError("decomposition witness mismatch")
@@ -471,7 +386,7 @@ def lex_positive_region(form_list) -> ConeCombo:
     if not lex.forms:
         raise AllFormsZero("need at least one nonzero form")
     n = len(lex.forms[0])
-    int_forms = tuple(_int_primitive(f) for f in lex.forms)
+    int_forms = tuple(primitive(f) for f in lex.forms)
     pieces = _decompose_region(n, [int_forms], 1)
     terms = [(1, OpenSimplicialCone(gens)) for gens in pieces]
     return ConeCombo(terms).sorted()

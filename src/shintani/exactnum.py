@@ -22,14 +22,6 @@ from .errors import ShintaniError
 Rat = Fraction
 
 
-def rat_from_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
-def rat_to_str(x: Fraction) -> str:
-    return str(x)
-
-
 # ---------------------------------------------------------------------------
 # Sparse multivariate polynomials
 # ---------------------------------------------------------------------------
@@ -173,20 +165,6 @@ class MPoly:
         if c == 0:
             raise ZeroDivisionError("division of polynomial by zero scalar")
         return self * (1 / c)
-
-    def evaluate(self, point) -> Fraction:
-        """Evaluate at a rational point (mostly for tests)."""
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            t = c
-            for k, x in zip(e, point):
-                if k:
-                    t *= Fraction(x) ** k
-            total += t
-        return total
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -7,7 +7,7 @@ Everything is immutable and all arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import SingularMatrix
 
@@ -16,23 +16,13 @@ Mat = tuple
 
 
 def frac(x) -> Fraction:
-    """Coerce an int, Fraction or 'p/q' string to Fraction."""
+    """Coerce an int, Fraction or 'p/q' string to Fraction.  Floats and
+    bools are rejected: no binary fraction may enter a computation."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, str):
-        return Fraction(x)
+    if isinstance(x, (float, bool)):
+        raise TypeError(f"inexact or boolean value {x!r}")
     return Fraction(x)
-
-
-def vector(entries) -> Vec:
-    return tuple(frac(x) for x in entries)
-
-
-def matrix(rows) -> Mat:
-    m = tuple(tuple(frac(x) for x in row) for row in rows)
-    if m and any(len(row) != len(m[0]) for row in m):
-        raise ValueError("ragged matrix")
-    return m
 
 
 def identity(n: int) -> Mat:
@@ -43,23 +33,6 @@ def identity(n: int) -> Mat:
 
 def dot(u, v) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def vec_add(u, v) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, u) -> Vec:
-    c = frac(c)
-    return tuple(c * a for a in u)
-
-
-def is_zero_vec(u) -> bool:
-    return all(a == 0 for a in u)
 
 
 def mat_vec(m, v) -> Vec:
@@ -162,29 +135,51 @@ def rank(cols) -> int:
     return r
 
 
-def primitive(vec) -> Vec:
-    """Scale a nonzero rational vector by a positive rational so the entries
-    become coprime integers; the direction is preserved."""
-    den_lcm = 1
-    for x in vec:
-        den_lcm = den_lcm * x.denominator // gcd(den_lcm, x.denominator)
-    ints = [int(x * den_lcm) for x in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+# ---------------------------------------------------------------------------
+# Integer vectors.  A positive scale changes no sign test, so sign
+# computations clear denominators first and run on plain ints.
+# ---------------------------------------------------------------------------
+
+def int_scale_point(w):
+    """Positive integer multiple of a rational point, as plain ints."""
+    w = [frac(x) for x in w]
+    den = lcm(*(x.denominator for x in w))
+    return tuple(x.numerator * (den // x.denominator) for x in w)
+
+
+def primitive(vec):
+    """Primitive integer vector (plain ints) in the same direction."""
+    ints = int_scale_point(vec)
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
-    return tuple(Fraction(v // g) for v in ints)
+    return tuple(v // g for v in ints)
 
 
-def canon_sign(vec) -> Vec:
-    """Primitive form with the first nonzero entry positive (identifies a
-    hyperplane regardless of the side convention)."""
-    p = primitive(vec)
-    for x in p:
-        if x != 0:
-            return p if x > 0 else tuple(-y for y in p)
-    raise ValueError("zero vector")
+def idot(f, g):
+    return sum(a * b for a, b in zip(f, g))
+
+
+def int_det(m) -> int:
+    """Determinant of a small square integer matrix (rows) by cofactor
+    expansion along the first row; the empty matrix has determinant 1."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * int_det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j]
+    )
+
+
+def first_nonzero_sign(forms, w) -> int:
+    """Sign of the first form in the list that is nonzero at w, or 0: the
+    sign of a lexicographically ordered list of linear forms."""
+    for f in forms:
+        v = idot(f, w)
+        if v:
+            return 1 if v > 0 else -1
+    return 0
 
 
 def sign(x) -> int:

@@ -340,11 +340,9 @@ def _coeff_to_json(v: CoeffElem):
 
 
 def _coeff_from_json(ring: CoeffRing, doc) -> CoeffElem:
-    if isinstance(doc, str):
-        return ring.from_rat(Fraction(doc))
-    if isinstance(doc, (int, float)):
-        return ring.from_rat(Fraction(doc))
-    return ring.elem({(int(i), int(j)): Fraction(c) for i, j, c in doc})
+    if isinstance(doc, list):
+        return ring.elem({(int(i), int(j)): frac(c) for i, j, c in doc})
+    return ring.from_rat(frac(doc))
 
 
 # ---------------------------------------------------------------------------

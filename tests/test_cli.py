@@ -155,3 +155,38 @@ def test_pretty_output(capsys):
     )
     assert code == 0
     assert out.startswith("{\n")
+
+
+def _schema_rejects(command, job, capsys):
+    code, out = run_cli([command, "--inline", job], capsys)
+    assert code == 64
+    assert json.loads(out)["error"]["code"] == 64
+
+
+def test_eval_sigma_rejects_float_point(capsys):
+    _schema_rejects("eval-sigma", '{"alpha": [[1,0],[0,1]], "w": [0.1, 1]}', capsys)
+
+
+def test_eval_sigma_rejects_bool_point(capsys):
+    _schema_rejects("eval-sigma", '{"alpha": [[1,0],[0,1]], "w": [true, 1]}', capsys)
+
+
+def test_eval_sigma_rejects_float_matrix(capsys):
+    _schema_rejects("eval-sigma", '{"alpha": [[1.5,0],[0,1]], "w": [1, 1]}', capsys)
+
+
+def test_eval_sigma_rejects_wrong_point_dimension(capsys):
+    _schema_rejects("eval-sigma", '{"alpha": [[1,0],[0,1]], "w": [1, 2, 3]}', capsys)
+
+
+def test_decompose_rejects_mixed_matrix_sizes(capsys):
+    job = '{"alphas": [[[1,0],[0,1]], [[1,0,0],[0,1,0],[0,0,1]]]}'
+    _schema_rejects("decompose", job, capsys)
+
+
+def test_pair_rejects_float_value(capsys):
+    job = json.dumps({
+        "combo": {"cones": [], "constant": "0"},
+        "phi": {"n": 2, "values": [{"class": [0, 0], "value": 0.5}]},
+    })
+    _schema_rejects("pair", job, capsys)

@@ -8,6 +8,7 @@ from conftest import (
     random_invertible,
     random_nonzero_vector,
 )
+from shintani.cli import random_degenerate_tuple
 from shintani.cocycle_core import (
     CocycleChecker,
     closed_form_sigma_n2,
@@ -245,46 +246,54 @@ def test_tau_gl_equivariance():
         assert tau_cocycle(moved) == sign(mat_det(beta)) * tau_cocycle(alphas)
 
 
+def _moment_columns(alphas, nvars):
+    """The perturbed columns alpha_i (1, e_i, ..., e_i^(n-1)) as polynomial
+    vectors over ``nvars`` infinitesimals, slot i carrying the i-th."""
+    n = len(alphas[0])
+    cols = []
+    for i, a in enumerate(alphas):
+        b = moment_vector(i, n, nvars)
+        col = []
+        for row in range(n):
+            acc = MPoly.zero(nvars)
+            for k in range(n):
+                acc = acc + b[k] * a[row][k]
+            col.append(acc)
+        cols.append(col)
+    return cols
+
+
+def _oracle_tuples(rng, sizes, extra):
+    """Random and engineered degenerate tuples of n + extra matrices of
+    size n; the degenerate families make leading forms vanish, so the lex
+    order past the first term decides the sign."""
+    for n in sizes:
+        for degenerate in (False, True) if n >= 2 else (False,):
+            for _ in range(3):
+                if degenerate:
+                    yield n, random_degenerate_tuple(rng, n, n + extra)
+                else:
+                    yield n, [random_invertible(rng, n) for _ in range(n + extra)]
+
+
 def test_sigma_matches_cone_indicator_on_moment_columns():
-    # the prepared evaluator is an optimization of evaluating the signed
-    # cone indicator on the perturbed columns; check them against each
-    # other on random instances
+    # the integer kernel against the signed cone indicator evaluated on the
+    # perturbed columns over the ordered field, at random points and at
+    # the first columns of the matrices, where leading forms vanish
     rng = random.Random(97)
-    for _ in range(15):
-        n = rng.randint(1, 3)
-        alphas = [random_invertible(rng, n) for _ in range(n)]
-        cols = []
-        for i, a in enumerate(alphas):
-            b = moment_vector(i, n, n)
-            col = []
-            for row in range(n):
-                acc = MPoly.zero(n)
-                for k in range(n):
-                    acc = acc + b[k] * a[row][k]
-                col.append(acc)
-            cols.append(col)
-        for _ in range(8):
-            w = random_nonzero_vector(rng, n)
+    for n, alphas in _oracle_tuples(rng, (1, 2, 3, 4), 0):
+        cols = _moment_columns(alphas, n)
+        ws = [random_nonzero_vector(rng, n) for _ in range(6)]
+        ws += [tuple(row[0] for row in a) for a in alphas]
+        for w in ws:
             wcol = [MPoly.const(n, x) for x in w]
             assert sigma_eval(alphas, w) == cvalue(cols, wcol)
 
 
 def test_tau_matches_dvalue_on_moment_columns():
     rng = random.Random(101)
-    for _ in range(10):
-        n = rng.randint(2, 3)
-        alphas = [random_invertible(rng, n) for _ in range(n + 1)]
-        cols = []
-        for i, a in enumerate(alphas):
-            b = moment_vector(i, n, n + 1)
-            col = []
-            for row in range(n):
-                acc = MPoly.zero(n + 1)
-                for k in range(n):
-                    acc = acc + b[k] * a[row][k]
-                col.append(acc)
-            cols.append(col)
-        assert tau_cocycle(alphas) == dvalue(cols)
+    for n, alphas in _oracle_tuples(rng, (2, 3), 1):
+        assert tau_cocycle(alphas) == dvalue(_moment_columns(alphas, n + 1))
 
 
 def test_sigma_gl_equivariance():

@@ -7,6 +7,7 @@ from conftest import random_invertible, random_nonzero_vector
 from shintani.cocycle_core import SigmaKernel, tau_cocycle
 from shintani.cone_algebra import (
     ConeCombo,
+    _decompose_region,
     LexLinearForm,
     OpenSimplicialCone,
     act,
@@ -20,7 +21,16 @@ from shintani.errors import (
     UnsupportedDimension,
     ZeroVector,
 )
-from shintani.linalg import identity, mat_det, mat_inv, mat_vec, sign
+from shintani.linalg import (
+    first_nonzero_sign,
+    identity,
+    idot,
+    mat_det,
+    mat_inv,
+    mat_vec,
+    primitive,
+    sign,
+)
 
 I2 = identity(2)
 
@@ -289,26 +299,27 @@ def test_lex_region_rejects_zero_forms():
     assert LexLinearForm(((0, 0), (1, 0))).forms == ((Fraction(1), Fraction(0)),)
 
 
-def test_refine_fan_disjoint_cover_with_constant_signs():
-    # the refined pieces tile the punctured space: every sample point lies
-    # in exactly one piece, and each form has one sign per piece
-    from shintani.cone_algebra import refine_fan
+def test_decompose_region_tiles_punctured_space_by_sign():
+    # the pieces for the targets -1, 0 and 1 tile the punctured space: every
+    # sample point (random, or a piece witness) lies in exactly one piece,
+    # whose target is the first nonzero sign of the list there; a single
+    # form has one sign per piece
     rng = random.Random(31)
     for n in (2, 3):
         for _ in range(5):
-            forms = [random_nonzero_vector(rng, n, lo=-2, hi=2, den=1)
-                     for _ in range(rng.randint(1, 3))]
-            pieces = refine_fan(n, forms)
-            cones = [OpenSimplicialCone(g) for g in pieces]
-            for _ in range(60):
-                w = random_nonzero_vector(rng, n)
-                hits = [c for c in cones if c.contains(w)]
+            forms = tuple(primitive(random_nonzero_vector(rng, n, lo=-2, hi=2, den=1))
+                          for _ in range(rng.randint(1, 3)))
+            pieces = [(s, OpenSimplicialCone(g)) for s in (-1, 0, 1)
+                      for g in _decompose_region(n, [forms], s)]
+            ws = [random_nonzero_vector(rng, n) for _ in range(60)]
+            ws += [cone.witness() for _, cone in pieces]
+            for w in ws:
+                hits = [(s, c) for s, c in pieces if c.contains(w)]
                 assert len(hits) == 1
-                cone = hits[0]
-                for f in forms:
-                    vals = [sum(a * b for a, b in zip(f, g))
-                            for g in cone.generators]
-                    s = sum(a * b for a, b in zip(f, w))
+                s, cone = hits[0]
+                assert first_nonzero_sign(forms, w) == s
+                if len(forms) == 1:
+                    vals = [idot(forms[0], g) for g in cone.generators]
                     if s > 0:
                         assert all(v >= 0 for v in vals)
                     elif s < 0:
