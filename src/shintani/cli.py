@@ -45,6 +45,18 @@ def _require(doc, key, kind=None):
     return val
 
 
+def _int_field(doc, key, default=None, minimum=None):
+    """Integer field of a job document: bools, floats and strings are
+    rejected, and so is a value below the minimum.  A missing field takes
+    the default; without a default it is required."""
+    val = _require(doc, key) if default is None else doc.get(key, default)
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise SchemaError(f"field '{key}' must be an integer")
+    if minimum is not None and val < minimum:
+        raise SchemaError(f"field '{key}' must be at least {minimum}")
+    return val
+
+
 def _parse_matrix(doc):
     try:
         return tuple(tuple(frac(x) for x in row) for row in doc)
@@ -74,17 +86,16 @@ def _parse_alphas(doc):
 
 
 def _parse_char(doc) -> DirichletChar:
-    doc = dict(doc)
-    f = int(doc.get("modulus", doc.get("f", 1)))
+    f = _int_field(doc, "modulus" if "modulus" in doc else "f", 1)
     if doc.get("kind") == "trivial" or ("values" not in doc and "index" not in doc):
         return DirichletChar.trivial(f)
     if "index" in doc:
         chars = DirichletChar.enumerate(f)
-        idx = int(doc["index"])
+        idx = _int_field(doc, "index")
         if not 0 <= idx < len(chars):
             raise SchemaError(f"character index out of range (0..{len(chars) - 1})")
         return chars[idx]
-    m = int(doc.get("zeta_order", 1))
+    m = _int_field(doc, "zeta_order", 1)
     ring = CoeffRing(m)
     values = {}
     for k, e in _require(doc, "values", dict).items():
@@ -95,8 +106,8 @@ def _parse_char(doc) -> DirichletChar:
 def _parse_quad_char(doc, K) -> SchwartzFn:
     if doc is None or doc.get("kind") == "trivial":
         return trivial_quad_schwartz(K)
-    f = int(doc.get("f", 1))
-    m = int(doc.get("zeta_order", 1))
+    f = _int_field(doc, "f", 1)
+    m = _int_field(doc, "zeta_order", 1)
     ring = CoeffRing(m, K.D)
     table = {}
     for key, e in _require(doc, "values", dict).items():
@@ -132,24 +143,27 @@ def _cmd_decompose(doc):
 
 
 def _cmd_pair(doc):
-    combo = ConeCombo.from_json(_require(doc, "combo", dict))
+    phi_doc = _require(doc, "phi", dict)
+    for key, default in (("n", None), ("d", 1), ("f", 1)):
+        _int_field(phi_doc, key, default, 1)
     try:
-        phi = SchwartzFn.from_json(_require(doc, "phi", dict))
-    except TypeError as exc:
-        raise SchemaError(f"bad test function: {exc}")
-    dmax = int(doc.get("dmax", 4))
+        combo = ConeCombo.from_json(_require(doc, "combo", dict))
+        phi = SchwartzFn.from_json(phi_doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"bad combo or test function: {exc!r}")
+    dmax = _int_field(doc, "dmax", 4, 0)
     q = pair_combo(combo, phi, dmax)
     return {"series": q.to_json()}
 
 
 def _cmd_verify_cocycle(doc):
-    n = int(_require(doc, "n"))
-    trials = int(doc.get("trials", 100))
-    samples = int(doc.get("samples", 20))
-    seed = doc.get("seed")
-    if seed is None:
+    n = _int_field(doc, "n", None, 1)
+    trials = _int_field(doc, "trials", 100, 0)
+    samples = _int_field(doc, "samples", 20, 0)
+    if doc.get("seed") is None:
         raise SchemaError("verify-cocycle requires a seed for reproducibility")
-    rng = random.Random(int(seed))
+    seed = _int_field(doc, "seed")
+    rng = random.Random(seed)
     failures = 0
     degenerate = 0
     for t in range(trials):
@@ -165,18 +179,18 @@ def _cmd_verify_cocycle(doc):
             if not checker.holds_at(w):
                 failures += 1
     return {
-        "n": n, "trials": trials, "samples": samples, "seed": int(seed),
+        "n": n, "trials": trials, "samples": samples, "seed": seed,
         "degenerate": degenerate, "failures": failures,
     }
 
 
 def _cmd_lvalue_q(doc):
     chi = _parse_char(_require(doc, "char", dict))
-    r = int(_require(doc, "r"))
+    r = _int_field(doc, "r", None, 1)
     route = doc.get("route", "both")
     if route not in ("closed", "cocycle", "both"):
         raise SchemaError("route must be closed, cocycle or both")
-    dmax = int(doc.get("dmax", max(r, 1)))
+    dmax = _int_field(doc, "dmax", r, 0)
     out = {"r": r, "modulus": chi.f, "route": route}
     if route in ("closed", "both"):
         closed = dirichlet_L_closed(chi, r)
@@ -192,10 +206,10 @@ def _cmd_lvalue_q(doc):
 
 def _cmd_lvalue_quad(doc):
     field = _require(doc, "field", dict)
-    D = int(_require(field, "D"))
+    D = _int_field(field, "D")
     K = build_real_quad(D, allow_narrow_failure=bool(doc.get("force", False)))
-    r = int(_require(doc, "r"))
-    dmax = int(doc.get("dmax", 2 * r + 2))
+    r = _int_field(doc, "r", None, 1)
+    dmax = _int_field(doc, "dmax", 2 * r + 2, 0)
     phi = _parse_quad_char(doc.get("char"), K)
     value = quad_L_value(K, phi, r, dmax)
     return {
@@ -206,10 +220,10 @@ def _cmd_lvalue_quad(doc):
 
 def _cmd_s_coeffs(doc):
     field = _require(doc, "field", dict)
-    D = int(_require(field, "D"))
+    D = _int_field(field, "D")
     K = build_real_quad(D, allow_narrow_failure=bool(doc.get("force", False)))
-    rmax = int(_require(doc, "rmax"))
-    dmax = int(doc.get("dmax", 2 * rmax + 2))
+    rmax = _int_field(doc, "rmax", None, 0)
+    dmax = _int_field(doc, "dmax", 2 * rmax + 2, 0)
     phi = _parse_quad_char(doc.get("char"), K)
     sc = s_coeffs(K, phi, rmax, dmax)
     return {

@@ -41,9 +41,9 @@ from .errors import (
 )
 from .exactnum import MPoly
 from .linalg import (
+    cofactor_form,
     first_nonzero_sign,
     frac,
-    int_det,
     int_scale_point,
     mat_det,
     mat_inv,
@@ -184,12 +184,7 @@ def _cramer_forms(cols, slot):
     others = [j for j in range(n) if j != slot]
     by_exp = {}
     for ks in product(range(n), repeat=n - 1):
-        picked = [cols[j][k] for j, k in zip(others, ks)]
-        form = tuple(
-            (-1) ** (row + slot)
-            * int_det([[c[r] for c in picked] for r in range(n) if r != row])
-            for row in range(n)
-        )
+        form = cofactor_form([cols[j][k] for j, k in zip(others, ks)], slot)
         g = gcd(*form)
         if g:
             exp = [0] * n

@@ -26,15 +26,14 @@ from math import gcd
 from .cocycle_core import SigmaKernel
 from .errors import AllFormsZero, SingularMatrix, UnsupportedDimension, ZeroVector
 from .linalg import (
+    coordinate_rows,
     first_nonzero_sign,
     frac,
     idot,
     int_scale_point,
     mat_det,
-    mat_inv,
     mat_vec,
     primitive,
-    rank,
     sign as rsign,
 )
 
@@ -42,21 +41,20 @@ from .linalg import (
 @dataclass(frozen=True)
 class OpenSimplicialCone:
     """Relatively open cone of linearly independent rational generators:
-    strictly positive combinations only."""
+    strictly positive combinations only.  A cone depends only on the rays
+    of its generators, so each is stored as its primitive integer vector."""
 
     generators: tuple
 
     def __post_init__(self):
-        gens = tuple(tuple(frac(x) for x in g) for g in self.generators)
+        gens = tuple(primitive(g) for g in self.generators)
         if not gens:
             raise ValueError("a cone needs at least one generator")
-        n = len(gens[0])
-        if any(len(g) != n for g in gens):
+        if any(len(g) != len(gens[0]) for g in gens):
             raise ValueError("generator dimensions differ")
-        if len(gens) > n or rank(gens) != len(gens):
-            raise ValueError("generators must be linearly independent")
+        _, coord_rows, span_rows = coordinate_rows(gens)
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "_tester", None)
+        object.__setattr__(self, "_rows", (coord_rows, span_rows))
 
     @property
     def dim(self) -> int:
@@ -66,30 +64,10 @@ class OpenSimplicialCone:
     def ambient(self) -> int:
         return len(self.generators[0])
 
-    def _build_tester(self):
-        """Integer rows deciding membership with dot products only: extend
-        the generators greedily by standard basis vectors to a square
-        matrix, invert it once, and scale the inverse rows to integers.
-        The first r rows must be positive at w and the rest zero."""
-        n = self.ambient
-        cols = list(self.generators)
-        for i in range(n):
-            if len(cols) == n:
-                break
-            e = tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
-            if rank(cols + [e]) == len(cols) + 1:
-                cols.append(e)
-        inv = mat_inv(tuple(tuple(col[i] for col in cols) for i in range(n)))
-        coord_rows = tuple(primitive(row) for row in inv[: self.dim])
-        span_rows = tuple(primitive(row) for row in inv[self.dim:])
-        tester = (coord_rows, span_rows)
-        object.__setattr__(self, "_tester", tester)
-        return tester
-
     def _contains_scaled(self, wi) -> bool:
         """Membership test against an integer multiple of the point; any
         positive rescaling of w leaves cone membership unchanged."""
-        coord_rows, span_rows = self._tester or self._build_tester()
+        coord_rows, span_rows = self._rows
         for row in span_rows:
             if sum(a * b for a, b in zip(row, wi)) != 0:
                 return False
@@ -102,18 +80,8 @@ class OpenSimplicialCone:
         return self._contains_scaled(int_scale_point(w))
 
     def witness(self):
-        """A rational interior point: the sum of the generators."""
-        n = self.ambient
-        acc = [Fraction(0)] * n
-        for g in self.generators:
-            for i in range(n):
-                acc[i] += g[i]
-        return tuple(acc)
-
-    def sort_key(self):
-        return tuple(
-            (x.numerator, x.denominator) for g in self.generators for x in g
-        )
+        """An integer interior point: the sum of the generators."""
+        return tuple(map(sum, zip(*self.generators)))
 
 
 class ConeCombo:
@@ -145,7 +113,7 @@ class ConeCombo:
         return ConeCombo(self.terms + other.terms, self.constant + other.constant)
 
     def sorted(self) -> "ConeCombo":
-        terms = sorted(self.terms, key=lambda t: t[1].sort_key())
+        terms = sorted(self.terms, key=lambda t: t[1].generators)
         return ConeCombo(terms, self.constant)
 
     def to_json(self) -> dict:
@@ -162,13 +130,8 @@ class ConeCombo:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ConeCombo":
-        terms = [
-            (Fraction(entry["coeff"]),
-             OpenSimplicialCone(tuple(tuple(Fraction(x) for x in g)
-                                      for g in entry["generators"])))
-            for entry in doc.get("cones", [])
-        ]
-        return cls(terms, Fraction(doc.get("constant", "0")))
+        terms = [(entry["coeff"], entry["generators"]) for entry in doc.get("cones", [])]
+        return cls(terms, doc.get("constant", "0"))
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
@@ -296,11 +259,6 @@ def _split_piece(gens, form):
 # Decomposition of the cocycle into a cone combo
 # ---------------------------------------------------------------------------
 
-def _int_witness(gens):
-    n = len(gens[0])
-    return tuple(sum(g[i] for g in gens) for i in range(n))
-
-
 def _classify_piece(gens, int_lists, target):
     """Decide the lexicographic sign data of one piece, or report a form
     to split by.
@@ -366,13 +324,14 @@ def sigma_decompose(alphas, validate: bool = False) -> ConeCombo:
     pieces = _decompose_region(n, kernel.forms, target)
     terms = []
     for gens in pieces:
+        cone = OpenSimplicialCone(gens)
         if validate:
-            w = _int_witness(gens)
+            w = cone.witness()
             if any(first_nonzero_sign(fs, w) != target for fs in kernel.forms):
                 raise AssertionError("kept piece fails the sign resolution")
             if kernel.eval(w) != target:
                 raise AssertionError("decomposition witness mismatch")
-        terms.append((target, OpenSimplicialCone(gens)))
+        terms.append((target, cone))
     return ConeCombo(terms).sorted()
 
 

@@ -7,6 +7,7 @@ Everything is immutable and all arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 from .errors import SingularMatrix
@@ -114,27 +115,6 @@ def solve_columns(cols, w):
     return [a[pivots[col]][r] for col in range(r)]
 
 
-def rank(cols) -> int:
-    if not cols:
-        return 0
-    n = len(cols[0])
-    a = [[c[i] for c in cols] for i in range(n)]
-    r = 0
-    for col in range(len(cols)):
-        piv = next((k for k in range(r, n) if a[k][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [x * inv for x in a[r]]
-        for k in range(n):
-            if k != r and a[k][col] != 0:
-                f = a[k][col]
-                a[k] = [x - f * y for x, y in zip(a[k], a[r])]
-        r += 1
-    return r
-
-
 # ---------------------------------------------------------------------------
 # Integer vectors.  A positive scale changes no sign test, so sign
 # computations clear denominators first and run on plain ints.
@@ -170,6 +150,42 @@ def int_det(m) -> int:
         for j in range(len(m))
         if m[0][j]
     )
+
+
+def cofactor_form(cols, slot):
+    """Integer linear form w -> det of the n-1 integer columns with w
+    inserted at position slot: row slot of the adjugate of any matrix
+    with these other columns."""
+    n = len(cols) + 1
+    return tuple(
+        (-1) ** (row + slot)
+        * int_det([[c[r] for c in cols] for r in range(n) if r != row])
+        for row in range(n)
+    )
+
+
+def coordinate_rows(gens):
+    """Integer rows deciding coordinates in r independent integer vectors.
+
+    Completes the generators by standard basis vectors to an invertible
+    matrix and returns (den, coord_rows, span_rows) from its adjugate,
+    signed so that den > 0: at p = sum x_i gens[i], coord row i reads
+    den * x_i, and the span rows vanish exactly on the span of the
+    generators.  Raises ValueError when the generators are dependent.
+    """
+    n = len(gens[0])
+    r = len(gens)
+    for extra in combinations(range(n), n - r) if r <= n else ():
+        cols = list(gens) + [tuple(int(i == j) for i in range(n)) for j in extra]
+        den = int_det(list(zip(*cols)))
+        if den:
+            s = 1 if den > 0 else -1
+            rows = [
+                tuple(s * x for x in cofactor_form(cols[:i] + cols[i + 1:], i))
+                for i in range(n)
+            ]
+            return abs(den), tuple(rows[:r]), tuple(rows[r:])
+    raise ValueError("generators must be linearly independent")
 
 
 def first_nonzero_sign(forms, w) -> int:

@@ -301,36 +301,12 @@ def _theta_cf_state(D: int, half: bool):
     return (1, 2) if half else (0, 1)
 
 
-def _positive(a: int, b: int, D: int) -> bool:
-    """Exact sign test for a + b*sqrt(D) > 0."""
-    if b == 0:
-        return a > 0
-    if a == 0:
-        return b > 0
-    if a > 0 and b > 0:
-        return True
-    if a < 0 and b < 0:
-        return False
-    if b > 0:
-        return b * b * D > a * a
-    return a * a > b * b * D
-
-
-def _unit_gt_one(a: int, b: int, D: int, half: bool) -> bool:
-    """a + b*theta > 1, exactly."""
-    if half:
-        # a + b(1+sqrt(D))/2 - 1 = (2a + b - 2) / 2 + (b/2) sqrt(D)
-        return _positive(2 * a + b - 2, b, D)
-    return _positive(a - 1, b, D)
-
-
 def fundamental_unit(D: int):
     """Fundamental unit of the maximal order, as theta-basis coordinates.
 
     The continued fraction of theta (exact P, Q recurrence) is expanded
-    until a convergent has norm +-1, which bounds the search; a scan over
-    smaller second coordinates then certifies minimality among units > 1.
-    Returns ((a, b), norm).
+    until a convergent has norm +-1; that first convergent is the
+    fundamental unit (Cohen, GTM 138, section 5.7).  Returns ((a, b), norm).
     """
     half = D % 4 == 1
     P, Q = _theta_cf_state(D, half)
@@ -340,7 +316,6 @@ def fundamental_unit(D: int):
     # iterate a_k = floor((P + sqrt(D)) / Q) with convergents p/q of theta;
     # the unit candidate is p - q * conj(theta), i.e. coordinates
     # (p - q, q) in the half-integer basis and (p, q) otherwise
-    found = None
     for _ in range(10 ** 6):
         a_k = (P + s) // Q
         p_cur, p_prev = a_k * p_cur + p_prev, p_cur
@@ -350,53 +325,8 @@ def fundamental_unit(D: int):
         a0 = p_cur - q_cur if half else p_cur
         nrm = _norm_theta(a0, q_cur, D, half)
         if abs(nrm) == 1:
-            found = (a0, q_cur, nrm)
-            break
-    if found is None:
-        raise ShintaniError("continued fraction failed to produce a unit")
-    # certify minimality: scan second coordinates up to the bound
-    best = None
-    for b in range(1, found[1] + 1):
-        if half:
-            # a^2 + ab - b^2 (D-1)/4 = +-1  =>  (2a + b)^2 - D b^2 = +-4
-            for target in (4, -4):
-                t = D * b * b + target
-                if t < 0:
-                    continue
-                x = isqrt(t)
-                if x * x != t:
-                    continue
-                for xx in (x, -x):
-                    if (xx - b) % 2 == 0:
-                        a = (xx - b) // 2
-                        cand = (a, b, _norm_theta(a, b, D, half))
-                        if abs(cand[2]) == 1 and _unit_gt_one(a, b, D, half):
-                            if best is None or _smaller_unit(cand, best, D, half):
-                                best = cand
-        else:
-            for target in (1, -1):
-                t = D * b * b + target
-                if t < 0:
-                    continue
-                x = isqrt(t)
-                if x * x == t:
-                    for a in (x, -x):
-                        cand = (a, b, _norm_theta(a, b, D, half))
-                        if abs(cand[2]) == 1 and _unit_gt_one(a, b, D, half):
-                            if best is None or _smaller_unit(cand, best, D, half):
-                                best = cand
-        if best is not None:
-            break
-    assert best is not None
-    return (best[0], best[1]), best[2]
-
-
-def _smaller_unit(c1, c2, D, half) -> bool:
-    """c1 < c2 as real numbers (both > 1), exactly."""
-    a = (c2[0] - c1[0], c2[1] - c1[1])
-    if half:
-        return _positive(2 * a[0] + a[1], a[1], D)
-    return _positive(a[0], a[1], D)
+            return (a0, q_cur), nrm
+    raise ShintaniError("continued fraction failed to produce a unit")
 
 
 def _theta_mul(x, y, D: int, half: bool):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, gcd
+from math import ceil, floor
 
 from .cone_algebra import ConeCombo, OpenSimplicialCone
 from .errors import (
@@ -509,21 +509,11 @@ def translate(A, v):
     return {tuple(a + b for a, b in zip(w, v)): c for w, c in A.items()}
 
 
-def _scaled_generator(g, f: int):
-    """Least positive integer multiple of g landing in the period lattice."""
-    k = 1
-    for x in g:
-        if x == 0:
-            continue
-        need = f * x.denominator // gcd(abs(x.numerator), f * x.denominator)
-        k = k * need // gcd(k, need)
-    return tuple(x * k for x in g)
-
-
 def pair_cone(cone: OpenSimplicialCone, phi: SchwartzFn, dmax: int) -> QuotSeries:
     """Pairing of one open simplicial cone with a test function.
 
-    Scales each generator into the period lattice, sums the test function
+    Scales each generator into the period lattice (the least multiple of
+    a primitive generator in f Z^n is f times it), sums the test function
     against exponentials over the half-open parallelotope of the scaled
     generators, and multiplies by prod_i (-g(v_i.z) / v_i.z) held as a
     quotient series with denominator multiset {v_i}.
@@ -532,11 +522,7 @@ def pair_cone(cone: OpenSimplicialCone, phi: SchwartzFn, dmax: int) -> QuotSerie
         raise ValueError("cone and test function dimensions differ")
     ring = phi.ring
     r = cone.dim
-    scaled = []
-    for g in cone.generators:
-        if all(x == 0 for x in g):
-            raise ZeroForm("zero generator")
-        scaled.append(_scaled_generator(g, phi.f))
+    scaled = [tuple(phi.f * x for x in g) for g in cone.generators]
     pts = parallelotope_points(scaled, phi.d, phi.f)
     trunc = dmax + r
     acc = MSeries.zero(ring, phi.n, trunc)
@@ -566,12 +552,11 @@ def pair_combo(combo: ConeCombo, phi: SchwartzFn, dmax: int) -> QuotSeries:
             "constant offset paired against a test function with phi(0) != 0"
         )
     ring = phi.ring
-    terms = sorted(combo.terms, key=lambda t: t[1].sort_key())
+    terms = sorted(combo.terms, key=lambda t: t[1].generators)
     if not terms:
         return quot_zero(ring, phi.n, dmax)
     scaled_all = [
-        tuple(tuple(ring.from_rat(x) for x in _scaled_generator(g, phi.f))
-              for g in cone.generators)
+        tuple(tuple(ring.from_rat(phi.f * x) for x in g) for g in cone.generators)
         for _, cone in terms
     ]
     common = ()

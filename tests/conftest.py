@@ -20,16 +20,6 @@ def random_nonzero_vector(rng, n, lo=-9, hi=9, den=3):
             return v
 
 
-def random_invertible(rng, n, lo=-3, hi=3, den=3):
-    while True:
-        m = tuple(
-            tuple(Fraction(rng.randint(lo, hi), rng.randint(1, den)) for _ in range(n))
-            for _ in range(n)
-        )
-        if mat_det(m) != 0:
-            return m
-
-
 def in_general_position(vectors, n):
     """All n-element subsets linearly independent (and hence all smaller)."""
     from itertools import combinations

@@ -9,12 +9,8 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import (
-    random_general_position,
-    random_invertible,
-    random_nonzero_vector,
-)
-from shintani.cli import random_degenerate_tuple
+from conftest import random_general_position, random_nonzero_vector
+from shintani.cli import random_degenerate_tuple, random_invertible
 from shintani.cocycle_core import (
     CocycleChecker,
     SigmaKernel,

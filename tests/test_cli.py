@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from shintani.cli import main
 
 
@@ -190,3 +192,42 @@ def test_pair_rejects_float_value(capsys):
         "phi": {"n": 2, "values": [{"class": [0, 0], "value": 0.5}]},
     })
     _schema_rejects("pair", job, capsys)
+
+
+_PHI2 = {"n": 2}
+_ONE_CONE = {"cones": [{"coeff": "1", "generators": [[1, 0]]}]}
+_Q3 = {"modulus": 3, "index": 1}
+
+
+@pytest.mark.parametrize("command,job", [
+    # pair: malformed combos and test functions
+    ("pair", {"combo": {"cones": [{"coeff": "1", "generators": [[0.5, 1]]}]}, "phi": _PHI2}),
+    ("pair", {"combo": {"cones": [{"coeff": 0.5, "generators": [[1, 1]]}]}, "phi": _PHI2}),
+    ("pair", {"combo": {"cones": []}, "phi": {}}),
+    ("pair", {"combo": {"cones": [{"coeff": "1", "generators": [[1, 0], [2, 0]]}]},
+              "phi": _PHI2}),
+    ("pair", {"combo": {"cones": [{"coeff": "1", "generators": [["x", 0]]}]}, "phi": _PHI2}),
+    ("pair", {"combo": {"cones": [{"generators": [[1, 0]]}]}, "phi": _PHI2}),
+    ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "f": 2.0}}),
+    ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "d": 0}}),
+    ("pair", {"combo": _ONE_CONE, "phi": _PHI2, "dmax": -3}),
+    # integer job fields
+    ("lvalue-q", {"char": _Q3, "r": 1.9}),
+    ("lvalue-q", {"char": _Q3, "r": True}),
+    ("lvalue-q", {"char": _Q3, "r": "1"}),
+    ("lvalue-q", {"char": _Q3, "r": 0}),
+    ("lvalue-q", {"char": _Q3, "r": 1, "dmax": -3}),
+    ("lvalue-q", {"char": {"modulus": 3.0, "index": 1}, "r": 1}),
+    ("lvalue-q", {"char": {"modulus": 3, "index": "1"}, "r": 1}),
+    ("lvalue-q", {"char": {"modulus": 5, "zeta_order": 4.0, "values": {"2": 1}}, "r": 1}),
+    ("lvalue-quad", {"field": {"D": "x"}, "r": 1}),
+    ("lvalue-quad", {"field": {"D": 5}, "r": 1.9}),
+    ("lvalue-quad", {"field": {"D": 5}, "r": 1, "dmax": -3}),
+    ("lvalue-quad", {"field": {"D": 5}, "char": {"f": 2.5, "values": {}}, "r": 1}),
+    ("s-coeffs", {"field": {"D": 5}, "rmax": 1.5}),
+    ("verify-cocycle", {"n": 2.5, "seed": 1}),
+    ("verify-cocycle", {"n": 2, "seed": "7"}),
+    ("verify-cocycle", {"n": 2, "seed": 7, "trials": True}),
+])
+def test_rejects_malformed_job_fields(command, job, capsys):
+    _schema_rejects(command, json.dumps(job), capsys)

@@ -3,12 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (
-    random_general_position,
-    random_invertible,
-    random_nonzero_vector,
-)
-from shintani.cli import random_degenerate_tuple
+from conftest import random_general_position, random_nonzero_vector
+from shintani.cli import random_degenerate_tuple, random_invertible
 from shintani.cocycle_core import (
     CocycleChecker,
     closed_form_sigma_n2,

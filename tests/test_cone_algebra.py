@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_invertible, random_nonzero_vector
+from conftest import random_nonzero_vector, random_vector
+from shintani.cli import random_invertible
 from shintani.cocycle_core import SigmaKernel, tau_cocycle
 from shintani.cone_algebra import (
     ConeCombo,
@@ -22,6 +23,7 @@ from shintani.errors import (
     ZeroVector,
 )
 from shintani.linalg import (
+    coordinate_rows,
     first_nonzero_sign,
     identity,
     idot,
@@ -30,6 +32,7 @@ from shintani.linalg import (
     mat_vec,
     primitive,
     sign,
+    solve_columns,
 )
 
 I2 = identity(2)
@@ -53,6 +56,74 @@ def test_cone_membership():
     assert ray.contains((2, 4))
     assert not ray.contains((2, 5))
     assert not ray.contains((-1, -2))
+    # a cone keeps only the rays: generators are primitive integer vectors
+    assert OpenSimplicialCone(((Fraction(1, 3), 1), (2, 0))).generators == ((1, 3), (1, 0))
+
+
+def _independent(gens):
+    try:
+        solve_columns(gens, (0,) * len(gens[0]))
+    except SingularMatrix:
+        return False
+    return True
+
+
+def _combination(x, gens):
+    return tuple(sum(c * g[k] for c, g in zip(x, gens)) for k in range(len(gens[0])))
+
+
+def test_coordinate_rows_read_scaled_coordinates():
+    # coord row i reads den * x_i at sum x_i g_i, the span rows vanish
+    # exactly on the span, and dependent generators are rejected
+    rng = random.Random(43)
+    for n in (1, 2, 3):
+        for r in range(1, n + 1):
+            for _ in range(12):
+                gens = [primitive(random_nonzero_vector(rng, n, lo=-2, hi=2, den=1))
+                        for _ in range(r)]
+                if not _independent(gens):
+                    with pytest.raises(ValueError):
+                        coordinate_rows(gens)
+                    continue
+                den, coord_rows, span_rows = coordinate_rows(gens)
+                assert den > 0 and len(coord_rows) == r and len(span_rows) == n - r
+                for _ in range(10):
+                    x = random_vector(rng, r)
+                    p = _combination(x, gens)
+                    assert [idot(row, p) for row in coord_rows] == [den * c for c in x]
+                    assert all(idot(row, p) == 0 for row in span_rows)
+                    q = random_nonzero_vector(rng, n)
+                    if solve_columns(gens, q) is None:
+                        assert any(idot(row, q) != 0 for row in span_rows)
+    with pytest.raises(ValueError):
+        coordinate_rows(((1, 2), (2, 4)))
+    with pytest.raises(ValueError):
+        coordinate_rows(((1, 0), (0, 1), (1, 1)))
+
+
+def test_cone_contains_matches_solved_coordinates():
+    # rational generators, over-scaled by random positive factors; points
+    # are combinations with some coordinates zero or negative
+    rng = random.Random(47)
+    for n in (1, 2, 3):
+        for r in range(1, n + 1):
+            for _ in range(10):
+                gens = [tuple(Fraction(rng.randint(1, 6), rng.randint(1, 6)) * x
+                              for x in random_nonzero_vector(rng, n, lo=-3, hi=3))
+                        for _ in range(r)]
+                if not _independent(gens):
+                    with pytest.raises(ValueError):
+                        OpenSimplicialCone(gens)
+                    continue
+                cone = OpenSimplicialCone(gens)
+                ws = [cone.witness()] + [random_nonzero_vector(rng, n) for _ in range(5)]
+                for _ in range(25):
+                    w = _combination([rng.randint(-1, 2) for _ in gens], gens)
+                    if any(w):
+                        ws.append(w)
+                for w in ws:
+                    x = solve_columns(gens, w)
+                    assert cone.contains(w) == (x is not None and all(c > 0 for c in x))
 
 
 def test_combo_eval_examples():

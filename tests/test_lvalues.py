@@ -154,6 +154,12 @@ def test_fundamental_units():
     assert fundamental_unit(5) == ((0, 1), -1)    # (1+sqrt5)/2
     assert fundamental_unit(13) == ((1, 1), -1)   # (3+sqrt13)/2
     assert fundamental_unit(7) == ((8, 3), 1)     # 8 + 3 sqrt7
+    # long continued-fraction periods: the first convergent of norm +-1
+    assert fundamental_unit(139) == ((77563250, 6578829), 1)
+    assert fundamental_unit(151) == ((1728148040, 140634693), 1)
+    assert fundamental_unit(166) == ((1700902565, 132015642), 1)
+    assert fundamental_unit(199) == ((16266196520, 1153080099), 1)
+    assert fundamental_unit(331) == ((2785589801443970, 153109862634573), 1)
 
 
 def test_build_real_quad_d5():
@@ -196,6 +202,8 @@ def test_build_real_quad_rejects_bad_d():
 def test_narrow_class_number_flag():
     with pytest.raises(NarrowClassNumberNotOne):
         build_real_quad(3)
+    with pytest.raises(NarrowClassNumberNotOne):
+        build_real_quad(331)
     K = build_real_quad(3, allow_narrow_failure=True)
     assert not K.narrow_h1
     assert K.eps == (2, 1) and K.eps_norm == 1

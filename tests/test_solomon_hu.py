@@ -271,7 +271,7 @@ def test_pair_combo_cocycle_faces_pair_to_zero():
     # the alternating sum over faces is a constant function, which a
     # vanishing-near-zero test function kills
     rng = random.Random(12)
-    from conftest import random_invertible
+    from shintani.cli import random_invertible
     from shintani.cone_algebra import sigma_decompose
     for _ in range(4):
         alphas = [random_invertible(rng, 2) for _ in range(3)]
