@@ -85,8 +85,32 @@ def _parse_alphas(doc):
     return alphas
 
 
+def _char_values(doc, ring, arity):
+    """The 'values' table of a character document: each key is `arity`
+    comma-separated integers, and each value is an integer exponent of
+    zeta when zeta_order > 1, a rational otherwise."""
+    table = {}
+    for key, e in _require(doc, "values", dict).items():
+        try:
+            parts = tuple(int(x) for x in key.split(","))
+        except ValueError:
+            raise SchemaError(f"bad residue key {key!r}")
+        if len(parts) != arity:
+            raise SchemaError(f"residue key {key!r} must have {arity} entries")
+        if ring.m > 1:
+            if isinstance(e, bool) or not isinstance(e, int):
+                raise SchemaError(f"exponent of {key!r} must be an integer")
+            table[parts] = ring.zeta(e)
+        else:
+            try:
+                table[parts] = ring.from_rat(frac(e))
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(f"bad value of {key!r}: {exc}")
+    return table
+
+
 def _parse_char(doc) -> DirichletChar:
-    f = _int_field(doc, "modulus" if "modulus" in doc else "f", 1)
+    f = _int_field(doc, "modulus" if "modulus" in doc else "f", 1, 1)
     if doc.get("kind") == "trivial" or ("values" not in doc and "index" not in doc):
         return DirichletChar.trivial(f)
     if "index" in doc:
@@ -95,25 +119,19 @@ def _parse_char(doc) -> DirichletChar:
         if not 0 <= idx < len(chars):
             raise SchemaError(f"character index out of range (0..{len(chars) - 1})")
         return chars[idx]
-    m = _int_field(doc, "zeta_order", 1)
-    ring = CoeffRing(m)
-    values = {}
-    for k, e in _require(doc, "values", dict).items():
-        values[int(k)] = ring.zeta(int(e) % m) if m > 1 else ring.from_rat(e)
+    ring = CoeffRing(_int_field(doc, "zeta_order", 1, 1))
+    values = {k: v for (k,), v in _char_values(doc, ring, 1).items()}
     return DirichletChar(f, values, ring)
 
 
 def _parse_quad_char(doc, K) -> SchwartzFn:
+    if doc is not None and not isinstance(doc, dict):
+        raise SchemaError("field 'char' must be an object")
     if doc is None or doc.get("kind") == "trivial":
         return trivial_quad_schwartz(K)
-    f = _int_field(doc, "f", 1)
-    m = _int_field(doc, "zeta_order", 1)
-    ring = CoeffRing(m, K.D)
-    table = {}
-    for key, e in _require(doc, "values", dict).items():
-        parts = tuple(int(x) for x in key.split(","))
-        table[parts] = ring.zeta(int(e) % m) if m > 1 else ring.from_rat(e)
-    return SchwartzFn(2, 1, f, table, ring)
+    f = _int_field(doc, "f", 1, 1)
+    ring = CoeffRing(_int_field(doc, "zeta_order", 1, 1), K.D)
+    return SchwartzFn(2, 1, f, _char_values(doc, ring, 2), ring)
 
 
 def _value_json(v):
@@ -359,7 +377,7 @@ def main(argv=None) -> int:
         doc = _load_doc(args)
         for key in ("seed", "dmax", "trials", "samples"):
             val = getattr(args, key)
-            if val is not None:
+            if val is not None and isinstance(doc, dict):  # run() rejects the rest
                 doc[key] = val
         result = run(args.command, doc)
         code = EXIT_OK

@@ -288,21 +288,17 @@ class CoeffRing:
         self.D = D
         phi = cyclotomic_poly(m)
         self.deg = len(phi) - 1
-        lead = phi[-1]  # cyclotomic polynomials are monic
-        assert lead == 1
-        # reduction vectors for g1^k, k = deg .. 2*deg-2
-        red = []
-        prev = [Fraction(-c) for c in phi[:-1]]
-        red.append(list(prev))
-        for _ in range(self.deg - 2):
-            nxt = [Fraction(0)] + prev[:-1]
-            top = prev[-1]
-            if top:
-                for i in range(self.deg):
-                    nxt[i] += top * red[0][i]
-            red.append(nxt)
-            prev = nxt
-        self._reduction = red
+        # g1^k reduced into the basis, k = 0..m-1 (g1^m = 1): shift by g1,
+        # then replace g1^deg by minus the lower coefficients of the monic
+        # Phi_m.  Every entry is an integer vector.
+        vec = [1] + [0] * (self.deg - 1)
+        powers = []
+        for _ in range(m):
+            powers.append(CoeffElem(
+                self, {(i, 0): Fraction(c) for i, c in enumerate(vec) if c}))
+            top = vec[-1]
+            vec = [c - top * p for c, p in zip([0] + vec[:-1], phi)]
+        self._powers = powers
         self._jrange = (0, 1) if D is not None else (0,)
 
     # -- identity / comparison ---------------------------------------------
@@ -331,26 +327,12 @@ class CoeffRing:
 
     def zeta(self, power: int = 1) -> "CoeffElem":
         """g1^power reduced into the basis."""
-        power %= self.m
-        return self._reduce_g1_power(power)
+        return self._powers[power % self.m]
 
     def sqrtD(self) -> "CoeffElem":
         if self.D is None:
             raise ShintaniError("ring has no square root generator")
         return CoeffElem(self, {(0, 1): Fraction(1)})
-
-    def _reduce_g1_power(self, k: int) -> "CoeffElem":
-        if k < self.deg:
-            return CoeffElem(self, {(k, 0): Fraction(1)})
-        vec = [Fraction(0)] * self.deg
-        vec[self.deg - 1] = Fraction(1)
-        for _ in range(k - self.deg + 1):
-            top = vec[-1]
-            vec = [Fraction(0)] + vec[:-1]
-            if top:
-                for i in range(self.deg):
-                    vec[i] += top * self._reduction[0][i]
-        return CoeffElem(self, {(i, 0): c for i, c in enumerate(vec) if c})
 
     def coerce(self, x) -> "CoeffElem":
         """Accept elements of this ring, of a compatible smaller ring
@@ -362,7 +344,7 @@ class CoeffRing:
                 k = self.m // x.ring.m
                 out = self.zero()
                 for (i, j), c in x.coeffs.items():
-                    piece = self._reduce_g1_power((i * k) % self.m) * c
+                    piece = self._powers[(i * k) % self.m] * c
                     if j:
                         piece = piece * self.sqrtD()
                     out = out + piece
@@ -452,15 +434,13 @@ class CoeffElem:
                     else:
                         acc.pop(k, None)
                 else:
-                    red = ring._reduction[i - ring.deg]
-                    for t, rc in enumerate(red):
-                        if rc:
-                            k = (t, j)
-                            s = acc.get(k, 0) + c * rc
-                            if s:
-                                acc[k] = s
-                            else:
-                                acc.pop(k, None)
+                    for (t, _), rc in ring._powers[i % ring.m].coeffs.items():
+                        k = (t, j)
+                        s = acc.get(k, 0) + c * rc
+                        if s:
+                            acc[k] = s
+                        else:
+                            acc.pop(k, None)
         return CoeffElem(ring, acc)
 
     __rmul__ = __mul__

@@ -24,7 +24,6 @@ from math import comb, gcd, isqrt, lcm
 from .cone_algebra import sigma_decompose
 from .errors import (
     NarrowClassNumberNotOne,
-    NotDivisible,
     NotSquareFree,
     ShintaniError,
     TruncationTooSmall,
@@ -254,8 +253,8 @@ def dirichlet_L_via_cocycle(chi: DirichletChar, r: int, dmax: int | None = None)
     cocycle at the identity, pair with the character, and read off the
     z^(r-1) coefficient times (r-1)!.
 
-    When the character sum does not cancel the pole (principal characters)
-    the coefficient is read directly from the Laurent expansion.
+    The coefficient is read from the Laurent expansion, which in one
+    variable equals the power-series coefficient whenever the pole cancels.
     """
     if r < 1:
         raise ValueError("r must be a positive integer")
@@ -268,12 +267,7 @@ def dirichlet_L_via_cocycle(chi: DirichletChar, r: int, dmax: int | None = None)
     factor = Fraction(1)
     for k in range(1, r):
         factor *= k
-    try:
-        series = reduce_to_power_series(q)
-        coeff = series.coeff((r - 1,))
-    except NotDivisible:  # genuine pole: read the Laurent coefficient
-        coeff = laurent_coeff_1var(q, r - 1)
-    return coeff * factor
+    return laurent_coeff_1var(q, r - 1) * factor
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +275,7 @@ def dirichlet_L_via_cocycle(chi: DirichletChar, r: int, dmax: int | None = None)
 # ---------------------------------------------------------------------------
 
 def _is_square_free(D: int) -> bool:
-    d = 2
-    while d * d <= D:
-        if D % (d * d) == 0:
-            return False
-        d += 1
-    return True
+    return all(e == 1 for e in _factorize(D).values())
 
 
 def _norm_theta(a: int, b: int, D: int, half: bool) -> int:
@@ -346,7 +335,7 @@ def _class_number_one_certified(D: int, half: bool) -> bool | None:
     disc = D if half else 4 * D
     bound = isqrt(disc) // 2
     for p in range(2, bound + 1):
-        if any(p % q == 0 for q in range(2, p)):
+        if _factorize(p) != {p: 1}:
             continue
         if half:
             ramified_or_split = pow(disc % p, (p - 1) // 2, p) != p - 1 if p != 2 else disc % 8 in (0, 1, 4)

@@ -199,6 +199,11 @@ _ONE_CONE = {"cones": [{"coeff": "1", "generators": [[1, 0]]}]}
 _Q3 = {"modulus": 3, "index": 1}
 
 
+def _Z5(e):
+    """Order-4 character mod 5 (2 -> i) whose value at 2 has exponent e."""
+    return {"modulus": 5, "zeta_order": 4, "values": {"1": 0, "2": e, "3": 3, "4": 2}}
+
+
 @pytest.mark.parametrize("command,job", [
     # pair: malformed combos and test functions
     ("pair", {"combo": {"cones": [{"coeff": "1", "generators": [[0.5, 1]]}]}, "phi": _PHI2}),
@@ -228,6 +233,32 @@ _Q3 = {"modulus": 3, "index": 1}
     ("verify-cocycle", {"n": 2.5, "seed": 1}),
     ("verify-cocycle", {"n": 2, "seed": "7"}),
     ("verify-cocycle", {"n": 2, "seed": 7, "trials": True}),
+    # character documents
+    ("lvalue-quad", {"field": {"D": 5}, "char": [], "r": 1}),
+    ("lvalue-quad", {"field": {"D": 5}, "char": 3, "r": 1}),
+    ("s-coeffs", {"field": {"D": 5}, "char": [], "rmax": 1}),
+    ("s-coeffs", {"field": {"D": 5}, "char": 3, "rmax": 1}),
+    ("lvalue-quad", {"field": {"D": 5}, "char": {"f": 2, "values": {"1": 1}}, "r": 1}),
+    ("lvalue-quad", {"field": {"D": 5}, "char": {"f": 2, "values": {"1,0,1": 1}}, "r": 1}),
+    ("lvalue-quad", {"field": {"D": 5}, "char": {"f": 2, "values": {"1,x": 1}}, "r": 1}),
+    ("lvalue-q", {"char": {"modulus": 5, "values": {"x": 1}}, "r": 1}),
+    ("lvalue-q", {"char": {"modulus": 5, "values": {"1,2": 1}}, "r": 1}),
+    ("lvalue-q", {"char": {"f": 0}, "r": 1}),
+    ("lvalue-q", {"char": {"modulus": -3}, "r": 1}),
+    ("lvalue-quad", {"field": {"D": 5}, "char": {"f": 0, "values": {}}, "r": 1}),
+    ("lvalue-quad", {"field": {"D": 5}, "char": {"f": -3, "values": {}}, "r": 1}),
+    ("lvalue-q", {"char": {"modulus": 5, "zeta_order": 0, "values": {"1": 0}}, "r": 1}),
+    ("lvalue-q", {"char": {"modulus": 5, "zeta_order": -2, "values": {"1": 0}}, "r": 1}),
+    ("lvalue-q", {"char": _Z5(1.7), "r": 1}),
+    ("lvalue-q", {"char": _Z5(True), "r": 1}),
+    ("lvalue-q", {"char": _Z5("1"), "r": 1}),
+    ("lvalue-quad", {"field": {"D": 5}, "char": {"f": 2, "values": {"1,0": 0.5}}, "r": 1}),
 ])
 def test_rejects_malformed_job_fields(command, job, capsys):
     _schema_rejects(command, json.dumps(job), capsys)
+
+
+def test_rejects_non_object_document_with_overrides(capsys):
+    code, out = run_cli(["verify-cocycle", "--inline", "[1]", "--seed", "3"], capsys)
+    assert code == 64
+    assert json.loads(out)["error"]["code"] == 64

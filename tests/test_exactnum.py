@@ -146,6 +146,31 @@ def test_coeff_ring_root_of_unity():
             assert z ** (m - 1) != ring.one() or m == 1
 
 
+def _x_power_mod(k, phi):
+    """Remainder of x^k modulo the monic integer polynomial phi, by long
+    division (little-endian coefficients)."""
+    deg = len(phi) - 1
+    rem = [0] * max(k + 1, deg)
+    rem[k] = 1
+    for top in range(k, deg - 1, -1):
+        c = rem[top]
+        for i, p in enumerate(phi):
+            rem[top - deg + i] -= c * p
+    return rem[:deg]
+
+
+def test_coeff_ring_zeta_is_x_power_mod_cyclotomic():
+    for m in range(1, 31):
+        ring = CoeffRing(m)
+        phi = cyclotomic_poly(m)
+        for k in range(-m, 3 * m + 1):
+            z = ring.zeta(k)
+            rem = _x_power_mod(k if k >= 0 else k + m, phi)
+            assert z == ring.elem({(i, 0): c for i, c in enumerate(rem)}), (m, k)
+            assert all(c.denominator == 1 for c in z.coeffs.values())
+            assert z * ring.zeta(1) == ring.zeta(k + 1), (m, k)
+
+
 def test_coeff_ring_sqrt():
     ring = CoeffRing(1, 5)
     s = ring.sqrtD()
