@@ -267,9 +267,9 @@ def random_invertible(rng, n):
             return m
 
 
-def random_nonzero_vector(rng, n):
+def random_nonzero_vector(rng, n, lo=-9, hi=9, den=3):
     while True:
-        w = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n))
+        w = tuple(Fraction(rng.randint(lo, hi), rng.randint(1, den)) for _ in range(n))
         if any(x != 0 for x in w):
             return w
 

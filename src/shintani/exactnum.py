@@ -458,9 +458,12 @@ class CoeffElem:
         return out
 
     def inv(self) -> "CoeffElem":
-        """Multiplicative inverse via an exact linear solve over the
-        rational basis.  Raises if the element is not a unit."""
+        """Multiplicative inverse: 1/c for a rational c, otherwise an exact
+        linear solve over the rational basis.  Raises ZeroDivisionError if
+        the element is not a unit."""
         ring = self.ring
+        if self.is_rational():
+            return ring.from_rat(1 / self.rational_part())
         basis = ring.basis()
         idx = {b: i for i, b in enumerate(basis)}
         nb = len(basis)

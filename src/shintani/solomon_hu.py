@@ -11,8 +11,11 @@ numerator over a multiset of linear denominator forms v.z, where
 
 so the numerator collects the parallelotope exponential sum times the
 product of the g factors, with the pole data carried exactly by the
-denominator multiset.  All coefficients of the represented Laurent
-expansion up to the tracked degree are exact.
+denominator multiset.  The exponential sum is read from integer power sums:
+its z^e coefficient is (1/e!) sum_p phi(p) p^e, and the points with one
+test-function value share one moment sum (d p)^e per exponent, so each
+(value, exponent) costs one coefficient product.  All coefficients of the
+represented Laurent expansion up to the tracked degree are exact.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor
+from math import ceil, factorial, floor, lcm, prod
 
 from .cone_algebra import ConeCombo, OpenSimplicialCone
 from .errors import (
@@ -213,7 +216,7 @@ class MSeries:
 
 
 def exp_series(ring, nvars, trunc, vec) -> MSeries:
-    """exp(v.z) truncated: sum_k (v.z)^k / k!."""
+    """exp(v.z) truncated: sum_k (v.z)^k / k!; the tests' oracle for exp_sum."""
     lin = MSeries.linear_form(ring, nvars, trunc, vec)
     acc = MSeries.const(ring, nvars, trunc, 1)
     term = MSeries.const(ring, nvars, trunc, 1)
@@ -223,6 +226,53 @@ def exp_series(ring, nvars, trunc, vec) -> MSeries:
             break
         acc = acc + term
     return acc
+
+
+def exp_sum(ring, nvars, trunc, weighted) -> MSeries:
+    """sum_p c_p exp(p.z) truncated, over (rational point p, value c_p) pairs.
+
+    The coefficient of z^e is sum_p c_p p^e / e!.  With d the lcm of the
+    point denominators, points with equal values share one list of integer
+    moments sum (d p)^e, which is put over d^|e| e! once and multiplied into
+    their value."""
+    groups = {}
+    den = 1
+    for p, c in weighted:
+        c = ring.coerce(c)
+        if c:
+            p = tuple(frac(x) for x in p)
+            for x in p:
+                den = lcm(den, x.denominator)
+            groups.setdefault(c.key(), (c, []))[1].append(p)
+    # exponents |e| <= trunc in lex order; step (i, j) makes the next one
+    # from exps[i] by one more power of z_j, so a point's monomials cost one
+    # integer product each
+    exps = [(0,) * nvars]
+    steps = []
+    index = {exps[0]: 0}
+    for e in product(range(trunc + 1), repeat=nvars):
+        if 0 < sum(e) <= trunc:
+            j = next(i for i, k in enumerate(e) if k)
+            parent = e[:j] + (e[j] - 1,) + e[j + 1:]
+            steps.append((index[parent], j))
+            index[e] = len(exps)
+            exps.append(e)
+    scales = [den ** sum(e) * prod(factorial(k) for k in e) for e in exps]
+    terms = {}
+    for c, pts in groups.values():
+        moments = [0] * len(exps)
+        for p in pts:
+            q = [x.numerator * (den // x.denominator) for x in p]
+            mono = [1]
+            for parent, j in steps:
+                mono.append(mono[parent] * q[j])
+            moments = [a + b for a, b in zip(moments, mono)]
+        for e, m, s in zip(exps, moments, scales):
+            if m:
+                t = c * Fraction(m, s)
+                old = terms.get(e)
+                terms[e] = t if old is None else old + t
+    return MSeries(ring, nvars, trunc, terms)
 
 
 def g_series(ring, nvars, trunc, vec) -> MSeries:
@@ -489,19 +539,15 @@ def quot_equal_as_laurent(q1: QuotSeries, q2: QuotSeries) -> bool:
 
 def phi_map(A, dmax: int, ring: CoeffRing | None = None, nvars: int | None = None) -> QuotSeries:
     """Exponential generating map of a finite-support function:
-    sum_w A(w) exp(w.z), a quotient series with trivial denominator."""
+    sum_w A(w) exp(w.z), a quotient series with trivial denominator, read
+    from the power sums of exp_sum over the lcm of the point denominators."""
     if ring is None:
         ring = QQ
     if nvars is None:
         if not A:
             raise ValueError("cannot infer dimension from empty support")
         nvars = len(next(iter(A)))
-    acc = MSeries.zero(ring, nvars, dmax)
-    for w, c in sorted(A.items()):
-        c = ring.coerce(c)
-        if c:
-            acc = acc + exp_series(ring, nvars, dmax, w).scale(c)
-    return QuotSeries(acc)
+    return QuotSeries(exp_sum(ring, nvars, dmax, A.items()))
 
 
 def translate(A, v):
@@ -515,7 +561,8 @@ def pair_cone(cone: OpenSimplicialCone, phi: SchwartzFn, dmax: int) -> QuotSerie
     Scales each generator into the period lattice (the least multiple of
     a primitive generator in f Z^n is f times it), sums the test function
     against exponentials over the half-open parallelotope of the scaled
-    generators, and multiplies by prod_i (-g(v_i.z) / v_i.z) held as a
+    generators (exp_sum: one list of integer power sums per test-function
+    value), and multiplies by prod_i (-g(v_i.z) / v_i.z) held as a
     quotient series with denominator multiset {v_i}.
     """
     if cone.ambient != phi.n:
@@ -525,11 +572,7 @@ def pair_cone(cone: OpenSimplicialCone, phi: SchwartzFn, dmax: int) -> QuotSerie
     scaled = [tuple(phi.f * x for x in g) for g in cone.generators]
     pts = parallelotope_points(scaled, phi.d, phi.f)
     trunc = dmax + r
-    acc = MSeries.zero(ring, phi.n, trunc)
-    for p in pts:
-        v = phi.value_at(p)
-        if v:
-            acc = acc + exp_series(ring, phi.n, trunc, p).scale(v)
+    acc = exp_sum(ring, phi.n, trunc, ((p, phi.value_at(p)) for p in pts))
     for g in scaled:
         acc = acc * g_series(ring, phi.n, trunc, g)
     if r % 2 == 1:

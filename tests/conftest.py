@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+from shintani.cli import random_nonzero_vector
 from shintani.linalg import mat_det
 
 
@@ -11,13 +12,6 @@ def random_rat(rng, lo=-5, hi=5, den=3):
 
 def random_vector(rng, n, lo=-5, hi=5, den=3):
     return tuple(random_rat(rng, lo, hi, den) for _ in range(n))
-
-
-def random_nonzero_vector(rng, n, lo=-9, hi=9, den=3):
-    while True:
-        v = random_vector(rng, n, lo, hi, den)
-        if any(x != 0 for x in v):
-            return v
 
 
 def in_general_position(vectors, n):

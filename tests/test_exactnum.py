@@ -232,6 +232,19 @@ def test_coeff_ring_inverse():
         found += 1
 
 
+def test_coeff_ring_inverse_of_rationals_and_zero():
+    for ring in (CoeffRing(1), CoeffRing(5), CoeffRing(12), CoeffRing(20),
+                 CoeffRing(1, 5), CoeffRing(6, 2)):
+        for c in (Fraction(3), Fraction(-2, 7), Fraction(25), Fraction(1)):
+            x = ring.from_rat(c)
+            assert x.inv() == ring.from_rat(1 / c)
+            assert x * x.inv() == ring.one()
+        with pytest.raises(ZeroDivisionError):
+            ring.zero().inv()
+    ring = CoeffRing(5)
+    assert ring.zeta(1).inv() == ring.zeta(4)
+
+
 def test_coeff_ring_coerce_cross_order():
     small = CoeffRing(3)
     big = CoeffRing(12)

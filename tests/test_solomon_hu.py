@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from shintani.cone_algebra import ConeCombo, OpenSimplicialCone
 from shintani.errors import ConstantAgainstNonVanishing, NotDivisible, TruncationTooSmall
@@ -11,6 +13,7 @@ from shintani.solomon_hu import (
     QuotSeries,
     SchwartzFn,
     exp_series,
+    g_series,
     laurent_coeff_1var,
     one_minus_exp,
     pair_cone,
@@ -206,6 +209,96 @@ def test_pair_cone_fractional_generators_scaled_in():
     q1 = pair_cone(OpenSimplicialCone(((Fraction(1, 2),),)), phi, 4)
     q2 = pair_cone(OpenSimplicialCone(((1,),)), phi, 4)
     assert quot_equal_as_laurent(q1, q2)
+
+
+# ---------------------------------------------------------------------------
+# The power-sum numerator against one exp_series per point
+# ---------------------------------------------------------------------------
+
+RINGS = ([QQ] + [CoeffRing(m) for m in range(2, 13)]
+         + [CoeffRing(1, D) for D in (2, 3, 5)])
+
+
+@st.composite
+def palette_values(draw, ring, size):
+    """size values drawn from {0, +-v1, +-v2}, so that values repeat and
+    their exponential sums can cancel."""
+    base = [ring.elem({b: draw(st.integers(-2, 2)) for b in ring.basis()})
+            for _ in range(draw(st.integers(1, 2)))]
+    palette = [ring.zero()] + base + [-v for v in base]
+    return [palette[draw(st.integers(0, len(palette) - 1))] for _ in range(size)]
+
+
+@st.composite
+def pairing_cases(draw):
+    n = draw(st.integers(1, 2))
+    d = draw(st.integers(1, 3))
+    f = draw(st.integers(1, 3))
+    ring = draw(st.sampled_from(RINGS))
+    vec = st.tuples(*[st.integers(-2, 2)] * n).filter(any)
+    gens = draw(st.lists(vec, min_size=1, max_size=n))
+    assume(len(gens) == 1 or gens[0][0] * gens[1][1] != gens[0][1] * gens[1][0])
+    residues = list(product(range(d * f), repeat=n))
+    values = draw(palette_values(ring, len(residues)))
+    phi = SchwartzFn(n, d, f, dict(zip(residues, values)), ring)
+    return OpenSimplicialCone(tuple(gens)), phi, draw(st.integers(0, 3))
+
+
+def _exp_series_oracle(ring, nvars, trunc, weighted):
+    acc = MSeries.zero(ring, nvars, trunc)
+    for p, v in weighted:
+        acc = acc + exp_series(ring, nvars, trunc, p).scale(v)
+    return acc
+
+
+# the value 1 on every point of this cone: the moments sum p_2 and sum p_2^3
+# vanish although single points have p_2 != 0
+@example(case=(OpenSimplicialCone(((-1, -1), (0, 1))),
+               SchwartzFn(2, 2, 1, {(i, j): 1 for i in range(2) for j in range(2)}), 3))
+# values 1 and -1 on the points 1 and 2: the constant terms cancel
+@example(case=(OpenSimplicialCone(((1,),)), SchwartzFn(1, 1, 2, {(1,): 1, (0,): -1}), 2))
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(case=pairing_cases())
+def test_pair_cone_numerator_matches_exp_series_oracle(case):
+    cone, phi, dmax = case
+    q = pair_cone(cone, phi, dmax)
+    scaled = [tuple(phi.f * x for x in g) for g in cone.generators]
+    trunc = dmax + cone.dim
+    points = parallelotope_points(scaled, phi.d, phi.f)
+    num = _exp_series_oracle(phi.ring, phi.n, trunc,
+                             [(p, phi.value_at(p)) for p in points])
+    for g in scaled:
+        num = num * g_series(phi.ring, phi.n, trunc, g)
+    if cone.dim % 2:
+        num = -num
+    assert q.num.trunc == num.trunc
+    assert q.num.terms == num.terms
+
+
+@st.composite
+def supports(draw):
+    n = draw(st.integers(1, 2))
+    ring = draw(st.sampled_from(RINGS))
+    coord = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+    points = draw(st.lists(st.tuples(*[coord] * n), max_size=5))
+    A = dict(zip(points, draw(palette_values(ring, len(points)))))
+    if draw(st.booleans()):
+        # the same value at -p: odd moments cancel inside a value group
+        A.update({tuple(-x for x in p): v for p, v in list(A.items())})
+    return A, ring, n, draw(st.integers(0, 4))
+
+
+@example(case=({(Fraction(1, 2),): 1, (Fraction(-1, 2),): 1, (Fraction(2, 3),): -1},
+               QQ, 1, 4))
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(case=supports())
+def test_phi_map_matches_exp_series_oracle(case):
+    A, ring, n, dmax = case
+    q = phi_map(A, dmax, ring, n)
+    oracle = _exp_series_oracle(ring, n, dmax, A.items())
+    assert q.denoms == ()
+    assert q.num.trunc == oracle.trunc
+    assert q.num.terms == oracle.terms
 
 
 # ---------------------------------------------------------------------------
