@@ -79,9 +79,13 @@ def _parse_alphas(doc):
         alphas = [identity(len(m)), m]
     else:
         raise SchemaError("need 'alphas' (list of matrices) or 'alpha'")
-    size = len(alphas[0]) if alphas else 0
+    if not alphas:
+        raise SchemaError("need at least one matrix")
+    size = len(alphas[0])
     if any(len(a) != size or any(len(row) != size for row in a) for a in alphas):
         raise SchemaError("matrices must all be square of one size")
+    if len(alphas) != size:
+        raise SchemaError("need n matrices of size n x n")
     return alphas
 
 
@@ -149,7 +153,7 @@ def _value_json(v):
 def _cmd_eval_sigma(doc):
     alphas = _parse_alphas(doc)
     w = _parse_vector(_require(doc, "w", list))
-    if alphas and len(w) != len(alphas[0]):
+    if len(w) != len(alphas[0]):
         raise SchemaError("point dimension differs from the matrix size")
     return {"value": sigma_eval(alphas, w)}
 

@@ -20,10 +20,13 @@ positive scale changes no sign), and by multilinearity the coefficient
 of e^k in any of the determinants is the integer determinant of the
 columns alpha_j[:, k_j].  So each Cramer numerator is a list of integer
 cofactor forms in w, ordered by the exponent order, and every sign is
-the first nonzero sign of such a list.  ``dvalue``, ``cvalue`` and
-``moment_vector`` keep the polynomial ordered-field arithmetic; they take
-genuine ordered-field inputs and are the reference the kernel is tested
-against.
+the first nonzero sign of such a list.  ``CocycleChecker`` clears each
+matrix of its tuple once, builds the face kernels from those columns and
+reads tau as the alternating sign of their determinants; ``tau_cocycle``
+is the standalone computation it is tested against.  ``dvalue``,
+``cvalue`` and ``moment_vector`` keep the polynomial ordered-field
+arithmetic; they take genuine ordered-field inputs and are the reference
+the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .linalg import (
     cofactor_form,
     first_nonzero_sign,
     frac,
+    int_det,
     int_scale_point,
     mat_det,
     mat_inv,
@@ -143,31 +147,33 @@ def cvalue(basis, w) -> int:
 # Cocycle evaluation
 # ---------------------------------------------------------------------------
 
-def _check_matrices(alphas):
-    """Coerce to square rational matrices of a common size and reject
-    singular ones."""
+def _integer_columns(alphas):
+    """Columns of each matrix after clearing it to integers, rejecting the
+    first matrix in order that is not square of the common size or whose
+    cleared columns have determinant 0.  A positive scale of alpha_i
+    scales perturbed column i and changes no sign."""
     mats = [tuple(tuple(frac(x) for x in row) for row in a) for a in alphas]
     if not mats:
         raise ValueError("need at least one matrix")
     size = len(mats[0])
+    out = []
     for a in mats:
         if len(a) != size or any(len(row) != size for row in a):
             raise ValueError("matrices must all be square of one size")
-        if mat_det(a) == 0:
-            raise SingularMatrix("matrix argument is singular")
-    return mats
-
-
-def _integer_columns(alphas):
-    """Columns of each checked matrix after clearing it to integers.  A
-    positive scale of alpha_i scales perturbed column i and changes no
-    sign."""
-    out = []
-    for a in _check_matrices(alphas):
-        size = len(a)
         flat = int_scale_point([x for row in a for x in row])
-        out.append(tuple(flat[k::size] for k in range(size)))
+        cols = tuple(flat[k::size] for k in range(size))
+        if int_det(cols) == 0:
+            raise SingularMatrix("matrix argument is singular")
+        out.append(cols)
     return out
+
+
+def _check_matrices(alphas):
+    """Coerce to square rational matrices of a common size and reject
+    singular ones."""
+    mats = [tuple(tuple(frac(x) for x in row) for row in a) for a in alphas]
+    _integer_columns(mats)
+    return mats
 
 
 def _cramer_forms(cols, slot):
@@ -213,11 +219,12 @@ class SigmaKernel:
     vector of infinitesimal slot i.  The kernel keeps the sign of its
     determinant and, per slot, the integer cofactor forms of the Cramer
     numerator; the value at w is the determinant sign when every slot's
-    form list has that first nonzero sign at w, else 0.
+    form list has that first nonzero sign at w, else 0.  A caller holding
+    the ``_integer_columns`` output passes it as ``columns`` instead.
     """
 
-    def __init__(self, alphas):
-        cols = _integer_columns(alphas)
+    def __init__(self, alphas=None, *, columns=None):
+        cols = _integer_columns(alphas) if columns is None else columns
         n = len(cols)
         if len(cols[0]) != n:
             raise ValueError("need n matrices of size n x n")
@@ -274,15 +281,15 @@ def tau_cocycle(alphas) -> int:
 
 class CocycleChecker:
     """Caches the face evaluators of an (n+1)-tuple so the alternating-sum
-    identity can be tested at many points cheaply."""
+    identity can be tested at many points cheaply; tau is read from them."""
 
     def __init__(self, alphas):
-        alphas = list(alphas)
-        self.tau = tau_cocycle(alphas)
-        self.kernels = []
-        for i in range(len(alphas)):
-            face = alphas[:i] + alphas[i + 1:]
-            self.kernels.append(SigmaKernel(face))
+        cols = _integer_columns(alphas)
+        if len(cols) < 2 or len(cols[0]) != len(cols) - 1:
+            raise ValueError("need n+1 matrices of size n x n")
+        self.kernels = [SigmaKernel(columns=cols[:i] + cols[i + 1:]) for i in range(len(cols))]
+        signs = [k.det_sign if i % 2 == 0 else -k.det_sign for i, k in enumerate(self.kernels)]
+        self.tau = signs[0] if all(s == signs[0] for s in signs) else 0
 
     def alternating_sum(self, w) -> int:
         total = 0

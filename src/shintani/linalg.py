@@ -141,10 +141,13 @@ def idot(f, g):
 
 
 def int_det(m) -> int:
-    """Determinant of a small square integer matrix (rows) by cofactor
-    expansion along the first row; the empty matrix has determinant 1."""
-    if not m:
-        return 1
+    """Determinant of a small square integer matrix (rows): closed form up
+    to size 2 (the empty matrix has determinant 1), cofactor expansion
+    along the first row beyond."""
+    if len(m) == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    if len(m) < 2:
+        return m[0][0] if m else 1
     return sum(
         (-1) ** j * m[0][j] * int_det([row[:j] + row[j + 1:] for row in m[1:]])
         for j in range(len(m))

@@ -253,6 +253,13 @@ def _Z5(e):
     ("lvalue-q", {"char": _Z5(True), "r": 1}),
     ("lvalue-q", {"char": _Z5("1"), "r": 1}),
     ("lvalue-quad", {"field": {"D": 5}, "char": {"f": 2, "values": {"1,0": 0.5}}, "r": 1}),
+    # matrix tuples: none, or a count that differs from the matrix size
+    ("eval-sigma", {"alphas": [], "w": [1, 1]}),
+    ("decompose", {"alphas": []}),
+    ("eval-sigma", {"alphas": [[[1, 0], [0, 1]]], "w": [1, 1]}),
+    ("decompose", {"alphas": [[[1, 0], [0, 1]]] * 3}),
+    ("eval-sigma", {"alpha": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "w": [1, 1, 1]}),
+    ("decompose", {"alpha": [[2]]}),
 ])
 def test_rejects_malformed_job_fields(command, job, capsys):
     _schema_rejects(command, json.dumps(job), capsys)

@@ -7,6 +7,7 @@ from conftest import random_general_position, random_nonzero_vector
 from shintani.cli import random_degenerate_tuple, random_invertible
 from shintani.cocycle_core import (
     CocycleChecker,
+    SigmaKernel,
     closed_form_sigma_n2,
     coboundary_tau_half,
     cvalue,
@@ -18,6 +19,7 @@ from shintani.cocycle_core import (
     tau_cocycle,
     tau_transport,
 )
+from shintani.cone_algebra import sigma_decompose
 from shintani.errors import (
     GeneralPositionViolation,
     SingularBasis,
@@ -290,6 +292,90 @@ def test_tau_matches_dvalue_on_moment_columns():
     rng = random.Random(101)
     for n, alphas in _oracle_tuples(rng, (2, 3), 1):
         assert tau_cocycle(alphas) == dvalue(_moment_columns(alphas, n + 1))
+
+
+def test_checker_setup_matches_standalone_kernels():
+    # the checker clears each matrix once and reads tau from its face
+    # kernels; tau must equal the standalone oracle and every face kernel
+    # the kernel built from the face matrices alone
+    rng = random.Random(103)
+    for n in (1, 2, 3, 4):
+        for degenerate in (False, True):
+            for _ in range(4 if n < 4 else 2):
+                if degenerate:
+                    alphas = random_degenerate_tuple(rng, n, n + 1)
+                else:
+                    alphas = [random_invertible(rng, n) for _ in range(n + 1)]
+                checker = CocycleChecker(alphas)
+                assert checker.tau == tau_cocycle(alphas)
+                assert len(checker.kernels) == n + 1
+                for i, kernel in enumerate(checker.kernels):
+                    face = SigmaKernel(alphas[:i] + alphas[i + 1:])
+                    assert kernel.n == face.n == n
+                    assert kernel.forms == face.forms
+                    assert kernel.det_sign == face.det_sign
+
+
+_SING = ((1, 0), (2, 0))
+_WIDE = ((1, 2, 3), (4, 5, 6))
+_RAGGED = ((1, 0), (0,))
+_FLOAT = ((1.5, 0), (0, 1))
+_I3 = identity(3)
+_SQUARE = (ValueError, "matrices must all be square of one size")
+_SINGULAR = (SingularMatrix, "matrix argument is singular")
+_NO_MATRIX = (ValueError, "need at least one matrix")
+_FLOAT_ERR = (TypeError, "inexact or boolean value 1.5")
+
+# Bad matrices at various positions; the first bad matrix in order wins,
+# after every entry has been coerced.
+_BAD_FACES = [
+    ([_SING, I2], _SINGULAR),
+    ([I2, _SING], _SINGULAR),
+    ([I2, _WIDE], _SQUARE),
+    ([_WIDE, _SING], _SQUARE),
+    ([_SING, _WIDE], _SINGULAR),
+    ([I2, _RAGGED], _SQUARE),
+    ([I2, _I3], _SQUARE),
+    ([_I3, I2], _SQUARE),
+    ([_SING, _I3], _SINGULAR),
+    ([_SING, _FLOAT], _FLOAT_ERR),
+    ([], _NO_MATRIX),
+    ([I2], (ValueError, "need n matrices of size n x n")),
+    ([_I3, _I3], (ValueError, "need n matrices of size n x n")),
+]
+_BAD_TUPLES = [
+    ([I2, I2, _SING], _SINGULAR),
+    ([_SING, I2, I2], _SINGULAR),
+    ([I2, _WIDE, _SING], _SQUARE),
+    ([I2, _SING, _WIDE], _SINGULAR),
+    ([I2, _I3, I2], _SQUARE),
+    ([I2, I2, _RAGGED], _SQUARE),
+    ([_SING, I2, _FLOAT], _FLOAT_ERR),
+    ([], _NO_MATRIX),
+    ([I2], (ValueError, "need n+1 matrices of size n x n")),
+    ([I2, I2], (ValueError, "need n+1 matrices of size n x n")),
+    ([I2] * 4, (ValueError, "need n+1 matrices of size n x n")),
+]
+
+
+def _raises(fn, alphas, expected):
+    cls, message = expected
+    with pytest.raises(Exception) as info:
+        fn(alphas)
+    assert type(info.value) is cls
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("alphas,expected", _BAD_FACES)
+@pytest.mark.parametrize("fn", [SigmaKernel, sigma_decompose])
+def test_face_setup_errors(fn, alphas, expected):
+    _raises(fn, alphas, expected)
+
+
+@pytest.mark.parametrize("alphas,expected", _BAD_TUPLES)
+@pytest.mark.parametrize("fn", [tau_cocycle, CocycleChecker])
+def test_tuple_setup_errors(fn, alphas, expected):
+    _raises(fn, alphas, expected)
 
 
 def test_sigma_gl_equivariance():
