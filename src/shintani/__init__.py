@@ -18,7 +18,6 @@ from .cocycle_core import (
 )
 from .cone_algebra import (
     ConeCombo,
-    LexLinearForm,
     OpenSimplicialCone,
     act,
     combo_eval,

@@ -57,6 +57,14 @@ def _int_field(doc, key, default=None, minimum=None):
     return val
 
 
+def _force_field(doc):
+    """The optional 'force' flag of a quadratic job: a JSON boolean."""
+    force = doc.get("force", False)
+    if not isinstance(force, bool):
+        raise SchemaError("field 'force' must be a boolean")
+    return force
+
+
 def _parse_matrix(doc):
     try:
         return tuple(tuple(frac(x) for x in row) for row in doc)
@@ -166,8 +174,10 @@ def _cmd_decompose(doc):
 
 def _cmd_pair(doc):
     phi_doc = _require(doc, "phi", dict)
-    for key, default in (("n", None), ("d", 1), ("f", 1)):
+    for key, default in (("n", None), ("d", 1), ("f", 1), ("zeta_order", 1)):
         _int_field(phi_doc, key, default, 1)
+    if phi_doc.get("sqrt") is not None:
+        _int_field(phi_doc, "sqrt", None, 2)
     try:
         combo = ConeCombo.from_json(_require(doc, "combo", dict))
         phi = SchwartzFn.from_json(phi_doc)
@@ -229,7 +239,7 @@ def _cmd_lvalue_q(doc):
 def _cmd_lvalue_quad(doc):
     field = _require(doc, "field", dict)
     D = _int_field(field, "D")
-    K = build_real_quad(D, allow_narrow_failure=bool(doc.get("force", False)))
+    K = build_real_quad(D, allow_narrow_failure=_force_field(doc))
     r = _int_field(doc, "r", None, 1)
     dmax = _int_field(doc, "dmax", 2 * r + 2, 0)
     phi = _parse_quad_char(doc.get("char"), K)
@@ -243,7 +253,7 @@ def _cmd_lvalue_quad(doc):
 def _cmd_s_coeffs(doc):
     field = _require(doc, "field", dict)
     D = _int_field(field, "D")
-    K = build_real_quad(D, allow_narrow_failure=bool(doc.get("force", False)))
+    K = build_real_quad(D, allow_narrow_failure=_force_field(doc))
     rmax = _int_field(doc, "rmax", None, 0)
     dmax = _int_field(doc, "dmax", 2 * rmax + 2, 0)
     phi = _parse_quad_char(doc.get("char"), K)

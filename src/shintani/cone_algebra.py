@@ -27,7 +27,6 @@ from .cocycle_core import SigmaKernel
 from .errors import AllFormsZero, SingularMatrix, UnsupportedDimension, ZeroVector
 from .linalg import (
     coordinate_rows,
-    first_nonzero_sign,
     frac,
     idot,
     int_scale_point,
@@ -155,27 +154,6 @@ def act(alpha, combo: ConeCombo) -> ConeCombo:
         for c, cone in combo.terms
     ]
     return ConeCombo(terms, s * combo.constant)
-
-
-# ---------------------------------------------------------------------------
-# Lexicographic linear form lists
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LexLinearForm:
-    """Finite list of rational linear forms ordered by increasing
-    infinitesimal exponent; the positivity region is the set of points
-    where the first form with a nonzero value is positive."""
-
-    forms: tuple
-
-    def __post_init__(self):
-        forms = tuple(tuple(frac(x) for x in f) for f in self.forms)
-        forms = tuple(f for f in forms if any(x != 0 for x in f))
-        object.__setattr__(self, "forms", forms)
-
-    def first_nonzero_sign(self, w) -> int:
-        return first_nonzero_sign(self.forms, w)
 
 
 # ---------------------------------------------------------------------------
@@ -325,27 +303,19 @@ def sigma_decompose(alphas, validate: bool = False) -> ConeCombo:
     terms = []
     for gens in pieces:
         cone = OpenSimplicialCone(gens)
-        if validate:
-            w = cone.witness()
-            if any(first_nonzero_sign(fs, w) != target for fs in kernel.forms):
-                raise AssertionError("kept piece fails the sign resolution")
-            if kernel.eval(w) != target:
-                raise AssertionError("decomposition witness mismatch")
+        if validate and kernel.eval(cone.witness()) != target:
+            raise AssertionError("decomposition witness mismatch")
         terms.append((target, cone))
     return ConeCombo(terms).sorted()
 
 
 def lex_positive_region(form_list) -> ConeCombo:
     """Indicator combo of the region where the first nonzero form of the
-    list is positive."""
-    if isinstance(form_list, LexLinearForm):
-        lex = form_list
-    else:
-        lex = LexLinearForm(tuple(tuple(frac(x) for x in f) for f in form_list))
-    if not lex.forms:
+    list (rational forms, lexicographically ordered) is positive; zero
+    forms are skipped."""
+    int_forms = tuple(primitive(f) for f in form_list if any(frac(x) for x in f))
+    if not int_forms:
         raise AllFormsZero("need at least one nonzero form")
-    n = len(lex.forms[0])
-    int_forms = tuple(primitive(f) for f in lex.forms)
-    pieces = _decompose_region(n, [int_forms], 1)
+    pieces = _decompose_region(len(int_forms[0]), [int_forms], 1)
     terms = [(1, OpenSimplicialCone(gens)) for gens in pieces]
     return ConeCombo(terms).sorted()

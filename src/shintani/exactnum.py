@@ -17,7 +17,8 @@ import threading
 from fractions import Fraction
 from math import comb, gcd
 
-from .errors import ShintaniError
+from .errors import ShintaniError, SingularMatrix
+from .linalg import solve_columns
 
 Rat = Fraction
 
@@ -265,6 +266,20 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
     return out
 
 
+def _factorize(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of a positive integer by trial division."""
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Coefficient ring Q(zeta_m, sqrt(D))
 # ---------------------------------------------------------------------------
@@ -284,6 +299,8 @@ class CoeffRing:
             D = int(D)
             if D <= 1:
                 raise ValueError("D must exceed 1")
+            if any(e > 1 for e in _factorize(D).values()):
+                raise ValueError("D must be square-free")
         self.m = m
         self.D = D
         phi = cyclotomic_poly(m)
@@ -458,49 +475,28 @@ class CoeffElem:
         return out
 
     def inv(self) -> "CoeffElem":
-        """Multiplicative inverse: 1/c for a rational c, otherwise an exact
-        linear solve over the rational basis.  Raises ZeroDivisionError if
-        the element is not a unit."""
+        """Multiplicative inverse: 1/c for a rational c, otherwise the
+        solution x of self * x = 1 over the rational basis.  Raises
+        ZeroDivisionError if the element is not a unit."""
         ring = self.ring
         if self.is_rational():
             return ring.from_rat(1 / self.rational_part())
         basis = ring.basis()
-        idx = {b: i for i, b in enumerate(basis)}
-        nb = len(basis)
         cols = []
         for b in basis:
             prod = self * CoeffElem(ring, {b: Fraction(1)})
-            col = [Fraction(0)] * nb
-            for k, c in prod.coeffs.items():
-                col[idx[k]] = c
-            cols.append(col)
-        # solve M x = e_0 where M columns are self * basis elements
-        a = [[cols[j][i] for j in range(nb)] + [Fraction(1 if basis[i] == (0, 0) else 0)]
-             for i in range(nb)]
-        for col in range(nb):
-            piv = next((r for r in range(col, nb) if a[r][col] != 0), None)
-            if piv is None:
-                raise ZeroDivisionError("element is not invertible in the ring")
-            a[col], a[piv] = a[piv], a[col]
-            scale = 1 / a[col][col]
-            a[col] = [x * scale for x in a[col]]
-            for r in range(nb):
-                if r != col and a[r][col] != 0:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        coeffs = {basis[i]: a[i][nb] for i in range(nb) if a[i][nb] != 0}
-        return CoeffElem(ring, coeffs)
+            cols.append([prod.coeffs.get(k, Fraction(0)) for k in basis])
+        try:
+            x = solve_columns(cols, [Fraction(b == (0, 0)) for b in basis])
+        except SingularMatrix:
+            raise ZeroDivisionError("element is not invertible in the ring")
+        return CoeffElem(ring, {b: c for b, c in zip(basis, x) if c})
 
     def is_rational(self) -> bool:
         return all(k == (0, 0) for k in self.coeffs)
 
     def rational_part(self) -> Fraction:
         return self.coeffs.get((0, 0), Fraction(0))
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ShintaniError("element is not rational")
-        return self.rational_part()
 
     def key(self):
         """Canonical hashable key, used for sorting and dict membership."""

@@ -68,21 +68,11 @@ def mat_det(m) -> Fraction:
 
 
 def mat_inv(m) -> Mat:
-    n = len(m)
-    a = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrix("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
+    """Inverse of a square rational matrix, one solve per unit column;
+    raises SingularMatrix when the columns are dependent."""
+    cols = list(zip(*m))
+    inv_cols = [solve_columns(cols, e) for e in identity(len(m))]
+    return tuple(zip(*inv_cols))
 
 
 def solve_columns(cols, w):

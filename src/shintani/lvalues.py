@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, isqrt, lcm
+from itertools import product
+from math import comb, factorial, gcd, isqrt, lcm, prod
 
 from .cone_algebra import sigma_decompose
 from .errors import (
@@ -28,7 +29,7 @@ from .errors import (
     ShintaniError,
     TruncationTooSmall,
 )
-from .exactnum import CoeffElem, CoeffRing, bernoulli_poly
+from .exactnum import CoeffElem, CoeffRing, _factorize, bernoulli_poly
 from .solomon_hu import (
     QuotSeries,
     SchwartzFn,
@@ -42,19 +43,6 @@ from .solomon_hu import (
 # ---------------------------------------------------------------------------
 # The unit group (Z/f)^* and its characters
 # ---------------------------------------------------------------------------
-
-def _factorize(n: int) -> dict[int, int]:
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
 
 def _primitive_root(p: int, e: int) -> int:
     """Smallest primitive root modulo p^e for an odd prime p."""
@@ -97,22 +85,6 @@ def unit_group_generators(f: int):
             gens.append(lift(_primitive_root(p, e)))
             orders.append((p - 1) * p ** (e - 1))
     return gens, orders
-
-
-def _dlog_table(f: int, gens, orders):
-    table = {}
-
-    def rec(i, val, expo):
-        if i == len(gens):
-            table[val] = tuple(expo)
-            return
-        g = gens[i]
-        cur = val
-        for k in range(orders[i]):
-            rec(i + 1, cur, expo + [k])
-            cur = cur * g % f
-    rec(0, 1 % f, [])
-    return table
 
 
 class DirichletChar:
@@ -215,19 +187,17 @@ class DirichletChar:
         gens, orders = unit_group_generators(f)
         expo = lcm(*orders) if orders else 1
         ring = ring or CoeffRing(expo)
-        dlog = _dlog_table(f, gens, orders)
+        # exponent vectors in mixed radix, first generator most significant;
+        # one list indexes both the units (discrete logs) and the characters
+        exps = list(product(*(range(o) for o in orders)))
+        dlog = {prod(pow(g, a, f) for g, a in zip(gens, e)) % f: e for e in exps}
         out = []
-        def rec(i, choice):
-            if i == len(gens):
-                vals = {}
-                for u, a in dlog.items():
-                    k = sum(c * ai * (expo // o) for c, ai, o in zip(choice, a, orders))
-                    vals[u] = ring.zeta(k % expo)
-                out.append(cls(f, vals, ring, validate=False))
-                return
-            for c in range(orders[i]):
-                rec(i + 1, choice + [c])
-        rec(0, [])
+        for choice in exps:
+            vals = {}
+            for u, a in dlog.items():
+                k = sum(c * ai * (expo // o) for c, ai, o in zip(choice, a, orders))
+                vals[u] = ring.zeta(k % expo)
+            out.append(cls(f, vals, ring, validate=False))
         return out
 
 
@@ -264,10 +234,7 @@ def dirichlet_L_via_cocycle(chi: DirichletChar, r: int, dmax: int | None = None)
         raise TruncationTooSmall("need dmax >= r")
     combo = sigma_decompose([[[1]]])
     q = pair_combo(combo, chi.to_schwartz(), dmax)
-    factor = Fraction(1)
-    for k in range(1, r):
-        factor *= k
-    return laurent_coeff_1var(q, r - 1) * factor
+    return laurent_coeff_1var(q, r - 1) * factorial(r - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -476,10 +443,7 @@ def quad_L_value(K: RealQuadField, phi: SchwartzFn, r: int,
         tuple(_transition_form(form, images, phi.ring) for form in q.denoms),
     )
     coeff = symmetric_laurent_coeff(q_t, r, r)
-    fact = Fraction(1)
-    for k in range(1, r + 1):
-        fact *= k
-    value = coeff * (fact * fact)
+    value = coeff * factorial(r) ** 2
     real_valued = all(v.is_rational() for v in phi.table.values())
     if real_valued:
         if not value.is_rational():
@@ -525,14 +489,11 @@ def s_coeffs(K: RealQuadField, phi: SchwartzFn, rmax: int,
     q = pair_combo(combo, phi, dmax)
     series = reduce_to_power_series(q)
     table = {}
-    fact = [Fraction(1)]
-    for k in range(1, 2 * rmax + 1):
-        fact.append(fact[-1] * k)
     for m1 in range(2 * rmax + 1):
         for m2 in range(2 * rmax + 1 - m1):
             c = series.coeff((m1, m2))
             if c:
-                table[(m1, m2)] = c * (fact[m1] * fact[m2])
+                table[(m1, m2)] = c * (factorial(m1) * factorial(m2))
     return SCoeffs(rmax=rmax, ring=phi.ring, table=table)
 
 
@@ -557,13 +518,5 @@ def l_value_from_s_coeffs(K: RealQuadField, sc: SCoeffs, r: int):
             inner = inner + (
                 (T1 ** k) * (T2 ** (m2 - k)) * (comb(m2, k) * comb(m1, r - k))
             )
-        mfact = Fraction(1)
-        for t in range(1, m1 + 1):
-            mfact *= t
-        for t in range(1, m2 + 1):
-            mfact *= t
-        acc = acc + s * inner * (1 / mfact)
-    fact = Fraction(1)
-    for k in range(1, r + 1):
-        fact *= k
-    return acc * (fact * fact)
+        acc = acc + s * inner * Fraction(1, factorial(m1) * factorial(m2))
+    return acc * factorial(r) ** 2

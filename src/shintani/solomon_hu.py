@@ -88,9 +88,6 @@ class MSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def homogeneous(self, k: int) -> dict:
-        return {e: c for e, c in self.terms.items() if sum(e) == k}
-
     def __add__(self, other: "MSeries") -> "MSeries":
         if self.ring is not other.ring and not self.ring.same(other.ring):
             raise ShintaniError("mixed series rings")
@@ -194,9 +191,6 @@ class MSeries:
                     term = term * power(j, k)
             acc = acc + term
         return acc
-
-    def key(self):
-        return tuple(sorted((e, c.key()) for e, c in self.terms.items()))
 
     def __eq__(self, other):
         if not isinstance(other, MSeries):
@@ -581,37 +575,21 @@ def pair_cone(cone: OpenSimplicialCone, phi: SchwartzFn, dmax: int) -> QuotSerie
 
 
 def pair_combo(combo: ConeCombo, phi: SchwartzFn, dmax: int) -> QuotSeries:
-    """Coefficient-weighted pairing of a whole combo over one common
-    denominator multiset.
+    """Coefficient-weighted pairing of a whole combo: the sum of its cones'
+    quotient series, over the max-multiplicity union of their denominator
+    forms and exact through total degree dmax.
 
     A nonzero constant offset requires the test function to vanish near
-    zero, in which case the constant pairs to zero; per-cone numerators
-    are computed with enough guard terms that the summed series is exact
-    through total degree dmax.  Cones are processed in a deterministic
-    sorted order.
+    zero, in which case the constant pairs to zero.  Cones are processed
+    in a deterministic sorted order.
     """
     if combo.constant != 0 and not phi.vanishes_near_zero:
         raise ConstantAgainstNonVanishing(
             "constant offset paired against a test function with phi(0) != 0"
         )
-    ring = phi.ring
-    terms = sorted(combo.terms, key=lambda t: t[1].generators)
-    if not terms:
-        return quot_zero(ring, phi.n, dmax)
-    scaled_all = [
-        tuple(tuple(ring.from_rat(phi.f * x) for x in g) for g in cone.generators)
-        for _, cone in terms
-    ]
-    common = ()
-    for forms in scaled_all:
-        common = _multiset_union(common, forms)
-    # each per-cone numerator is exact through dmax + dim, and raising to
-    # the common denominator multiplies by homogeneous forms, ending at
-    # exactly dmax + len(common)
-    total = QuotSeries(MSeries.zero(ring, phi.n, dmax + len(common)), common)
-    for (coeff, cone), forms in zip(terms, scaled_all):
-        q = _raise_to(pair_cone(cone, phi, dmax), common).scale(coeff)
-        total = QuotSeries(total.num + q.num, common)
+    total = quot_zero(phi.ring, phi.n, dmax)
+    for coeff, cone in sorted(combo.terms, key=lambda t: t[1].generators):
+        total = total + pair_cone(cone, phi, dmax).scale(coeff)
     return total
 
 

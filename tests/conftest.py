@@ -1,9 +1,18 @@
 """Shared helpers for the test suite: seeded random rational data."""
 
+import os
 from fractions import Fraction
 
+import shintani
 from shintani.cli import random_nonzero_vector
 from shintani.linalg import mat_det
+
+# `python -m shintani` subprocesses import the package from the tree the
+# suite imports; pytest's `pythonpath` setting reaches only this process.
+_SRC = os.path.dirname(os.path.dirname(shintani.__file__))
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 def random_rat(rng, lo=-5, hi=5, den=3):

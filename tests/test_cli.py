@@ -260,6 +260,18 @@ def _Z5(e):
     ("decompose", {"alphas": [[[1, 0], [0, 1]]] * 3}),
     ("eval-sigma", {"alpha": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "w": [1, 1, 1]}),
     ("decompose", {"alpha": [[2]]}),
+    # force is a JSON boolean
+    ("lvalue-quad", {"field": {"D": 3}, "r": 1, "force": "false"}),
+    ("lvalue-quad", {"field": {"D": 5}, "r": 1, "force": 1}),
+    ("lvalue-quad", {"field": {"D": 5}, "r": 1, "force": None}),
+    ("s-coeffs", {"field": {"D": 3}, "rmax": 1, "force": "true"}),
+    # pair: the test function's ring fields
+    ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "zeta_order": True}}),
+    ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "zeta_order": 0}}),
+    ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "sqrt": 2.7}}),
+    ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "sqrt": "5"}}),
+    ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "sqrt": 4}}),
+    ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "sqrt": 1}}),
 ])
 def test_rejects_malformed_job_fields(command, job, capsys):
     _schema_rejects(command, json.dumps(job), capsys)

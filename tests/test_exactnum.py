@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from shintani.exactnum import (
     CoeffRing,
@@ -11,6 +12,7 @@ from shintani.exactnum import (
     bernoulli_poly,
     cyclotomic_poly,
 )
+from shintani.linalg import mat_det
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +245,50 @@ def test_coeff_ring_inverse_of_rationals_and_zero():
             ring.zero().inv()
     ring = CoeffRing(5)
     assert ring.zeta(1).inv() == ring.zeta(4)
+
+
+@st.composite
+def ring_elements(draw):
+    """A ring CoeffRing(m, D) and a random nonzero element of it."""
+    ring = CoeffRing(draw(st.integers(1, 12)), draw(st.sampled_from([None, 2, 3, 5])))
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    x = ring.elem({b: draw(coeff) for b in ring.basis()})
+    assume(not x.is_zero())
+    return ring, x
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(case=ring_elements())
+def test_coeff_inverse_against_multiplication_determinant(case):
+    # x is a unit exactly when multiplication by x is invertible on the
+    # rational basis; Q(zeta_m)[sqrt D] is not a field when sqrt D lies in
+    # Q(zeta_m) (m = 8, 12 for D = 2, 3; 5 | m for D = 5)
+    ring, x = case
+    basis = ring.basis()
+    mult = [[(x * ring.elem({b: 1})).coeffs.get(k, Fraction(0)) for b in basis]
+            for k in basis]
+    if mat_det(mult) == 0:
+        with pytest.raises(ZeroDivisionError):
+            x.inv()
+    else:
+        assert x * x.inv() == ring.one()
+
+
+def test_coeff_inverse_of_zero_divisor_raises():
+    # in Q(zeta_8)[sqrt 2], sqrt 2 = zeta_8 - zeta_8^3, so g2 - g1 + g1^3
+    # is a nonzero zero divisor
+    ring = CoeffRing(8, 2)
+    x = ring.sqrtD() - ring.zeta(1) + ring.zeta(3)
+    assert not x.is_zero()
+    assert x * (ring.sqrtD() + ring.zeta(1) - ring.zeta(3)) == ring.zero()
+    with pytest.raises(ZeroDivisionError):
+        x.inv()
+
+
+def test_coeff_ring_rejects_non_square_free_root():
+    for D in (4, 8, 12, 18, 50):
+        with pytest.raises(ValueError):
+            CoeffRing(1, D)
 
 
 def test_coeff_ring_coerce_cross_order():

@@ -1,8 +1,12 @@
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from shintani.linalg import cofactor_form, idot, int_det, mat_det
+from shintani.cli import random_invertible
+from shintani.errors import SingularMatrix
+from shintani.linalg import cofactor_form, identity, idot, int_det, mat_det, mat_inv, mat_mul
 
 
 ENTRY = st.integers(-9, 9)
@@ -34,3 +38,22 @@ def test_cofactor_form_reads_det_with_w_inserted(case):
     cols, slot, w = case
     full = list(cols[:slot]) + [w] + list(cols[slot:])
     assert idot(cofactor_form(cols, slot), w) == int_det(list(zip(*full)))
+
+
+def test_mat_inv_is_two_sided_inverse():
+    rng = random.Random(5)
+    for n in range(1, 5):
+        for _ in range(10):
+            m = random_invertible(rng, n)
+            inv = mat_inv(m)
+            assert mat_mul(inv, m) == identity(n)
+            assert mat_mul(m, inv) == identity(n)
+
+
+def test_mat_inv_rejects_singular():
+    rng = random.Random(6)
+    for n in range(1, 5):
+        m = [list(row) for row in random_invertible(rng, n)]
+        m[-1] = [Fraction(2) * x for x in m[0]] if n > 1 else [Fraction(0)]
+        with pytest.raises(SingularMatrix):
+            mat_inv(m)

@@ -74,6 +74,24 @@ def test_character_orthogonality():
                 assert total.is_zero()
 
 
+def test_character_index_is_mixed_radix_over_generators():
+    # character i sends generator g_j to zeta^(c_j * expo / o_j), where c is
+    # the digit vector of i with radices o_j, first generator most significant
+    from math import lcm, prod
+    for f in range(1, 61):
+        gens, orders = unit_group_generators(f)
+        chars = DirichletChar.enumerate(f)
+        assert len(chars) == prod(orders)
+        expo = lcm(*orders)
+        for i, chi in enumerate(chars):
+            digits, rest = [], i
+            for o in reversed(orders):
+                rest, c = divmod(rest, o)
+                digits.append(c)
+            for g, o, c in zip(gens, orders, reversed(digits)):
+                assert chi(g) == chi.ring.zeta(c * expo // o)
+
+
 # ---------------------------------------------------------------------------
 # Dirichlet L-values over Q
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -376,6 +377,45 @@ def test_pair_combo_cocycle_faces_pair_to_zero():
             q = pair_combo(combo, phi, 3).scale((-1) ** i)
             total = q if total is None else total + q
         assert total.is_zero_series()
+
+
+def _multi_cone_cases():
+    """(combo, test function) pairs with several cones: n = 1 and 2, forms
+    shared and repeated across cones, one zero and one 1/2 coefficient."""
+    ring = CoeffRing(3)
+    rays1 = [((1,),), ((-1,),), ((2,),)]
+    cones2 = [((1, 0), (0, 1)), ((1, 0), (1, 1)), ((1, 1),), ((0, 1), (-1, 1)),
+              ((2, 0), (0, 3)), ((1, 0),)]
+    coeffs = [1, Fraction(1, 2), 0, -2, 3, -1]
+    one = [(c, OpenSimplicialCone(g)) for c, g in zip(coeffs, rays1)]
+    two = [(c, OpenSimplicialCone(g)) for c, g in zip(coeffs, cones2)]
+    return [
+        (ConeCombo(one), SchwartzFn(1, 1, 3, {(1,): 1, (2,): -1})),
+        (ConeCombo(one), SchwartzFn(1, 2, 1, {(0,): 1, (1,): Fraction(1, 2)})),
+        (ConeCombo(two), SchwartzFn(2, 1, 2, {(1, 0): 1, (1, 1): -1, (0, 1): 3})),
+        (ConeCombo(two), SchwartzFn(2, 1, 1, {(0, 0): 1})),
+        (ConeCombo(two), SchwartzFn(2, 1, 3, {(1, 2): ring.zeta(1), (2, 0): 1}, ring)),
+    ]
+
+
+def _denom_counts(q):
+    return Counter(tuple(map(str, form)) for form in q.to_json()["denoms"])
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_pair_combo_is_sum_of_cone_pairings(case):
+    combo, phi = _multi_cone_cases()[case]
+    for dmax in (0, 2):
+        q = pair_combo(combo, phi, dmax)
+        assert q.dmax == dmax
+        total = None
+        union = Counter()  # | keeps the larger multiplicity of each form
+        for c, cone in combo.terms:
+            term = pair_cone(cone, phi, dmax)
+            total = term.scale(c) if total is None else total + term.scale(c)
+            union |= _denom_counts(term)
+        assert quot_equal_as_laurent(q, total)
+        assert _denom_counts(q) == union
 
 
 # ---------------------------------------------------------------------------
