@@ -17,7 +17,7 @@ from fractions import Fraction
 from .cocycle_core import CocycleChecker, sigma_eval
 from .cone_algebra import ConeCombo, sigma_decompose
 from .errors import SchemaError, ShintaniError, TruncationTooSmall
-from .exactnum import CoeffRing
+from .exactnum import MAX_D, CoeffRing
 from .linalg import frac, identity, mat_det
 from .lvalues import (
     DirichletChar,
@@ -236,10 +236,16 @@ def _cmd_lvalue_q(doc):
     return out
 
 
+def _quad_field(doc):
+    """D and the field of a quadratic job; D above MAX_D exits 64."""
+    D = _int_field(_require(doc, "field", dict), "D")
+    if D > MAX_D:
+        raise SchemaError(f"field 'D' must be at most {MAX_D}")
+    return D, build_real_quad(D, allow_narrow_failure=_force_field(doc))
+
+
 def _cmd_lvalue_quad(doc):
-    field = _require(doc, "field", dict)
-    D = _int_field(field, "D")
-    K = build_real_quad(D, allow_narrow_failure=_force_field(doc))
+    D, K = _quad_field(doc)
     r = _int_field(doc, "r", None, 1)
     dmax = _int_field(doc, "dmax", 2 * r + 2, 0)
     phi = _parse_quad_char(doc.get("char"), K)
@@ -251,9 +257,7 @@ def _cmd_lvalue_quad(doc):
 
 
 def _cmd_s_coeffs(doc):
-    field = _require(doc, "field", dict)
-    D = _int_field(field, "D")
-    K = build_real_quad(D, allow_narrow_failure=_force_field(doc))
+    D, K = _quad_field(doc)
     rmax = _int_field(doc, "rmax", None, 0)
     dmax = _int_field(doc, "dmax", 2 * rmax + 2, 0)
     phi = _parse_quad_char(doc.get("char"), K)

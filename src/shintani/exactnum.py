@@ -266,6 +266,11 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
     return out
 
 
+# Largest sqrt(D) generator accepted: its square-freeness is checked by
+# trial division, at most 10^6 divisions up to sqrt(D).
+MAX_D = 10 ** 12
+
+
 def _factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: e} of a positive integer by trial division."""
     out = {}
@@ -299,6 +304,8 @@ class CoeffRing:
             D = int(D)
             if D <= 1:
                 raise ValueError("D must exceed 1")
+            if D > MAX_D:
+                raise ValueError(f"D must be at most {MAX_D}")
             if any(e > 1 for e in _factorize(D).values()):
                 raise ValueError("D must be square-free")
         self.m = m

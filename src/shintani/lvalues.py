@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, gcd, isqrt, lcm, prod
+from math import factorial, gcd, isqrt, lcm, prod
 
 from .cone_algebra import sigma_decompose
 from .errors import (
@@ -29,8 +29,10 @@ from .errors import (
     ShintaniError,
     TruncationTooSmall,
 )
-from .exactnum import CoeffElem, CoeffRing, _factorize, bernoulli_poly
+from .exactnum import MAX_D, CoeffElem, CoeffRing, _factorize, bernoulli_poly
+from .linalg import mat_vec
 from .solomon_hu import (
+    MSeries,
     QuotSeries,
     SchwartzFn,
     laurent_coeff_1var,
@@ -241,10 +243,6 @@ def dirichlet_L_via_cocycle(chi: DirichletChar, r: int, dmax: int | None = None)
 # Real quadratic fields
 # ---------------------------------------------------------------------------
 
-def _is_square_free(D: int) -> bool:
-    return all(e == 1 for e in _factorize(D).values())
-
-
 def _norm_theta(a: int, b: int, D: int, half: bool) -> int:
     """Norm of a + b*theta where theta = sqrt(D) or (1+sqrt(D))/2."""
     if half:
@@ -369,8 +367,12 @@ def build_real_quad(D: int, allow_narrow_failure: bool = False) -> RealQuadField
     fractions, totally positive fundamental unit, its matrix, and a
     narrow-class-number-one check (raised as NarrowClassNumberNotOne
     unless the caller opts to proceed)."""
-    if D <= 1 or not _is_square_free(D):
-        raise NotSquareFree("D must be a square-free integer > 1")
+    if D > MAX_D:
+        raise ValueError(f"D must be at most {MAX_D}")
+    try:
+        ring = CoeffRing(1, D)
+    except ValueError:
+        raise NotSquareFree("D must be a square-free integer > 1") from None
     half = D % 4 == 1
     disc = D if half else 4 * D
     eps, nrm = fundamental_unit(D)
@@ -395,7 +397,6 @@ def build_real_quad(D: int, allow_narrow_failure: bool = False) -> RealQuadField
         raise NarrowClassNumberNotOne(
             f"could not certify narrow class number one for D={D}"
         )
-    ring = CoeffRing(1, D)
     return RealQuadField(
         D=D, half=half, disc=disc, eps=eps, eps_norm=nrm, u=u,
         u_matrix=u_matrix, narrow_h1=narrow, ring=ring,
@@ -434,16 +435,7 @@ def quad_L_value(K: RealQuadField, phi: SchwartzFn, r: int,
     if phi.ring.D != K.D:
         raise ShintaniError("residue function ring must contain sqrt(D)")
     combo = sigma_decompose([_identity2(), K.u_matrix])
-    q = pair_combo(combo, phi, dmax)
-    images = [
-        tuple(phi.ring.coerce(c) for c in img) for img in K.transition_images()
-    ]
-    q_t = QuotSeries(
-        q.num.substitute_linear(images, 2),
-        tuple(_transition_form(form, images, phi.ring) for form in q.denoms),
-    )
-    coeff = symmetric_laurent_coeff(q_t, r, r)
-    value = coeff * factorial(r) ** 2
+    value = _embedded_coeff(K, pair_combo(combo, phi, dmax), r)
     real_valued = all(v.is_rational() for v in phi.table.values())
     if real_valued:
         if not value.is_rational():
@@ -452,16 +444,20 @@ def quad_L_value(K: RealQuadField, phi: SchwartzFn, r: int,
     return value
 
 
-def _transition_form(form, images, ring):
-    """Denominator form in the new coordinates: coefficient i becomes
-    sum_j form[j] * images[j][i]."""
-    n_new = len(images[0])
-    out = [ring.zero()] * n_new
-    for j, c in enumerate(form):
-        if c:
-            for i in range(n_new):
-                out[i] = out[i] + c * images[j][i]
-    return tuple(out)
+def _embedded_coeff(K: RealQuadField, q: QuotSeries, r: int) -> CoeffElem:
+    """(r!)^2 times the symmetric Laurent coefficient of t1^r t2^r of q in
+    the embedding coordinates z = T t.  That coefficient is homogeneous of
+    degree 2r, so only the numerator component of degree 2r + #denominators
+    is substituted; each denominator form v becomes T^t v."""
+    k = 2 * r + len(q.denoms)
+    images = [tuple(q.ring.coerce(c) for c in img) for img in K.transition_images()]
+    top = MSeries(q.ring, 2, k, {e: c for e, c in q.num.terms.items() if sum(e) == k})
+    columns = tuple(zip(*images))
+    q_t = QuotSeries(
+        top.substitute_linear(images, 2),
+        tuple(mat_vec(columns, form) for form in q.denoms),
+    )
+    return symmetric_laurent_coeff(q_t, r, r) * factorial(r) ** 2
 
 
 @dataclass
@@ -485,6 +481,8 @@ def s_coeffs(K: RealQuadField, phi: SchwartzFn, rmax: int,
         raise ValueError("rmax must be non-negative")
     if dmax is None:
         dmax = 2 * rmax + 2
+    if dmax < 2 * rmax:
+        raise TruncationTooSmall("need dmax >= 2 rmax")
     combo = sigma_decompose([_identity2(), K.u_matrix])
     q = pair_combo(combo, phi, dmax)
     series = reduce_to_power_series(q)
@@ -498,25 +496,11 @@ def s_coeffs(K: RealQuadField, phi: SchwartzFn, rmax: int,
 
 
 def l_value_from_s_coeffs(K: RealQuadField, sc: SCoeffs, r: int):
-    """Recombine the coefficient table into L(phi, -r) via the transition
-    to embedding coordinates: (r!)^2 [t1^r t2^r] of the substituted sum
-    over m1 + m2 = 2r."""
+    """Recombine the coefficient table into L(phi, -r): the entries with
+    m1 + m2 = 2r, each S / (m1! m2!), form an honest series of degree 2r,
+    read in embedding coordinates like the paired series of quad_L_value."""
     if r > sc.rmax:
         raise TruncationTooSmall("table does not reach degree 2r")
-    ring = sc.ring
-    images = [tuple(ring.coerce(c) for c in img) for img in K.transition_images()]
-    acc = ring.zero()
-    for m1 in range(2 * r + 1):
-        m2 = 2 * r - m1
-        s = sc.get(m1, m2)
-        if not s:
-            continue
-        # [t1^r t2^r] of (t1 + t2)^m1 * (T1 t1 + T2 t2)^m2 / (m1! m2!)
-        inner = ring.zero()
-        T1, T2 = images[1]
-        for k in range(max(0, r - m1), min(m2, r) + 1):
-            inner = inner + (
-                (T1 ** k) * (T2 ** (m2 - k)) * (comb(m2, k) * comb(m1, r - k))
-            )
-        acc = acc + s * inner * Fraction(1, factorial(m1) * factorial(m2))
-    return acc * factorial(r) ** 2
+    num = {m: s * Fraction(1, factorial(m[0]) * factorial(m[1]))
+           for m, s in sc.table.items() if sum(m) == 2 * r}
+    return _embedded_coeff(K, QuotSeries(MSeries(sc.ring, 2, 2 * r, num)), r)

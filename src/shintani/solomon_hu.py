@@ -21,6 +21,7 @@ represented Laurent expansion up to the tracked degree are exact.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import ceil, factorial, floor, lcm, prod
@@ -454,15 +455,21 @@ class QuotSeries:
         return QuotSeries(self.num.scale(c), self.denoms)
 
     def __add__(self, other: "QuotSeries") -> "QuotSeries":
-        """Addition over the least common denominator multiset; the
-        tracked degree of the result is the smaller reliable degree."""
+        """Addition over the least common denominator multiset: each
+        numerator is multiplied by the forms the other side has more of.
+        The tracked degree of the result is the smaller reliable degree."""
         if self.nvars != other.nvars:
             raise ShintaniError("mixed variable counts")
-        common = _multiset_union(self.denoms, other.denoms)
-        a = _raise_to(self, common)
-        b = _raise_to(other, common)
-        trunc = min(a.num.trunc, b.num.trunc)
-        return QuotSeries(a.num.copy_trunc(trunc) + b.num.copy_trunc(trunc), common)
+        forms = {_form_key(f): f for f in self.denoms + other.denoms}
+        mine = Counter(map(_form_key, self.denoms))
+        theirs = Counter(map(_form_key, other.denoms))
+        common = mine | theirs
+        a, b = self.num, other.num
+        for k in (common - mine).elements():
+            a = a.mul_exact_linear(forms[k])
+        for k in (common - theirs).elements():
+            b = b.mul_exact_linear(forms[k])
+        return QuotSeries(a + b, [forms[k] for k in common.elements()])
 
     def is_zero_series(self) -> bool:
         return self.num.is_zero()
@@ -482,42 +489,6 @@ class QuotSeries:
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
-
-
-def _multiset_union(d1, d2):
-    def count(forms):
-        acc = {}
-        for f in forms:
-            k = _form_key(f)
-            acc.setdefault(k, [f, 0])[1] += 1
-        return acc
-
-    c1, c2 = count(d1), count(d2)
-    out = []
-    for k in sorted(set(c1) | set(c2)):
-        form, m1 = c1.get(k, (None, 0))
-        form2, m2 = c2.get(k, (None, 0))
-        out.extend([form or form2] * max(m1, m2))
-    return tuple(out)
-
-
-def _raise_to(q: QuotSeries, common) -> QuotSeries:
-    """Multiply the numerator by the denominator forms missing from q."""
-    have = {}
-    for f in q.denoms:
-        have[_form_key(f)] = have.get(_form_key(f), 0) + 1
-    num = q.num
-    for f in common:
-        k = _form_key(f)
-        if have.get(k, 0) > 0:
-            have[k] -= 1
-        else:
-            num = num.mul_exact_linear(f)
-    return QuotSeries(num, common)
-
-
-def quot_zero(ring, nvars, dmax) -> QuotSeries:
-    return QuotSeries(MSeries.zero(ring, nvars, dmax))
 
 
 def quot_equal_as_laurent(q1: QuotSeries, q2: QuotSeries) -> bool:
@@ -587,7 +558,7 @@ def pair_combo(combo: ConeCombo, phi: SchwartzFn, dmax: int) -> QuotSeries:
         raise ConstantAgainstNonVanishing(
             "constant offset paired against a test function with phi(0) != 0"
         )
-    total = quot_zero(phi.ring, phi.n, dmax)
+    total = QuotSeries(MSeries.zero(phi.ring, phi.n, dmax))
     for coeff, cone in sorted(combo.terms, key=lambda t: t[1].generators):
         total = total + pair_cone(cone, phi, dmax).scale(coeff)
     return total

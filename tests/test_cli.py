@@ -194,6 +194,7 @@ def test_pair_rejects_float_value(capsys):
     _schema_rejects("pair", job, capsys)
 
 
+_BIG_D = 100000000000000000039
 _PHI2 = {"n": 2}
 _ONE_CONE = {"cones": [{"coeff": "1", "generators": [[1, 0]]}]}
 _Q3 = {"modulus": 3, "index": 1}
@@ -272,6 +273,11 @@ def _Z5(e):
     ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "sqrt": "5"}}),
     ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "sqrt": 4}}),
     ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "sqrt": 1}}),
+    # a square-root generator above 10^12, here a 21-digit prime, whose
+    # trial division would not finish
+    ("pair", {"combo": {"cones": []}, "phi": {"n": 1, "sqrt": _BIG_D, "values": []}}),
+    ("lvalue-quad", {"field": {"D": _BIG_D}, "r": 1}),
+    ("s-coeffs", {"field": {"D": _BIG_D}, "rmax": 1}),
 ])
 def test_rejects_malformed_job_fields(command, job, capsys):
     _schema_rejects(command, json.dumps(job), capsys)
@@ -281,3 +287,16 @@ def test_rejects_non_object_document_with_overrides(capsys):
     code, out = run_cli(["verify-cocycle", "--inline", "[1]", "--seed", "3"], capsys)
     assert code == 64
     assert json.loads(out)["error"]["code"] == 64
+
+
+def test_s_coeffs_rejects_truncation_below_table_degree(capsys):
+    # the table reaches m1 + m2 = 2 rmax, which dmax = 1 does not track
+    job = json.dumps({
+        "field": {"D": 5},
+        "char": {"f": 3, "values": {"0,1": 1, "1,0": 1, "2,2": 1,
+                                    "0,2": -1, "2,0": -1, "1,1": -1}},
+        "rmax": 2, "dmax": 1,
+    })
+    code, out = run_cli(["s-coeffs", "--inline", job], capsys)
+    assert code == 66
+    assert json.loads(out)["error"]["code"] == 66

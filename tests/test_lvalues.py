@@ -1,14 +1,16 @@
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
+from shintani.cone_algebra import sigma_decompose
 from shintani.errors import (
     NarrowClassNumberNotOne,
     NotDivisible,
     NotSquareFree,
     TruncationTooSmall,
 )
-from shintani.exactnum import CoeffRing
+from shintani.exactnum import MAX_D, CoeffRing
 from shintani.lvalues import (
     DirichletChar,
     build_real_quad,
@@ -21,7 +23,12 @@ from shintani.lvalues import (
     trivial_quad_schwartz,
     unit_group_generators,
 )
-from shintani.solomon_hu import SchwartzFn
+from shintani.solomon_hu import (
+    QuotSeries,
+    SchwartzFn,
+    pair_combo,
+    symmetric_laurent_coeff,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +224,16 @@ def test_build_real_quad_rejects_bad_d():
         build_real_quad(1)
 
 
+def test_square_root_generator_bound():
+    # D above MAX_D is refused before any trial division
+    for D in (MAX_D + 1, 100000000000000000039):
+        with pytest.raises(ValueError):
+            CoeffRing(1, D)
+        with pytest.raises(ValueError):
+            build_real_quad(D)
+    assert CoeffRing(1, 999999999989).D == 999999999989  # largest prime <= 10^12
+
+
 def test_narrow_class_number_flag():
     with pytest.raises(NarrowClassNumberNotOne):
         build_real_quad(3)
@@ -341,6 +358,14 @@ def test_s_coeffs_route_consistency():
     assert quad_L_value(K, phi, 2) == Fraction(-2, 3)
 
 
+def test_s_coeffs_truncation_guard():
+    K = build_real_quad(5)
+    phi = _pullback_character(K, 3, {0: 0, 1: 1, 2: -1}, (1, 1))
+    with pytest.raises(TruncationTooSmall):
+        s_coeffs(K, phi, 2, dmax=3)
+    assert s_coeffs(K, phi, 2, dmax=4).table == s_coeffs(K, phi, 2).table
+
+
 def test_s_coeffs_linearity():
     K = build_real_quad(5)
     phi1 = _pullback_character(K, 3, {0: 0, 1: 1, 2: -1}, (1, 1))
@@ -403,3 +428,101 @@ def test_quad_value_independent_of_truncation():
         base = quad_L_value(K, phi, 1)
         assert quad_L_value(K, phi, 1, dmax=8) == base
         assert quad_L_value(K, phi, 1, dmax=11) == base
+
+
+# ---------------------------------------------------------------------------
+# Embedding coordinates: the L-value read from one homogeneous degree
+# ---------------------------------------------------------------------------
+
+# (f, zeta order, discrete logs): the quartic character mod 5 (2 -> i) and
+# the cubic character mod 7 (3 -> zeta_3)
+_QUARTIC5 = (5, 4, {1: 0, 2: 1, 4: 2, 3: 3})
+_CUBIC7 = (7, 3, {1: 0, 3: 1, 2: 2, 6: 0, 4: 1, 5: 2})
+_DIRECTIONS = ((1, 0), (1, 1), (0, 1))
+
+
+def _pullback_zeta(K, spec, direction):
+    """chi(a x + b y) for a character chi given by discrete logs, with
+    values in the joint ring of zeta_m and sqrt(D)."""
+    f, m, logs = spec
+    ring = CoeffRing(m, K.D)
+    a, b = direction
+    table = {}
+    for x in range(f):
+        for y in range(f):
+            k = (a * x + b * y) % f
+            if k in logs:
+                table[(x, y)] = ring.zeta(logs[k])
+    return SchwartzFn(2, 1, f, table, ring)
+
+
+def _full_series_value(K, phi, r, dmax):
+    """Reference route: substitute the whole numerator into embedding
+    coordinates, map each denominator form, and take (r!)^2 times the
+    symmetric coefficient of t1^r t2^r."""
+    q = pair_combo(sigma_decompose([((1, 0), (0, 1)), K.u_matrix]), phi, dmax)
+    ring = phi.ring
+    images = [tuple(ring.coerce(c) for c in img) for img in K.transition_images()]
+    forms = [
+        tuple(sum((form[j] * images[j][i] for j in range(2)), ring.zero())
+              for i in range(2))
+        for form in q.denoms
+    ]
+    q_t = QuotSeries(q.num.substitute_linear(images, 2), forms)
+    return symmetric_laurent_coeff(q_t, r, r) * factorial(r) ** 2
+
+
+@pytest.mark.parametrize("D", [2, 5, 13])
+@pytest.mark.parametrize("spec,direction", [(None, None)] + [
+    (spec, d) for spec in (_QUARTIC5, _CUBIC7) for d in _DIRECTIONS
+])
+def test_quad_value_matches_full_series_route(D, spec, direction):
+    # the trivial character and some pullbacks keep their poles, so this
+    # also covers the symmetric extraction of a surviving pole
+    K = build_real_quad(D)
+    if spec is None:
+        phi = trivial_quad_schwartz(K)
+    else:
+        phi = _pullback_zeta(K, spec, direction)
+    for r in (1, 2):
+        for dmax in (2 * r, 2 * r + 2, 2 * r + 5):
+            value = quad_L_value(K, phi, r, dmax)
+            expected = _full_series_value(K, phi, r, dmax)
+            if isinstance(value, Fraction):
+                assert expected.is_rational()
+                assert expected.rational_part() == value
+            else:
+                assert value == expected
+
+
+def _binomial_l_value(K, sc, r):
+    """Reference recombination: [t1^r t2^r] of (t1 + t2)^m1 (T1 t1 + T2 t2)^m2
+    expanded by the binomial theorem, summed over the table's m1 + m2 = 2r
+    entries, each divided by m1! m2!, times (r!)^2."""
+    ring = sc.ring
+    T1, T2 = (ring.coerce(c) for c in K.transition_images()[1])
+    acc = ring.zero()
+    for m1 in range(2 * r + 1):
+        m2 = 2 * r - m1
+        inner = ring.zero()
+        for k in range(max(0, r - m1), min(m2, r) + 1):
+            inner = inner + (T1 ** k) * (T2 ** (m2 - k)) * (comb(m2, k) * comb(m1, r - k))
+        acc = acc + sc.get(m1, m2) * inner * Fraction(1, factorial(m1) * factorial(m2))
+    return acc * factorial(r) ** 2
+
+
+# the pullbacks above whose poles cancel on the unit cone of each field
+_CANCELLING = [
+    (2, _QUARTIC5, (1, 0)), (2, _CUBIC7, (1, 0)), (2, _CUBIC7, (1, 1)),
+    (5, _QUARTIC5, (1, 0)), (5, _QUARTIC5, (1, 1)),
+    (5, _CUBIC7, (1, 0)), (5, _CUBIC7, (1, 1)),
+    (13, _QUARTIC5, (1, 0)), (13, _QUARTIC5, (1, 1)), (13, _CUBIC7, (1, 0)),
+]
+
+
+@pytest.mark.parametrize("D,spec,direction", _CANCELLING)
+def test_l_value_from_s_coeffs_matches_binomial_expansion(D, spec, direction):
+    K = build_real_quad(D)
+    sc = s_coeffs(K, _pullback_zeta(K, spec, direction), 2)
+    for r in range(3):
+        assert l_value_from_s_coeffs(K, sc, r) == _binomial_l_value(K, sc, r)
