@@ -228,7 +228,9 @@ def _cmd_lvalue_q(doc):
         closed = dirichlet_L_closed(chi, r)
         out["value"] = _value_json(closed)
     if route in ("cocycle", "both"):
-        via = dirichlet_L_via_cocycle(chi, r, dmax)
+        if dmax < r:
+            raise TruncationTooSmall("need dmax >= r")
+        via = dirichlet_L_via_cocycle(chi, r)
         out["value"] = _value_json(via)
         out["dmax"] = dmax
     if route == "both":
@@ -249,7 +251,9 @@ def _cmd_lvalue_quad(doc):
     r = _int_field(doc, "r", None, 1)
     dmax = _int_field(doc, "dmax", 2 * r + 2, 0)
     phi = _parse_quad_char(doc.get("char"), K)
-    value = quad_L_value(K, phi, r, dmax)
+    if dmax < 2 * r:
+        raise TruncationTooSmall("need dmax >= 2r")
+    value = quad_L_value(K, phi, r)
     return {
         "D": D, "r": r, "value": _value_json(value),
         "route": "cocycle", "Dmax": dmax,
@@ -261,7 +265,9 @@ def _cmd_s_coeffs(doc):
     rmax = _int_field(doc, "rmax", None, 0)
     dmax = _int_field(doc, "dmax", 2 * rmax + 2, 0)
     phi = _parse_quad_char(doc.get("char"), K)
-    sc = s_coeffs(K, phi, rmax, dmax)
+    if dmax < 2 * rmax:
+        raise TruncationTooSmall("need dmax >= 2 rmax")
+    sc = s_coeffs(K, phi, rmax)
     return {
         "D": D, "rmax": rmax,
         "coeffs": [

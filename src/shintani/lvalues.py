@@ -101,10 +101,9 @@ class DirichletChar:
         self.ring = ring
         vals = {}
         for n, v in values.items():
-            n = n % f if f > 1 else 0
-            vals[n] = ring.coerce(v)
+            vals[n % f] = ring.coerce(v)
         self.values = vals
-        units = [n for n in range(f) if gcd(n, f) == 1] if f > 1 else [0]
+        units = [n for n in range(f) if gcd(n, f) == 1]
         if set(units) != set(vals):
             raise ValueError("character table must cover exactly the units")
         if validate:
@@ -113,14 +112,11 @@ class DirichletChar:
                 raise ValueError("character must send 1 to 1")
             for a in units:
                 for b in units:
-                    if vals[(a * b) % f if f > 1 else 0] != vals[a] * vals[b]:
+                    if vals[(a * b) % f] != vals[a] * vals[b]:
                         raise ValueError("character table is not multiplicative")
 
     def __call__(self, n: int) -> CoeffElem:
-        if self.f == 1:
-            return self.values[0]
-        n = n % self.f
-        return self.values.get(n, self.ring.zero())
+        return self.values.get(n % self.f, self.ring.zero())
 
     @property
     def modulus(self) -> int:
@@ -142,24 +138,14 @@ class DirichletChar:
         return self((-1) % self.f) == -self.ring.one()
 
     def conductor(self) -> int:
-        """Smallest divisor f0 of the modulus through which the character
-        factors; primitivity means conductor == modulus."""
-        for f0 in sorted(d for d in range(1, self.f + 1) if self.f % d == 0):
-            ok = True
-            for a in range(self.f):
-                if gcd(a, self.f) != 1:
-                    continue
-                for b in range(self.f):
-                    if gcd(b, self.f) != 1 or a % f0 != b % f0:
-                        continue
-                    if self(a) != self(b):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                return f0
-        return self.f
+        """Least divisor f0 of the modulus whose units u = 1 (mod f0) all
+        lie in the kernel; primitivity means conductor == modulus."""
+        one = self.ring.one()
+        return next(
+            f0 for f0 in range(1, self.f + 1)
+            if self.f % f0 == 0
+            and all(v == one for u, v in self.values.items() if u % f0 == 1 % f0)
+        )
 
     @property
     def is_primitive(self) -> bool:
@@ -167,28 +153,23 @@ class DirichletChar:
 
     def to_schwartz(self) -> SchwartzFn:
         table = {(n,): v for n, v in self.values.items()}
-        if self.f == 1:
-            table = {(0,): self.values[0]}
         return SchwartzFn(1, 1, self.f, table, self.ring)
 
     @classmethod
-    def trivial(cls, f: int = 1, ring: CoeffRing | None = None) -> "DirichletChar":
-        ring = ring or CoeffRing(1)
-        if f == 1:
-            return cls(1, {0: ring.one()}, ring, validate=False)
+    def trivial(cls, f: int = 1) -> "DirichletChar":
+        ring = CoeffRing(1)
         vals = {n: ring.one() for n in range(f) if gcd(n, f) == 1}
         return cls(f, vals, ring, validate=False)
 
     @classmethod
-    def enumerate(cls, f: int, ring: CoeffRing | None = None):
+    def enumerate(cls, f: int):
         """All characters of modulus f, deterministically ordered; values
         lie in the cyclotomic ring of the group exponent."""
         if f <= 2:
-            ring = ring or CoeffRing(1)
-            return [cls.trivial(f, ring)]
+            return [cls.trivial(f)]
         gens, orders = unit_group_generators(f)
-        expo = lcm(*orders) if orders else 1
-        ring = ring or CoeffRing(expo)
+        expo = lcm(*orders)
+        ring = CoeffRing(expo)
         # exponent vectors in mixed radix, first generator most significant;
         # one list indexes both the units (discrete logs) and the characters
         exps = list(product(*(range(o) for o in orders)))
@@ -220,22 +201,18 @@ def dirichlet_L_closed(chi: DirichletChar, r: int) -> CoeffElem:
     return acc * Fraction(-(f ** (r - 1)), r)
 
 
-def dirichlet_L_via_cocycle(chi: DirichletChar, r: int, dmax: int | None = None) -> CoeffElem:
+def dirichlet_L_via_cocycle(chi: DirichletChar, r: int) -> CoeffElem:
     """Same value through the cone pipeline: decompose the 1-dimensional
-    cocycle at the identity, pair with the character, and read off the
-    z^(r-1) coefficient times (r-1)!.
+    cocycle at the identity, pair with the character to degree r - 1, and
+    read off the z^(r-1) coefficient times (r-1)!.
 
     The coefficient is read from the Laurent expansion, which in one
     variable equals the power-series coefficient whenever the pole cancels.
     """
     if r < 1:
         raise ValueError("r must be a positive integer")
-    if dmax is None:
-        dmax = r
-    if dmax < r:
-        raise TruncationTooSmall("need dmax >= r")
     combo = sigma_decompose([[[1]]])
-    q = pair_combo(combo, chi.to_schwartz(), dmax)
+    q = pair_combo(combo, chi.to_schwartz(), r - 1)
     return laurent_coeff_1var(q, r - 1) * factorial(r - 1)
 
 
@@ -373,6 +350,11 @@ def build_real_quad(D: int, allow_narrow_failure: bool = False) -> RealQuadField
         ring = CoeffRing(1, D)
     except ValueError:
         raise NotSquareFree("D must be a square-free integer > 1") from None
+    refusal = f"could not certify narrow class number one for D={D}"
+    # -1 is not a square modulo a prime p = 3 (mod 4) dividing D, so no
+    # unit has norm -1 and the narrow class number is 2h
+    if not allow_narrow_failure and any(p % 4 == 3 for p in _factorize(D)):
+        raise NarrowClassNumberNotOne(refusal)
     half = D % 4 == 1
     disc = D if half else 4 * D
     eps, nrm = fundamental_unit(D)
@@ -394,48 +376,40 @@ def build_real_quad(D: int, allow_narrow_failure: bool = False) -> RealQuadField
         cert = _class_number_one_certified(D, half)
         narrow = cert is True
     if not narrow and not allow_narrow_failure:
-        raise NarrowClassNumberNotOne(
-            f"could not certify narrow class number one for D={D}"
-        )
+        raise NarrowClassNumberNotOne(refusal)
     return RealQuadField(
         D=D, half=half, disc=disc, eps=eps, eps_norm=nrm, u=u,
         u_matrix=u_matrix, narrow_h1=narrow, ring=ring,
     )
 
 
-def trivial_quad_schwartz(K: RealQuadField, ring: CoeffRing | None = None) -> SchwartzFn:
+def trivial_quad_schwartz(K: RealQuadField) -> SchwartzFn:
     """The constant function 1 on the full lattice (trivial character of
     conductor 1)."""
-    ring = ring or K.ring
-    return SchwartzFn(2, 1, 1, {(0, 0): ring.one()}, ring)
+    return SchwartzFn(2, 1, 1, {(0, 0): K.ring.one()}, K.ring)
 
 
 def _identity2():
     return ((1, 0), (0, 1))
 
 
-def quad_L_value(K: RealQuadField, phi: SchwartzFn, r: int,
-                 dmax: int | None = None):
+def quad_L_value(K: RealQuadField, phi: SchwartzFn, r: int):
     """L(phi, -r) through the cone pipeline.
 
     Decomposes the cocycle on (identity, unit matrix), pairs against the
-    residue function, passes to embedding coordinates and extracts
-    (r!)^2 times the symmetric Laurent coefficient of t1^r t2^r.  For a
-    rational-valued phi the result is asserted rational and returned as a
-    Fraction.
+    residue function to degree 2r, passes to embedding coordinates and
+    extracts (r!)^2 times the symmetric Laurent coefficient of t1^r t2^r.
+    For a rational-valued phi the result is asserted rational and returned
+    as a Fraction.
     """
     if r < 1:
         raise ValueError("r must be a positive integer")
-    if dmax is None:
-        dmax = 2 * r + 2
-    if dmax < 2 * r:
-        raise TruncationTooSmall("need dmax >= 2r")
     if phi.n != 2:
         raise ValueError("need a rank-two residue function")
     if phi.ring.D != K.D:
         raise ShintaniError("residue function ring must contain sqrt(D)")
     combo = sigma_decompose([_identity2(), K.u_matrix])
-    value = _embedded_coeff(K, pair_combo(combo, phi, dmax), r)
+    value = _embedded_coeff(K, pair_combo(combo, phi, 2 * r), r)
     real_valued = all(v.is_rational() for v in phi.table.values())
     if real_valued:
         if not value.is_rational():
@@ -473,18 +447,14 @@ class SCoeffs:
         return self.table.get((m1, m2), self.ring.zero())
 
 
-def s_coeffs(K: RealQuadField, phi: SchwartzFn, rmax: int,
-             dmax: int | None = None) -> SCoeffs:
-    """Power series coefficients in the basis coordinates; requires the
-    poles to cancel (NotDivisible propagates otherwise)."""
+def s_coeffs(K: RealQuadField, phi: SchwartzFn, rmax: int) -> SCoeffs:
+    """Power series coefficients in the basis coordinates, paired to degree
+    2 rmax; requires the poles to cancel (NotDivisible propagates
+    otherwise)."""
     if rmax < 0:
         raise ValueError("rmax must be non-negative")
-    if dmax is None:
-        dmax = 2 * rmax + 2
-    if dmax < 2 * rmax:
-        raise TruncationTooSmall("need dmax >= 2 rmax")
     combo = sigma_decompose([_identity2(), K.u_matrix])
-    q = pair_combo(combo, phi, dmax)
+    q = pair_combo(combo, phi, 2 * rmax)
     series = reduce_to_power_series(q)
     table = {}
     for m1 in range(2 * rmax + 1):

@@ -372,7 +372,7 @@ class SchwartzFn:
     def from_json(cls, doc: dict) -> "SchwartzFn":
         ring = CoeffRing(doc.get("zeta_order", 1), doc.get("sqrt"))
         table = {
-            tuple(entry["class"]): _coeff_from_json(ring, entry["value"])
+            tuple(_json_int(x) for x in entry["class"]): _coeff_from_json(ring, entry["value"])
             for entry in doc.get("values", [])
         }
         return cls(doc["n"], doc.get("d", 1), doc.get("f", 1), table, ring)
@@ -384,9 +384,21 @@ def _coeff_to_json(v: CoeffElem):
     return [[i, j, str(c)] for (i, j), c in sorted(v.coeffs.items())]
 
 
+def _json_int(x) -> int:
+    """A JSON integer; bools, floats and strings are refused."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
 def _coeff_from_json(ring: CoeffRing, doc) -> CoeffElem:
+    """A rational, or [i, j, c] triples whose (i, j) index the ring's basis."""
     if isinstance(doc, list):
-        return ring.elem({(int(i), int(j)): frac(c) for i, j, c in doc})
+        coeffs = {(_json_int(i), _json_int(j)): frac(c) for i, j, c in doc}
+        outside = sorted(set(coeffs) - set(ring.basis()))
+        if outside:
+            raise ValueError(f"basis indices {outside} lie outside the ring")
+        return ring.elem(coeffs)
     return ring.from_rat(frac(doc))
 
 

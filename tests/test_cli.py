@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -120,6 +121,41 @@ def test_truncation_error_exit_code(capsys):
     assert json.loads(out)["error"]["code"] == 66
 
 
+def _truncation_guard(command, job, low, minimum, message, capsys):
+    """A 'dmax' below the degree the value reads exits 66 with the message;
+    at that degree the result is the one without 'dmax', apart from the
+    echoed field."""
+    code, out = run_cli([command, "--inline", json.dumps({**job, "dmax": low})], capsys)
+    assert code == 66
+    assert json.loads(out)["error"] == {"code": 66, "context": command, "message": message}
+    docs = []
+    for extra in ({"dmax": minimum}, {}):
+        code, out = run_cli([command, "--inline", json.dumps({**job, **extra})], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        doc.pop("dmax", None)
+        doc.pop("Dmax", None)
+        docs.append(doc)
+    assert docs[0] == docs[1]
+
+
+def test_lvalue_q_truncation_guard(capsys):
+    _truncation_guard("lvalue-q", {"char": {"modulus": 1}, "r": 3}, 1, 3,
+                      "need dmax >= r", capsys)
+
+
+def test_lvalue_quad_truncation_guard(capsys):
+    _truncation_guard("lvalue-quad", {"field": {"D": 5}, "r": 2}, 3, 4,
+                      "need dmax >= 2r", capsys)
+
+
+def test_s_coeffs_truncation_guard(capsys):
+    job = {"field": {"D": 5}, "rmax": 2,
+           "char": {"f": 3, "values": {"0,1": 1, "1,0": 1, "2,2": 1,
+                                       "0,2": -1, "2,0": -1, "1,1": -1}}}
+    _truncation_guard("s-coeffs", job, 3, 4, "need dmax >= 2 rmax", capsys)
+
+
 def test_input_file(tmp_path, capsys):
     path = tmp_path / "job.json"
     path.write_text('{"alpha": [[-1,0],[0,-1]], "w": [-2, 0]}', encoding="utf-8")
@@ -205,6 +241,12 @@ def _Z5(e):
     return {"modulus": 5, "zeta_order": 4, "values": {"1": 0, "2": e, "3": 3, "4": 2}}
 
 
+def _pair_one_class(values, **ring):
+    """A one-cone pair job in one variable with the given 'values' list."""
+    return {"combo": {"cones": [{"coeff": "1", "generators": [[1]]}]},
+            "phi": {"n": 1, "f": 3, **ring, "values": values}, "dmax": 1}
+
+
 @pytest.mark.parametrize("command,job", [
     # pair: malformed combos and test functions
     ("pair", {"combo": {"cones": [{"coeff": "1", "generators": [[0.5, 1]]}]}, "phi": _PHI2}),
@@ -278,6 +320,13 @@ def _Z5(e):
     ("pair", {"combo": {"cones": []}, "phi": {"n": 1, "sqrt": _BIG_D, "values": []}}),
     ("lvalue-quad", {"field": {"D": _BIG_D}, "r": 1}),
     ("s-coeffs", {"field": {"D": _BIG_D}, "rmax": 1}),
+    # pair: residue classes and basis indices are JSON integers, and each
+    # (i, j) is a basis index of the test function's ring
+    ("pair", _pair_one_class([{"class": [1.7], "value": "1"}])),
+    ("pair", _pair_one_class([{"class": [True], "value": "1"}])),
+    ("pair", _pair_one_class([{"class": [1], "value": [[1.9, 0, "1"]]}], zeta_order=3)),
+    ("pair", _pair_one_class([{"class": [1], "value": [[-1, 0, "1"]]}], zeta_order=3)),
+    ("pair", _pair_one_class([{"class": [1], "value": [[0, 1, "1"]]}])),
 ])
 def test_rejects_malformed_job_fields(command, job, capsys):
     _schema_rejects(command, json.dumps(job), capsys)
@@ -300,3 +349,15 @@ def test_s_coeffs_rejects_truncation_below_table_degree(capsys):
     code, out = run_cli(["s-coeffs", "--inline", job], capsys)
     assert code == 66
     assert json.loads(out)["error"]["code"] == 66
+
+
+# command, job, exit code and stdout of jobs across every command, with the
+# lvalue-q, lvalue-quad and s-coeffs 'dmax' absent, below the degree the
+# value reads, at it and above it
+_GOLDEN = json.loads((pathlib.Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("entry", _GOLDEN, ids=lambda e: e["command"])
+def test_golden_cli_bytes(entry, capsys):
+    code, out = run_cli([entry["command"], "--inline", json.dumps(entry["job"])], capsys)
+    assert (code, out) == (entry["exit"], entry["stdout"])

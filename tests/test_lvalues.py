@@ -8,9 +8,8 @@ from shintani.errors import (
     NarrowClassNumberNotOne,
     NotDivisible,
     NotSquareFree,
-    TruncationTooSmall,
 )
-from shintani.exactnum import MAX_D, CoeffRing
+from shintani.exactnum import MAX_D, CoeffRing, _factorize
 from shintani.lvalues import (
     DirichletChar,
     build_real_quad,
@@ -99,6 +98,36 @@ def test_character_index_is_mixed_radix_over_generators():
                 assert chi(g) == chi.ring.zeta(c * expo // o)
 
 
+def _conductor_by_pairs(chi):
+    """Reference conductor: the least divisor f0 of the modulus such that
+    chi(a) == chi(b) for every pair of units a = b (mod f0)."""
+    for f0 in sorted(d for d in range(1, chi.f + 1) if chi.f % d == 0):
+        ok = True
+        for a in range(chi.f):
+            if _gcd(a, chi.f) != 1:
+                continue
+            for b in range(chi.f):
+                if _gcd(b, chi.f) != 1 or a % f0 != b % f0:
+                    continue
+                if chi(a) != chi(b):
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            return f0
+    return chi.f
+
+
+def test_conductor_matches_pairwise_definition():
+    count = 0
+    for f in range(1, 41):
+        for chi in DirichletChar.enumerate(f):
+            assert chi.conductor() == _conductor_by_pairs(chi), (f, chi.values)
+            count += 1
+    assert count == 490
+
+
 # ---------------------------------------------------------------------------
 # Dirichlet L-values over Q
 # ---------------------------------------------------------------------------
@@ -161,12 +190,6 @@ def test_imprimitive_euler_factor():
         )
         assert lhs == rhs
         assert dirichlet_L_via_cocycle(chi6, r) == lhs
-
-
-def test_truncation_guard():
-    t = DirichletChar.trivial(1)
-    with pytest.raises(TruncationTooSmall):
-        dirichlet_L_via_cocycle(t, 3, dmax=1)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +267,26 @@ def test_narrow_class_number_flag():
     assert K.eps == (2, 1) and K.eps_norm == 1
 
 
+def test_prime_three_mod_four_refused_before_unit_search(monkeypatch):
+    # 21 = 3 * 7: the refusal needs only the factorization of D
+    def no_unit(D):
+        raise AssertionError("fundamental_unit must not be reached")
+    monkeypatch.setattr("shintani.lvalues.fundamental_unit", no_unit)
+    with pytest.raises(NarrowClassNumberNotOne):
+        build_real_quad(21)
+
+
+def test_prime_three_mod_four_forces_unit_norm_plus_one():
+    checked = 0
+    for D in range(2, 300):
+        factors = _factorize(D)
+        if any(e > 1 for e in factors.values()) or all(p % 4 != 3 for p in factors):
+            continue
+        assert fundamental_unit(D)[1] == 1, D
+        checked += 1
+    assert checked > 100
+
+
 def _siegel_zeta_minus_one(D):
     """Independent oracle: zeta_K(-1) = (1/60) sum sigma_1((disc - b^2)/4)
     over b with b^2 < disc and b^2 = disc mod 4."""
@@ -304,12 +347,6 @@ def test_narrow_flag_catches_class_number_two():
         build_real_quad(10)
 
 
-def test_quad_value_truncation_guard():
-    K = build_real_quad(5)
-    with pytest.raises(TruncationTooSmall):
-        quad_L_value(K, trivial_quad_schwartz(K), 2, dmax=3)
-
-
 # ---------------------------------------------------------------------------
 # Coefficient tables
 # ---------------------------------------------------------------------------
@@ -356,14 +393,6 @@ def test_s_coeffs_route_consistency():
         assert via.rational_part() == direct
     assert quad_L_value(K, phi, 1) == Fraction(2, 9)
     assert quad_L_value(K, phi, 2) == Fraction(-2, 3)
-
-
-def test_s_coeffs_truncation_guard():
-    K = build_real_quad(5)
-    phi = _pullback_character(K, 3, {0: 0, 1: 1, 2: -1}, (1, 1))
-    with pytest.raises(TruncationTooSmall):
-        s_coeffs(K, phi, 2, dmax=3)
-    assert s_coeffs(K, phi, 2, dmax=4).table == s_coeffs(K, phi, 2).table
 
 
 def test_s_coeffs_linearity():
@@ -422,12 +451,13 @@ def test_quad_value_complex_character_in_joint_ring():
 
 
 def test_quad_value_independent_of_truncation():
+    # pairing past degree 2r leaves the value read at t1^r t2^r unchanged
     for D in (2, 5):
         K = build_real_quad(D)
         phi = trivial_quad_schwartz(K)
         base = quad_L_value(K, phi, 1)
-        assert quad_L_value(K, phi, 1, dmax=8) == base
-        assert quad_L_value(K, phi, 1, dmax=11) == base
+        for dmax in (8, 11):
+            assert _full_series_value(K, phi, 1, dmax).rational_part() == base
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +515,8 @@ def test_quad_value_matches_full_series_route(D, spec, direction):
     else:
         phi = _pullback_zeta(K, spec, direction)
     for r in (1, 2):
+        value = quad_L_value(K, phi, r)
         for dmax in (2 * r, 2 * r + 2, 2 * r + 5):
-            value = quad_L_value(K, phi, r, dmax)
             expected = _full_series_value(K, phi, r, dmax)
             if isinstance(value, Fraction):
                 assert expected.is_rational()
