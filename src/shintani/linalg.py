@@ -48,7 +48,7 @@ def mat_mul(a, b) -> Mat:
 def mat_det(m) -> Fraction:
     """Determinant by fraction-free-ish Gaussian elimination (exact)."""
     n = len(m)
-    a = [list(row) for row in m]
+    a = [[frac(x) for x in row] for row in m]
     det = Fraction(1)
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
@@ -78,31 +78,36 @@ def mat_inv(m) -> Mat:
 def solve_columns(cols, w):
     """Solve sum_i x_i * cols[i] = w for linearly independent columns.
 
-    Returns the coefficient list, or None when w is outside the span.
-    Raises SingularMatrix if the columns are dependent.
+    Fraction-free Gauss-Jordan elimination (Bareiss): the augmented system
+    is cleared to integers by one common denominator, and every step
+    divides exactly by the previous pivot, so each row stays a nonzero
+    multiple of its rational counterpart and the last pivot is the common
+    denominator of the solution.  Exact on int and Fraction entries.
+
+    Returns the coefficient list as Fractions, or None when w is outside
+    the span.  Raises SingularMatrix if the columns are dependent.
     """
     n = len(w)
     r = len(cols)
-    a = [[cols[j][i] for j in range(r)] + [w[i]] for i in range(n)]
-    row = 0
-    pivots = []
+    rows = [[cols[j][i] for j in range(r)] + [w[i]] for i in range(n)]
+    den = lcm(*(x.denominator for row in rows for x in row))
+    a = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    prev = 1
     for col in range(r):
-        piv = next((k for k in range(row, n) if a[k][col] != 0), None)
+        piv = next((k for k in range(col, n) if a[k][col]), None)
         if piv is None:
             raise SingularMatrix("columns are linearly dependent")
-        a[row], a[piv] = a[piv], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [x * inv for x in a[row]]
+        a[col], a[piv] = a[piv], a[col]
+        top = a[col]
+        p = top[col]
         for k in range(n):
-            if k != row and a[k][col] != 0:
+            if k != col:
                 f = a[k][col]
-                a[k] = [x - f * y for x, y in zip(a[k], a[row])]
-        pivots.append(row)
-        row += 1
-    for k in range(row, n):
-        if a[k][r] != 0:
-            return None
-    return [a[pivots[col]][r] for col in range(r)]
+                a[k] = [(p * x - f * y) // prev for x, y in zip(a[k], top)]
+        prev = p
+    if any(a[k][r] for k in range(r, n)):
+        return None
+    return [Fraction(a[j][r], prev) for j in range(r)]
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import ceil, factorial, floor, lcm, prod
+from math import factorial, lcm, prod
 
 from .cone_algebra import ConeCombo, OpenSimplicialCone
 from .errors import (
@@ -408,26 +408,25 @@ def _coeff_from_json(ring: CoeffRing, doc) -> CoeffElem:
 
 def parallelotope_points(gens, d: int, f: int):
     """Points of the support lattice (1/d)Z^n inside the half-open
-    parallelotope {sum x_i g_i : x_i in (0, 1]}, by an exact bounding box
-    scan plus a coordinate test.  Generators must lie in f Z^n."""
+    parallelotope {sum x_i g_i : x_i in (0, 1]}, in lexicographic order.
+    Scans the integer points k of the bounding box scaled by d, solves
+    sum y_i g_i = k exactly (y = d x) and keeps k/d when 0 < y_i <= d.
+    Generators must lie in f Z^n."""
     gens = [tuple(frac(x) for x in g) for g in gens]
-    n = len(gens[0])
     for g in gens:
         for x in g:
             if x.denominator != 1 or x.numerator % f != 0:
                 raise ValueError("generators must lie in the period lattice")
-    lo = [sum(min(Fraction(0), g[j]) for g in gens) for j in range(n)]
-    hi = [sum(max(Fraction(0), g[j]) for g in gens) for j in range(n)]
+    gens = [tuple(x.numerator for x in g) for g in gens]
     ranges = [
-        range(ceil(lo[j] * d), floor(hi[j] * d) + 1) for j in range(n)
+        range(d * sum(min(0, x) for x in col), d * sum(max(0, x) for x in col) + 1)
+        for col in zip(*gens)
     ]
     out = []
     for k in product(*ranges):
-        p = tuple(Fraction(x, d) for x in k)
-        x = solve_columns(gens, p)
-        if x is not None and all(0 < c <= 1 for c in x):
-            out.append(p)
-    out.sort()
+        y = solve_columns(gens, k)
+        if y is not None and all(0 < c <= d for c in y):
+            out.append(tuple(Fraction(x, d) for x in k))
     return out
 
 

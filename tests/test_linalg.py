@@ -4,9 +4,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import gauss_jordan_oracle, outcome
 from shintani.cli import random_invertible
 from shintani.errors import SingularMatrix
-from shintani.linalg import cofactor_form, identity, idot, int_det, mat_det, mat_inv, mat_mul
+from shintani.linalg import (
+    cofactor_form,
+    identity,
+    idot,
+    int_det,
+    mat_det,
+    mat_inv,
+    mat_mul,
+    solve_columns,
+)
 
 
 ENTRY = st.integers(-9, 9)
@@ -57,3 +67,53 @@ def test_mat_inv_rejects_singular():
         m[-1] = [Fraction(2) * x for x in m[0]] if n > 1 else [Fraction(0)]
         with pytest.raises(SingularMatrix):
             mat_inv(m)
+
+
+def test_integer_input_gives_fractions():
+    x = solve_columns([(3,)], (1,))
+    assert x == [Fraction(1, 3)] and type(x[0]) is Fraction
+    inv = mat_inv(((2, 0), (0, 3)))
+    assert inv == ((Fraction(1, 2), 0), (0, Fraction(1, 3)))
+    assert all(type(c) is Fraction for row in inv for c in row)
+    det = mat_det(((2, 1), (1, 3)))
+    assert det == 5 and type(det) is Fraction
+    with pytest.raises(TypeError):
+        mat_det(((2.0, 1), (1, 3)))
+
+
+MIXED = st.one_of(ENTRY, st.fractions(-9, 9, max_denominator=6))
+
+
+@st.composite
+def solve_cases(draw):
+    """Columns and a right-hand side of mixed int/Fraction entries, n <= 5,
+    r <= n: free columns, or one column forced into the span of the others;
+    w in their span, or drawn freely (off the span for most r < n)."""
+    n = draw(st.integers(1, 5))
+    r = draw(st.integers(0, n))
+    vec = st.lists(MIXED, min_size=n, max_size=n)
+    cols = draw(st.lists(vec, min_size=r, max_size=r))
+    if r and draw(st.booleans()):
+        j = draw(st.integers(0, r - 1))
+        cols[j] = draw(_combinations(cols[:j] + cols[j + 1:], n))
+    w = draw(_combinations(cols, n) if draw(st.booleans()) else vec)
+    return cols, w
+
+
+def _combinations(cols, n):
+    """Rational combinations of the columns (the zero vector if none)."""
+    return st.lists(MIXED, min_size=len(cols), max_size=len(cols)).map(
+        lambda coeffs: [sum((c * col[i] for c, col in zip(coeffs, cols)), Fraction(0))
+                        for i in range(n)]
+    )
+
+
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(case=solve_cases())
+def test_solve_columns_matches_rational_gauss_jordan(case):
+    cols, w = case
+    rational = ([[Fraction(x) for x in col] for col in cols], [Fraction(x) for x in w])
+    got = outcome(solve_columns, cols, w)
+    assert got == outcome(gauss_jordan_oracle, *rational)
+    if isinstance(got, list):
+        assert all(type(x) is Fraction for x in got)

@@ -2,10 +2,12 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import ceil, floor
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from conftest import gauss_jordan_oracle, outcome
 from shintani.cone_algebra import ConeCombo, OpenSimplicialCone
 from shintani.errors import ConstantAgainstNonVanishing, NotDivisible, TruncationTooSmall
 from shintani.exactnum import CoeffRing, QQ, bernoulli_poly
@@ -92,8 +94,51 @@ def test_parallelotope_fine_support():
 
 
 def test_parallelotope_requires_period_lattice():
-    with pytest.raises(ValueError):
-        parallelotope_points([(Fraction(1, 2),)], 1, 1)
+    for gens, d, f in (
+        ([(Fraction(1, 2),)], 1, 1),
+        ([(fr(2), fr(1))], 1, 2),
+        ([(fr(3), fr(0)), (fr(0), fr(-4))], 2, 3),
+    ):
+        with pytest.raises(ValueError):
+            parallelotope_points(gens, d, f)
+
+
+def _box_scan_oracle(gens, d):
+    """Rational box scan: every point p = k/d of the bounding box, one
+    rational Gauss-Jordan solve each, kept when every coordinate lies in
+    (0, 1]; the oracle for the integer scan of parallelotope_points."""
+    n = len(gens[0])
+    lo = [sum(min(Fraction(0), g[j]) for g in gens) for j in range(n)]
+    hi = [sum(max(Fraction(0), g[j]) for g in gens) for j in range(n)]
+    out = []
+    for k in product(*(range(ceil(a * d), floor(b * d) + 1) for a, b in zip(lo, hi))):
+        p = tuple(Fraction(x, d) for x in k)
+        x = gauss_jordan_oracle(gens, p)
+        if x is not None and all(0 < c <= 1 for c in x):
+            out.append(p)
+    out.sort()
+    return out
+
+
+@st.composite
+def parallelotope_cases(draw):
+    """r <= n generators in f Z^n with zero and negative entries, n <= 3,
+    support scale d and period f in 1..3 (smaller entries at n = 3 keep
+    the box small)."""
+    n = draw(st.integers(1, 3))
+    r = draw(st.integers(1, n))
+    d = draw(st.integers(1, 3))
+    f = draw(st.integers(1, 3))
+    entry = st.integers(-2, 2) if n < 3 else st.integers(-1, 1)
+    gens = draw(st.lists(st.tuples(*[entry] * n), min_size=r, max_size=r))
+    return [tuple(Fraction(f * x) for x in g) for g in gens], d, f
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(case=parallelotope_cases())
+def test_parallelotope_matches_rational_box_scan(case):
+    gens, d, f = case
+    assert outcome(parallelotope_points, gens, d, f) == outcome(_box_scan_oracle, gens, d)
 
 
 def test_parallelotope_brute_force_cross_check():
