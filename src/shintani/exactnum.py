@@ -434,6 +434,8 @@ class CoeffElem:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, CoeffElem) and self._lift(other).coeffs.keys() == {(0, 0)}:
+            other = other.coeffs[(0, 0)]  # a rational right factor is a scalar
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             if c == 0:

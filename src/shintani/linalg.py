@@ -7,7 +7,7 @@ Everything is immutable and all arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, lcm
 
 from .errors import SingularMatrix
@@ -82,16 +82,21 @@ def solve_columns(cols, w):
     is cleared to integers by one common denominator, and every step
     divides exactly by the previous pivot, so each row stays a nonzero
     multiple of its rational counterpart and the last pivot is the common
-    denominator of the solution.  Exact on int and Fraction entries.
+    denominator of the solution.  Entries other than int and Fraction are
+    coerced by frac, so floats and bools raise TypeError.
 
     Returns the coefficient list as Fractions, or None when w is outside
     the span.  Raises SingularMatrix if the columns are dependent.
     """
     n = len(w)
     r = len(cols)
-    rows = [[cols[j][i] for j in range(r)] + [w[i]] for i in range(n)]
-    den = lcm(*(x.denominator for row in rows for x in row))
-    a = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    a = [[cols[j][i] for j in range(r)] + [w[i]] for i in range(n)]
+    kinds = set(map(type, chain.from_iterable(a)))
+    if not kinds <= {int, Fraction}:
+        a = [[frac(x) for x in row] for row in a]
+    if kinds != {int}:
+        den = lcm(*(x.denominator for row in a for x in row))
+        a = [[x.numerator * (den // x.denominator) for x in row] for row in a]
     prev = 1
     for col in range(r):
         piv = next((k for k in range(col, n) if a[k][col]), None)
@@ -117,6 +122,8 @@ def solve_columns(cols, w):
 
 def int_scale_point(w):
     """Positive integer multiple of a rational point, as plain ints."""
+    if type(w) is tuple and all(type(x) is int for x in w):
+        return w
     w = [frac(x) for x in w]
     den = lcm(*(x.denominator for x in w))
     return tuple(x.numerator * (den // x.denominator) for x in w)

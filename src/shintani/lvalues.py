@@ -3,10 +3,11 @@
 Two pipelines:
 
   * Dirichlet characters over Q: the classical Bernoulli closed form
-    L(chi, 1-r) = -(f^(r-1)/r) sum_n chi(n) B_r(n/f), and independently
-    the cone pipeline (decompose the one-dimensional cocycle, pair with
-    the character, read the Laurent coefficient).  The two must agree
-    exactly.
+    L(chi, 1-r) = -(f^(r-1)/r) sum_n chi(n) B_r(n/f), summed from integer
+    power sums per character value, and independently the cone pipeline
+    (decompose the one-dimensional cocycle, pair with the character, read
+    the Laurent coefficient).  The two must agree exactly.  The characters
+    of a modulus form a sequence that builds each one when it is indexed.
 
   * Real quadratic fields of narrow class number one: the cocycle paired
     with the totally positive fundamental unit represents the half-open
@@ -17,10 +18,12 @@ Two pipelines:
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import factorial, gcd, isqrt, lcm, prod
+from math import comb, factorial, gcd, isqrt, lcm, prod
 
 from .cone_algebra import sigma_decompose
 from .errors import (
@@ -29,7 +32,7 @@ from .errors import (
     ShintaniError,
     TruncationTooSmall,
 )
-from .exactnum import MAX_D, CoeffElem, CoeffRing, _factorize, bernoulli_poly
+from .exactnum import MAX_D, CoeffElem, CoeffRing, _factorize, bernoulli_number
 from .linalg import mat_vec
 from .solomon_hu import (
     MSeries,
@@ -162,26 +165,36 @@ class DirichletChar:
         return cls(f, vals, ring, validate=False)
 
     @classmethod
-    def enumerate(cls, f: int):
+    def enumerate(cls, f: int) -> "CharacterTable":
         """All characters of modulus f, deterministically ordered; values
         lie in the cyclotomic ring of the group exponent."""
-        if f <= 2:
-            return [cls.trivial(f)]
-        gens, orders = unit_group_generators(f)
-        expo = lcm(*orders)
-        ring = CoeffRing(expo)
-        # exponent vectors in mixed radix, first generator most significant;
-        # one list indexes both the units (discrete logs) and the characters
-        exps = list(product(*(range(o) for o in orders)))
-        dlog = {prod(pow(g, a, f) for g, a in zip(gens, e)) % f: e for e in exps}
-        out = []
-        for choice in exps:
-            vals = {}
-            for u, a in dlog.items():
-                k = sum(c * ai * (expo // o) for c, ai, o in zip(choice, a, orders))
-                vals[u] = ring.zeta(k % expo)
-            out.append(cls(f, vals, ring, validate=False))
-        return out
+        return CharacterTable(f)
+
+
+class CharacterTable(Sequence):
+    """The characters of modulus f, each built when it is indexed.  Exponent
+    vectors run in mixed radix, first generator most significant; one list
+    indexes both the units (discrete logs) and the characters."""
+
+    def __init__(self, f: int):
+        self.f = f
+        gens, self.orders = unit_group_generators(f)
+        self.expo = lcm(*self.orders)
+        self.ring = CoeffRing(self.expo)
+        self.exps = list(product(*(range(o) for o in self.orders)))
+        self.dlog = {prod(pow(g, a, f) for g, a in zip(gens, e)) % f: e for e in self.exps}
+
+    def __len__(self) -> int:
+        return len(self.exps)
+
+    def __getitem__(self, i) -> DirichletChar:
+        choice = self.exps[operator.index(i)]
+        expo, ring = self.expo, self.ring
+        vals = {}
+        for u, a in self.dlog.items():
+            k = sum(c * ai * (expo // o) for c, ai, o in zip(choice, a, self.orders))
+            vals[u] = ring.zeta(k % expo)
+        return DirichletChar(self.f, vals, ring, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -189,16 +202,26 @@ class DirichletChar:
 # ---------------------------------------------------------------------------
 
 def dirichlet_L_closed(chi: DirichletChar, r: int) -> CoeffElem:
-    """L(chi, 1-r) = -(f^(r-1)/r) sum_{n=1}^{f} chi(n) B_r(n/f)."""
+    """L(chi, 1-r) = -(f^(r-1)/r) sum_{n=1}^{f} chi(n) B_r(n/f), expanded by
+    B_r(x) = sum_j C(r, j) B_j x^(r-j): the residues of one value v share
+    integer power sums S_k = sum n^k, one ring product per distinct value,
+    and L = -(1/r) sum_v v sum_j C(r, j) B_j f^(j-1) S_(r-j)."""
     if r < 1:
         raise ValueError("r must be a positive integer")
     f = chi.f
+    groups = {}
+    for u, v in chi.values.items():
+        sums = groups.setdefault(v.key(), (v, [0] * (r + 1)))[1]
+        n, power = u or f, 1
+        for k in range(r + 1):
+            sums[k] += power
+            power *= n
+    weights = [comb(r, j) * bernoulli_number(j) * Fraction(f) ** (j - 1)
+               for j in range(r + 1)]
     acc = chi.ring.zero()
-    for n in range(1, f + 1):
-        v = chi(n)
-        if v:
-            acc = acc + v * bernoulli_poly(r, Fraction(n, f))
-    return acc * Fraction(-(f ** (r - 1)), r)
+    for v, sums in groups.values():
+        acc = acc + v * sum(w * s for w, s in zip(weights, reversed(sums)))
+    return acc * Fraction(-1, r)
 
 
 def dirichlet_L_via_cocycle(chi: DirichletChar, r: int) -> CoeffElem:

@@ -228,8 +228,8 @@ def exp_sum(ring, nvars, trunc, weighted) -> MSeries:
 
     The coefficient of z^e is sum_p c_p p^e / e!.  With d the lcm of the
     point denominators, points with equal values share one list of integer
-    moments sum (d p)^e, which is put over d^|e| e! once and multiplied into
-    their value."""
+    moments sum (d p)^e; each coefficient of z^e is summed over the groups
+    as value times moment and put over d^|e| e! once."""
     groups = {}
     den = 1
     for p, c in weighted:
@@ -252,8 +252,7 @@ def exp_sum(ring, nvars, trunc, weighted) -> MSeries:
             steps.append((index[parent], j))
             index[e] = len(exps)
             exps.append(e)
-    scales = [den ** sum(e) * prod(factorial(k) for k in e) for e in exps]
-    terms = {}
+    valued = []
     for c, pts in groups.values():
         moments = [0] * len(exps)
         for p in pts:
@@ -262,11 +261,17 @@ def exp_sum(ring, nvars, trunc, weighted) -> MSeries:
             for parent, j in steps:
                 mono.append(mono[parent] * q[j])
             moments = [a + b for a, b in zip(moments, mono)]
-        for e, m, s in zip(exps, moments, scales):
+        valued.append((c.coeffs, moments))
+    terms = {}
+    for i, e in enumerate(exps):
+        acc = {}
+        for coeffs, moments in valued:
+            m = moments[i]
             if m:
-                t = c * Fraction(m, s)
-                old = terms.get(e)
-                terms[e] = t if old is None else old + t
+                for k, x in coeffs.items():
+                    acc[k] = acc.get(k, 0) + x * m
+        scale = den ** sum(e) * prod(factorial(k) for k in e)
+        terms[e] = CoeffElem(ring, {k: x / scale for k, x in acc.items() if x})
     return MSeries(ring, nvars, trunc, terms)
 
 

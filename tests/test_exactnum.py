@@ -12,6 +12,7 @@ from shintani.exactnum import (
     bernoulli_poly,
     cyclotomic_poly,
 )
+from shintani.errors import ShintaniError
 from shintani.linalg import mat_det
 
 
@@ -272,6 +273,41 @@ def test_coeff_inverse_against_multiplication_determinant(case):
             x.inv()
     else:
         assert x * x.inv() == ring.one()
+
+
+def _full_product(x, y):
+    """x * y expanded over the basis monomials g1^i g2^j of both factors,
+    reading g1^(i1 + i2) from zeta and g2^2 = D: the oracle for the
+    scalar short cut of a rational factor."""
+    ring = x.ring
+    acc = ring.zero()
+    for (i1, j1), c1 in x.coeffs.items():
+        for (i2, j2), c2 in y.coeffs.items():
+            term = ring.zeta(i1 + i2) * (c1 * c2)
+            if j1 + j2 == 1:
+                term = term * ring.sqrtD()
+            elif j1 + j2 == 2:
+                term = term * ring.D
+            acc = acc + term
+    return acc
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(case=ring_elements(),
+       q=st.fractions(min_value=-4, max_value=4, max_denominator=5))
+def test_rational_factor_matches_full_product(case, q):
+    ring, x = case
+    full = _full_product(x, ring.from_rat(q))
+    assert full == _full_product(ring.from_rat(q), x)
+    for c in (ring.from_rat(q), q):
+        assert x * c == full
+        assert c * x == full
+        assert all(type(v) is Fraction and v for v in (x * c).coeffs.values())
+
+
+def test_rational_factor_from_another_ring_is_refused():
+    with pytest.raises(ShintaniError):
+        CoeffRing(3).zeta(1) * CoeffRing(5).from_rat(2)
 
 
 def test_coeff_inverse_of_zero_divisor_raises():

@@ -12,9 +12,11 @@ from shintani.linalg import (
     identity,
     idot,
     int_det,
+    int_scale_point,
     mat_det,
     mat_inv,
     mat_mul,
+    primitive,
     solve_columns,
 )
 
@@ -79,6 +81,30 @@ def test_integer_input_gives_fractions():
     assert det == 5 and type(det) is Fraction
     with pytest.raises(TypeError):
         mat_det(((2.0, 1), (1, 3)))
+
+
+def test_solve_columns_and_mat_inv_refuse_floats_and_bools():
+    for bad in (0.5, True, False):
+        for cols, w in (([(bad,)], (1,)), ([(1,)], (bad,)),
+                        ([(Fraction(1, 2), 1), (0, bad)], (1, 1))):
+            with pytest.raises(TypeError, match="inexact or boolean"):
+                solve_columns(cols, w)
+        for m in (((2, 0), (0, bad)), ((Fraction(1, 2), 0), (bad, 1))):
+            with pytest.raises(TypeError, match="inexact or boolean"):
+                mat_inv(m)
+
+
+def test_integer_points_keep_their_entries_and_refuse_floats_and_bools():
+    assert int_scale_point((3, -6, 0)) == (3, -6, 0)
+    assert int_scale_point([3, -6]) == (3, -6)
+    assert int_scale_point((Fraction(1, 2), 3)) == (1, 6)
+    assert primitive((3, -6, 0)) == (1, -2, 0)
+    assert all(type(x) is int for x in primitive((Fraction(2, 3), 4)))
+    for bad in ((True, 2), (1, 0.5), [False, 1]):
+        with pytest.raises(TypeError, match="inexact or boolean"):
+            int_scale_point(bad)
+        with pytest.raises(TypeError, match="inexact or boolean"):
+            primitive(bad)
 
 
 MIXED = st.one_of(ENTRY, st.fractions(-9, 9, max_denominator=6))

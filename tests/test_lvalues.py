@@ -9,7 +9,7 @@ from shintani.errors import (
     NotDivisible,
     NotSquareFree,
 )
-from shintani.exactnum import MAX_D, CoeffRing, _factorize
+from shintani.exactnum import MAX_D, CoeffRing, _factorize, bernoulli_poly
 from shintani.lvalues import (
     DirichletChar,
     build_real_quad,
@@ -49,7 +49,7 @@ def _gcd(a, b):
 
 
 def test_character_counts_and_multiplicativity():
-    for f in (3, 4, 5, 7, 8, 9, 12):
+    for f in (1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 29):
         chars = DirichletChar.enumerate(f)
         phi = sum(1 for n in range(1, f + 1) if _gcd(n, f) == 1)
         assert len(chars) == phi
@@ -96,6 +96,41 @@ def test_character_index_is_mixed_radix_over_generators():
                 digits.append(c)
             for g, o, c in zip(gens, orders, reversed(digits)):
                 assert chi(g) == chi.ring.zeta(c * expo // o)
+
+
+def test_character_table_reads_like_a_list():
+    # the table builds characters on demand; iteration, negative indices
+    # and the ends behave as on the list of all characters, slices are refused
+    for f in (1, 2, 7, 12, 15, 16, 29):
+        chars = DirichletChar.enumerate(f)
+        phi = len(chars)
+        listed = list(chars)
+        assert [c.values for c in listed] == [chars[i].values for i in range(phi)]
+        for i in range(-phi, 0):
+            assert chars[i].values == listed[i].values
+        for i in (phi, -phi - 1):
+            with pytest.raises(IndexError):
+                chars[i]
+        with pytest.raises(TypeError):
+            chars[0:1]
+    for f in (1, 2):
+        (chi,) = DirichletChar.enumerate(f)
+        assert chi.is_trivial and chi.values == DirichletChar.trivial(f).values
+
+
+def test_lvalue_q_job_builds_one_character(monkeypatch):
+    from shintani import cli
+    built = []
+    init = DirichletChar.__init__
+
+    def counting_init(self, f, *args, **kwargs):
+        built.append(f)
+        init(self, f, *args, **kwargs)
+
+    monkeypatch.setattr(DirichletChar, "__init__", counting_init)
+    out = cli.run("lvalue-q", {"char": {"modulus": 29, "index": 5}, "r": 2})
+    assert built == [29]
+    assert out["agrees"] is True
 
 
 def _conductor_by_pairs(chi):
@@ -157,6 +192,23 @@ def test_weighted_sum_oracle():
             for n in range(1, f + 1):
                 acc = acc + chi(n) * n
             assert dirichlet_L_closed(chi, 1) == acc * Fraction(-1, f)
+
+
+def test_closed_form_matches_per_residue_bernoulli_sum():
+    # the grouped power sums against the formula they expand, one
+    # B_r(n/f) per residue: -(f^(r-1)/r) sum_{n=1}^{f} chi(n) B_r(n/f)
+    count = 0
+    for f in range(1, 41):
+        chars = DirichletChar.enumerate(f)
+        for r in range(1, 7):
+            b = [bernoulli_poly(r, Fraction(n, f)) for n in range(1, f + 1)]
+            for chi in chars:
+                acc = chi.ring.zero()
+                for n in range(1, f + 1):
+                    acc = acc + chi(n) * b[n - 1]
+                assert dirichlet_L_closed(chi, r) == acc * Fraction(-(f ** (r - 1)), r)
+                count += 1
+    assert count == 490 * 6
 
 
 def test_cocycle_route_examples():

@@ -321,6 +321,10 @@ def test_pair_cone_numerator_matches_exp_series_oracle(case):
     assert q.num.terms == num.terms
 
 
+_R5 = CoeffRing(5)
+_V5 = _R5.elem({(0, 0): Fraction(1, 3), (1, 0): Fraction(-2, 5)})
+
+
 @st.composite
 def supports(draw):
     n = draw(st.integers(1, 2))
@@ -336,6 +340,11 @@ def supports(draw):
 
 @example(case=({(Fraction(1, 2),): 1, (Fraction(-1, 2),): 1, (Fraction(2, 3),): -1},
                QQ, 1, 4))
+# one non-integral value on two points and its negative on two others: the
+# coefficients of both value groups meet on the same basis keys, and the
+# constant and odd terms cancel
+@example(case=({(Fraction(1, 2),): _V5, (Fraction(-1, 2),): _V5,
+                (Fraction(2, 3),): -_V5, (Fraction(-2, 3),): -_V5}, _R5, 1, 4))
 @settings(deadline=None, derandomize=True, max_examples=100)
 @given(case=supports())
 def test_phi_map_matches_exp_series_oracle(case):
