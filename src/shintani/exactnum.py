@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .errors import ShintaniError, SingularMatrix
-from .linalg import solve_columns
+from .linalg import frac, solve_columns
 
 Rat = Fraction
 
@@ -337,7 +337,7 @@ class CoeffRing:
     # -- constructors --------------------------------------------------------
 
     def elem(self, coeffs) -> "CoeffElem":
-        return CoeffElem(self, {k: Fraction(v) for k, v in coeffs.items() if v != 0})
+        return CoeffElem(self, {k: c for k, v in coeffs.items() if (c := frac(v))})
 
     def zero(self) -> "CoeffElem":
         return CoeffElem(self, {})
@@ -346,7 +346,7 @@ class CoeffRing:
         return CoeffElem(self, {(0, 0): Fraction(1)})
 
     def from_rat(self, c) -> "CoeffElem":
-        c = Fraction(c)
+        c = frac(c)
         return CoeffElem(self, {(0, 0): c} if c else {})
 
     def zeta(self, power: int = 1) -> "CoeffElem":
@@ -437,7 +437,7 @@ class CoeffElem:
         if isinstance(other, CoeffElem) and self._lift(other).coeffs.keys() == {(0, 0)}:
             other = other.coeffs[(0, 0)]  # a rational right factor is a scalar
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = frac(other)
             if c == 0:
                 return self.ring.zero()
             return CoeffElem(self.ring, {k: c * v for k, v in self.coeffs.items()})

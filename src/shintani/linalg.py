@@ -78,20 +78,26 @@ def mat_inv(m) -> Mat:
 def solve_columns(cols, w):
     """Solve sum_i x_i * cols[i] = w for linearly independent columns.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss): the augmented system
+    Two routes, picked by the input alone.  A system of plain ints with
+    len(w) <= 2 is solved in closed form (_solve_small_int).  Anything
+    else (Fraction entries, or three or more equations) goes through
+    fraction-free Gauss-Jordan elimination (Bareiss): the augmented system
     is cleared to integers by one common denominator, and every step
     divides exactly by the previous pivot, so each row stays a nonzero
     multiple of its rational counterpart and the last pivot is the common
     denominator of the solution.  Entries other than int and Fraction are
     coerced by frac, so floats and bools raise TypeError.
 
-    Returns the coefficient list as Fractions, or None when w is outside
-    the span.  Raises SingularMatrix if the columns are dependent.
+    Both routes return the coefficient list as Fractions, or None when w
+    is outside the span, and raise SingularMatrix if the columns are
+    dependent (checked before the span).
     """
     n = len(w)
     r = len(cols)
+    kinds = set(map(type, chain(w, *cols)))
+    if n <= 2 and kinds <= {int}:
+        return _solve_small_int(cols, w, n, r)
     a = [[cols[j][i] for j in range(r)] + [w[i]] for i in range(n)]
-    kinds = set(map(type, chain.from_iterable(a)))
     if not kinds <= {int, Fraction}:
         a = [[frac(x) for x in row] for row in a]
     if kinds != {int}:
@@ -113,6 +119,30 @@ def solve_columns(cols, w):
     if any(a[k][r] for k in range(r, n)):
         return None
     return [Fraction(a[j][r], prev) for j in range(r)]
+
+
+def _solve_small_int(cols, w, n, r):
+    """solve_columns for plain ints and n = len(w) <= 2, in closed form:
+    r = 0 is solved iff w = 0, r > n is always dependent, one column is
+    read at its first nonzero entry and w is tested against it by cross
+    multiplication, and r = n = 2 is Cramer's rule."""
+    if r == 0:
+        return None if any(w) else []
+    if r > n:
+        raise SingularMatrix("columns are linearly dependent")
+    if r == 2:
+        (a, c), (b, d) = cols[0][:2], cols[1][:2]
+        det = a * d - b * c
+        if not det:
+            raise SingularMatrix("columns are linearly dependent")
+        return [Fraction(w[0] * d - b * w[1], det), Fraction(a * w[1] - c * w[0], det)]
+    g = cols[0]
+    p = 0 if g[0] else n - 1
+    if not g[p]:
+        raise SingularMatrix("columns are linearly dependent")
+    if n == 2 and w[0] * g[1] != w[1] * g[0]:
+        return None
+    return [Fraction(w[p], g[p])]
 
 
 # ---------------------------------------------------------------------------

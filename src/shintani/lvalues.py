@@ -205,7 +205,9 @@ def dirichlet_L_closed(chi: DirichletChar, r: int) -> CoeffElem:
     """L(chi, 1-r) = -(f^(r-1)/r) sum_{n=1}^{f} chi(n) B_r(n/f), expanded by
     B_r(x) = sum_j C(r, j) B_j x^(r-j): the residues of one value v share
     integer power sums S_k = sum n^k, one ring product per distinct value,
-    and L = -(1/r) sum_v v sum_j C(r, j) B_j f^(j-1) S_(r-j)."""
+    and L = -(1/r) sum_v v sum_j C(r, j) B_j f^(j-1) S_(r-j).  The weights
+    -C(r, j) B_j f^(j-1) / r share one denominator, so each value's factor
+    is an integer sum over it."""
     if r < 1:
         raise ValueError("r must be a positive integer")
     f = chi.f
@@ -218,10 +220,13 @@ def dirichlet_L_closed(chi: DirichletChar, r: int) -> CoeffElem:
             power *= n
     weights = [comb(r, j) * bernoulli_number(j) * Fraction(f) ** (j - 1)
                for j in range(r + 1)]
+    den = lcm(*(w.denominator for w in weights))
+    weights = [w.numerator * (den // w.denominator) for w in weights]
     acc = chi.ring.zero()
     for v, sums in groups.values():
-        acc = acc + v * sum(w * s for w, s in zip(weights, reversed(sums)))
-    return acc * Fraction(-1, r)
+        num = sum(map(operator.mul, weights, reversed(sums)))
+        acc = acc + v * Fraction(num, -r * den)
+    return acc
 
 
 def dirichlet_L_via_cocycle(chi: DirichletChar, r: int) -> CoeffElem:

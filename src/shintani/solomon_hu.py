@@ -415,7 +415,8 @@ def parallelotope_points(gens, d: int, f: int):
     """Points of the support lattice (1/d)Z^n inside the half-open
     parallelotope {sum x_i g_i : x_i in (0, 1]}, in lexicographic order.
     Scans the integer points k of the bounding box scaled by d, solves
-    sum y_i g_i = k exactly (y = d x) and keeps k/d when 0 < y_i <= d.
+    sum y_i g_i = k exactly (y = d x) and keeps k/d when 0 < y_i <= d,
+    tested on numerator and (positive) denominator as integers.
     Generators must lie in f Z^n."""
     gens = [tuple(frac(x) for x in g) for g in gens]
     for g in gens:
@@ -430,7 +431,7 @@ def parallelotope_points(gens, d: int, f: int):
     out = []
     for k in product(*ranges):
         y = solve_columns(gens, k)
-        if y is not None and all(0 < c <= d for c in y):
+        if y is not None and all(0 < c.numerator <= d * c.denominator for c in y):
             out.append(tuple(Fraction(x, d) for x in k))
     return out
 

@@ -13,6 +13,7 @@ from shintani.exactnum import (
     cyclotomic_poly,
 )
 from shintani.errors import ShintaniError
+from shintani.solomon_hu import QQ, SchwartzFn
 from shintani.linalg import mat_det
 
 
@@ -308,6 +309,19 @@ def test_rational_factor_matches_full_product(case, q):
 def test_rational_factor_from_another_ring_is_refused():
     with pytest.raises(ShintaniError):
         CoeffRing(3).zeta(1) * CoeffRing(5).from_rat(2)
+
+
+def test_ring_arithmetic_refuses_floats_and_bools():
+    ring = CoeffRing(5)
+    z = ring.zeta(1)
+    for bad in (0.5, -0.25, True, False):
+        for op in (lambda: z * bad, lambda: bad * z, lambda: z + bad,
+                   lambda: bad + z, lambda: z - bad, lambda: ring.from_rat(bad),
+                   lambda: ring.coerce(bad), lambda: ring.elem({(1, 0): bad}),
+                   lambda: SchwartzFn(1, 1, 2, {(1,): bad}, QQ)):
+            with pytest.raises(TypeError, match="inexact or boolean"):
+                op()
+    assert z * 2 == z + z and z * Fraction(1, 2) == ring.elem({(1, 0): Fraction(1, 2)})
 
 
 def test_coeff_inverse_of_zero_divisor_raises():

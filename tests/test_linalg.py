@@ -112,29 +112,35 @@ MIXED = st.one_of(ENTRY, st.fractions(-9, 9, max_denominator=6))
 
 @st.composite
 def solve_cases(draw):
-    """Columns and a right-hand side of mixed int/Fraction entries, n <= 5,
-    r <= n: free columns, or one column forced into the span of the others;
-    w in their span, or drawn freely (off the span for most r < n)."""
-    n = draw(st.integers(1, 5))
-    r = draw(st.integers(0, n))
-    vec = st.lists(MIXED, min_size=n, max_size=n)
+    """Columns and a right-hand side for solve_columns, drawn for either of
+    its routes.  Half the cases are mixed int/Fraction entries, n <= 5 and
+    r <= n.  The other half are plain ints with n <= 2 and r <= n + 1, the
+    closed-form route.  Either way a column may be forced into the span of
+    the others (a zero column when it is the only one or its coefficients
+    vanish), and w is a combination of the columns or drawn freely (off
+    the span for most r < n)."""
+    small = draw(st.booleans())
+    entry = ENTRY if small else MIXED
+    n = draw(st.integers(0, 2) if small else st.integers(1, 5))
+    r = draw(st.integers(0, n + small))
+    vec = st.lists(entry, min_size=n, max_size=n)
     cols = draw(st.lists(vec, min_size=r, max_size=r))
     if r and draw(st.booleans()):
         j = draw(st.integers(0, r - 1))
-        cols[j] = draw(_combinations(cols[:j] + cols[j + 1:], n))
-    w = draw(_combinations(cols, n) if draw(st.booleans()) else vec)
+        cols[j] = draw(_combinations(cols[:j] + cols[j + 1:], n, entry))
+    w = draw(_combinations(cols, n, entry) if draw(st.booleans()) else vec)
     return cols, w
 
 
-def _combinations(cols, n):
-    """Rational combinations of the columns (the zero vector if none)."""
-    return st.lists(MIXED, min_size=len(cols), max_size=len(cols)).map(
-        lambda coeffs: [sum((c * col[i] for c, col in zip(coeffs, cols)), Fraction(0))
-                        for i in range(n)]
+def _combinations(cols, n, entry):
+    """Combinations of the columns with coefficients drawn from entry (the
+    zero vector if there are no columns); plain ints stay plain ints."""
+    return st.lists(entry, min_size=len(cols), max_size=len(cols)).map(
+        lambda coeffs: [sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(n)]
     )
 
 
-@settings(deadline=None, derandomize=True, max_examples=400)
+@settings(deadline=None, derandomize=True, max_examples=800)
 @given(case=solve_cases())
 def test_solve_columns_matches_rational_gauss_jordan(case):
     cols, w = case
