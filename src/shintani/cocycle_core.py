@@ -21,8 +21,9 @@ of e^k in any of the determinants is the integer determinant of the
 columns alpha_j[:, k_j].  So each Cramer numerator is a list of integer
 cofactor forms in w, ordered by the exponent order, and every sign is
 the first nonzero sign of such a list.  ``CocycleChecker`` clears each
-matrix of its tuple once, builds the face kernels from those columns and
-reads tau as the alternating sign of their determinants; ``tau_cocycle``
+matrix of its tuple once, builds the face kernels from those columns,
+reads tau as the alternating sign of their determinants and clears each
+point of ``alternating_sum`` once for all its faces; ``tau_cocycle``
 is the standalone computation it is tested against.  ``dvalue``,
 ``cvalue`` and ``moment_vector`` keep the polynomial ordered-field
 arithmetic; they take genuine ordered-field inputs and are the reference
@@ -292,6 +293,7 @@ class CocycleChecker:
         self.tau = signs[0] if all(s == signs[0] for s in signs) else 0
 
     def alternating_sum(self, w) -> int:
+        w = int_scale_point(w)  # cleared once; each face kernel keeps the int tuple
         total = 0
         for i, k in enumerate(self.kernels):
             v = k.eval(w)

@@ -39,7 +39,7 @@ class MPoly:
     def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
         if terms:
-            self.terms = {e: c for e, c in terms.items() if c != 0}
+            self.terms = {e: f for e, c in terms.items() if (f := frac(c))}
         else:
             self.terms = {}
 
@@ -51,7 +51,7 @@ class MPoly:
 
     @classmethod
     def const(cls, nvars: int, c) -> "MPoly":
-        c = Fraction(c)
+        c = frac(c)
         if c == 0:
             return cls(nvars)
         return cls(nvars, {(0,) * nvars: c})
@@ -69,7 +69,7 @@ class MPoly:
         exp = tuple(exp)
         if len(exp) != nvars or any(k < 0 for k in exp):
             raise ValueError("bad exponent vector")
-        return cls(nvars, {exp: Fraction(c)})
+        return cls(nvars, {exp: frac(c)})
 
     # -- queries ------------------------------------------------------------
 
@@ -108,7 +108,7 @@ class MPoly:
             raise ValueError("operand variable counts differ")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MPoly):
             other = MPoly.const(self.nvars, other)
         self._check(other)
         out = dict(self.terms)
@@ -130,7 +130,7 @@ class MPoly:
         return r
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MPoly):
             other = MPoly.const(self.nvars, other)
         return self + (-other)
 
@@ -138,8 +138,8 @@ class MPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+        if not isinstance(other, MPoly):
+            c = frac(other)
             r = MPoly(self.nvars)
             if c != 0:
                 r.terms = {e: c * v for e, v in self.terms.items()}
@@ -162,7 +162,7 @@ class MPoly:
 
     def scalar_div(self, c) -> "MPoly":
         """Exact division by a nonzero rational scalar."""
-        c = Fraction(c)
+        c = frac(c)
         if c == 0:
             raise ZeroDivisionError("division of polynomial by zero scalar")
         return self * (1 / c)
@@ -221,7 +221,7 @@ def bernoulli_poly(m: int, x) -> Fraction:
     """B_m(x) = sum_j C(m, j) B_j x^(m-j)."""
     if m < 0:
         raise ValueError("Bernoulli index must be non-negative")
-    x = Fraction(x)
+    x = frac(x)
     return sum(
         (comb(m, j) * bernoulli_number(j) * x ** (m - j) for j in range(m + 1)),
         Fraction(0),

@@ -9,13 +9,19 @@ numerator over a multiset of linear denominator forms v.z, where
     1 / (1 - exp(v.z)) = - g(v.z) / (v.z),
     g(t) = t / (exp(t) - 1) = sum_m B_m t^m / m!,
 
-so the numerator collects the parallelotope exponential sum times the
-product of the g factors, with the pole data carried exactly by the
-denominator multiset.  The exponential sum is read from integer power sums:
-its z^e coefficient is (1/e!) sum_p phi(p) p^e, and the points with one
-test-function value share one moment sum (d p)^e per exponent, so each
-(value, exponent) costs one coefficient product.  All coefficients of the
-represented Laurent expansion up to the tracked degree are exact.
+so the numerator is the parallelotope exponential sum times the product
+of the -g factors, with the pole data carried exactly by the denominator
+multiset.  The numerator is built in integers (``_numerator``): each
+point p becomes k = d p, and the points of one residue class k mod d f
+share one list of integer moments sum k^e, so the exponential sum's z^e
+coefficient is sum_class phi(class) moment / (d^|e| e!).  The g factors
+(z^e coefficient B_|e| v^e / e!) are multiplied once as one integer list
+over a common denominator; per basis key of the coefficient ring the
+cleared class values are convolved with it in integers, and every
+nonzero coefficient is one Fraction.  ``exp_series`` and ``g_series``
+build the same series through the general MSeries product and are the
+tests' oracles.  All coefficients of the represented Laurent expansion up
+to the tracked degree are exact.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import factorial, lcm, prod
+from operator import add, mul
 
 from .cone_algebra import ConeCombo, OpenSimplicialCone
 from .errors import (
@@ -211,7 +218,8 @@ class MSeries:
 
 
 def exp_series(ring, nvars, trunc, vec) -> MSeries:
-    """exp(v.z) truncated: sum_k (v.z)^k / k!; the tests' oracle for exp_sum."""
+    """exp(v.z) truncated: sum_k (v.z)^k / k!; the tests' oracle for the
+    exponential sums of exp_sum and pair_cone."""
     lin = MSeries.linear_form(ring, nvars, trunc, vec)
     acc = MSeries.const(ring, nvars, trunc, 1)
     term = MSeries.const(ring, nvars, trunc, 1)
@@ -223,60 +231,98 @@ def exp_series(ring, nvars, trunc, vec) -> MSeries:
     return acc
 
 
-def exp_sum(ring, nvars, trunc, weighted) -> MSeries:
-    """sum_p c_p exp(p.z) truncated, over (rational point p, value c_p) pairs.
-
-    The coefficient of z^e is sum_p c_p p^e / e!.  With d the lcm of the
-    point denominators, points with equal values share one list of integer
-    moments sum (d p)^e; each coefficient of z^e is summed over the groups
-    as value times moment and put over d^|e| e! once."""
-    groups = {}
-    den = 1
-    for p, c in weighted:
-        c = ring.coerce(c)
-        if c:
-            p = tuple(frac(x) for x in p)
-            for x in p:
-                den = lcm(den, x.denominator)
-            groups.setdefault(c.key(), (c, []))[1].append(p)
-    # exponents |e| <= trunc in lex order; step (i, j) makes the next one
-    # from exps[i] by one more power of z_j, so a point's monomials cost one
-    # integer product each
-    exps = [(0,) * nvars]
+def _exponents(nvars, trunc):
+    """Exponents |e| <= trunc in lex order, their index, and the steps
+    that build their monomials: step (i, j) makes the next exponent from
+    exps[i] by one more power of z_j, so a point's monomials cost one
+    integer product each."""
+    exps = [e for e in product(range(trunc + 1), repeat=nvars) if sum(e) <= trunc]
+    index = {e: i for i, e in enumerate(exps)}
     steps = []
-    index = {exps[0]: 0}
-    for e in product(range(trunc + 1), repeat=nvars):
-        if 0 < sum(e) <= trunc:
-            j = next(i for i, k in enumerate(e) if k)
-            parent = e[:j] + (e[j] - 1,) + e[j + 1:]
-            steps.append((index[parent], j))
-            index[e] = len(exps)
-            exps.append(e)
-    valued = []
-    for c, pts in groups.values():
-        moments = [0] * len(exps)
-        for p in pts:
-            q = [x.numerator * (den // x.denominator) for x in p]
-            mono = [1]
-            for parent, j in steps:
-                mono.append(mono[parent] * q[j])
-            moments = [a + b for a, b in zip(moments, mono)]
-        valued.append((c.coeffs, moments))
+    for e in exps[1:]:
+        j = next(i for i, k in enumerate(e) if k)
+        steps.append((index[e[:j] + (e[j] - 1,) + e[j + 1:]], j))
+    return exps, index, steps
+
+
+def _monomials(k, steps):
+    """k^e for every exponent the steps build, k an integer vector."""
+    mono = [1]
+    for parent, j in steps:
+        mono.append(mono[parent] * k[j])
+    return mono
+
+
+def _convolve(x, y, pairs):
+    """Truncated product of two coefficient lists; pairs[i] lists the
+    (j, k) with exps[i] + exps[j] = exps[k]."""
+    out = [0] * len(x)
+    for a, row in zip(x, pairs):
+        if a:
+            for j, k in row:
+                out[k] += a * y[j]
+    return out
+
+
+def _numerator(ring, nvars, trunc, d, groups, gens=()):
+    """sum_p phi(p) exp(p.z) prod_{v in gens} (-g(v.z)) truncated at trunc,
+    for groups (value, integer points k = d p) of points sharing one value:
+    the integer kernel of exp_sum and pair_cone.
+
+    Each group keeps one list of integer moments sum k^e, so the z^e
+    coefficient of the exponential sum is sum_groups value moment /
+    (d^|e| e!): the moment times the integer weight d^(trunc-|e|) trunc!/e!,
+    over d^trunc trunc!.  One factor g(v.z) has the z^e coefficient
+    B_|e| v^e / e!, an integer over B trunc! with B the lcm of the
+    Bernoulli denominators, and the factors are multiplied once as integer
+    lists.  The group values are cleared to integers over the lcm D of
+    their coefficient denominators; per basis key of the ring the weighted
+    moment sum is convolved with the g-product in integers, and each
+    nonzero coefficient is one Fraction over d^trunc trunc! D
+    (-B trunc!)^len(gens)."""
+    exps, index, steps = _exponents(nvars, trunc)
+    pairs = [[(j, index[tuple(map(add, e, f))]) for j, f in enumerate(exps)
+              if sum(e) + sum(f) <= trunc] for e in exps]
+    top = factorial(trunc)
+    rel = [top // prod(map(factorial, e)) for e in exps]  # trunc! / e!
+    bern = [bernoulli_number(sum(e)) for e in exps]
+    bden = lcm(*(b.denominator for b in bern))
+    gprod = [1] + [0] * (len(exps) - 1)
+    den = lcm(*(x.denominator for value, _ in groups for x in value.coeffs.values()))
+    scale = d ** trunc * top * den
+    for v in gens:
+        g = [b.numerator * (bden // b.denominator) * c * x
+             for b, c, x in zip(bern, rel, _monomials(v, steps))]
+        gprod = _convolve(gprod, g, pairs)
+        scale *= -bden * top
+    sums = {}
+    for value, points in groups:
+        moments = [sum(m) for m in zip(*(_monomials(k, steps) for k in points))]
+        for b, x in value.coeffs.items():
+            c = x.numerator * (den // x.denominator)
+            sums[b] = [a + c * m for a, m in zip(sums.get(b, [0] * len(exps)), moments)]
+    weights = [d ** (trunc - sum(e)) * c for e, c in zip(exps, rel)]
     terms = {}
-    for i, e in enumerate(exps):
-        acc = {}
-        for coeffs, moments in valued:
-            m = moments[i]
-            if m:
-                for k, x in coeffs.items():
-                    acc[k] = acc.get(k, 0) + x * m
-        scale = den ** sum(e) * prod(factorial(k) for k in e)
-        terms[e] = CoeffElem(ring, {k: x / scale for k, x in acc.items() if x})
-    return MSeries(ring, nvars, trunc, terms)
+    for b, acc in sums.items():
+        for e, a in zip(exps, _convolve(list(map(mul, acc, weights)), gprod, pairs)):
+            if a:
+                terms.setdefault(e, {})[b] = Fraction(a, scale)
+    return MSeries(ring, nvars, trunc, {e: CoeffElem(ring, c) for e, c in terms.items()})
+
+
+def exp_sum(ring, nvars, trunc, weighted) -> MSeries:
+    """sum_p c_p exp(p.z) truncated, over (rational point p, value c_p)
+    pairs, with each point d p its own group, d the lcm of the point
+    denominators."""
+    weighted = [(ring.coerce(c), [frac(x) for x in p]) for p, c in weighted]
+    den = lcm(*(x.denominator for _, p in weighted for x in p))
+    groups = [(c, [[x.numerator * (den // x.denominator) for x in p]]) for c, p in weighted]
+    return _numerator(ring, nvars, trunc, den, groups)
 
 
 def g_series(ring, nvars, trunc, vec) -> MSeries:
-    """g(v.z) = (v.z) / (exp(v.z) - 1) = sum_m B_m (v.z)^m / m! truncated."""
+    """g(v.z) = (v.z) / (exp(v.z) - 1) = sum_m B_m (v.z)^m / m! truncated;
+    the tests' oracle for the integer g-product of pair_cone."""
     lin = MSeries.linear_form(ring, nvars, trunc, vec)
     acc = MSeries.const(ring, nvars, trunc, bernoulli_number(0))
     power = MSeries.const(ring, nvars, trunc, 1)
@@ -541,25 +587,27 @@ def pair_cone(cone: OpenSimplicialCone, phi: SchwartzFn, dmax: int) -> QuotSerie
     """Pairing of one open simplicial cone with a test function.
 
     Scales each generator into the period lattice (the least multiple of
-    a primitive generator in f Z^n is f times it), sums the test function
-    against exponentials over the half-open parallelotope of the scaled
-    generators (exp_sum: one list of integer power sums per test-function
-    value), and multiplies by prod_i (-g(v_i.z) / v_i.z) held as a
-    quotient series with denominator multiset {v_i}.
+    a primitive generator in f Z^n is f times it) and returns the quotient
+    series sum_p phi(p) exp(p.z) prod_i (-g(v_i.z)) / prod_i v_i.z, p over
+    the half-open parallelotope of the scaled generators v_i.  Each point
+    becomes its integer vector k = d p, whose value is read from the
+    residue table at k mod d f; points of an absent class contribute
+    nothing, and the points of one class share one list of integer
+    moments.  The numerator comes from the integer kernel _numerator: one
+    integer g-product, one integer convolution per basis key of the ring
+    and one Fraction per nonzero coefficient.
     """
     if cone.ambient != phi.n:
         raise ValueError("cone and test function dimensions differ")
-    ring = phi.ring
-    r = cone.dim
+    d, mod = phi.d, phi.d * phi.f
     scaled = [tuple(phi.f * x for x in g) for g in cone.generators]
-    pts = parallelotope_points(scaled, phi.d, phi.f)
-    trunc = dmax + r
-    acc = exp_sum(ring, phi.n, trunc, ((p, phi.value_at(p)) for p in pts))
-    for g in scaled:
-        acc = acc * g_series(ring, phi.n, trunc, g)
-    if r % 2 == 1:
-        acc = -acc
-    return QuotSeries(acc, tuple(tuple(ring.from_rat(x) for x in g) for g in scaled))
+    classes = {}
+    for p in parallelotope_points(scaled, d, phi.f):
+        k = tuple(x.numerator * (d // x.denominator) for x in p)
+        classes.setdefault(tuple(x % mod for x in k), []).append(k)
+    groups = [(phi.table[c], pts) for c, pts in classes.items() if c in phi.table]
+    num = _numerator(phi.ring, phi.n, dmax + cone.dim, d, groups, scaled)
+    return QuotSeries(num, tuple(tuple(phi.ring.from_rat(x) for x in g) for g in scaled))
 
 
 def pair_combo(combo: ConeCombo, phi: SchwartzFn, dmax: int) -> QuotSeries:

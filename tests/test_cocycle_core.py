@@ -572,3 +572,39 @@ def test_cocycle_properties_on_drawn_families(case):
     assert checker.holds_at(w)
     assert checker.tau == tau_cocycle(alphas)
     assert sigma_decompose(alphas[1:]).eval(w) == checker.kernels[0].eval(w)
+
+
+def test_alternating_sum_on_fraction_points_matches_face_kernels():
+    # alternating_sum clears the point to integers once and hands the int
+    # tuple to every face kernel; the result must equal the signed sum of
+    # the kernels evaluated on the original Fraction point
+    rng = random.Random(71)
+    for _ in range(20):
+        n = rng.randint(2, 3)
+        alphas = [random_invertible(rng, n) for _ in range(n + 1)]
+        checker = CocycleChecker(alphas)
+        for _ in range(8):
+            w = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n))
+            if not any(w):
+                continue
+            signed = sum((-1) ** i * k.eval(w) for i, k in enumerate(checker.kernels))
+            assert checker.alternating_sum(w) == signed == checker.tau
+            assert checker.alternating_sum(tuple(3 * x for x in w)) == signed
+
+
+def test_alternating_sum_clears_each_point_once(monkeypatch):
+    import shintani.cocycle_core as core
+    cleared = []
+    real = core.int_scale_point
+
+    def counting(w):
+        if not (type(w) is tuple and all(type(x) is int for x in w)):
+            cleared.append(w)
+        return real(w)
+
+    rng = random.Random(73)
+    checker = CocycleChecker([random_invertible(rng, 3) for _ in range(4)])
+    monkeypatch.setattr(core, "int_scale_point", counting)
+    w = (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4))
+    checker.alternating_sum(w)
+    assert cleared == [w]

@@ -324,6 +324,23 @@ def test_ring_arithmetic_refuses_floats_and_bools():
     assert z * 2 == z + z and z * Fraction(1, 2) == ring.elem({(1, 0): Fraction(1, 2)})
 
 
+def test_polynomials_and_bernoulli_poly_refuse_floats_and_bools():
+    p = MPoly.var(2, 0)
+    for bad in (0.5, -0.25, True, False):
+        for op in (lambda: MPoly(1, {(0,): bad}), lambda: MPoly.const(1, bad),
+                   lambda: MPoly.monomial(2, (1, 0), bad), lambda: p.scalar_div(bad),
+                   lambda: p * bad, lambda: bad * p, lambda: p + bad, lambda: p - bad,
+                   lambda: bernoulli_poly(2, bad)):
+            with pytest.raises(TypeError, match="inexact or boolean"):
+                op()
+    # ints, Fractions and 'p/q' strings are kept exact, stored as Fractions
+    assert MPoly.const(1, "1/2").terms == {(0,): Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in MPoly(2, {(1, 0): 3, (0, 1): 0}).terms.values())
+    assert MPoly(2, {(1, 0): 3, (0, 1): 0}) == MPoly.monomial(2, (1, 0), 3)
+    assert (p * 2).scalar_div(4) == MPoly.monomial(2, (1, 0), Fraction(1, 2))
+    assert bernoulli_poly(2, Fraction(1, 2)) == Fraction(-1, 12)
+
+
 def test_coeff_inverse_of_zero_divisor_raises():
     # in Q(zeta_8)[sqrt 2], sqrt 2 = zeta_8 - zeta_8^3, so g2 - g1 + g1^3
     # is a nonzero zero divisor
