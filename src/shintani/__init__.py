@@ -3,27 +3,8 @@ into formal Laurent-quotient series, and special values of Dirichlet and
 real quadratic L-functions at non-positive integers."""
 
 from . import errors
-from .cocycle_core import (
-    CocycleChecker,
-    closed_form_sigma_n2,
-    coboundary_tau_half,
-    cvalue,
-    dvalue,
-    moment_vector,
-    sigma_eval,
-    sigma_function,
-    solomon_s,
-    tau_cocycle,
-    tau_transport,
-)
-from .cone_algebra import (
-    ConeCombo,
-    OpenSimplicialCone,
-    act,
-    combo_eval,
-    lex_positive_region,
-    sigma_decompose,
-)
+from .cocycle_core import CocycleChecker, sigma_eval, tau_cocycle
+from .cone_algebra import ConeCombo, OpenSimplicialCone, act, sigma_decompose
 from .exactnum import (
     CoeffElem,
     CoeffRing,
@@ -56,10 +37,8 @@ from .solomon_hu import (
     pair_cone,
     pair_combo,
     parallelotope_points,
-    phi_map,
     reduce_to_power_series,
     symmetric_laurent_coeff,
-    translate,
 )
 
 __version__ = "0.1.0"

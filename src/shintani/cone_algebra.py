@@ -24,7 +24,7 @@ from itertools import product
 from math import gcd
 
 from .cocycle_core import SigmaKernel
-from .errors import AllFormsZero, SingularMatrix, UnsupportedDimension, ZeroVector
+from .errors import SingularMatrix, UnsupportedDimension, ZeroVector
 from .linalg import (
     coordinate_rows,
     frac,
@@ -134,10 +134,6 @@ class ConeCombo:
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
-
-
-def combo_eval(combo: ConeCombo, w) -> Fraction:
-    return combo.eval(w)
 
 
 def act(alpha, combo: ConeCombo) -> ConeCombo:
@@ -285,13 +281,12 @@ def _decompose_region(n, int_lists, target):
     return kept
 
 
-def sigma_decompose(alphas, validate: bool = False) -> ConeCombo:
+def sigma_decompose(alphas) -> ConeCombo:
     """Exact cone-combo representative of the cocycle value: a signed
     disjoint union of relatively open simplicial rational cones whose
     membership sum matches the pointwise evaluation everywhere.
 
-    Supported for 1 <= n <= 3 matrices.  When ``validate`` is set, every
-    piece witness is cross-checked against the pointwise evaluator.
+    Supported for 1 <= n <= 3 matrices.
     """
     alphas = list(alphas)
     n = len(alphas)
@@ -300,22 +295,6 @@ def sigma_decompose(alphas, validate: bool = False) -> ConeCombo:
     kernel = SigmaKernel(alphas)
     target = kernel.det_sign
     pieces = _decompose_region(n, kernel.forms, target)
-    terms = []
-    for gens in pieces:
-        cone = OpenSimplicialCone(gens)
-        if validate and kernel.eval(cone.witness()) != target:
-            raise AssertionError("decomposition witness mismatch")
-        terms.append((target, cone))
+    terms = [(target, OpenSimplicialCone(gens)) for gens in pieces]
     return ConeCombo(terms).sorted()
 
-
-def lex_positive_region(form_list) -> ConeCombo:
-    """Indicator combo of the region where the first nonzero form of the
-    list (rational forms, lexicographically ordered) is positive; zero
-    forms are skipped."""
-    int_forms = tuple(primitive(f) for f in form_list if any(frac(x) for x in f))
-    if not int_forms:
-        raise AllFormsZero("need at least one nonzero form")
-    pieces = _decompose_region(len(int_forms[0]), [int_forms], 1)
-    terms = [(1, OpenSimplicialCone(gens)) for gens in pieces]
-    return ConeCombo(terms).sorted()

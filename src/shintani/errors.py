@@ -38,10 +38,6 @@ class ZeroForm(ShintaniError):
     """A linear form that must be nonzero vanishes identically."""
 
 
-class AllFormsZero(ShintaniError):
-    """A lexicographic form list contains no nonzero form."""
-
-
 class NotDivisible(ShintaniError):
     """A quotient series has a genuine pole along the offending form."""
 

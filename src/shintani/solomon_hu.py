@@ -18,10 +18,8 @@ coefficient is sum_class phi(class) moment / (d^|e| e!).  The g factors
 (z^e coefficient B_|e| v^e / e!) are multiplied once as one integer list
 over a common denominator; per basis key of the coefficient ring the
 cleared class values are convolved with it in integers, and every
-nonzero coefficient is one Fraction.  ``exp_series`` and ``g_series``
-build the same series through the general MSeries product and are the
-tests' oracles.  All coefficients of the represented Laurent expansion up
-to the tracked degree are exact.
+nonzero coefficient is one Fraction.  All coefficients of the
+represented Laurent expansion up to the tracked degree are exact.
 """
 
 from __future__ import annotations
@@ -87,9 +85,6 @@ class MSeries:
                 terms[tuple(e)] = c
         return cls(ring, nvars, trunc, terms)
 
-    def copy_trunc(self, trunc: int) -> "MSeries":
-        return MSeries(self.ring, self.nvars, trunc, self.terms)
-
     def coeff(self, e) -> CoeffElem:
         return self.terms.get(tuple(e), self.ring.zero())
 
@@ -113,14 +108,6 @@ class MSeries:
         r = MSeries(self.ring, self.nvars, trunc)
         r.terms = out
         return r
-
-    def __neg__(self):
-        r = MSeries(self.ring, self.nvars, self.trunc)
-        r.terms = {e: -c for e, c in self.terms.items()}
-        return r
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def scale(self, c) -> "MSeries":
         c = self.ring.coerce(c)
@@ -217,20 +204,6 @@ class MSeries:
         return " + ".join(bits) if bits else "0"
 
 
-def exp_series(ring, nvars, trunc, vec) -> MSeries:
-    """exp(v.z) truncated: sum_k (v.z)^k / k!; the tests' oracle for the
-    exponential sums of exp_sum and pair_cone."""
-    lin = MSeries.linear_form(ring, nvars, trunc, vec)
-    acc = MSeries.const(ring, nvars, trunc, 1)
-    term = MSeries.const(ring, nvars, trunc, 1)
-    for k in range(1, trunc + 1):
-        term = (term * lin).scale(Fraction(1, k))
-        if term.is_zero():
-            break
-        acc = acc + term
-    return acc
-
-
 def _exponents(nvars, trunc):
     """Exponents |e| <= trunc in lex order, their index, and the steps
     that build their monomials: step (i, j) makes the next exponent from
@@ -318,26 +291,6 @@ def exp_sum(ring, nvars, trunc, weighted) -> MSeries:
     den = lcm(*(x.denominator for _, p in weighted for x in p))
     groups = [(c, [[x.numerator * (den // x.denominator) for x in p]]) for c, p in weighted]
     return _numerator(ring, nvars, trunc, den, groups)
-
-
-def g_series(ring, nvars, trunc, vec) -> MSeries:
-    """g(v.z) = (v.z) / (exp(v.z) - 1) = sum_m B_m (v.z)^m / m! truncated;
-    the tests' oracle for the integer g-product of pair_cone."""
-    lin = MSeries.linear_form(ring, nvars, trunc, vec)
-    acc = MSeries.const(ring, nvars, trunc, bernoulli_number(0))
-    power = MSeries.const(ring, nvars, trunc, 1)
-    for m in range(1, trunc + 1):
-        power = (power * lin).scale(Fraction(1, m))
-        if power.is_zero():
-            break
-        b = bernoulli_number(m)
-        if b:
-            acc = acc + power.scale(b)
-    return acc
-
-
-def one_minus_exp(ring, nvars, trunc, vec) -> MSeries:
-    return MSeries.const(ring, nvars, trunc, 1) - exp_series(ring, nvars, trunc, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -554,34 +507,9 @@ class QuotSeries:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def quot_equal_as_laurent(q1: QuotSeries, q2: QuotSeries) -> bool:
-    """Whether two quotient series represent the same Laurent expansion up
-    to the smaller tracked degree."""
-    s = q1 + q2.scale(-1)
-    return s.is_zero_series()
-
-
 # ---------------------------------------------------------------------------
 # The pairing
 # ---------------------------------------------------------------------------
-
-def phi_map(A, dmax: int, ring: CoeffRing | None = None, nvars: int | None = None) -> QuotSeries:
-    """Exponential generating map of a finite-support function:
-    sum_w A(w) exp(w.z), a quotient series with trivial denominator, read
-    from the power sums of exp_sum over the lcm of the point denominators."""
-    if ring is None:
-        ring = QQ
-    if nvars is None:
-        if not A:
-            raise ValueError("cannot infer dimension from empty support")
-        nvars = len(next(iter(A)))
-    return QuotSeries(exp_sum(ring, nvars, dmax, A.items()))
-
-
-def translate(A, v):
-    """Group-ring translation of a finite-support function: ([v]A)(w) = A(w-v)."""
-    return {tuple(a + b for a, b in zip(w, v)): c for w, c in A.items()}
-
 
 def pair_cone(cone: OpenSimplicialCone, phi: SchwartzFn, dmax: int) -> QuotSeries:
     """Pairing of one open simplicial cone with a test function.

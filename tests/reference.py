@@ -1,0 +1,350 @@
+"""Reference implementations the tests compare the library against.
+
+None of these is on a route the CLI or the L-value pipelines take; each
+is an independent definition of a value the library computes another way:
+
+  * ``dvalue`` and ``cvalue``, the sign invariants over the ordered field
+    of nested infinitesimals, and ``moment_vector``, the perturbed moment
+    columns: the paper's definition of the cocycle, which the integer
+    kernel (``SigmaKernel``, ``tau_cocycle``) must reproduce.
+  * ``solomon_s``, ``coboundary_tau_half``, ``tau_transport`` and
+    ``closed_form_sigma_n2``: the dimension-2 half-weighted cocycle, the
+    half-ray coboundary function and the closed-form tables.
+  * ``exp_series`` and ``g_series``: exp(v.z) and g(v.z) built through the
+    general ``MSeries`` product, the oracles for the integer numerator of
+    ``exp_sum`` and ``pair_cone``; ``one_minus_exp``, ``phi_map``,
+    ``translate`` and ``quot_equal_as_laurent`` state the pairing
+    identities.
+  * ``base_change_L``: L_K(chi o N, -r) = L(chi, -r) L(chi chi_K, -r) from
+    the Bernoulli closed form, sharing no code with the cone route, for
+    the test function ``norm_character_schwartz`` builds.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
+
+from shintani.cocycle_core import _integer_columns
+from shintani.errors import (
+    CaseDecompositionFailure,
+    GeneralPositionViolation,
+    SingularBasis,
+    ZeroVector,
+)
+from shintani.exactnum import CoeffRing, MPoly, QQ, bernoulli_number
+from shintani.linalg import frac, mat_det, mat_inv, mat_vec, sign as rsign
+from shintani.lvalues import DirichletChar, dirichlet_L_closed
+from shintani.ordered_field import (
+    as_elem,
+    clear_denominators,
+    det_mpoly_columns,
+    infer_nvars,
+    sign_mpoly,
+)
+from shintani.solomon_hu import MSeries, QuotSeries, SchwartzFn, exp_sum
+
+
+# ---------------------------------------------------------------------------
+# The sign invariants over the ordered field
+# ---------------------------------------------------------------------------
+
+def moment_vector(slot: int, n: int, nvars: int) -> tuple[MPoly, ...]:
+    """(1, e, e^2, ..., e^(n-1)) for the infinitesimal in the given slot."""
+    if not 0 <= slot < nvars:
+        raise ValueError("slot out of range")
+    exps = []
+    for j in range(n):
+        e = [0] * nvars
+        e[slot] = j
+        exps.append(tuple(e))
+    return tuple(MPoly(nvars, {e: Fraction(1)}) for e in exps)
+
+
+def _poly_columns(vectors):
+    """Coerce vectors with rational / polynomial / fraction entries into
+    polynomial columns; per-vector positive scaling only, so every sign
+    invariant of the configuration is unchanged."""
+    nvars = infer_nvars(vectors)
+    cols = []
+    for v in vectors:
+        lifted = [as_elem(x, nvars) for x in v]
+        if all(x.den.is_one() for x in lifted):
+            cols.append([x.num for x in lifted])
+        else:
+            cols.append(clear_denominators(lifted))
+    return cols, nvars
+
+
+def dvalue(vectors) -> int:
+    """Sign invariant of n+1 vectors in dimension n over the ordered field.
+
+    Writes the unique-up-to-scale kernel relation sum lambda_i v_i = 0 via
+    lambda_i = (-1)^i det(omit column i); all lambda_i nonzero is exactly
+    general position, and the value is their common sign when they agree.
+    """
+    vectors = list(vectors)
+    n = len(vectors) - 1
+    if n < 1 or any(len(v) != n for v in vectors):
+        raise ValueError("need n+1 vectors of dimension n")
+    cols, _ = _poly_columns(vectors)
+    signs = []
+    for i in range(n + 1):
+        sub = cols[:i] + cols[i + 1:]
+        d = det_mpoly_columns(sub)
+        s = sign_mpoly(d)
+        if s == 0:
+            raise GeneralPositionViolation(
+                f"vectors omitting index {i} are linearly dependent"
+            )
+        signs.append(s if i % 2 == 0 else -s)
+    first = signs[0]
+    if all(s == first for s in signs):
+        return first
+    return 0
+
+
+def cvalue(basis, w) -> int:
+    """Signed indicator of the open cone of a basis, evaluated at w.
+
+    Solves V x = w by Cramer sign tests; returns sign det V when every
+    coordinate is positive, else 0.
+    """
+    basis = list(basis)
+    n = len(basis)
+    if any(len(v) != n for v in basis) or len(w) != n:
+        raise ValueError("need n independent vectors and a vector of dimension n")
+    cols, _ = _poly_columns(list(basis) + [list(w)])
+    wcol = cols[-1]
+    cols = cols[:-1]
+    d = det_mpoly_columns(cols)
+    s = sign_mpoly(d)
+    if s == 0:
+        raise SingularBasis("basis vectors are linearly dependent")
+    for i in range(n):
+        repl = cols[:i] + [wcol] + cols[i + 1:]
+        if sign_mpoly(det_mpoly_columns(repl)) != s:
+            return 0
+    return s
+
+
+def _check_matrices(alphas):
+    """Coerce to square rational matrices of a common size and reject
+    singular ones."""
+    mats = [tuple(tuple(frac(x) for x in row) for row in a) for a in alphas]
+    _integer_columns(mats)
+    return mats
+
+
+# ---------------------------------------------------------------------------
+# Dimension 2: reference cocycle with half-weighted boundaries, the
+# half-ray coboundary function, and the closed forms
+# ---------------------------------------------------------------------------
+
+def solomon_s(alpha, beta, w) -> Fraction:
+    """Half-open cone cocycle on invertible 2x2 rational matrices: the
+    signed indicator of the cone spanned by the two first columns, with
+    weight 1/2 on the boundary rays and 0 when they are dependent."""
+    alpha, beta = _check_matrices([alpha, beta])
+    w = [frac(x) for x in w]
+    if all(x == 0 for x in w):
+        raise ZeroVector("evaluation point must be nonzero")
+    u = (alpha[0][0], alpha[1][0])
+    v = (beta[0][0], beta[1][0])
+    det = u[0] * v[1] - u[1] * v[0]
+    if det == 0:
+        return Fraction(0)
+    x = (w[0] * v[1] - w[1] * v[0]) / det
+    y = (u[0] * w[1] - u[1] * w[0]) / det
+    if x > 0 and y > 0:
+        return Fraction(rsign(det))
+    if x >= 0 and y >= 0:
+        return Fraction(rsign(det), 2)
+    return Fraction(0)
+
+
+def coboundary_tau_half(w) -> Fraction:
+    """1/2 on the positive x-axis, 0 elsewhere."""
+    x, y = (frac(v) for v in w)
+    if x == 0 and y == 0:
+        raise ZeroVector("evaluation point must be nonzero")
+    return Fraction(1, 2) if (y == 0 and x > 0) else Fraction(0)
+
+
+def tau_transport(alpha, w) -> Fraction:
+    """Signed pullback sign(det) * tau(alpha^(-1) w) of the half-ray
+    function along an invertible matrix."""
+    (alpha,) = _check_matrices([alpha])
+    s = rsign(mat_det(alpha))
+    return s * coboundary_tau_half(mat_vec(mat_inv(alpha), [frac(x) for x in w]))
+
+
+def closed_form_sigma_n2(alpha, w) -> int:
+    """Case-by-case closed form for the cocycle paired with the identity
+    in dimension 2; serves as an independent oracle for ``sigma_eval``.
+
+    For upper triangular input the four sign cases of the diagonal decide.
+    Otherwise the matrix factors through a row swap and a shear, and the
+    four sign cases of (a, c) below decide, where c is the lower left
+    entry and a = alpha[0][1] - alpha[0][0] * alpha[1][1] / c.
+
+    Note: in the (a < 0, c > 0) case of the swap factorization the support
+    is {y > 0 and c x - b y >= 0}; the >= on the internal boundary ray is
+    forced by direct evaluation of the defining formula (the boundary ray
+    belongs to the half-open fundamental cone).
+    """
+    (alpha,) = _check_matrices([alpha])
+    x, y = (frac(v) for v in w)
+    if x == 0 and y == 0:
+        raise ZeroVector("evaluation point must be nonzero")
+    if alpha[1][0] == 0:
+        a, b, c = alpha[0][0], alpha[0][1], alpha[1][1]
+        if a == 0 or c == 0:
+            raise CaseDecompositionFailure("triangular factor is singular")
+        if a > 0 and c > 0:
+            return 0
+        if a > 0 and c < 0:
+            return -1 if (y == 0 and x > 0) else 0
+        if a < 0 and c > 0:
+            return 1 if y > 0 else 0
+        return 1 if (y > 0 or (y == 0 and x < 0)) else 0
+    c = alpha[1][0]
+    b = alpha[0][0]
+    d = alpha[1][1] / c
+    a = alpha[0][1] - b * d
+    if a == 0:
+        raise CaseDecompositionFailure("swap factor is singular")
+    t = c * x - b * y
+    if a > 0 and c > 0:
+        return 1 if (y > 0 and t > 0) else 0
+    if a > 0 and c < 0:
+        return -1 if (y <= 0 and t < 0) else 0
+    if a < 0 and c > 0:
+        return 1 if (y > 0 and t >= 0) else 0
+    return -1 if (y <= 0 and t <= 0) else 0
+
+
+# ---------------------------------------------------------------------------
+# Series oracles for the pairing
+# ---------------------------------------------------------------------------
+
+def exp_series(ring, nvars, trunc, vec) -> MSeries:
+    """exp(v.z) truncated: sum_k (v.z)^k / k!; the tests' oracle for the
+    exponential sums of exp_sum and pair_cone."""
+    lin = MSeries.linear_form(ring, nvars, trunc, vec)
+    acc = MSeries.const(ring, nvars, trunc, 1)
+    term = MSeries.const(ring, nvars, trunc, 1)
+    for k in range(1, trunc + 1):
+        term = (term * lin).scale(Fraction(1, k))
+        if term.is_zero():
+            break
+        acc = acc + term
+    return acc
+
+
+def g_series(ring, nvars, trunc, vec) -> MSeries:
+    """g(v.z) = (v.z) / (exp(v.z) - 1) = sum_m B_m (v.z)^m / m! truncated;
+    the tests' oracle for the integer g-product of pair_cone."""
+    lin = MSeries.linear_form(ring, nvars, trunc, vec)
+    acc = MSeries.const(ring, nvars, trunc, bernoulli_number(0))
+    power = MSeries.const(ring, nvars, trunc, 1)
+    for m in range(1, trunc + 1):
+        power = (power * lin).scale(Fraction(1, m))
+        if power.is_zero():
+            break
+        b = bernoulli_number(m)
+        if b:
+            acc = acc + power.scale(b)
+    return acc
+
+
+def one_minus_exp(ring, nvars, trunc, vec) -> MSeries:
+    return MSeries.const(ring, nvars, trunc, 1) + exp_series(ring, nvars, trunc, vec).scale(-1)
+
+
+def quot_equal_as_laurent(q1: QuotSeries, q2: QuotSeries) -> bool:
+    """Whether two quotient series represent the same Laurent expansion up
+    to the smaller tracked degree."""
+    s = q1 + q2.scale(-1)
+    return s.is_zero_series()
+
+
+def phi_map(A, dmax: int, ring: CoeffRing | None = None, nvars: int | None = None) -> QuotSeries:
+    """Exponential generating map of a finite-support function:
+    sum_w A(w) exp(w.z), a quotient series with trivial denominator, read
+    from the power sums of exp_sum over the lcm of the point denominators."""
+    if ring is None:
+        ring = QQ
+    if nvars is None:
+        if not A:
+            raise ValueError("cannot infer dimension from empty support")
+        nvars = len(next(iter(A)))
+    return QuotSeries(exp_sum(ring, nvars, dmax, A.items()))
+
+
+def translate(A, v):
+    """Group-ring translation of a finite-support function: ([v]A)(w) = A(w-v)."""
+    return {tuple(a + b for a, b in zip(w, v)): c for w, c in A.items()}
+
+
+# ---------------------------------------------------------------------------
+# Base change for real quadratic fields
+# ---------------------------------------------------------------------------
+
+def kronecker(a: int, n: int) -> int:
+    """Kronecker symbol (a/n) for n >= 1: the factors 2 of n by
+    (a/2) = 0, 1, -1 for a even, a = +-1 and a = +-3 mod 8, the odd part
+    by Jacobi reciprocity."""
+    result = 1
+    while n % 2 == 0:
+        n //= 2
+        if a % 2 == 0:
+            return 0
+        if a % 8 in (3, 5):
+            result = -result
+    a %= n
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def field_discriminant(D: int) -> int:
+    return D if D % 4 == 1 else 4 * D
+
+
+def norm_character_schwartz(D: int, chi: DirichletChar) -> SchwartzFn:
+    """phi(a + b theta) = chi(N(a + b theta)) on O_K / f, zero on the
+    classes whose norm is not prime to f; theta = (1 + sqrt D)/2 when
+    D = 1 mod 4, else sqrt D.  Values lie in CoeffRing(m, D)."""
+    f = chi.f
+    ring = CoeffRing(chi.ring.m, D)
+    table = {}
+    for a in range(f):
+        for b in range(f):
+            if D % 4 == 1:
+                norm = a * a + a * b - b * b * (D - 1) // 4
+            else:
+                norm = a * a - D * b * b
+            if gcd(norm, f) == 1:
+                table[(a, b)] = ring.coerce(chi(norm))
+    return SchwartzFn(2, 1, f, table, ring)
+
+
+def base_change_L(D: int, chi: DirichletChar, r: int):
+    """L_K(chi o N, -r) for K = Q(sqrt D) by base change,
+    L(chi, -r) L(chi chi_K, -r) with chi_K the Kronecker symbol of the
+    field discriminant, both factors from the Bernoulli closed form; the
+    product character is taken modulo lcm(f, disc), so every prime of f
+    stays removed from both Euler products."""
+    disc = field_discriminant(D)
+    F = lcm(chi.f, disc)
+    twisted = DirichletChar(
+        F, {u: chi(u) * kronecker(disc, u) for u in range(F) if gcd(u, F) == 1}, chi.ring)
+    return dirichlet_L_closed(chi, r + 1) * dirichlet_L_closed(twisted, r + 1)

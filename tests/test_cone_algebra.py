@@ -4,23 +4,16 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_nonzero_vector, random_vector
-from shintani.cli import random_invertible
+from shintani.cli import random_degenerate_tuple, random_invertible
 from shintani.cocycle_core import SigmaKernel, tau_cocycle
 from shintani.cone_algebra import (
     ConeCombo,
     _decompose_region,
     OpenSimplicialCone,
     act,
-    combo_eval,
-    lex_positive_region,
     sigma_decompose,
 )
-from shintani.errors import (
-    AllFormsZero,
-    SingularMatrix,
-    UnsupportedDimension,
-    ZeroVector,
-)
+from shintani.errors import SingularMatrix, UnsupportedDimension, ZeroVector
 from shintani.linalg import (
     coordinate_rows,
     first_nonzero_sign,
@@ -128,15 +121,15 @@ def test_cone_contains_matches_solved_coordinates():
 def test_combo_eval_examples():
     quad = OpenSimplicialCone(((1, 0), (0, 1)))
     ray = OpenSimplicialCone(((1, 0),))
-    assert combo_eval(ConeCombo([(1, quad)]), (1, 1)) == 1
+    assert ConeCombo([(1, quad)]).eval((1, 1)) == 1
     combo = ConeCombo([(1, quad), (-1, ray)])
-    assert combo_eval(combo, (1, 0)) == -1
-    assert combo_eval(ConeCombo([(Fraction(1, 2), ray)]), (2, 0)) == Fraction(1, 2)
+    assert combo.eval((1, 0)) == -1
+    assert ConeCombo([(Fraction(1, 2), ray)]).eval((2, 0)) == Fraction(1, 2)
 
 
 def test_combo_eval_rejects_zero():
     with pytest.raises(ZeroVector):
-        combo_eval(ConeCombo([]), (0, 0))
+        ConeCombo([]).eval((0, 0))
 
 
 def test_combo_constant_term():
@@ -148,7 +141,7 @@ def test_act_examples():
     quad = ConeCombo([(1, OpenSimplicialCone(((1, 0), (0, 1))))])
     assert act(I2, quad).to_json() == quad.to_json()
     flipped = act(((1, 0), (0, -1)), quad)
-    assert combo_eval(flipped, (1, -1)) == -1
+    assert flipped.eval((1, -1)) == -1
     with pytest.raises(SingularMatrix):
         act(((1, 0), (2, 0)), quad)
 
@@ -166,7 +159,7 @@ def test_act_matches_pullback_definition():
         s = sign(mat_det(a))
         for _ in range(20):
             w = random_nonzero_vector(rng, 2)
-            assert combo_eval(moved, w) == s * combo_eval(combo, mat_vec(ainv, w))
+            assert moved.eval(w) == s * combo.eval(mat_vec(ainv, w))
 
 
 def test_act_composition():
@@ -181,7 +174,7 @@ def test_act_composition():
         rhs = act(a, act(b, combo))
         for _ in range(20):
             w = random_nonzero_vector(rng, 2)
-            assert combo_eval(lhs, w) == combo_eval(rhs, w)
+            assert lhs.eval(w) == rhs.eval(w)
 
 
 def test_combo_json_round_trip():
@@ -193,7 +186,7 @@ def test_combo_json_round_trip():
     back = ConeCombo.from_json(doc)
     assert back.to_json() == doc
     for w in [(1, 1), (1, 0), (-2, 5)]:
-        assert combo_eval(back, w) == combo_eval(combo, w)
+        assert back.eval(w) == combo.eval(w)
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +204,9 @@ def test_decompose_negative_ray():
 def test_decompose_upper_half_plane():
     combo = sigma_decompose([I2, ((-1, 0), (0, 1))])
     for w in [(0, 1), (1, 1), (-3, 2), (5, 1)]:
-        assert combo_eval(combo, w) == 1
+        assert combo.eval(w) == 1
     for w in [(1, 0), (-1, 0), (0, -1), (2, -3)]:
-        assert combo_eval(combo, w) == 0
+        assert combo.eval(w) == 0
 
 
 def test_decompose_dimension_one():
@@ -223,8 +216,8 @@ def test_decompose_dimension_one():
         "constant": "0",
     }
     neg = sigma_decompose([((-1,),)])
-    assert combo_eval(neg, (-2,)) == -1
-    assert combo_eval(neg, (2,)) == 0
+    assert neg.eval((-2,)) == -1
+    assert neg.eval((2,)) == 0
 
 
 def test_decompose_rejects_large_dimension():
@@ -236,12 +229,12 @@ def test_decompose_extensional_n2():
     rng = random.Random(11)
     for _ in range(25):
         alphas = [random_invertible(rng, 2) for _ in range(2)]
-        combo = sigma_decompose(alphas, validate=True)
+        combo = sigma_decompose(alphas)
         kernel = SigmaKernel(alphas)
         ws = [random_nonzero_vector(rng, 2) for _ in range(120)]
         ws += [c.witness() for _, c in combo.terms]
         for w in ws:
-            assert combo_eval(combo, w) == kernel.eval(w)
+            assert combo.eval(w) == kernel.eval(w)
 
 
 def test_decompose_extensional_n3():
@@ -253,7 +246,7 @@ def test_decompose_extensional_n3():
         ws = [random_nonzero_vector(rng, 3) for _ in range(150)]
         ws += [c.witness() for _, c in combo.terms][:150]
         for w in ws:
-            assert combo_eval(combo, w) == kernel.eval(w)
+            assert combo.eval(w) == kernel.eval(w)
 
 
 def test_decompose_values_are_signs():
@@ -263,7 +256,7 @@ def test_decompose_values_are_signs():
         combo = sigma_decompose(alphas)
         for _ in range(60):
             w = random_nonzero_vector(rng, 2)
-            assert combo_eval(combo, w) in (-1, 0, 1)
+            assert combo.eval(w) in (-1, 0, 1)
 
 
 def test_decompose_equivariance():
@@ -279,19 +272,35 @@ def test_decompose_equivariance():
         binv = mat_inv(beta)
         for _ in range(40):
             w = random_nonzero_vector(rng, 2)
-            assert combo_eval(lhs, w) == s * combo_eval(rhs, mat_vec(binv, w))
+            assert lhs.eval(w) == s * rhs.eval(mat_vec(binv, w))
 
 
 def test_decompose_cocycle_relation_transported():
+    # the face combos of an (n+1)-tuple satisfy the cocycle relation at
+    # random points and at every piece witness of every face, and each
+    # piece's coefficient is its face kernel's value at the witness; random
+    # tuples and the CLI's degenerate families, n = 2 and 3
     rng = random.Random(23)
-    for _ in range(8):
-        alphas = [random_invertible(rng, 2) for _ in range(3)]
-        combos = [sigma_decompose(alphas[:i] + alphas[i + 1:]) for i in range(3)]
-        tau = tau_cocycle(alphas)
-        for _ in range(40):
-            w = random_nonzero_vector(rng, 2)
-            total = sum((-1) ** i * combo_eval(c, w) for i, c in enumerate(combos))
-            assert total == tau
+    for n, count in ((2, 8), (3, 6)):
+        for degenerate in (False, True):
+            for _ in range(count):
+                if degenerate:
+                    alphas = random_degenerate_tuple(rng, n, n + 1)
+                else:
+                    alphas = [random_invertible(rng, n) for _ in range(n + 1)]
+                faces = [alphas[:i] + alphas[i + 1:] for i in range(n + 1)]
+                combos = [sigma_decompose(face) for face in faces]
+                tau = tau_cocycle(alphas)
+                ws = [random_nonzero_vector(rng, n) for _ in range(40)]
+                for face, combo in zip(faces, combos):
+                    kernel = SigmaKernel(face)
+                    for coeff, cone in combo.terms:
+                        w = cone.witness()
+                        assert kernel.eval(w) == coeff
+                        ws.append(w)
+                for w in ws:
+                    total = sum((-1) ** i * c.eval(w) for i, c in enumerate(combos))
+                    assert total == tau
 
 
 def test_decompose_degenerate_families():
@@ -309,25 +318,26 @@ def test_decompose_degenerate_families():
     ]
     rng = random.Random(37)
     for alphas in families:
-        combo = sigma_decompose(alphas, validate=True)
+        combo = sigma_decompose(alphas)
         kernel = SigmaKernel(alphas)
         ws = [random_nonzero_vector(rng, 2) for _ in range(60)]
         ws += [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, 1)]
+        ws += [c.witness() for _, c in combo.terms]
         for w in ws:
-            assert combo_eval(combo, w) == kernel.eval(w)
+            assert combo.eval(w) == kernel.eval(w)
 
 
 def test_decompose_random_degenerate_tuples():
-    from shintani.cli import random_degenerate_tuple
     rng = random.Random(41)
     for n in (2, 3):
         for _ in range(8):
             alphas = random_degenerate_tuple(rng, n, n)
-            combo = sigma_decompose(alphas, validate=True)
+            combo = sigma_decompose(alphas)
             kernel = SigmaKernel(alphas)
-            for _ in range(50):
-                w = random_nonzero_vector(rng, n)
-                assert combo_eval(combo, w) == kernel.eval(w)
+            ws = [random_nonzero_vector(rng, n) for _ in range(50)]
+            ws += [c.witness() for _, c in combo.terms]
+            for w in ws:
+                assert combo.eval(w) == kernel.eval(w)
 
 
 def test_decompose_singular_matrix():
@@ -336,38 +346,8 @@ def test_decompose_singular_matrix():
 
 
 # ---------------------------------------------------------------------------
-# Lexicographic positivity regions
+# Sign regions of a lexicographic form list
 # ---------------------------------------------------------------------------
-
-def test_lex_region_single_form():
-    combo = lex_positive_region([(1, 0)])
-    for w in [(1, 0), (1, 1), (1, -5), (Fraction(1, 3), 2)]:
-        assert combo_eval(combo, w) == 1
-    for w in [(0, 1), (0, -1), (-1, 3), (-2, -2)]:
-        assert combo_eval(combo, w) == 0
-
-
-def test_lex_region_two_forms():
-    combo = lex_positive_region([(0, 1), (1, 0)])  # y first, then x
-    for w in [(0, 1), (3, 2), (-1, 1), (1, 0), (5, 0)]:
-        assert combo_eval(combo, w) == 1
-    for w in [(-1, 0), (0, -1), (2, -1)]:
-        assert combo_eval(combo, w) == 0
-
-
-def test_lex_region_form_and_negation():
-    combo = lex_positive_region([(1, 0), (-1, 0)])
-    for w in [(1, 0), (1, 7), (2, -1)]:
-        assert combo_eval(combo, w) == 1
-    for w in [(0, 1), (0, -1), (-1, 2)]:
-        assert combo_eval(combo, w) == 0
-
-
-def test_lex_region_rejects_zero_forms():
-    with pytest.raises(AllFormsZero):
-        lex_positive_region([(0, 0)])
-    assert lex_positive_region([(0, 0), (1, 0)]).dumps() == lex_positive_region([(1, 0)]).dumps()
-
 
 def test_decompose_region_tiles_punctured_space_by_sign():
     # the pieces for the targets -1, 0 and 1 tile the punctured space: every
@@ -396,15 +376,3 @@ def test_decompose_region_tiles_punctured_space_by_sign():
                         assert all(v <= 0 for v in vals)
                     else:
                         assert all(v == 0 for v in vals)
-
-
-def test_lex_region_random_against_direct_scan():
-    rng = random.Random(29)
-    for _ in range(15):
-        forms = [random_nonzero_vector(rng, 2, lo=-3, hi=3, den=1)
-                 for _ in range(rng.randint(1, 3))]
-        combo = lex_positive_region(forms)
-        for _ in range(80):
-            w = random_nonzero_vector(rng, 2)
-            expected = 1 if first_nonzero_sign(forms, w) > 0 else 0
-            assert combo_eval(combo, w) == expected

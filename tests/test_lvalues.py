@@ -2,7 +2,9 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from reference import base_change_L, norm_character_schwartz
 from shintani.cone_algebra import sigma_decompose
 from shintani.errors import (
     NarrowClassNumberNotOne,
@@ -500,6 +502,25 @@ def test_quad_value_complex_character_in_joint_ring():
     assert direct == l_value_from_s_coeffs(K, sc, 1)
     assert not direct.is_rational()
     assert direct == ring.from_rat(Fraction(1, 5)) + ring.zeta(1) * Fraction(3, 5)
+
+
+# every character of modulus f <= 12, as (modulus, index in enumerate(f))
+_CHARACTERS = [(f, i) for f in range(1, 13) for i in range(len(DirichletChar.enumerate(f)))]
+
+
+@example(D=2, char=(7, 2), r=1)  # complex: 136/7 - (92/7) zeta
+@example(D=13, char=(5, 2), r=3)  # the quadratic character mod 5
+@settings(deadline=None, derandomize=True, max_examples=15)
+@given(D=st.sampled_from([2, 5, 13, 29]), char=st.sampled_from(_CHARACTERS),
+       r=st.integers(1, 3))
+def test_quad_value_of_norm_character_matches_base_change(D, char, r):
+    # L_K(chi o N, -r) = L(chi, -r) L(chi chi_K, -r): the cone route against
+    # two Bernoulli closed forms, which share no pairing code with it
+    f, index = char
+    chi = DirichletChar.enumerate(f)[index]
+    phi = norm_character_schwartz(D, chi)
+    value = quad_L_value(build_real_quad(D), phi, r)
+    assert phi.ring.coerce(value) == phi.ring.coerce(base_change_L(D, chi, r))
 
 
 def test_quad_value_independent_of_truncation():
