@@ -9,16 +9,8 @@ class ZeroPolynomial(ShintaniError):
     """Leading term requested for the zero polynomial."""
 
 
-class GeneralPositionViolation(ShintaniError):
-    """An n-element subset of the input vectors is linearly dependent."""
-
-
 class SingularMatrix(ShintaniError):
     """A matrix that must be invertible is singular."""
-
-
-class SingularBasis(ShintaniError):
-    """The claimed basis vectors are linearly dependent."""
 
 
 class ZeroVector(ShintaniError):
@@ -27,11 +19,6 @@ class ZeroVector(ShintaniError):
 
 class UnsupportedDimension(ShintaniError):
     """Cone decomposition is only implemented for ambient dimension <= 3."""
-
-
-class CaseDecompositionFailure(ShintaniError):
-    """Neither closed-form factorization applies; impossible for an
-    invertible matrix, so this signals a bug in the caller."""
 
 
 class ZeroForm(ShintaniError):

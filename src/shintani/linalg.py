@@ -7,7 +7,7 @@ Everything is immutable and all arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations
 from math import gcd, lcm
 
 from .errors import SingularMatrix
@@ -221,6 +221,48 @@ def coordinate_rows(gens):
             ]
             return abs(den), tuple(rows[:r]), tuple(rows[r:])
     raise ValueError("generators must be linearly independent")
+
+
+def reduce_rows(gens):
+    """Shorter integer generators for the same lattice points: a
+    unimodular change of coordinates U of Z^n applied to every generator.
+
+    The rows are the n coordinate rows of the matrix whose columns are
+    the generators, and the bounding box of the parallelotope has side
+    d * (l1 norm of row j) + 1 in coordinate j.  Pairwise Gauss steps
+    row_i -= q row_j, with q the rounded projection or a neighbour, are
+    taken only when they strictly lower the l1 norm of row_i, so the box
+    never grows and the loop ends.  Returns (the generators U g, back)
+    with back = U^-1 as integer rows, kept by the matching column steps
+    col_j += q col_i, so a point k' of the new parallelotope is the point
+    k = back k' of the old one; back is None when no step was taken.
+    """
+    rows = [list(row) for row in zip(*gens)]
+    n = len(rows)
+    norms = [sum(map(abs, row)) for row in rows]
+    back = None
+    moved = True
+    while moved:
+        moved = False
+        for i, j in permutations(range(n), 2):
+            ri, rj = rows[i], rows[j]
+            sq = idot(rj, rj)
+            if not sq:
+                continue
+            near = (2 * idot(ri, rj) + sq) // (2 * sq)
+            norm, q = min((sum(abs(a - q * b) for a, b in zip(ri, rj)), q)
+                          for q in (near - 1, near, near + 1))
+            if norm < norms[i]:
+                rows[i] = [a - q * b for a, b in zip(ri, rj)]
+                norms[i] = norm
+                if back is None:
+                    back = [[int(a == b) for b in range(n)] for a in range(n)]
+                for row in back:
+                    row[j] += q * row[i]
+                moved = True
+    if back is not None:
+        back = tuple(map(tuple, back))
+    return [tuple(g) for g in zip(*rows)], back
 
 
 def first_nonzero_sign(forms, w) -> int:

@@ -40,7 +40,7 @@ from .errors import (
     ZeroForm,
 )
 from .exactnum import CoeffElem, CoeffRing, QQ, bernoulli_number
-from .linalg import frac, solve_columns
+from .linalg import frac, idot, reduce_rows, solve_columns
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +240,7 @@ def _convolve(x, y, pairs):
 def _numerator(ring, nvars, trunc, d, groups, gens=()):
     """sum_p phi(p) exp(p.z) prod_{v in gens} (-g(v.z)) truncated at trunc,
     for groups (value, integer points k = d p) of points sharing one value:
-    the integer kernel of exp_sum and pair_cone.
+    the integer kernel of pair_cone.
 
     Each group keeps one list of integer moments sum k^e, so the z^e
     coefficient of the exponential sum is sum_groups value moment /
@@ -281,16 +281,6 @@ def _numerator(ring, nvars, trunc, d, groups, gens=()):
             if a:
                 terms.setdefault(e, {})[b] = Fraction(a, scale)
     return MSeries(ring, nvars, trunc, {e: CoeffElem(ring, c) for e, c in terms.items()})
-
-
-def exp_sum(ring, nvars, trunc, weighted) -> MSeries:
-    """sum_p c_p exp(p.z) truncated, over (rational point p, value c_p)
-    pairs, with each point d p its own group, d the lcm of the point
-    denominators."""
-    weighted = [(ring.coerce(c), [frac(x) for x in p]) for p, c in weighted]
-    den = lcm(*(x.denominator for _, p in weighted for x in p))
-    groups = [(c, [[x.numerator * (den // x.denominator) for x in p]]) for c, p in weighted]
-    return _numerator(ring, nvars, trunc, den, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +406,9 @@ def parallelotope_points(gens, d: int, f: int):
     Scans the integer points k of the bounding box scaled by d, solves
     sum y_i g_i = k exactly (y = d x) and keeps k/d when 0 < y_i <= d,
     tested on numerator and (positive) denominator as integers.
-    Generators must lie in f Z^n."""
+    Generators must lie in f Z^n.  The box is that of the generators as
+    given; pair_cone passes generators shortened by linalg.reduce_rows,
+    which keeps the points up to a unimodular change of coordinates."""
     gens = [tuple(frac(x) for x in g) for g in gens]
     for g in gens:
         for x in g:
@@ -517,11 +509,15 @@ def pair_cone(cone: OpenSimplicialCone, phi: SchwartzFn, dmax: int) -> QuotSerie
     Scales each generator into the period lattice (the least multiple of
     a primitive generator in f Z^n is f times it) and returns the quotient
     series sum_p phi(p) exp(p.z) prod_i (-g(v_i.z)) / prod_i v_i.z, p over
-    the half-open parallelotope of the scaled generators v_i.  Each point
-    becomes its integer vector k = d p, whose value is read from the
-    residue table at k mod d f; points of an absent class contribute
-    nothing, and the points of one class share one list of integer
-    moments.  The numerator comes from the integer kernel _numerator: one
+    the half-open parallelotope of the scaled generators v_i.  The
+    parallelotope is scanned in a reduced basis: linalg.reduce_rows gives
+    a unimodular U of Z^n that shortens the coordinate rows of the
+    generators, parallelotope_points scans the smaller box of the U v_i,
+    and each point k' maps back to k = U^-1 k' (no mapping when U is the
+    identity, as always at n = 1).  Each point becomes its integer vector
+    k = d p, whose value is read from the residue table at k mod d f;
+    points of an absent class contribute nothing, and the points of one
+    class share one list of integer moments.  The numerator comes from the integer kernel _numerator: one
     integer g-product, one integer convolution per basis key of the ring
     and one Fraction per nonzero coefficient.
     """
@@ -529,9 +525,12 @@ def pair_cone(cone: OpenSimplicialCone, phi: SchwartzFn, dmax: int) -> QuotSerie
         raise ValueError("cone and test function dimensions differ")
     d, mod = phi.d, phi.d * phi.f
     scaled = [tuple(phi.f * x for x in g) for g in cone.generators]
+    rows, back = reduce_rows(scaled)
     classes = {}
-    for p in parallelotope_points(scaled, d, phi.f):
+    for p in parallelotope_points(rows, d, phi.f):
         k = tuple(x.numerator * (d // x.denominator) for x in p)
+        if back is not None:
+            k = tuple(idot(b, k) for b in back)
         classes.setdefault(tuple(x % mod for x in k), []).append(k)
     groups = [(phi.table[c], pts) for c, pts in classes.items() if c in phi.table]
     num = _numerator(phi.ring, phi.n, dmax + cone.dim, d, groups, scaled)

@@ -12,12 +12,15 @@ is an independent definition of a value the library computes another way:
     half-ray coboundary function and the closed-form tables.
   * ``exp_series`` and ``g_series``: exp(v.z) and g(v.z) built through the
     general ``MSeries`` product, the oracles for the integer numerator of
-    ``exp_sum`` and ``pair_cone``; ``one_minus_exp``, ``phi_map``,
-    ``translate`` and ``quot_equal_as_laurent`` state the pairing
-    identities.
+    ``exp_sum`` (the kernel ``_numerator`` on single points) and
+    ``pair_cone``; ``one_minus_exp``, ``phi_map``, ``translate`` and
+    ``quot_equal_as_laurent`` state the pairing identities.
   * ``base_change_L``: L_K(chi o N, -r) = L(chi, -r) L(chi chi_K, -r) from
     the Bernoulli closed form, sharing no code with the cone route, for
     the test function ``norm_character_schwartz`` builds.
+
+The error classes ``GeneralPositionViolation``, ``SingularBasis`` and
+``CaseDecompositionFailure`` are raised only here, so they live here.
 """
 
 from __future__ import annotations
@@ -26,12 +29,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from shintani.cocycle_core import _integer_columns
-from shintani.errors import (
-    CaseDecompositionFailure,
-    GeneralPositionViolation,
-    SingularBasis,
-    ZeroVector,
-)
+from shintani.errors import ShintaniError, ZeroVector
 from shintani.exactnum import CoeffRing, MPoly, QQ, bernoulli_number
 from shintani.linalg import frac, mat_det, mat_inv, mat_vec, sign as rsign
 from shintani.lvalues import DirichletChar, dirichlet_L_closed
@@ -42,7 +40,20 @@ from shintani.ordered_field import (
     infer_nvars,
     sign_mpoly,
 )
-from shintani.solomon_hu import MSeries, QuotSeries, SchwartzFn, exp_sum
+from shintani.solomon_hu import MSeries, QuotSeries, SchwartzFn, _numerator
+
+
+class GeneralPositionViolation(ShintaniError):
+    """An n-element subset of the input vectors is linearly dependent."""
+
+
+class SingularBasis(ShintaniError):
+    """The claimed basis vectors are linearly dependent."""
+
+
+class CaseDecompositionFailure(ShintaniError):
+    """Neither closed-form factorization applies; impossible for an
+    invertible matrix, so this signals a bug in the caller."""
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +278,16 @@ def quot_equal_as_laurent(q1: QuotSeries, q2: QuotSeries) -> bool:
     to the smaller tracked degree."""
     s = q1 + q2.scale(-1)
     return s.is_zero_series()
+
+
+def exp_sum(ring, nvars, trunc, weighted) -> MSeries:
+    """sum_p c_p exp(p.z) truncated, over (rational point p, value c_p)
+    pairs, with each point d p its own group, d the lcm of the point
+    denominators."""
+    weighted = [(ring.coerce(c), [frac(x) for x in p]) for p, c in weighted]
+    den = lcm(*(x.denominator for _, p in weighted for x in p))
+    groups = [(c, [[x.numerator * (den // x.denominator) for x in p]]) for c, p in weighted]
+    return _numerator(ring, nvars, trunc, den, groups)
 
 
 def phi_map(A, dmax: int, ring: CoeffRing | None = None, nvars: int | None = None) -> QuotSeries:

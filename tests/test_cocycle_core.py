@@ -6,6 +6,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_general_position, random_nonzero_vector
 from reference import (
+    GeneralPositionViolation,
+    SingularBasis,
     closed_form_sigma_n2,
     coboundary_tau_half,
     cvalue,
@@ -17,12 +19,7 @@ from reference import (
 from shintani.cli import random_degenerate_tuple, random_invertible
 from shintani.cocycle_core import CocycleChecker, SigmaKernel, sigma_eval, tau_cocycle
 from shintani.cone_algebra import sigma_decompose
-from shintani.errors import (
-    GeneralPositionViolation,
-    SingularBasis,
-    SingularMatrix,
-    ZeroVector,
-)
+from shintani.errors import SingularMatrix, ZeroVector
 from shintani.exactnum import MPoly
 from shintani.linalg import identity, mat_det, mat_inv, mat_mul, mat_vec, sign
 from shintani.ordered_field import OrderedElem, iota

@@ -11,6 +11,10 @@ Import lint: the ordered-field stack (``ordered_field`` and
 ``exactnum.MPoly``) is a reference the tests use; no other module of the
 package imports it or names ``MPoly``, except ``__init__``, which
 re-exports it.
+
+Error lint: every class of ``shintani/errors.py`` is raised by some
+module of the package or is the base of one that is, so error classes
+only the tests raise live with the tests.
 """
 
 import ast
@@ -76,6 +80,34 @@ def _reference_stack_uses(tree):
     return out
 
 
+def _raised_names(tree):
+    """Names of the classes a module raises, as raise X or raise X(...)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                out.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                out.add(exc.attr)
+    return out
+
+
+def _dead_error_classes(errors_tree, raised):
+    """Classes of the errors module that are neither raised nor a base,
+    directly or further up, of a raised one."""
+    bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+             for node in errors_tree.body if isinstance(node, ast.ClassDef)}
+    live = set()
+    todo = [name for name in bases if name in raised]
+    while todo:
+        name = todo.pop()
+        if name not in live:
+            live.add(name)
+            todo.extend(bases.get(name, ()))
+    return sorted(bases.keys() - live)
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"exactnum.py", "lvalues.py", "solomon_hu.py",
                                          "reference.py"}
@@ -134,3 +166,20 @@ def test_import_lint_catches(source):
 def test_import_lint_allows_the_defining_module():
     source = "class MPoly:\n    def f(self):\n        return MPoly()\n"
     assert _reference_stack_uses(ast.parse(source)) == []
+
+
+def test_every_error_class_is_raised_by_the_package():
+    raised = set().union(*(_raised_names(ast.parse(p.read_text(encoding="utf-8")))
+                           for p in PACKAGE))
+    errors = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    assert sum(isinstance(node, ast.ClassDef) for node in errors.body) >= 2
+    assert _dead_error_classes(errors, raised) == []
+
+
+def test_error_lint_catches_an_unraised_class():
+    errors = ast.parse("class Base(Exception): pass\n"
+                       "class Used(Base): pass\n"
+                       "class Dead(Base): pass\n")
+    raised = _raised_names(ast.parse("def f():\n    raise Used('x')\n"))
+    assert _dead_error_classes(errors, raised) == ["Dead"]
+    assert _dead_error_classes(errors, raised | {"Dead"}) == []

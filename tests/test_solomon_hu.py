@@ -2,7 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor
+from math import ceil, floor, gcd
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -24,6 +24,7 @@ from shintani.errors import (
     TruncationTooSmall,
 )
 from shintani.exactnum import CoeffRing, QQ, bernoulli_poly
+from shintani.linalg import idot, int_det, mat_inv, mat_mul, reduce_rows
 from shintani.solomon_hu import (
     MSeries,
     QuotSeries,
@@ -170,6 +171,93 @@ def test_parallelotope_brute_force_cross_check():
                 if p[0].denominator == 1 and p[1].denominator == 1:
                     expected.add(p)
         assert pts == expected
+
+
+def _box(gens, d):
+    """Number of integer points in the bounding box of the parallelotope
+    scaled by d."""
+    out = 1
+    for col in zip(*gens):
+        out *= d * sum(map(abs, col)) + 1
+    return out
+
+
+def _coordinate_grid_points(gens, d):
+    """Points of (1/d)Z^n in the half-open parallelotope, by a scan over
+    coordinates instead of the box: a lattice point sum y_i g_i has
+    d y_i = a_i / m with m the gcd of the r x r minors (Cramer's rule on
+    any r coordinates), so a_i in 1..d m is exhaustive."""
+    r = len(gens)
+    m = 0
+    for rows in product(zip(*gens), repeat=r):
+        m = gcd(m, int_det(rows))
+    out = set()
+    for a in product(range(1, d * m + 1), repeat=r):
+        k = [sum(c * g[j] for c, g in zip(a, gens)) for j in range(len(gens[0]))]
+        if all(x % m == 0 for x in k):
+            out.add(tuple(Fraction(x // m, d) for x in k))
+    return out
+
+
+@st.composite
+def reduction_cases(draw):
+    """Generators f U B for n <= 2: B a small basis of rank r <= n, U a
+    product of up to three shears with factors up to 10, so the entries
+    reach ~10^3 while the parallelotope keeps few points; d, f in 1..3."""
+    n = draw(st.integers(1, 2))
+    r = draw(st.integers(1, n))
+    d = draw(st.integers(1, 3))
+    f = draw(st.integers(1, 3))
+    if n == 1:
+        return [(f * draw(st.integers(-1000, 1000).filter(bool)),)], d, f
+    vec = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any)
+    base = draw(st.lists(vec, min_size=r, max_size=r)
+                .filter(lambda b: len(b) == 1 or int_det(b)))
+    u = [[1, 0], [0, 1]]
+    for step, q in enumerate(draw(st.lists(st.integers(-10, 10), max_size=3))):
+        i = step % 2
+        u[i] = [a + q * b for a, b in zip(u[i], u[1 - i])]
+    return [tuple(f * idot(row, b) for row in u) for b in base], d, f
+
+
+@example(case=([(181, 40)], 1, 1))
+@example(case=([(1729, 640)], 1, 1))
+@example(case=([(1729, 640)], 2, 1))
+@example(case=([(12,)], 2, 3))
+@example(case=([(1, 0), (100, 99)], 1, 1))
+@settings(deadline=None, derandomize=True, max_examples=120)
+@given(case=reduction_cases())
+def test_reduce_rows_keeps_the_parallelotope_points(case):
+    gens, d, f = case
+    n = len(gens[0])
+    rows, back = reduce_rows(gens)
+    if back is None:
+        assert rows == gens
+        back = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    # back is an integer matrix of determinant +-1 whose inverse U is integer
+    assert all(type(x) is int for row in back for x in row)
+    assert int_det(back) in (1, -1)
+    u = mat_inv(back)
+    assert all(x.denominator == 1 for row in u for x in row)
+    assert mat_mul(back, u) == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    # the reduced generators are U g, and their box never exceeds the old one
+    assert rows == [tuple(idot(row, g) for row in u) for g in gens]
+    assert all(type(x) is int for g in rows for x in g)
+    assert _box(rows, d) <= _box(gens, d)
+    # scanning the reduced generators and mapping back finds the same points
+    mapped = {tuple(Fraction(idot(b, [x * d for x in p]), d) for b in back)
+              for p in parallelotope_points(rows, d, f)}
+    assert mapped == _coordinate_grid_points(gens, d)
+    if _box(gens, d) <= 20000:
+        assert mapped == set(parallelotope_points(gens, d, f))
+
+
+def test_reduce_rows_shortens_the_long_ray():
+    # the boundary ray of Q(sqrt 41): a 1.1 M point box becomes two points
+    rows, back = reduce_rows([(1729, 640)])
+    assert _box(rows, 1) == 2
+    assert [tuple(idot(b, [int(x) for x in p]) for b in back)
+            for p in parallelotope_points(rows, 1, 1)] == [(1729, 640)]
 
 
 # ---------------------------------------------------------------------------
