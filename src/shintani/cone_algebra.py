@@ -173,10 +173,11 @@ def _start_pieces(n: int):
 
 
 def _cross(vp, vq, hp, hq):
-    """Positive combination of the generators vp, vq on which the split
-    form vanishes: hp * vq - hq * vp with hp > 0 > hq."""
+    """Primitive positive combination of the generators vp, vq on which
+    the split form vanishes; hp and hq are the form's values on them, of
+    opposite signs (hp * vq - hq * vp up to scale when hp > 0 > hq)."""
     vec = tuple(hp * b - hq * a for a, b in zip(vp, vq))
-    g = gcd(*vec)
+    g = gcd(*vec) if hp > 0 else -gcd(*vec)
     return tuple(v // g for v in vec)
 
 
@@ -188,45 +189,25 @@ def _split_piece(gens, form):
     neg = [i for i, v in enumerate(vals) if v < 0]
     if not pos or not neg:
         return (gens,)
-    r = len(gens)
-    if r == 2:
+    if len(gens) > 3:
+        raise UnsupportedDimension("splitting supports cones of dimension <= 3")
+    if len(pos) == len(neg) == 1:
+        # one generator on each side, and the rest z on the hyperplane
         p, q = pos[0], neg[0]
         m = _cross(gens[p], gens[q], vals[p], vals[q])
-        return ((gens[p], m), (m,), (m, gens[q]))
-    if r == 3:
-        zero = [i for i, v in enumerate(vals) if v == 0]
-        if zero:
-            p, q, z = pos[0], neg[0], zero[0]
-            m = _cross(gens[p], gens[q], vals[p], vals[q])
-            return (
-                (gens[p], m, gens[z]),
-                (m, gens[z]),
-                (m, gens[q], gens[z]),
-            )
-        if len(pos) == 1:
-            p = pos[0]
-            q1, q2 = neg
-            m1 = _cross(gens[p], gens[q1], vals[p], vals[q1])
-            m2 = _cross(gens[p], gens[q2], vals[p], vals[q2])
-            return (
-                (gens[p], m1, m2),
-                (m1, m2),
-                (m1, gens[q1], gens[q2]),
-                (m1, gens[q2]),
-                (m1, m2, gens[q2]),
-            )
-        q = neg[0]
-        p1, p2 = pos
-        m1 = _cross(gens[p1], gens[q], vals[p1], vals[q])
-        m2 = _cross(gens[p2], gens[q], vals[p2], vals[q])
-        return (
-            (gens[q], m1, m2),
-            (m1, m2),
-            (m1, gens[p1], gens[p2]),
-            (m1, gens[p2]),
-            (m1, m2, gens[p2]),
-        )
-    raise UnsupportedDimension("splitting supports cones of dimension <= 3")
+        z = tuple(g for g, v in zip(gens, vals) if not v)
+        return ((gens[p], m) + z, (m,) + z, (m, gens[q]) + z)
+    # three generators, s alone on its side of the hyperplane
+    s, (a, b) = (pos[0], neg) if len(pos) == 1 else (neg[0], pos)
+    m1 = _cross(gens[s], gens[a], vals[s], vals[a])
+    m2 = _cross(gens[s], gens[b], vals[s], vals[b])
+    return (
+        (gens[s], m1, m2),
+        (m1, m2),
+        (m1, gens[a], gens[b]),
+        (m1, gens[b]),
+        (m1, m2, gens[b]),
+    )
 
 
 # ---------------------------------------------------------------------------

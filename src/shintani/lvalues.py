@@ -456,7 +456,7 @@ def _embedded_coeff(K: RealQuadField, q: QuotSeries, r: int) -> CoeffElem:
     top = MSeries(q.ring, 2, k, {e: c for e, c in q.num.terms.items() if sum(e) == k})
     columns = tuple(zip(*images))
     q_t = QuotSeries(
-        top.substitute_linear(images, 2),
+        top.substitute_linear(images),
         tuple(mat_vec(columns, form) for form in q.denoms),
     )
     return symmetric_laurent_coeff(q_t, r, r) * factorial(r) ** 2

@@ -12,14 +12,15 @@ numerator over a multiset of linear denominator forms v.z, where
 so the numerator is the parallelotope exponential sum times the product
 of the -g factors, with the pole data carried exactly by the denominator
 multiset.  The numerator is built in integers (``_numerator``): each
-point p becomes k = d p, and the points of one residue class k mod d f
-share one list of integer moments sum k^e, so the exponential sum's z^e
-coefficient is sum_class phi(class) moment / (d^|e| e!).  The g factors
-(z^e coefficient B_|e| v^e / e!) are multiplied once as one integer list
-over a common denominator; per basis key of the coefficient ring the
-cleared class values are convolved with it in integers, and every
-nonzero coefficient is one Fraction.  All coefficients of the
-represented Laurent expansion up to the tracked degree are exact.
+point p is enumerated as its integer vector k = d p, and the points of
+one residue class k mod d f share one list of integer moments sum k^e,
+so the exponential sum's z^e coefficient is sum_class phi(class) moment
+/ (d^|e| e!).  The g factors (z^e coefficient B_|e| v^e / e!) are
+multiplied once as one integer list over a common denominator; per
+basis key of the coefficient ring the cleared class values are convolved
+with it in integers, and every nonzero coefficient is one Fraction.  All
+coefficients of the represented Laurent expansion up to the tracked
+degree are exact.
 """
 
 from __future__ import annotations
@@ -68,23 +69,6 @@ class MSeries:
     def zero(cls, ring, nvars, trunc):
         return cls(ring, nvars, trunc)
 
-    @classmethod
-    def const(cls, ring, nvars, trunc, c):
-        c = ring.coerce(c)
-        t = {(0,) * nvars: c} if c else {}
-        return cls(ring, nvars, trunc, t)
-
-    @classmethod
-    def linear_form(cls, ring, nvars, trunc, vec):
-        terms = {}
-        for i, c in enumerate(vec):
-            c = ring.coerce(c)
-            if c:
-                e = [0] * nvars
-                e[i] = 1
-                terms[tuple(e)] = c
-        return cls(ring, nvars, trunc, terms)
-
     def coeff(self, e) -> CoeffElem:
         return self.terms.get(tuple(e), self.ring.zero())
 
@@ -116,28 +100,6 @@ class MSeries:
             r.terms = {e: v * c for e, v in self.terms.items()}
         return r
 
-    def __mul__(self, other: "MSeries") -> "MSeries":
-        trunc = min(self.trunc, other.trunc)
-        out = {}
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            if d1 > trunc:
-                continue
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > trunc:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(e)
-                s = c if s is None else s + c
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        r = MSeries(self.ring, self.nvars, trunc)
-        r.terms = out
-        return r
-
     def mul_exact_linear(self, vec) -> "MSeries":
         """Multiply by the homogeneous polynomial v.z exactly.  Because the
         form has no constant term, every product coefficient through total
@@ -163,29 +125,37 @@ class MSeries:
         r.terms = out
         return r
 
-    def substitute_linear(self, images, new_nvars: int) -> "MSeries":
-        """Substitute variable j by the linear form images[j] over a new
-        variable list; linearity preserves homogeneous degrees, so the
-        truncation bound carries over exactly."""
+    def substitute_linear(self, images) -> "MSeries":
+        """Substitute z_j = images[j][0] t_1 + images[j][1] t_2 in a series
+        of two variables.  Each homogeneous component sum_a c_a z_1^a
+        z_2^(m-a) is evaluated by Horner's rule in z_2, acc <- acc z_2 +
+        c_a z_1^a for a = 0..m, on binary forms in t kept as lists of
+        their coefficients by the power of t_1; one table of powers of
+        z_1's image serves every degree.  In embedding coordinates z_1's
+        image is t_1 + t_2, so that table holds binomial coefficients and
+        only the Horner steps multiply by irrationals.  Linearity
+        preserves homogeneous degrees, so the truncation bound carries
+        over exactly."""
+        if self.nvars != 2 or len(images) != 2 or any(len(img) != 2 for img in images):
+            raise ValueError("substitution needs a binary series and binary images")
         ring = self.ring
-        lin = [MSeries.linear_form(ring, new_nvars, self.trunc, img)
-               for img in images]
-        powers = [{0: MSeries.const(ring, new_nvars, self.trunc, 1)} for _ in lin]
-
-        def power(j, k):
-            cache = powers[j]
-            if k not in cache:
-                cache[k] = power(j, k - 1) * lin[j]
-            return cache[k]
-
-        acc = MSeries.zero(ring, new_nvars, self.trunc)
-        for e, c in self.terms.items():
-            term = MSeries.const(ring, new_nvars, self.trunc, c)
-            for j, k in enumerate(e):
-                if k:
-                    term = term * power(j, k)
-            acc = acc + term
-        return acc
+        (a1, b1), (a2, b2) = ([ring.coerce(c) for c in img] for img in images)
+        components = {}  # degree m -> {a: c_a}
+        for (i, j), c in self.terms.items():
+            components.setdefault(i + j, {})[i] = c
+        powers = [[ring.one()]]  # powers of z_1's image
+        for _ in range(max(components, default=0)):
+            powers.append(_times_linear(powers[-1], a1, b1))
+        terms = {}
+        for m, comp in components.items():
+            acc = [comp.get(0, ring.zero())]
+            for a in range(1, m + 1):
+                acc = _times_linear(acc, a2, b2)
+                c = comp.get(a)
+                if c is not None:
+                    acc = [x + c * y if y else x for x, y in zip(acc, powers[a])]
+            terms.update(((i, m - i), c) for i, c in enumerate(acc))
+        return MSeries(ring, 2, self.trunc, terms)
 
     def __eq__(self, other):
         if not isinstance(other, MSeries):
@@ -202,6 +172,19 @@ class MSeries:
     def __repr__(self):
         bits = [f"{c!r}*z^{e}" for e, c in sorted(self.terms.items())]
         return " + ".join(bits) if bits else "0"
+
+
+def _times_linear(form, a, b):
+    """The binary form given by its coefficients by the power of t_1, times
+    a t_1 + b t_2: a two-tap step on the coefficient list."""
+    out = [a.ring.zero()] * (len(form) + 1)
+    for i, c in enumerate(form):
+        if c:
+            if a:
+                out[i + 1] = out[i + 1] + c * a
+            if b:
+                out[i] = out[i] + c * b
+    return out
 
 
 def _exponents(nvars, trunc):
@@ -401,10 +384,11 @@ def _coeff_from_json(ring: CoeffRing, doc) -> CoeffElem:
 # ---------------------------------------------------------------------------
 
 def parallelotope_points(gens, d: int, f: int):
-    """Points of the support lattice (1/d)Z^n inside the half-open
-    parallelotope {sum x_i g_i : x_i in (0, 1]}, in lexicographic order.
+    """Points p of the support lattice (1/d)Z^n inside the half-open
+    parallelotope {sum x_i g_i : x_i in (0, 1]}, as their integer vectors
+    k = d p in lexicographic order; the point k/d is left implicit.
     Scans the integer points k of the bounding box scaled by d, solves
-    sum y_i g_i = k exactly (y = d x) and keeps k/d when 0 < y_i <= d,
+    sum y_i g_i = k exactly (y = d x) and keeps k when 0 < y_i <= d,
     tested on numerator and (positive) denominator as integers.
     Generators must lie in f Z^n.  The box is that of the generators as
     given; pair_cone passes generators shortened by linalg.reduce_rows,
@@ -423,7 +407,7 @@ def parallelotope_points(gens, d: int, f: int):
     for k in product(*ranges):
         y = solve_columns(gens, k)
         if y is not None and all(0 < c.numerator <= d * c.denominator for c in y):
-            out.append(tuple(Fraction(x, d) for x in k))
+            out.append(k)
     return out
 
 
@@ -512,14 +496,15 @@ def pair_cone(cone: OpenSimplicialCone, phi: SchwartzFn, dmax: int) -> QuotSerie
     the half-open parallelotope of the scaled generators v_i.  The
     parallelotope is scanned in a reduced basis: linalg.reduce_rows gives
     a unimodular U of Z^n that shortens the coordinate rows of the
-    generators, parallelotope_points scans the smaller box of the U v_i,
-    and each point k' maps back to k = U^-1 k' (no mapping when U is the
-    identity, as always at n = 1).  Each point becomes its integer vector
-    k = d p, whose value is read from the residue table at k mod d f;
-    points of an absent class contribute nothing, and the points of one
-    class share one list of integer moments.  The numerator comes from the integer kernel _numerator: one
-    integer g-product, one integer convolution per basis key of the ring
-    and one Fraction per nonzero coefficient.
+    generators, parallelotope_points scans the smaller box of the U v_i
+    and yields integer vectors k' = d p', and each maps back to
+    k = U^-1 k' (no mapping when U is the identity, as always at n = 1).
+    The value of the point k / d is read from the residue table at
+    k mod d f; points of an absent class contribute nothing, and the
+    points of one class share one list of integer moments.  The numerator
+    comes from the integer kernel _numerator: one integer g-product, one
+    integer convolution per basis key of the ring and one Fraction per
+    nonzero coefficient.
     """
     if cone.ambient != phi.n:
         raise ValueError("cone and test function dimensions differ")
@@ -527,8 +512,7 @@ def pair_cone(cone: OpenSimplicialCone, phi: SchwartzFn, dmax: int) -> QuotSerie
     scaled = [tuple(phi.f * x for x in g) for g in cone.generators]
     rows, back = reduce_rows(scaled)
     classes = {}
-    for p in parallelotope_points(rows, d, phi.f):
-        k = tuple(x.numerator * (d // x.denominator) for x in p)
+    for k in parallelotope_points(rows, d, phi.f):
         if back is not None:
             k = tuple(idot(b, k) for b in back)
         classes.setdefault(tuple(x % mod for x in k), []).append(k)

@@ -7,6 +7,7 @@ import shintani
 from shintani.cli import random_nonzero_vector
 from shintani.errors import SingularMatrix
 from shintani.linalg import mat_det
+from shintani.solomon_hu import parallelotope_points
 
 # `python -m shintani` subprocesses import the package from the tree the
 # suite imports; pytest's `pythonpath` setting reaches only this process.
@@ -76,3 +77,9 @@ def outcome(solve, *args):
         return solve(*args)
     except SingularMatrix:
         return SingularMatrix
+
+
+def rational_points(gens, d, f):
+    """The points k / d of the parallelotope, from the integer vectors k
+    that parallelotope_points yields."""
+    return [tuple(Fraction(x, d) for x in k) for k in parallelotope_points(gens, d, f)]

@@ -10,11 +10,12 @@ is an independent definition of a value the library computes another way:
   * ``solomon_s``, ``coboundary_tau_half``, ``tau_transport`` and
     ``closed_form_sigma_n2``: the dimension-2 half-weighted cocycle, the
     half-ray coboundary function and the closed-form tables.
-  * ``exp_series`` and ``g_series``: exp(v.z) and g(v.z) built through the
-    general ``MSeries`` product, the oracles for the integer numerator of
-    ``exp_sum`` (the kernel ``_numerator`` on single points) and
-    ``pair_cone``; ``one_minus_exp``, ``phi_map``, ``translate`` and
-    ``quot_equal_as_laurent`` state the pairing identities.
+  * ``exp_series`` and ``g_series``: exp(v.z) and g(v.z) built through
+    the term-by-term product ``series_product``, the oracles for the
+    integer numerator of ``exp_sum`` (the kernel ``_numerator`` on single
+    points) and ``pair_cone``; ``one_minus_exp``, ``phi_map``,
+    ``translate`` and ``quot_equal_as_laurent`` state the pairing
+    identities.
   * ``base_change_L``: L_K(chi o N, -r) = L(chi, -r) L(chi chi_K, -r) from
     the Bernoulli closed form, sharing no code with the cone route, for
     the test function ``norm_character_schwartz`` builds.
@@ -239,14 +240,38 @@ def closed_form_sigma_n2(alpha, w) -> int:
 # Series oracles for the pairing
 # ---------------------------------------------------------------------------
 
+def _const(ring, nvars, trunc, c) -> MSeries:
+    return MSeries(ring, nvars, trunc, {(0,) * nvars: ring.coerce(c)})
+
+
+def _linear_form(ring, nvars, trunc, vec) -> MSeries:
+    return MSeries(ring, nvars, trunc, {
+        tuple(int(i == j) for j in range(nvars)): ring.coerce(c)
+        for i, c in enumerate(vec)
+    })
+
+
+def series_product(a: MSeries, b: MSeries) -> MSeries:
+    """The truncated product of two series, term by term: every pair of
+    terms whose degrees sum to at most the smaller truncation."""
+    trunc = min(a.trunc, b.trunc)
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            if sum(e1) + sum(e2) <= trunc:
+                e = tuple(x + y for x, y in zip(e1, e2))
+                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return MSeries(a.ring, a.nvars, trunc, out)
+
+
 def exp_series(ring, nvars, trunc, vec) -> MSeries:
     """exp(v.z) truncated: sum_k (v.z)^k / k!; the tests' oracle for the
     exponential sums of exp_sum and pair_cone."""
-    lin = MSeries.linear_form(ring, nvars, trunc, vec)
-    acc = MSeries.const(ring, nvars, trunc, 1)
-    term = MSeries.const(ring, nvars, trunc, 1)
+    lin = _linear_form(ring, nvars, trunc, vec)
+    acc = _const(ring, nvars, trunc, 1)
+    term = _const(ring, nvars, trunc, 1)
     for k in range(1, trunc + 1):
-        term = (term * lin).scale(Fraction(1, k))
+        term = series_product(term, lin).scale(Fraction(1, k))
         if term.is_zero():
             break
         acc = acc + term
@@ -256,11 +281,11 @@ def exp_series(ring, nvars, trunc, vec) -> MSeries:
 def g_series(ring, nvars, trunc, vec) -> MSeries:
     """g(v.z) = (v.z) / (exp(v.z) - 1) = sum_m B_m (v.z)^m / m! truncated;
     the tests' oracle for the integer g-product of pair_cone."""
-    lin = MSeries.linear_form(ring, nvars, trunc, vec)
-    acc = MSeries.const(ring, nvars, trunc, bernoulli_number(0))
-    power = MSeries.const(ring, nvars, trunc, 1)
+    lin = _linear_form(ring, nvars, trunc, vec)
+    acc = _const(ring, nvars, trunc, bernoulli_number(0))
+    power = _const(ring, nvars, trunc, 1)
     for m in range(1, trunc + 1):
-        power = (power * lin).scale(Fraction(1, m))
+        power = series_product(power, lin).scale(Fraction(1, m))
         if power.is_zero():
             break
         b = bernoulli_number(m)
@@ -270,7 +295,7 @@ def g_series(ring, nvars, trunc, vec) -> MSeries:
 
 
 def one_minus_exp(ring, nvars, trunc, vec) -> MSeries:
-    return MSeries.const(ring, nvars, trunc, 1) + exp_series(ring, nvars, trunc, vec).scale(-1)
+    return _const(ring, nvars, trunc, 1) + exp_series(ring, nvars, trunc, vec).scale(-1)
 
 
 def quot_equal_as_laurent(q1: QuotSeries, q2: QuotSeries) -> bool:

@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import random_general_position, random_nonzero_vector
+from conftest import random_general_position, random_nonzero_vector, rational_points
 from reference import (
     GeneralPositionViolation,
     closed_form_sigma_n2,
@@ -18,6 +18,7 @@ from reference import (
     one_minus_exp,
     phi_map,
     quot_equal_as_laurent,
+    series_product,
     solomon_s,
     tau_transport,
     translate,
@@ -42,7 +43,6 @@ from shintani.solomon_hu import (
     SchwartzFn,
     pair_cone,
     pair_combo,
-    parallelotope_points,
 )
 
 I2 = identity(2)
@@ -390,9 +390,9 @@ def test_criterion_8_pairing_identities():
         lhs = q.num
         rat_forms = [tuple(c.rational_part() for c in form) for form in q.denoms]
         for vec in rat_forms:
-            lhs = lhs * one_minus_exp(q.ring, n, q.num.trunc, vec)
+            lhs = series_product(lhs, one_minus_exp(q.ring, n, q.num.trunc, vec))
         rhs = MSeries.zero(q.ring, n, q.num.trunc)
-        for p in parallelotope_points(rat_forms, phi.d, phi.f):
+        for p in rational_points(rat_forms, phi.d, phi.f):
             v = phi.value_at(p)
             if v:
                 rhs = rhs + exp_series(q.ring, n, q.num.trunc, p).scale(v)
@@ -426,7 +426,7 @@ def test_criterion_8_pairing_identities():
             A[w] = A.get(w, 0) + rng.randint(-2, 2)
         v = tuple(Fraction(rng.randint(-2, 2)) for _ in range(n))
         lhs = phi_map(translate(A, v), 5, QQ, n)
-        rhs = phi_map(A, 5, QQ, n).num * exp_series(QQ, n, 5, v)
+        rhs = series_product(phi_map(A, 5, QQ, n).num, exp_series(QQ, n, 5, v))
         assert lhs.num == rhs
 
     # orthogonality: a decomposition of the constant function pairs to

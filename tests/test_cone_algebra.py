@@ -9,6 +9,7 @@ from shintani.cocycle_core import SigmaKernel, tau_cocycle
 from shintani.cone_algebra import (
     ConeCombo,
     _decompose_region,
+    _split_piece,
     OpenSimplicialCone,
     act,
     sigma_decompose,
@@ -192,6 +193,39 @@ def test_combo_json_round_trip():
 # ---------------------------------------------------------------------------
 # Decomposition of the cocycle
 # ---------------------------------------------------------------------------
+
+# frozen pieces, in order, for each way a hyperplane can cut a cone: one
+# generator on each side (r = 2, and r = 3 with one generator on the
+# hyperplane, here in the middle), and r = 3 with a lone positive or a
+# lone negative generator
+_SPLITS = [
+    (((1, 0), (1, 2)), (1, -1),
+     (((1, 0), (1, 1)), ((1, 1),), ((1, 1), (1, 2)))),
+    (((1, 0, 0), (0, 0, 1), (0, 1, 0)), (1, -1, 0),
+     (((1, 0, 0), (1, 1, 0), (0, 0, 1)), ((1, 1, 0), (0, 0, 1)),
+      ((1, 1, 0), (0, 1, 0), (0, 0, 1)))),
+    (((1, 0, 1), (0, 1, 0), (1, 1, 0)), (1, -2, 1),
+     (((1, 0, 1), (1, 1, 1), (3, 2, 1)), ((1, 1, 1), (3, 2, 1)),
+      ((1, 1, 1), (0, 1, 0), (1, 1, 0)), ((1, 1, 1), (1, 1, 0)),
+      ((1, 1, 1), (3, 2, 1), (1, 1, 0)))),
+    (((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1, -3, 2),
+     (((0, 1, 0), (3, 1, 0), (0, 2, 3)), ((3, 1, 0), (0, 2, 3)),
+      ((3, 1, 0), (1, 0, 0), (0, 0, 1)), ((3, 1, 0), (0, 0, 1)),
+      ((3, 1, 0), (0, 2, 3), (0, 0, 1)))),
+]
+
+
+@pytest.mark.parametrize("gens,form,pieces", _SPLITS)
+def test_split_piece_frozen_pieces(gens, form, pieces):
+    assert _split_piece(gens, form) == pieces
+
+
+def test_split_piece_keeps_uncut_cones_and_refuses_dimension_four():
+    gens = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert _split_piece(gens, (1, 0, 2)) == (gens,)
+    with pytest.raises(UnsupportedDimension):
+        _split_piece(((1, 0, 0, 0), (-1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+                     (1, 0, 0, 0))
 
 def test_decompose_negative_ray():
     combo = sigma_decompose([I2, ((1, 0), (0, -1))])

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 from math import comb, factorial
 
@@ -571,7 +572,7 @@ def _full_series_value(K, phi, r, dmax):
               for i in range(2))
         for form in q.denoms
     ]
-    q_t = QuotSeries(q.num.substitute_linear(images, 2), forms)
+    q_t = QuotSeries(q.num.substitute_linear(images), forms)
     return symmetric_laurent_coeff(q_t, r, r) * factorial(r) ** 2
 
 
@@ -629,3 +630,22 @@ def test_l_value_from_s_coeffs_matches_binomial_expansion(D, spec, direction):
     sc = s_coeffs(K, _pullback_zeta(K, spec, direction), 2)
     for r in range(3):
         assert l_value_from_s_coeffs(K, sc, r) == _binomial_l_value(K, sc, r)
+
+
+def test_l_value_jobs_leave_no_reference_cycles():
+    # cyclic garbage outlives a job until a full collection frees it; with
+    # the collector off, gc.collect() counts what each job left behind
+    K = build_real_quad(13)
+    phi = trivial_quad_schwartz(K)
+    chi = DirichletChar.enumerate(5)[1]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        quad_L_value(K, phi, 3)
+        assert gc.collect() == 0
+        dirichlet_L_via_cocycle(chi, 2)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

@@ -7,13 +7,14 @@ from math import ceil, floor, gcd
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import gauss_jordan_oracle, outcome
+from conftest import gauss_jordan_oracle, outcome, rational_points
 from reference import (
     exp_series,
     g_series,
     one_minus_exp,
     phi_map,
     quot_equal_as_laurent,
+    series_product,
     translate,
 )
 from shintani.cone_algebra import ConeCombo, OpenSimplicialCone
@@ -25,6 +26,7 @@ from shintani.errors import (
 )
 from shintani.exactnum import CoeffRing, QQ, bernoulli_poly
 from shintani.linalg import idot, int_det, mat_inv, mat_mul, reduce_rows
+from shintani.lvalues import build_real_quad
 from shintani.solomon_hu import (
     MSeries,
     QuotSeries,
@@ -72,7 +74,7 @@ def test_phi_map_translation_compatibility():
             A[w] = A.get(w, 0) + rng.randint(-2, 2)
         v = (Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2)))
         lhs = phi_map(translate(A, v), 6, QQ, 2)
-        rhs = phi_map(A, 6, QQ, 2).num * exp_series(QQ, 2, 6, v)
+        rhs = series_product(phi_map(A, 6, QQ, 2).num, exp_series(QQ, 2, 6, v))
         assert lhs.num == rhs
 
 
@@ -81,23 +83,26 @@ def test_phi_map_translation_compatibility():
 # ---------------------------------------------------------------------------
 
 def test_parallelotope_interval():
-    pts = parallelotope_points([(fr(2),)], 1, 1)
+    pts = rational_points([(fr(2),)], 1, 1)
     assert pts == [(Fraction(1),), (Fraction(2),)]
 
 
 def test_parallelotope_unit_box():
-    pts = parallelotope_points([(fr(1), fr(0)), (fr(0), fr(1))], 1, 1)
+    pts = rational_points([(fr(1), fr(0)), (fr(0), fr(1))], 1, 1)
     assert pts == [(Fraction(1), Fraction(1))]
 
 
 def test_parallelotope_sheared():
     # frozen oracle from an independent scan over the bounding box
-    pts = parallelotope_points([(fr(1), fr(0)), (fr(1), fr(2))], 1, 1)
+    pts = rational_points([(fr(1), fr(0)), (fr(1), fr(2))], 1, 1)
     assert pts == [(Fraction(1), Fraction(1)), (Fraction(2), Fraction(2))]
 
 
 def test_parallelotope_fine_support():
-    pts = parallelotope_points([(fr(1),)], 2, 1)
+    # the points come as their integer vectors k = d p
+    ks = parallelotope_points([(fr(1),)], 2, 1)
+    assert ks == [(1,), (2,)] and all(type(x) is int for k in ks for x in k)
+    pts = rational_points([(fr(1),)], 2, 1)
     assert pts == [(Fraction(1, 2),), (Fraction(1),)]
 
 
@@ -146,7 +151,7 @@ def parallelotope_cases(draw):
 @given(case=parallelotope_cases())
 def test_parallelotope_matches_rational_box_scan(case):
     gens, d, f = case
-    assert outcome(parallelotope_points, gens, d, f) == outcome(_box_scan_oracle, gens, d)
+    assert outcome(rational_points, gens, d, f) == outcome(_box_scan_oracle, gens, d)
 
 
 def test_parallelotope_brute_force_cross_check():
@@ -160,7 +165,7 @@ def test_parallelotope_brute_force_cross_check():
         det = g1[0] * g2[1] - g1[1] * g2[0]
         if det == 0:
             continue
-        pts = set(parallelotope_points([g1, g2], 1, 1))
+        pts = set(rational_points([g1, g2], 1, 1))
         expected = set()
         steps = abs(int(det))
         for i in range(1, steps + 1):
@@ -245,19 +250,19 @@ def test_reduce_rows_keeps_the_parallelotope_points(case):
     assert all(type(x) is int for g in rows for x in g)
     assert _box(rows, d) <= _box(gens, d)
     # scanning the reduced generators and mapping back finds the same points
-    mapped = {tuple(Fraction(idot(b, [x * d for x in p]), d) for b in back)
-              for p in parallelotope_points(rows, d, f)}
+    mapped = {tuple(Fraction(idot(b, k), d) for b in back)
+              for k in parallelotope_points(rows, d, f)}
     assert mapped == _coordinate_grid_points(gens, d)
     if _box(gens, d) <= 20000:
-        assert mapped == set(parallelotope_points(gens, d, f))
+        assert mapped == set(rational_points(gens, d, f))
 
 
 def test_reduce_rows_shortens_the_long_ray():
     # the boundary ray of Q(sqrt 41): a 1.1 M point box becomes two points
     rows, back = reduce_rows([(1729, 640)])
     assert _box(rows, 1) == 2
-    assert [tuple(idot(b, [int(x) for x in p]) for b in back)
-            for p in parallelotope_points(rows, 1, 1)] == [(1729, 640)]
+    assert [tuple(idot(b, k) for b in back)
+            for k in parallelotope_points(rows, 1, 1)] == [(1729, 640)]
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +328,9 @@ def test_pair_cone_defining_identity():
         lhs = q.num
         rat_forms = [tuple(c.rational_part() for c in form) for form in q.denoms]
         for vec in rat_forms:
-            lhs = lhs * one_minus_exp(q.ring, 2, q.num.trunc, vec)
+            lhs = series_product(lhs, one_minus_exp(q.ring, 2, q.num.trunc, vec))
         rhs = MSeries.zero(q.ring, 2, q.num.trunc)
-        for p in parallelotope_points(rat_forms, d, f):
+        for p in rational_points(rat_forms, d, f):
             v = phi.value_at(p)
             if v:
                 rhs = rhs + exp_series(q.ring, 2, q.num.trunc, p).scale(v)
@@ -415,11 +420,11 @@ def test_pair_cone_numerator_matches_exp_series_oracle(case):
     q = pair_cone(cone, phi, dmax)
     scaled = [tuple(phi.f * x for x in g) for g in cone.generators]
     trunc = dmax + cone.dim
-    points = parallelotope_points(scaled, phi.d, phi.f)
+    points = rational_points(scaled, phi.d, phi.f)
     num = _exp_series_oracle(phi.ring, phi.n, trunc,
                              [(p, phi.value_at(p)) for p in points])
     for g in scaled:
-        num = num * g_series(phi.ring, phi.n, trunc, g)
+        num = series_product(num, g_series(phi.ring, phi.n, trunc, g))
     if cone.dim % 2:
         num = num.scale(-1)
     assert q.num.trunc == num.trunc
@@ -647,6 +652,72 @@ def test_symmetric_coeff_pole_average():
     num = MSeries(ring, 2, 3, {(1, 0): ring.one()})
     q = QuotSeries(num, ((ring.one(), ring.from_rat(-1)),))
     assert symmetric_laurent_coeff(q, 0, 0) == ring.from_rat(Fraction(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# Linear change of variables
+# ---------------------------------------------------------------------------
+
+_K5 = build_real_quad(5)
+
+
+@st.composite
+def substitution_cases(draw):
+    """A series in two variables over CoeffRing(m, D), m in {1, 3, 4} and
+    D in {2, 5, 13}, with any terms up to its truncation (possibly none),
+    two images a + b sqrt(D) per variable with rational a, b (zero
+    included) and a rational point t."""
+    ring = CoeffRing(draw(st.sampled_from([1, 3, 4])), draw(st.sampled_from([2, 5, 13])))
+    rat = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+    elem = st.lists(rat, min_size=len(ring.basis()), max_size=len(ring.basis())).map(
+        lambda cs: ring.elem(dict(zip(ring.basis(), cs))))
+    real = st.tuples(rat, rat).map(lambda ab: ring.from_rat(ab[0]) + ring.sqrtD() * ab[1])
+    trunc = draw(st.integers(0, 5))
+    exps = [(i, m - i) for m in range(trunc + 1) for i in range(m + 1)]
+    terms = draw(st.dictionaries(st.sampled_from(exps), elem, max_size=8))
+    images = draw(st.lists(st.tuples(real, real), min_size=2, max_size=2))
+    return MSeries(ring, 2, trunc, terms), images, draw(st.tuples(rat, rat))
+
+
+def _power(x, k, ring):
+    out = ring.one()
+    for _ in range(k):
+        out = out * x
+    return out
+
+
+@example(case=(MSeries(_K5.ring, 2, 4, {(2, 2): _K5.ring.one(), (3, 0): _K5.ring.sqrtD(),
+                                        (0, 1): _K5.ring.from_rat(Fraction(-1, 2))}),
+               _K5.transition_images(), (Fraction(1, 2), Fraction(-3))))
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(case=substitution_cases())
+def test_substitute_linear_matches_direct_evaluation(case):
+    # each homogeneous component, evaluated at t after the substitution,
+    # equals sum c_e prod_j (img_j . t)^(e_j) computed directly
+    series, images, t = case
+    ring = series.ring
+    out = series.substitute_linear(images)
+    assert (out.nvars, out.trunc) == (2, series.trunc)
+    assert all(type(e) is tuple and len(e) == 2 for e in out.terms)
+    zs = [img[0] * t[0] + img[1] * t[1] for img in images]
+    for m in range(series.trunc + 1):
+        direct = sum((c * _power(zs[0], e[0], ring) * _power(zs[1], e[1], ring)
+                      for e, c in series.terms.items() if sum(e) == m), ring.zero())
+        value = sum((c * (t[0] ** e[0] * t[1] ** e[1])
+                     for e, c in out.terms.items() if sum(e) == m), ring.zero())
+        assert value == direct
+
+
+def test_substitute_linear_refuses_non_binary_input():
+    images = _K5.transition_images()
+    ternary = MSeries(QQ, 3, 2, {(1, 0, 1): QQ.one()})
+    with pytest.raises(ValueError):
+        ternary.substitute_linear(images + [(QQ.one(), QQ.one())])
+    binary = MSeries(QQ, 2, 2, {(1, 1): QQ.one()})
+    with pytest.raises(ValueError):
+        binary.substitute_linear([(1, 0, 0), (0, 1, 0)])
+    with pytest.raises(ValueError):
+        binary.substitute_linear(images[:1])
 
 
 def test_quot_addition_tracks_reliable_degree():
