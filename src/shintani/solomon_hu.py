@@ -21,6 +21,19 @@ basis key of the coefficient ring the cleared class values are convolved
 with it in integers, and every nonzero coefficient is one Fraction.  All
 coefficients of the represented Laurent expansion up to the tracked
 degree are exact.
+
+A two-variable series is read in embedding coordinates in Z[sqrt D]
+integers.  Every number that step touches lies in Q(sqrt D) apart from
+the numerator's zeta parts, and the step is linear in the numerator, so
+a coefficient splits by zeta index into slices x + y sqrt D and each
+slice runs on integer pairs (x, y) over one positive denominator
+(``_split_zeta``, ``_clear_real``).  ``MSeries.substitute_linear``
+evaluates each homogeneous component by Horner's rule on such pairs, and
+``symmetric_laurent_coeff`` extracts a Laurent coefficient with a
+fraction-free inverse series and one division by a Z[sqrt D] integer,
+made rational by its conjugate; neither multiplies two ring elements or
+inverts one, and each returns one Fraction per component.  Images and
+denominator forms with a zeta component are refused with ValueError.
 """
 
 from __future__ import annotations
@@ -105,12 +118,10 @@ class MSeries:
         form has no constant term, every product coefficient through total
         degree trunc+1 only involves stored coefficients, so the returned
         series is reliable one degree further."""
+        vec = [(i, a) for i, a in enumerate(map(self.ring.coerce, vec)) if a]
         out = {}
         for e1, c1 in self.terms.items():
-            for i, a in enumerate(vec):
-                a = self.ring.coerce(a)
-                if not a:
-                    continue
+            for i, a in vec:
                 e = list(e1)
                 e[i] += 1
                 e = tuple(e)
@@ -127,34 +138,50 @@ class MSeries:
 
     def substitute_linear(self, images) -> "MSeries":
         """Substitute z_j = images[j][0] t_1 + images[j][1] t_2 in a series
-        of two variables.  Each homogeneous component sum_a c_a z_1^a
-        z_2^(m-a) is evaluated by Horner's rule in z_2, acc <- acc z_2 +
-        c_a z_1^a for a = 0..m, on binary forms in t kept as lists of
-        their coefficients by the power of t_1; one table of powers of
-        z_1's image serves every degree.  In embedding coordinates z_1's
-        image is t_1 + t_2, so that table holds binomial coefficients and
-        only the Horner steps multiply by irrationals.  Linearity
-        preserves homogeneous degrees, so the truncation bound carries
-        over exactly."""
+        of two variables, in Z[sqrt D] integers.  The images must lie in
+        Q(sqrt D) (a zeta component raises ValueError) and are cleared to
+        Z[sqrt D] by the lcm s of their denominators.  Each homogeneous
+        component sum_a c_a z_1^a z_2^(m-a) is cleared to integers over
+        the lcm of its coefficient denominators and split by zeta index,
+        c_a = sum_i zeta^i (x + y sqrt D); each slice is a binary form
+        with coefficients (x, y) by the power of t_1, evaluated by
+        Horner's rule in z_2, acc <- acc z_2 + c_a z_1^a for a = 0..m,
+        with one integer table of powers of z_1's image for every degree
+        and the common scale s^m.  Every coefficient component of the
+        result is one Fraction.  Linearity preserves homogeneous degrees,
+        so the truncation bound carries over exactly."""
         if self.nvars != 2 or len(images) != 2 or any(len(img) != 2 for img in images):
             raise ValueError("substitution needs a binary series and binary images")
         ring = self.ring
-        (a1, b1), (a2, b2) = ([ring.coerce(c) for c in img] for img in images)
+        sqd = ring.D or 0
+        s, ((a1, b1), (a2, b2)) = _clear_real(
+            [[ring.coerce(c) for c in img] for img in images], "solomon_hu.substitute: image")
         components = {}  # degree m -> {a: c_a}
         for (i, j), c in self.terms.items():
             components.setdefault(i + j, {})[i] = c
-        powers = [[ring.one()]]  # powers of z_1's image
+        powers = [[(1, 0)]]  # powers of z_1's image over s^a
         for _ in range(max(components, default=0)):
-            powers.append(_times_linear(powers[-1], a1, b1))
+            powers.append(_times_linear(powers[-1], a1, b1, sqd))
         terms = {}
         for m, comp in components.items():
-            acc = [comp.get(0, ring.zero())]
-            for a in range(1, m + 1):
-                acc = _times_linear(acc, a2, b2)
-                c = comp.get(a)
-                if c is not None:
-                    acc = [x + c * y if y else x for x, y in zip(acc, powers[a])]
-            terms.update(((i, m - i), c) for i, c in enumerate(acc))
+            den, slices = _split_zeta(comp)
+            scale = s ** m * den
+            out = [{} for _ in range(m + 1)]
+            for i, cs in slices.items():
+                acc = [cs.get(0, (0, 0))]
+                for a in range(1, m + 1):
+                    acc = _times_linear(acc, a2, b2, sqd)
+                    c = cs.get(a)
+                    if c is not None:
+                        cx, cy = c
+                        acc = [(x + cx * px + sqd * cy * py, y + cx * py + cy * px)
+                               for (x, y), (px, py) in zip(acc, powers[a])]
+                for coeffs, (x, y) in zip(out, acc):
+                    if x:
+                        coeffs[(i, 0)] = Fraction(x, scale)
+                    if y:
+                        coeffs[(i, 1)] = Fraction(y, scale)
+            terms.update(((p, m - p), CoeffElem(ring, c)) for p, c in enumerate(out) if c)
         return MSeries(ring, 2, self.trunc, terms)
 
     def __eq__(self, other):
@@ -174,17 +201,55 @@ class MSeries:
         return " + ".join(bits) if bits else "0"
 
 
-def _times_linear(form, a, b):
-    """The binary form given by its coefficients by the power of t_1, times
-    a t_1 + b t_2: a two-tap step on the coefficient list."""
-    out = [a.ring.zero()] * (len(form) + 1)
-    for i, c in enumerate(form):
-        if c:
-            if a:
-                out[i + 1] = out[i + 1] + c * a
-            if b:
-                out[i] = out[i] + c * b
+def _times_linear(form, a, b, sqd):
+    """The binary form given by its Z[sqrt D] coefficients (x, y) by the
+    power of t_1, times a t_1 + b t_2 with a, b in Z[sqrt D] (sqd is D,
+    or 0 for a ring without sqrt D): a two-tap step on the list."""
+    (ax, ay), (bx, by) = a, b
+    out = []
+    px = py = 0  # the coefficient one power of t_1 lower
+    for x, y in form:
+        out.append((x * bx + sqd * y * by + px * ax + sqd * py * ay,
+                    x * by + y * bx + px * ay + py * ax))
+        px, py = x, y
+    out.append((px * ax + sqd * py * ay, px * ay + py * ax))
     return out
+
+
+def _zmul(u, v, sqd):
+    """Product of two Z[sqrt D] integers given as pairs (x, y)."""
+    (ux, uy), (vx, vy) = u, v
+    return ux * vx + sqd * uy * vy, ux * vy + uy * vx
+
+
+def _clear_real(rows, what):
+    """Rows of elements of Q(sqrt D) cleared to Z[sqrt D]: the lcm s of
+    their denominators and the rows of integer pairs (x, y), each entry
+    being (x + y sqrt D) / s.  An entry with a zeta component raises
+    ValueError naming what it is."""
+    for row in rows:
+        for c in row:
+            if any(i for i, _ in c.coeffs):
+                raise ValueError(f"{what} {c!r} has a zeta component; only Q(sqrt D) is supported")
+    s = lcm(*(c.denominator for row in rows for e in row for c in e.coeffs.values()))
+    return s, [[tuple(c.numerator * (s // c.denominator)
+                      for c in (e.coeffs.get((0, 0), 0), e.coeffs.get((0, 1), 0)))
+                for e in row] for row in rows]
+
+
+def _split_zeta(elems):
+    """Ring elements cleared to integers and split by zeta index: the lcm
+    P of their denominators and {i: {key: (x, y)}} with
+    elems[key] = sum_i zeta^i (x + y sqrt D) / P."""
+    den = lcm(*(c.denominator for e in elems.values() for c in e.coeffs.values()))
+    slices = {}
+    for key, e in elems.items():
+        for (i, j), c in e.coeffs.items():
+            row = slices.setdefault(i, {})
+            x, y = row.get(key, (0, 0))
+            v = c.numerator * (den // c.denominator)
+            row[key] = (x, v) if j else (v, y)
+    return den, slices
 
 
 def _exponents(nvars, trunc):
@@ -614,66 +679,102 @@ def laurent_coeff_1var(q: QuotSeries, k: int) -> CoeffElem:
     return c
 
 
-def _series_inverse_coeffs(coeffs, order: int, ring: CoeffRing):
-    """Inverse of a one-variable polynomial with invertible constant term,
-    as a coefficient list up to the given order."""
-    c0 = coeffs[0] if coeffs else ring.zero()
-    if not c0:
-        raise ZeroDivisionError("constant term vanishes")
-    inv0 = c0.inv()
-    out = [inv0]
-    for k in range(1, order + 1):
-        acc = ring.zero()
-        for j in range(1, min(k, len(coeffs) - 1) + 1):
-            acc = acc + coeffs[j] * out[k - j]
-        out.append(-(inv0 * acc))
-    return out
-
-
-def _iterated_coeff(q: QuotSeries, main: int, m_main: int, m_other: int) -> CoeffElem:
+def _iterated_coeff(slices, forms, k, main, m_main, m_other, sqd):
     """Coefficient of z_main^m_main z_other^m_other in the expansion that
-    treats z_other as infinitesimally smaller than z_main."""
-    ring = q.ring
+    treats z_other as infinitesimally smaller than z_main, fraction-free:
+    ({i: N_i}, W) with N_i and W in Z[sqrt D], the coefficient being
+    sum_i zeta^i N_i / W times the rational factor symmetric_laurent_coeff
+    applies.  slices is the degree-k numerator split by zeta index, forms
+    the denominator forms cleared to Z[sqrt D].
+
+    On z_main = 1 the numerator is a polynomial p(v) in v = z_other and
+    each form (a, b) is a + b v.  A form with a = 0 puts its b into the
+    constant product C and raises the target degree by one; the others
+    multiply into Q(v) with constant term q_0, and 1/Q = sum R_j v^j is
+    read through S_j = R_j q_0^(j+1): S_0 = 1, S_j = -sum_i Q_i S_(j-i)
+    q_0^(i-1).  The coefficient is sum_j p_j S_(target-j) q_0^j over
+    W = q_0^(target+1) C."""
     other = 1 - main
-    k = m_main + m_other + len(q.denoms)
-    # numerator slice restricted to z_main = 1: polynomial in v = z_other
-    pcoeffs = [ring.zero()] * (k + 1)
-    for e, c in q.num.terms.items():
-        if sum(e) == k:
-            pcoeffs[e[other]] = pcoeffs[e[other]] + c
     extra_v = 0
-    const_prod = ring.one()
-    qcoeffs = [ring.one()]
-    for form in q.denoms:
+    const = (1, 0)
+    qcoeffs = [(1, 0)]
+    for form in forms:
         a, b = form[main], form[other]
-        if not a:
+        if a == (0, 0):
             extra_v += 1
-            const_prod = const_prod * b
+            const = _zmul(const, b, sqd)
         else:
-            qcoeffs = [
-                (qcoeffs[i] * a if i < len(qcoeffs) else ring.zero())
-                + (qcoeffs[i - 1] * b if i >= 1 else ring.zero())
-                for i in range(len(qcoeffs) + 1)
-            ]
+            qcoeffs = _times_linear(qcoeffs, b, a, sqd)
     target = m_other + extra_v
-    inv = _series_inverse_coeffs(qcoeffs, target, ring)
-    acc = ring.zero()
-    for j in range(min(target, len(pcoeffs) - 1) + 1):
-        acc = acc + pcoeffs[j] * inv[target - j]
-    return acc * const_prod.inv()
+    if target < 0:
+        return {}, (1, 0)
+    q0 = qcoeffs[0]
+    q0_powers = [(1, 0)]
+    for _ in range(target + 1):
+        q0_powers.append(_zmul(q0_powers[-1], q0, sqd))
+    series = [(1, 0)]
+    for j in range(1, target + 1):
+        sx = sy = 0
+        for i in range(1, min(j, len(qcoeffs) - 1) + 1):
+            x, y = _zmul(_zmul(qcoeffs[i], series[j - i], sqd), q0_powers[i - 1], sqd)
+            sx -= x
+            sy -= y
+        series.append((sx, sy))
+    # weights[j] multiplies p_j: S_(target-j) q_0^j
+    weights = [_zmul(series[target - j], q0_powers[j], sqd)
+               for j in range(min(target, k) + 1)]
+    out = {}
+    for i, row in slices.items():
+        nx = ny = 0
+        for j, w in enumerate(weights):
+            p = row.get((k - j, j) if main == 0 else (j, k - j))
+            if p is not None:
+                x, y = _zmul(p, w, sqd)
+                nx += x
+                ny += y
+        out[i] = (nx, ny)
+    return out, _zmul(q0_powers[target + 1], const, sqd)
 
 
 def symmetric_laurent_coeff(q: QuotSeries, m1: int, m2: int) -> CoeffElem:
     """Average of the two iterated-Laurent extractions of the coefficient
     of z_1^m1 z_2^m2; for an honest power series both agree with the plain
     coefficient, and for surviving poles this is the finite part that the
-    two-sided Mellin split produces."""
+    two-sided Mellin split produces.
+
+    Runs in Z[sqrt D] integers.  The numerator component of degree
+    m1 + m2 + #forms is cleared to integers over the lcm P of its
+    denominators and split by zeta index; the denominator forms must lie
+    in Q(sqrt D) (a zeta component raises ValueError) and are cleared to
+    Z[sqrt D] by the lcm s of their denominators, so F = s^#forms is the
+    compensating factor.  The two extractions (_iterated_coeff) give
+    N_0 / W_0 and N_1 / W_1, and the average
+    F (N_0 W_1 + N_1 W_0) / (2 P W_0 W_1) is rationalised once, by the
+    conjugate of W_0 W_1 over its integer norm: one Fraction per
+    component of the result."""
     if q.nvars != 2:
         raise ValueError("two-variable extraction only")
     if m1 + m2 > q.dmax:
         raise TruncationTooSmall(
             f"coefficient degree {m1 + m2} beyond tracked degree {q.dmax}"
         )
-    a = _iterated_coeff(q, 0, m1, m2)
-    b = _iterated_coeff(q, 1, m2, m1)
-    return (a + b) * Fraction(1, 2)
+    ring = q.ring
+    sqd = ring.D or 0
+    k = m1 + m2 + len(q.denoms)
+    den, slices = _split_zeta({e: c for e, c in q.num.terms.items() if sum(e) == k})
+    s, forms = _clear_real(q.denoms, "solomon_hu.laurent: denominator entry")
+    factor = s ** len(forms)
+    n0, w0 = _iterated_coeff(slices, forms, k, 0, m1, m2, sqd)
+    n1, w1 = _iterated_coeff(slices, forms, k, 1, m2, m1, sqd)
+    wx, wy = _zmul(w0, w1, sqd)
+    scale = 2 * den * (wx * wx - sqd * wy * wy)
+    coeffs = {}
+    for i in slices:
+        ax, ay = _zmul(n0.get(i, (0, 0)), w1, sqd)
+        bx, by = _zmul(n1.get(i, (0, 0)), w0, sqd)
+        x, y = _zmul((ax + bx, ay + by), (wx, -wy), sqd)
+        if x:
+            coeffs[(i, 0)] = Fraction(factor * x, scale)
+        if y:
+            coeffs[(i, 1)] = Fraction(factor * y, scale)
+    return CoeffElem(ring, coeffs)

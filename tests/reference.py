@@ -16,6 +16,10 @@ is an independent definition of a value the library computes another way:
     points) and ``pair_cone``; ``one_minus_exp``, ``phi_map``,
     ``translate`` and ``quot_equal_as_laurent`` state the pairing
     identities.
+  * ``symmetric_laurent_coeff_reference``: the symmetric Laurent
+    extraction in CoeffElem arithmetic (inverse series and ring
+    inverses), the oracle for the Z[sqrt D] integer route of
+    ``symmetric_laurent_coeff``.
   * ``base_change_L``: L_K(chi o N, -r) = L(chi, -r) L(chi chi_K, -r) from
     the Bernoulli closed form, sharing no code with the cone route, for
     the test function ``norm_character_schwartz`` builds.
@@ -30,7 +34,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from shintani.cocycle_core import _integer_columns
-from shintani.errors import ShintaniError, ZeroVector
+from shintani.errors import ShintaniError, TruncationTooSmall, ZeroVector
 from shintani.exactnum import CoeffRing, MPoly, QQ, bernoulli_number
 from shintani.linalg import frac, mat_det, mat_inv, mat_vec, sign as rsign
 from shintani.lvalues import DirichletChar, dirichlet_L_closed
@@ -331,6 +335,76 @@ def phi_map(A, dmax: int, ring: CoeffRing | None = None, nvars: int | None = Non
 def translate(A, v):
     """Group-ring translation of a finite-support function: ([v]A)(w) = A(w-v)."""
     return {tuple(a + b for a, b in zip(w, v)): c for w, c in A.items()}
+
+
+# ---------------------------------------------------------------------------
+# Symmetric Laurent extraction in ring arithmetic
+# ---------------------------------------------------------------------------
+
+def _series_inverse_coeffs(coeffs, order: int, ring: CoeffRing):
+    """Inverse of a one-variable polynomial with invertible constant term,
+    as a coefficient list up to the given order."""
+    c0 = coeffs[0] if coeffs else ring.zero()
+    if not c0:
+        raise ZeroDivisionError("constant term vanishes")
+    inv0 = c0.inv()
+    out = [inv0]
+    for k in range(1, order + 1):
+        acc = ring.zero()
+        for j in range(1, min(k, len(coeffs) - 1) + 1):
+            acc = acc + coeffs[j] * out[k - j]
+        out.append(-(inv0 * acc))
+    return out
+
+
+def _iterated_coeff(q: QuotSeries, main: int, m_main: int, m_other: int):
+    """Coefficient of z_main^m_main z_other^m_other in the expansion that
+    treats z_other as infinitesimally smaller than z_main."""
+    ring = q.ring
+    other = 1 - main
+    k = m_main + m_other + len(q.denoms)
+    # numerator slice restricted to z_main = 1: polynomial in v = z_other
+    pcoeffs = [ring.zero()] * (k + 1)
+    for e, c in q.num.terms.items():
+        if sum(e) == k:
+            pcoeffs[e[other]] = pcoeffs[e[other]] + c
+    extra_v = 0
+    const_prod = ring.one()
+    qcoeffs = [ring.one()]
+    for form in q.denoms:
+        a, b = form[main], form[other]
+        if not a:
+            extra_v += 1
+            const_prod = const_prod * b
+        else:
+            qcoeffs = [
+                (qcoeffs[i] * a if i < len(qcoeffs) else ring.zero())
+                + (qcoeffs[i - 1] * b if i >= 1 else ring.zero())
+                for i in range(len(qcoeffs) + 1)
+            ]
+    target = m_other + extra_v
+    inv = _series_inverse_coeffs(qcoeffs, target, ring)
+    acc = ring.zero()
+    for j in range(min(target, len(pcoeffs) - 1) + 1):
+        acc = acc + pcoeffs[j] * inv[target - j]
+    return acc * const_prod.inv()
+
+
+def symmetric_laurent_coeff_reference(q: QuotSeries, m1: int, m2: int):
+    """symmetric_laurent_coeff in ring arithmetic: the average of the two
+    iterated-Laurent extractions, each with the inverse series of the
+    denominator product computed in CoeffElem arithmetic (CoeffElem.inv
+    for the constant terms).  Any ring element is accepted, zeta-valued
+    denominator forms included."""
+    if q.nvars != 2:
+        raise ValueError("two-variable extraction only")
+    if m1 + m2 > q.dmax:
+        raise TruncationTooSmall(
+            f"coefficient degree {m1 + m2} beyond tracked degree {q.dmax}"
+        )
+    a = _iterated_coeff(q, 0, m1, m2)
+    b = _iterated_coeff(q, 1, m2, m1)
+    return (a + b) * Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,11 @@ from math import comb, factorial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reference import base_change_L, norm_character_schwartz
+from reference import (
+    base_change_L,
+    norm_character_schwartz,
+    symmetric_laurent_coeff_reference,
+)
 from shintani.cone_algebra import sigma_decompose
 from shintani.errors import (
     NarrowClassNumberNotOne,
@@ -29,7 +33,6 @@ from shintani.solomon_hu import (
     QuotSeries,
     SchwartzFn,
     pair_combo,
-    symmetric_laurent_coeff,
 )
 
 
@@ -563,7 +566,8 @@ def _pullback_zeta(K, spec, direction):
 def _full_series_value(K, phi, r, dmax):
     """Reference route: substitute the whole numerator into embedding
     coordinates, map each denominator form, and take (r!)^2 times the
-    symmetric coefficient of t1^r t2^r."""
+    symmetric coefficient of t1^r t2^r, extracted in ring arithmetic by
+    the reference extraction."""
     q = pair_combo(sigma_decompose([((1, 0), (0, 1)), K.u_matrix]), phi, dmax)
     ring = phi.ring
     images = [tuple(ring.coerce(c) for c in img) for img in K.transition_images()]
@@ -573,7 +577,7 @@ def _full_series_value(K, phi, r, dmax):
         for form in q.denoms
     ]
     q_t = QuotSeries(q.num.substitute_linear(images), forms)
-    return symmetric_laurent_coeff(q_t, r, r) * factorial(r) ** 2
+    return symmetric_laurent_coeff_reference(q_t, r, r) * factorial(r) ** 2
 
 
 @pytest.mark.parametrize("D", [2, 5, 13])

@@ -15,6 +15,7 @@ from reference import (
     phi_map,
     quot_equal_as_laurent,
     series_product,
+    symmetric_laurent_coeff_reference,
     translate,
 )
 from shintani.cone_algebra import ConeCombo, OpenSimplicialCone
@@ -652,6 +653,66 @@ def test_symmetric_coeff_pole_average():
     num = MSeries(ring, 2, 3, {(1, 0): ring.one()})
     q = QuotSeries(num, ((ring.one(), ring.from_rat(-1)),))
     assert symmetric_laurent_coeff(q, 0, 0) == ring.from_rat(Fraction(1, 2))
+
+
+_LAURENT_RINGS = [QQ, CoeffRing(4)] + [CoeffRing(m, D) for m in (1, 3, 4) for D in (2, 5, 13)]
+
+
+@st.composite
+def laurent_cases(draw):
+    """A two-variable quotient series over QQ, CoeffRing(4) or
+    CoeffRing(m, D), m in {1, 3, 4} and D in {2, 5, 13}: zero to three
+    denominator forms with entries a + b sqrt(D), each form with a zero
+    first entry, a zero second entry or neither; a numerator with zeta
+    parts, either any terms up to its truncation (poles survive) or an
+    honest series times the forms; and (m1, m2) with m1 + m2 <= dmax,
+    an exponent -1 included."""
+    ring = draw(st.sampled_from(_LAURENT_RINGS))
+    rat = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+    elem = st.lists(rat, min_size=len(ring.basis()), max_size=len(ring.basis())).map(
+        lambda cs: ring.elem(dict(zip(ring.basis(), cs))))
+    sqrt = ring.sqrtD() if ring.D else ring.zero()
+    real = st.tuples(rat, rat).map(lambda ab: ring.from_rat(ab[0]) + sqrt * ab[1])
+    nonzero = real.filter(bool)
+    forms = draw(st.lists(st.one_of(
+        st.tuples(nonzero, real),
+        st.tuples(st.just(ring.zero()), nonzero),
+        st.tuples(nonzero, st.just(ring.zero())),
+    ), max_size=3))
+    dmax = draw(st.integers(0, 4))
+    m1 = draw(st.integers(-1, dmax))
+    m2 = draw(st.integers(-1, dmax - m1))
+    honest = draw(st.booleans())
+    trunc = dmax if honest else dmax + len(forms)
+    exps = [(i, m - i) for m in range(trunc + 1) for i in range(m + 1)]
+    series = MSeries(ring, 2, trunc, draw(st.dictionaries(st.sampled_from(exps), elem, max_size=8)))
+    num = series
+    if honest:
+        for form in forms:
+            num = num.mul_exact_linear(form)
+    return QuotSeries(num, forms), m1, m2, series if honest else None
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(case=laurent_cases())
+def test_symmetric_laurent_coeff_matches_ring_reference(case):
+    # the Z[sqrt D] integer extraction against the CoeffElem extraction,
+    # on surviving poles and honest series alike
+    q, m1, m2, honest = case
+    value = symmetric_laurent_coeff(q, m1, m2)
+    assert value == symmetric_laurent_coeff_reference(q, m1, m2)
+    if honest is not None:
+        assert value == honest.coeff((m1, m2))
+
+
+def test_z_sqrt_d_layers_refuse_zeta_components():
+    ring = CoeffRing(4, 5)
+    series = MSeries(ring, 2, 2, {(1, 1): ring.one()})
+    with pytest.raises(ValueError, match="solomon_hu.substitute"):
+        series.substitute_linear([(ring.zeta(1), ring.one()), (ring.one(), ring.sqrtD())])
+    q = QuotSeries(MSeries(ring, 2, 3, {(2, 1): ring.one()}), ((ring.one(), ring.zeta(1)),))
+    with pytest.raises(ValueError, match="solomon_hu.laurent"):
+        symmetric_laurent_coeff(q, 1, 1)
 
 
 # ---------------------------------------------------------------------------
