@@ -147,11 +147,7 @@ def _parse_quad_char(doc, K) -> SchwartzFn:
 
 
 def _value_json(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    if v.is_rational():
-        return str(v.rational_part())
-    return _coeff_to_json(v)
+    return str(v) if isinstance(v, Fraction) else _coeff_to_json(v)
 
 
 # ---------------------------------------------------------------------------

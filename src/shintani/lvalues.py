@@ -33,7 +33,6 @@ from .errors import (
     TruncationTooSmall,
 )
 from .exactnum import MAX_D, CoeffElem, CoeffRing, _factorize, bernoulli_number
-from .linalg import mat_vec
 from .solomon_hu import (
     MSeries,
     QuotSeries,
@@ -437,29 +436,14 @@ def quad_L_value(K: RealQuadField, phi: SchwartzFn, r: int):
     if phi.ring.D != K.D:
         raise ShintaniError("residue function ring must contain sqrt(D)")
     combo = sigma_decompose([_identity2(), K.u_matrix])
-    value = _embedded_coeff(K, pair_combo(combo, phi, 2 * r), r)
+    q = pair_combo(combo, phi, 2 * r)
+    value = symmetric_laurent_coeff(q, r, r, K.transition_images()) * factorial(r) ** 2
     real_valued = all(v.is_rational() for v in phi.table.values())
     if real_valued:
         if not value.is_rational():
             raise ShintaniError("expected a rational value for a real character")
         return value.rational_part()
     return value
-
-
-def _embedded_coeff(K: RealQuadField, q: QuotSeries, r: int) -> CoeffElem:
-    """(r!)^2 times the symmetric Laurent coefficient of t1^r t2^r of q in
-    the embedding coordinates z = T t.  That coefficient is homogeneous of
-    degree 2r, so only the numerator component of degree 2r + #denominators
-    is substituted; each denominator form v becomes T^t v."""
-    k = 2 * r + len(q.denoms)
-    images = [tuple(q.ring.coerce(c) for c in img) for img in K.transition_images()]
-    top = MSeries(q.ring, 2, k, {e: c for e, c in q.num.terms.items() if sum(e) == k})
-    columns = tuple(zip(*images))
-    q_t = QuotSeries(
-        top.substitute_linear(images),
-        tuple(mat_vec(columns, form) for form in q.denoms),
-    )
-    return symmetric_laurent_coeff(q_t, r, r) * factorial(r) ** 2
 
 
 @dataclass
@@ -501,4 +485,5 @@ def l_value_from_s_coeffs(K: RealQuadField, sc: SCoeffs, r: int):
         raise TruncationTooSmall("table does not reach degree 2r")
     num = {m: s * Fraction(1, factorial(m[0]) * factorial(m[1]))
            for m, s in sc.table.items() if sum(m) == 2 * r}
-    return _embedded_coeff(K, QuotSeries(MSeries(sc.ring, 2, 2 * r, num)), r)
+    q = QuotSeries(MSeries(sc.ring, 2, 2 * r, num))
+    return symmetric_laurent_coeff(q, r, r, K.transition_images()) * factorial(r) ** 2

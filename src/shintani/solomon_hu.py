@@ -11,29 +11,32 @@ numerator over a multiset of linear denominator forms v.z, where
 
 so the numerator is the parallelotope exponential sum times the product
 of the -g factors, with the pole data carried exactly by the denominator
-multiset.  The numerator is built in integers (``_numerator``): each
-point p is enumerated as its integer vector k = d p, and the points of
-one residue class k mod d f share one list of integer moments sum k^e,
-so the exponential sum's z^e coefficient is sum_class phi(class) moment
-/ (d^|e| e!).  The g factors (z^e coefficient B_|e| v^e / e!) are
-multiplied once as one integer list over a common denominator; per
-basis key of the coefficient ring the cleared class values are convolved
-with it in integers, and every nonzero coefficient is one Fraction.  All
-coefficients of the represented Laurent expansion up to the tracked
-degree are exact.
+multiset.  Each form v is a vector of plain ints, f times a primitive
+cone generator, from the pairing to the Laurent coefficient.  The numerator
+is built in integers (``_numerator``): each point p is enumerated as its
+integer vector k = d p, and the points of one residue class k mod d f
+share one list of integer moments sum k^e, so the exponential sum's z^e
+coefficient is sum_class phi(class) moment / (d^|e| e!).  The g factors
+(z^e coefficient B_|e| v^e / e!) are multiplied once as one integer list
+over a common denominator; per basis key of the coefficient ring the
+cleared class values are convolved with it in integers, and every
+nonzero coefficient is one Fraction.  All coefficients of the
+represented Laurent expansion up to the tracked degree are exact.
 
-A two-variable series is read in embedding coordinates in Z[sqrt D]
-integers.  Every number that step touches lies in Q(sqrt D) apart from
+A two-variable series is read in embedding coordinates z = T t in
+Z[sqrt D] integers by one call, ``symmetric_laurent_coeff(q, m1, m2,
+images)``.  Every number that step touches lies in Q(sqrt D) apart from
 the numerator's zeta parts, and the step is linear in the numerator, so
 a coefficient splits by zeta index into slices x + y sqrt D and each
 slice runs on integer pairs (x, y) over one positive denominator
 (``_split_zeta``, ``_clear_real``).  ``MSeries.substitute_linear``
-evaluates each homogeneous component by Horner's rule on such pairs, and
-``symmetric_laurent_coeff`` extracts a Laurent coefficient with a
-fraction-free inverse series and one division by a Z[sqrt D] integer,
-made rational by its conjugate; neither multiplies two ring elements or
-inverts one, and each returns one Fraction per component.  Images and
-denominator forms with a zeta component are refused with ValueError.
+evaluates each homogeneous component by Horner's rule on such pairs;
+each integer form v becomes T^t v as an integer combination of the
+cleared images; and the Laurent coefficient comes from a fraction-free
+inverse series and one division by a Z[sqrt D] integer, made rational by
+its conjugate.  No step multiplies two ring elements or inverts one, and
+each returns one Fraction per component.  Images with a zeta component
+are refused with ValueError.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import factorial, lcm, prod
 from operator import add, mul
@@ -118,7 +122,7 @@ class MSeries:
         form has no constant term, every product coefficient through total
         degree trunc+1 only involves stored coefficients, so the returned
         series is reliable one degree further."""
-        vec = [(i, a) for i, a in enumerate(map(self.ring.coerce, vec)) if a]
+        vec = [(i, a) for i, a in enumerate(vec) if a]
         out = {}
         for e1, c1 in self.terms.items():
             for i, a in vec:
@@ -154,8 +158,7 @@ class MSeries:
             raise ValueError("substitution needs a binary series and binary images")
         ring = self.ring
         sqd = ring.D or 0
-        s, ((a1, b1), (a2, b2)) = _clear_real(
-            [[ring.coerce(c) for c in img] for img in images], "solomon_hu.substitute: image")
+        s, ((a1, b1), (a2, b2)) = _clear_real(ring, images)
         components = {}  # degree m -> {a: c_a}
         for (i, j), c in self.terms.items():
             components.setdefault(i + j, {})[i] = c
@@ -222,15 +225,16 @@ def _zmul(u, v, sqd):
     return ux * vx + sqd * uy * vy, ux * vy + uy * vx
 
 
-def _clear_real(rows, what):
-    """Rows of elements of Q(sqrt D) cleared to Z[sqrt D]: the lcm s of
-    their denominators and the rows of integer pairs (x, y), each entry
-    being (x + y sqrt D) / s.  An entry with a zeta component raises
-    ValueError naming what it is."""
+def _clear_real(ring, images):
+    """Images of the variables, coerced into the ring, cleared from
+    Q(sqrt D) to Z[sqrt D]: the lcm s of their denominators and the rows
+    of integer pairs (x, y), each entry being (x + y sqrt D) / s.  An image
+    with a zeta component raises ValueError."""
+    rows = [[ring.coerce(c) for c in img] for img in images]
     for row in rows:
         for c in row:
             if any(i for i, _ in c.coeffs):
-                raise ValueError(f"{what} {c!r} has a zeta component; only Q(sqrt D) is supported")
+                raise ValueError(f"image {c!r} has a zeta component; only Q(sqrt D) is supported")
     s = lcm(*(c.denominator for row in rows for e in row for c in e.coeffs.values()))
     return s, [[tuple(c.numerator * (s // c.denominator)
                       for c in (e.coeffs.get((0, 0), 0), e.coeffs.get((0, 1), 0)))
@@ -252,18 +256,23 @@ def _split_zeta(elems):
     return den, slices
 
 
+@cache
 def _exponents(nvars, trunc):
-    """Exponents |e| <= trunc in lex order, their index, and the steps
-    that build their monomials: step (i, j) makes the next exponent from
-    exps[i] by one more power of z_j, so a point's monomials cost one
-    integer product each."""
-    exps = [e for e in product(range(trunc + 1), repeat=nvars) if sum(e) <= trunc]
+    """Exponents |e| <= trunc in lex order, the steps that build their
+    monomials and the pairs of a truncated product, once per shape: step
+    (i, j) makes the next exponent from exps[i] by one more power of z_j,
+    so a point's monomials cost one integer product each, and pairs[i]
+    lists the (j, k) with exps[i] + exps[j] = exps[k].  Every caller
+    shares the cached tables, so they are tuples."""
+    exps = tuple(e for e in product(range(trunc + 1), repeat=nvars) if sum(e) <= trunc)
     index = {e: i for i, e in enumerate(exps)}
     steps = []
     for e in exps[1:]:
         j = next(i for i, k in enumerate(e) if k)
         steps.append((index[e[:j] + (e[j] - 1,) + e[j + 1:]], j))
-    return exps, index, steps
+    pairs = tuple(tuple((j, index[tuple(map(add, e, f))]) for j, f in enumerate(exps)
+                        if sum(e) + sum(f) <= trunc) for e in exps)
+    return exps, tuple(steps), pairs
 
 
 def _monomials(k, steps):
@@ -301,9 +310,7 @@ def _numerator(ring, nvars, trunc, d, groups, gens=()):
     moment sum is convolved with the g-product in integers, and each
     nonzero coefficient is one Fraction over d^trunc trunc! D
     (-B trunc!)^len(gens)."""
-    exps, index, steps = _exponents(nvars, trunc)
-    pairs = [[(j, index[tuple(map(add, e, f))]) for j, f in enumerate(exps)
-              if sum(e) + sum(f) <= trunc] for e in exps]
+    exps, steps, pairs = _exponents(nvars, trunc)
     top = factorial(trunc)
     rel = [top // prod(map(factorial, e)) for e in exps]  # trunc! / e!
     bern = [bernoulli_number(sum(e)) for e in exps]
@@ -480,14 +487,15 @@ def parallelotope_points(gens, d: int, f: int):
 # Quotient series
 # ---------------------------------------------------------------------------
 
-def _form_key(form):
-    return tuple(c.key() for c in form)
-
-
 class QuotSeries:
     """num / prod(v.z over the denominator multiset), with the numerator
     truncated at dmax + len(denoms) so every represented Laurent
-    coefficient of total degree <= dmax is exact."""
+    coefficient of total degree <= dmax is exact.
+
+    Each denominator form v is a nonzero vector of plain ints (an entry of
+    any other type raises TypeError), as pair_cone makes them: f times a
+    primitive cone generator.  The multiset is kept sorted entrywise with
+    a zero entry before every nonzero one."""
 
     __slots__ = ("ring", "nvars", "num", "denoms")
 
@@ -496,11 +504,14 @@ class QuotSeries:
         self.nvars = num.nvars
         forms = []
         for form in denoms:
-            form = tuple(self.ring.coerce(c) for c in form)
-            if all(not c for c in form):
+            form = tuple(form)
+            for x in form:
+                if type(x) is not int:
+                    raise TypeError(f"denominator entries must be ints, got {x!r}")
+            if not any(form):
                 raise ZeroForm("zero linear form in denominator")
             forms.append(form)
-        forms.sort(key=_form_key)
+        forms.sort(key=lambda form: [(x != 0, x) for x in form])
         self.num = num
         self.denoms = tuple(forms)
 
@@ -517,16 +528,15 @@ class QuotSeries:
         The tracked degree of the result is the smaller reliable degree."""
         if self.nvars != other.nvars:
             raise ShintaniError("mixed variable counts")
-        forms = {_form_key(f): f for f in self.denoms + other.denoms}
-        mine = Counter(map(_form_key, self.denoms))
-        theirs = Counter(map(_form_key, other.denoms))
+        mine = Counter(self.denoms)
+        theirs = Counter(other.denoms)
         common = mine | theirs
         a, b = self.num, other.num
-        for k in (common - mine).elements():
-            a = a.mul_exact_linear(forms[k])
-        for k in (common - theirs).elements():
-            b = b.mul_exact_linear(forms[k])
-        return QuotSeries(a + b, [forms[k] for k in common.elements()])
+        for form in (common - mine).elements():
+            a = a.mul_exact_linear(form)
+        for form in (common - theirs).elements():
+            b = b.mul_exact_linear(form)
+        return QuotSeries(a + b, common.elements())
 
     def is_zero_series(self) -> bool:
         return self.num.is_zero()
@@ -537,7 +547,7 @@ class QuotSeries:
             "dmax": self.dmax,
             "zeta_order": self.ring.m,
             "sqrt": self.ring.D,
-            "denoms": [[_coeff_to_json(c) for c in form] for form in self.denoms],
+            "denoms": [[str(x) for x in form] for form in self.denoms],
             "coeffs": [
                 {"deg": list(e), "value": _coeff_to_json(c)}
                 for e, c in sorted(self.num.terms.items())
@@ -583,13 +593,14 @@ def pair_cone(cone: OpenSimplicialCone, phi: SchwartzFn, dmax: int) -> QuotSerie
         classes.setdefault(tuple(x % mod for x in k), []).append(k)
     groups = [(phi.table[c], pts) for c, pts in classes.items() if c in phi.table]
     num = _numerator(phi.ring, phi.n, dmax + cone.dim, d, groups, scaled)
-    return QuotSeries(num, tuple(tuple(phi.ring.from_rat(x) for x in g) for g in scaled))
+    return QuotSeries(num, scaled)
 
 
 def pair_combo(combo: ConeCombo, phi: SchwartzFn, dmax: int) -> QuotSeries:
     """Coefficient-weighted pairing of a whole combo: the sum of its cones'
     quotient series, over the max-multiplicity union of their denominator
-    forms and exact through total degree dmax.
+    forms and exact through total degree dmax.  A cone of coefficient 1
+    (every cone sigma_decompose makes) is added unscaled.
 
     A nonzero constant offset requires the test function to vanish near
     zero, in which case the constant pairs to zero.  Cones are processed
@@ -601,7 +612,8 @@ def pair_combo(combo: ConeCombo, phi: SchwartzFn, dmax: int) -> QuotSeries:
         )
     total = QuotSeries(MSeries.zero(phi.ring, phi.n, dmax))
     for coeff, cone in sorted(combo.terms, key=lambda t: t[1].generators):
-        total = total + pair_cone(cone, phi, dmax).scale(coeff)
+        q = pair_cone(cone, phi, dmax)
+        total = total + (q if coeff == 1 else q.scale(coeff))
     return total
 
 
@@ -614,13 +626,8 @@ def _divide_by_linear(num: MSeries, form) -> MSeries:
     form; when the represented series has a genuine pole the remainder is
     nonzero and NotDivisible is raised."""
     ring = num.ring
-    pivot = next((j for j, c in enumerate(form) if c), None)
-    if pivot is None:
-        raise ZeroForm("zero linear form")
-    try:
-        pivot_inv = form[pivot].inv()
-    except ZeroDivisionError:
-        raise NotDivisible("denominator pivot is not invertible", form=form)
+    pivot = next(j for j, c in enumerate(form) if c)  # QuotSeries refuses zero forms
+    pivot_inv = Fraction(1, form[pivot])
     rem = dict(num.terms)
     quo = {}
     while rem:
@@ -673,21 +680,18 @@ def laurent_coeff_1var(q: QuotSeries, k: int) -> CoeffElem:
     deg = k + len(q.denoms)
     if deg < 0:
         return q.ring.zero()
-    c = q.num.coeff((deg,))
-    for form in q.denoms:
-        c = c * form[0].inv()
-    return c
+    return q.num.coeff((deg,)) * Fraction(1, prod(form[0] for form in q.denoms))
 
 
 def _iterated_coeff(slices, forms, k, main, m_main, m_other, sqd):
-    """Coefficient of z_main^m_main z_other^m_other in the expansion that
-    treats z_other as infinitesimally smaller than z_main, fraction-free:
+    """Coefficient of t_main^m_main t_other^m_other in the expansion that
+    treats t_other as infinitesimally smaller than t_main, fraction-free:
     ({i: N_i}, W) with N_i and W in Z[sqrt D], the coefficient being
     sum_i zeta^i N_i / W times the rational factor symmetric_laurent_coeff
-    applies.  slices is the degree-k numerator split by zeta index, forms
-    the denominator forms cleared to Z[sqrt D].
+    applies.  slices is the substituted degree-k numerator split by zeta
+    index, forms the denominator forms s T^t v as Z[sqrt D] pairs.
 
-    On z_main = 1 the numerator is a polynomial p(v) in v = z_other and
+    On t_main = 1 the numerator is a polynomial p(v) in v = t_other and
     each form (a, b) is a + b v.  A form with a = 0 puts its b into the
     constant product C and raises the target degree by one; the others
     multiply into Q(v) with constant term q_0, and 1/Q = sum R_j v^j is
@@ -736,19 +740,22 @@ def _iterated_coeff(slices, forms, k, main, m_main, m_other, sqd):
     return out, _zmul(q0_powers[target + 1], const, sqd)
 
 
-def symmetric_laurent_coeff(q: QuotSeries, m1: int, m2: int) -> CoeffElem:
-    """Average of the two iterated-Laurent extractions of the coefficient
-    of z_1^m1 z_2^m2; for an honest power series both agree with the plain
-    coefficient, and for surviving poles this is the finite part that the
-    two-sided Mellin split produces.
+def symmetric_laurent_coeff(q: QuotSeries, m1: int, m2: int, images) -> CoeffElem:
+    """Coefficient of t_1^m1 t_2^m2 of a two-variable quotient series read
+    in the coordinates z_j = images[j][0] t_1 + images[j][1] t_2: the
+    average of the two iterated-Laurent extractions.  For an honest power
+    series both agree with the plain coefficient, and for surviving poles
+    this is the finite part that the two-sided Mellin split produces.
 
-    Runs in Z[sqrt D] integers.  The numerator component of degree
-    m1 + m2 + #forms is cleared to integers over the lcm P of its
-    denominators and split by zeta index; the denominator forms must lie
-    in Q(sqrt D) (a zeta component raises ValueError) and are cleared to
-    Z[sqrt D] by the lcm s of their denominators, so F = s^#forms is the
-    compensating factor.  The two extractions (_iterated_coeff) give
-    N_0 / W_0 and N_1 / W_1, and the average
+    The coefficient is homogeneous of degree k = m1 + m2 + #forms in the
+    numerator, so only that component is substituted
+    (MSeries.substitute_linear), and is then cleared to integers over the
+    lcm P of its denominators and split by zeta index.  The images must
+    lie in Q(sqrt D) (a zeta component raises ValueError); cleared to
+    Z[sqrt D] by the lcm s of their denominators, they map each integer
+    form v to s T^t v, the integer combination sum_j v_j (s images[j]),
+    so F = s^#forms is the compensating factor.  The two extractions
+    (_iterated_coeff) give N_0 / W_0 and N_1 / W_1, and the average
     F (N_0 W_1 + N_1 W_0) / (2 P W_0 W_1) is rationalised once, by the
     conjugate of W_0 W_1 over its integer norm: one Fraction per
     component of the result."""
@@ -761,8 +768,13 @@ def symmetric_laurent_coeff(q: QuotSeries, m1: int, m2: int) -> CoeffElem:
     ring = q.ring
     sqd = ring.D or 0
     k = m1 + m2 + len(q.denoms)
-    den, slices = _split_zeta({e: c for e, c in q.num.terms.items() if sum(e) == k})
-    s, forms = _clear_real(q.denoms, "solomon_hu.laurent: denominator entry")
+    top = MSeries(ring, 2, k, {e: c for e, c in q.num.terms.items() if sum(e) == k})
+    den, slices = _split_zeta(top.substitute_linear(images).terms)
+    s, cleared = _clear_real(ring, images)
+    columns = [tuple(zip(*col)) for col in zip(*cleared)]  # per t_i: (xs, ys) over z_j
+    forms = [[(idot(v, xs), idot(v, ys)) for xs, ys in columns] for v in q.denoms]
+    if [(0, 0), (0, 0)] in forms:
+        raise ZeroForm("a denominator form vanishes on the images")
     factor = s ** len(forms)
     n0, w0 = _iterated_coeff(slices, forms, k, 0, m1, m2, sqd)
     n1, w1 = _iterated_coeff(slices, forms, k, 1, m2, m1, sqd)

@@ -17,9 +17,9 @@ is an independent definition of a value the library computes another way:
     ``translate`` and ``quot_equal_as_laurent`` state the pairing
     identities.
   * ``symmetric_laurent_coeff_reference``: the symmetric Laurent
-    extraction in CoeffElem arithmetic (inverse series and ring
-    inverses), the oracle for the Z[sqrt D] integer route of
-    ``symmetric_laurent_coeff``.
+    extraction in CoeffElem arithmetic (forms T^t v by ring products,
+    inverse series and ring inverses), the oracle for the Z[sqrt D]
+    integer route of ``symmetric_laurent_coeff``.
   * ``base_change_L``: L_K(chi o N, -r) = L(chi, -r) L(chi chi_K, -r) from
     the Bernoulli closed form, sharing no code with the cone route, for
     the test function ``norm_character_schwartz`` builds.
@@ -357,21 +357,22 @@ def _series_inverse_coeffs(coeffs, order: int, ring: CoeffRing):
     return out
 
 
-def _iterated_coeff(q: QuotSeries, main: int, m_main: int, m_other: int):
-    """Coefficient of z_main^m_main z_other^m_other in the expansion that
-    treats z_other as infinitesimally smaller than z_main."""
-    ring = q.ring
+def _iterated_coeff(num: MSeries, forms, main: int, m_main: int, m_other: int):
+    """Coefficient of t_main^m_main t_other^m_other of num / prod(forms) in
+    the expansion that treats t_other as infinitesimally smaller than
+    t_main, forms being pairs of ring elements."""
+    ring = num.ring
     other = 1 - main
-    k = m_main + m_other + len(q.denoms)
-    # numerator slice restricted to z_main = 1: polynomial in v = z_other
+    k = m_main + m_other + len(forms)
+    # numerator slice restricted to t_main = 1: polynomial in v = t_other
     pcoeffs = [ring.zero()] * (k + 1)
-    for e, c in q.num.terms.items():
+    for e, c in num.terms.items():
         if sum(e) == k:
             pcoeffs[e[other]] = pcoeffs[e[other]] + c
     extra_v = 0
     const_prod = ring.one()
     qcoeffs = [ring.one()]
-    for form in q.denoms:
+    for form in forms:
         a, b = form[main], form[other]
         if not a:
             extra_v += 1
@@ -390,20 +391,25 @@ def _iterated_coeff(q: QuotSeries, main: int, m_main: int, m_other: int):
     return acc * const_prod.inv()
 
 
-def symmetric_laurent_coeff_reference(q: QuotSeries, m1: int, m2: int):
-    """symmetric_laurent_coeff in ring arithmetic: the average of the two
-    iterated-Laurent extractions, each with the inverse series of the
-    denominator product computed in CoeffElem arithmetic (CoeffElem.inv
-    for the constant terms).  Any ring element is accepted, zeta-valued
-    denominator forms included."""
+def symmetric_laurent_coeff_reference(q: QuotSeries, m1: int, m2: int, images):
+    """symmetric_laurent_coeff in ring arithmetic: the whole numerator is
+    substituted by MSeries.substitute_linear, each integer form v becomes
+    T^t v by CoeffElem products, and the result is the average of the two iterated-Laurent extractions,
+    each with the inverse series of the denominator product computed in
+    CoeffElem arithmetic (CoeffElem.inv for the constant terms)."""
     if q.nvars != 2:
         raise ValueError("two-variable extraction only")
     if m1 + m2 > q.dmax:
         raise TruncationTooSmall(
             f"coefficient degree {m1 + m2} beyond tracked degree {q.dmax}"
         )
-    a = _iterated_coeff(q, 0, m1, m2)
-    b = _iterated_coeff(q, 1, m2, m1)
+    ring = q.ring
+    images = [[ring.coerce(c) for c in img] for img in images]
+    forms = [[sum((v_j * img[i] for v_j, img in zip(v, images)), ring.zero())
+              for i in range(2)] for v in q.denoms]
+    num = q.num.substitute_linear(images)
+    a = _iterated_coeff(num, forms, 0, m1, m2)
+    b = _iterated_coeff(num, forms, 1, m2, m1)
     return (a + b) * Fraction(1, 2)
 
 

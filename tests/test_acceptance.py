@@ -388,15 +388,14 @@ def test_criterion_8_pairing_identities():
         phi = _random_phi(rng, n)
         q = pair_cone(cone, phi, 3)
         lhs = q.num
-        rat_forms = [tuple(c.rational_part() for c in form) for form in q.denoms]
-        for vec in rat_forms:
+        for vec in q.denoms:
             lhs = series_product(lhs, one_minus_exp(q.ring, n, q.num.trunc, vec))
         rhs = MSeries.zero(q.ring, n, q.num.trunc)
-        for p in rational_points(rat_forms, phi.d, phi.f):
+        for p in rational_points(q.denoms, phi.d, phi.f):
             v = phi.value_at(p)
             if v:
                 rhs = rhs + exp_series(q.ring, n, q.num.trunc, p).scale(v)
-        for vec in rat_forms:
+        for vec in q.denoms:
             rhs = rhs.mul_exact_linear(vec)
         assert lhs == rhs
         done += 1

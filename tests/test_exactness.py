@@ -15,13 +15,21 @@ re-exports it.
 Error lint: every class of ``shintani/errors.py`` is raised by some
 module of the package or is the base of one that is, so error classes
 only the tests raise live with the tests.
+
+Form check: a quotient series' denominator forms are plain int vectors;
+a float, bool, Fraction or ring element entry raises TypeError.
 """
 
 import ast
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from shintani.errors import ZeroForm
+from shintani.exactnum import QQ
+from shintani.solomon_hu import MSeries, QuotSeries
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "shintani"
@@ -183,3 +191,19 @@ def test_error_lint_catches_an_unraised_class():
     raised = _raised_names(ast.parse("def f():\n    raise Used('x')\n"))
     assert _dead_error_classes(errors, raised) == ["Dead"]
     assert _dead_error_classes(errors, raised | {"Dead"}) == []
+
+
+@pytest.mark.parametrize("entry", [1.0, True, Fraction(1), QQ.one()])
+def test_quot_series_refuses_non_int_form_entries(entry):
+    num = MSeries(QQ, 2, 3, {(1, 1): QQ.one()})
+    with pytest.raises(TypeError, match="denominator entries must be ints"):
+        QuotSeries(num, ((2, -1), (1, entry)))
+
+
+def test_quot_series_keeps_int_forms_sorted_zero_entries_first():
+    num = MSeries(QQ, 2, 5, {(1, 1): QQ.one()})
+    q = QuotSeries(num, ((4, -2), (-2, -2), (-2, 0)))
+    assert q.denoms == ((-2, 0), (-2, -2), (4, -2))
+    assert all(type(x) is int for form in q.denoms for x in form)
+    with pytest.raises(ZeroForm):
+        QuotSeries(num, ((0, 0),))

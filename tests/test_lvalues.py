@@ -29,11 +29,7 @@ from shintani.lvalues import (
     trivial_quad_schwartz,
     unit_group_generators,
 )
-from shintani.solomon_hu import (
-    QuotSeries,
-    SchwartzFn,
-    pair_combo,
-)
+from shintani.solomon_hu import SchwartzFn, pair_combo
 
 
 # ---------------------------------------------------------------------------
@@ -565,19 +561,12 @@ def _pullback_zeta(K, spec, direction):
 
 def _full_series_value(K, phi, r, dmax):
     """Reference route: substitute the whole numerator into embedding
-    coordinates, map each denominator form, and take (r!)^2 times the
-    symmetric coefficient of t1^r t2^r, extracted in ring arithmetic by
-    the reference extraction."""
+    coordinates, map each denominator form v to T^t v in ring arithmetic,
+    and take (r!)^2 times the symmetric coefficient of t1^r t2^r,
+    extracted in ring arithmetic by the reference extraction."""
     q = pair_combo(sigma_decompose([((1, 0), (0, 1)), K.u_matrix]), phi, dmax)
-    ring = phi.ring
-    images = [tuple(ring.coerce(c) for c in img) for img in K.transition_images()]
-    forms = [
-        tuple(sum((form[j] * images[j][i] for j in range(2)), ring.zero())
-              for i in range(2))
-        for form in q.denoms
-    ]
-    q_t = QuotSeries(q.num.substitute_linear(images), forms)
-    return symmetric_laurent_coeff_reference(q_t, r, r) * factorial(r) ** 2
+    value = symmetric_laurent_coeff_reference(q, r, r, K.transition_images())
+    return value * factorial(r) ** 2
 
 
 @pytest.mark.parametrize("D", [2, 5, 13])

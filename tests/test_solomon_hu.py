@@ -24,6 +24,7 @@ from shintani.errors import (
     NotDivisible,
     SingularMatrix,
     TruncationTooSmall,
+    ZeroForm,
 )
 from shintani.exactnum import CoeffRing, QQ, bernoulli_poly
 from shintani.linalg import idot, int_det, mat_inv, mat_mul, reduce_rows
@@ -327,15 +328,14 @@ def test_pair_cone_defining_identity():
         phi = SchwartzFn(2, d, f, table)
         q = pair_cone(cone, phi, 3)
         lhs = q.num
-        rat_forms = [tuple(c.rational_part() for c in form) for form in q.denoms]
-        for vec in rat_forms:
+        for vec in q.denoms:
             lhs = series_product(lhs, one_minus_exp(q.ring, 2, q.num.trunc, vec))
         rhs = MSeries.zero(q.ring, 2, q.num.trunc)
-        for p in rational_points(rat_forms, d, f):
+        for p in rational_points(q.denoms, d, f):
             v = phi.value_at(p)
             if v:
                 rhs = rhs + exp_series(q.ring, 2, q.num.trunc, p).scale(v)
-        for vec in rat_forms:
+        for vec in q.denoms:
             rhs = rhs.mul_exact_linear(vec)
         assert lhs == rhs
 
@@ -598,8 +598,8 @@ def test_pair_combo_is_sum_of_cone_pairings(case):
 def test_reduce_exact_quotient():
     A = MSeries(QQ, 1, 4, {(0,): QQ.one(), (1,): QQ.from_rat(Fraction(1, 2)),
                            (3,): QQ.from_rat(2)})
-    zA = MSeries(QQ, 1, 5, A.mul_exact_linear((QQ.one(),)).terms)
-    q = QuotSeries(zA, ((QQ.one(),),))
+    zA = MSeries(QQ, 1, 5, A.mul_exact_linear((1,)).terms)
+    q = QuotSeries(zA, ((1,),))
     assert reduce_to_power_series(q) == A
 
 
@@ -618,6 +618,9 @@ def test_laurent_coefficient_beyond_truncation():
         laurent_coeff_1var(q, 4)
 
 
+_IDENTITY = ((1, 0), (0, 1))
+
+
 def test_symmetric_coeff_matches_plain_coefficient_for_honest_series():
     # multiply an honest series by denominator forms and check the
     # extraction recovers its coefficients
@@ -634,14 +637,15 @@ def test_symmetric_coeff_matches_plain_coefficient_for_honest_series():
             a, b = rng.randint(-2, 2), rng.randint(-2, 2)
             if (a, b) == (0, 0):
                 a = 1
-            forms.append((ring.from_rat(a), ring.from_rat(b)))
+            forms.append((a, b))
         num = MSeries(ring, 2, 6 + len(forms), series.terms)
         for fm in forms:
             num = num.mul_exact_linear(fm)
         q = QuotSeries(num, tuple(forms))
         for m1 in range(3):
             for m2 in range(3):
-                assert symmetric_laurent_coeff(q, m1, m2) == series.coeff((m1, m2))
+                value = symmetric_laurent_coeff(q, m1, m2, _IDENTITY)
+                assert value == series.coeff((m1, m2))
 
 
 def test_symmetric_coeff_pole_average():
@@ -651,8 +655,8 @@ def test_symmetric_coeff_pole_average():
     # z1/(z1 - z2) has [z1^0 z2^0] = 1 in one order, 0 in the other.
     ring = QQ
     num = MSeries(ring, 2, 3, {(1, 0): ring.one()})
-    q = QuotSeries(num, ((ring.one(), ring.from_rat(-1)),))
-    assert symmetric_laurent_coeff(q, 0, 0) == ring.from_rat(Fraction(1, 2))
+    q = QuotSeries(num, ((1, -1),))
+    assert symmetric_laurent_coeff(q, 0, 0, _IDENTITY) == ring.from_rat(Fraction(1, 2))
 
 
 _LAURENT_RINGS = [QQ, CoeffRing(4)] + [CoeffRing(m, D) for m in (1, 3, 4) for D in (2, 5, 13)]
@@ -662,22 +666,29 @@ _LAURENT_RINGS = [QQ, CoeffRing(4)] + [CoeffRing(m, D) for m in (1, 3, 4) for D 
 def laurent_cases(draw):
     """A two-variable quotient series over QQ, CoeffRing(4) or
     CoeffRing(m, D), m in {1, 3, 4} and D in {2, 5, 13}: zero to three
-    denominator forms with entries a + b sqrt(D), each form with a zero
-    first entry, a zero second entry or neither; a numerator with zeta
-    parts, either any terms up to its truncation (poles survive) or an
-    honest series times the forms; and (m1, m2) with m1 + m2 <= dmax,
-    an exponent -1 included."""
+    integer denominator forms, each with a zero first entry, a zero
+    second entry or neither; a numerator with zeta parts, either any terms
+    up to its truncation (poles survive) or an honest series times the
+    forms; images a + b sqrt(D) of the two variables that are linearly
+    independent, drawn freely or among the identity and
+    ((1, 1), (0, s)), which keep forms whose image has a zero entry; and
+    (m1, m2) with m1 + m2 <= dmax, an exponent -1 included."""
     ring = draw(st.sampled_from(_LAURENT_RINGS))
     rat = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
     elem = st.lists(rat, min_size=len(ring.basis()), max_size=len(ring.basis())).map(
         lambda cs: ring.elem(dict(zip(ring.basis(), cs))))
-    sqrt = ring.sqrtD() if ring.D else ring.zero()
+    sqrt = ring.sqrtD() if ring.D else ring.from_rat(2)
     real = st.tuples(rat, rat).map(lambda ab: ring.from_rat(ab[0]) + sqrt * ab[1])
-    nonzero = real.filter(bool)
+    one, zero = ring.one(), ring.zero()
+    images = draw(st.one_of(
+        st.sampled_from([((one, zero), (zero, one)), ((one, one), (zero, sqrt))]),
+        st.tuples(st.tuples(real, real), st.tuples(real, real)),
+    ).filter(lambda im: im[0][0] * im[1][1] != im[0][1] * im[1][0]))
+    nonzero = st.integers(-3, 3).filter(bool)
     forms = draw(st.lists(st.one_of(
-        st.tuples(nonzero, real),
-        st.tuples(st.just(ring.zero()), nonzero),
-        st.tuples(nonzero, st.just(ring.zero())),
+        st.tuples(nonzero, st.integers(-3, 3)),
+        st.tuples(st.just(0), nonzero),
+        st.tuples(nonzero, st.just(0)),
     ), max_size=3))
     dmax = draw(st.integers(0, 4))
     m1 = draw(st.integers(-1, dmax))
@@ -690,7 +701,7 @@ def laurent_cases(draw):
     if honest:
         for form in forms:
             num = num.mul_exact_linear(form)
-    return QuotSeries(num, forms), m1, m2, series if honest else None
+    return QuotSeries(num, forms), m1, m2, images, series if honest else None
 
 
 @settings(deadline=None, derandomize=True, max_examples=150)
@@ -698,21 +709,29 @@ def laurent_cases(draw):
 def test_symmetric_laurent_coeff_matches_ring_reference(case):
     # the Z[sqrt D] integer extraction against the CoeffElem extraction,
     # on surviving poles and honest series alike
-    q, m1, m2, honest = case
-    value = symmetric_laurent_coeff(q, m1, m2)
-    assert value == symmetric_laurent_coeff_reference(q, m1, m2)
+    q, m1, m2, images, honest = case
+    value = symmetric_laurent_coeff(q, m1, m2, images)
+    assert value == symmetric_laurent_coeff_reference(q, m1, m2, images)
     if honest is not None:
-        assert value == honest.coeff((m1, m2))
+        assert value == honest.substitute_linear(images).coeff((m1, m2))
 
 
 def test_z_sqrt_d_layers_refuse_zeta_components():
     ring = CoeffRing(4, 5)
+    images = [(ring.zeta(1), ring.one()), (ring.one(), ring.sqrtD())]
     series = MSeries(ring, 2, 2, {(1, 1): ring.one()})
-    with pytest.raises(ValueError, match="solomon_hu.substitute"):
-        series.substitute_linear([(ring.zeta(1), ring.one()), (ring.one(), ring.sqrtD())])
-    q = QuotSeries(MSeries(ring, 2, 3, {(2, 1): ring.one()}), ((ring.one(), ring.zeta(1)),))
-    with pytest.raises(ValueError, match="solomon_hu.laurent"):
-        symmetric_laurent_coeff(q, 1, 1)
+    with pytest.raises(ValueError, match="zeta component"):
+        series.substitute_linear(images)
+    q = QuotSeries(MSeries(ring, 2, 3, {(2, 1): ring.one()}), ((1, 2),))
+    with pytest.raises(ValueError, match="zeta component"):
+        symmetric_laurent_coeff(q, 1, 1, images)
+
+
+def test_symmetric_laurent_coeff_refuses_a_vanishing_form_image():
+    # on singular images some integer form can map to zero
+    q = QuotSeries(MSeries(QQ, 2, 3, {(2, 1): QQ.one()}), ((1, -1),))
+    with pytest.raises(ZeroForm):
+        symmetric_laurent_coeff(q, 1, 1, ((1, 1), (1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +802,7 @@ def test_substitute_linear_refuses_non_binary_input():
 
 def test_quot_addition_tracks_reliable_degree():
     ring = QQ
-    a = QuotSeries(MSeries(ring, 1, 5, {(0,): ring.one()}), ((ring.one(),),))
+    a = QuotSeries(MSeries(ring, 1, 5, {(0,): ring.one()}), ((1,),))
     b = QuotSeries(MSeries(ring, 1, 3, {(0,): ring.one()}))
     s = a + b
     assert s.dmax == min(a.dmax, b.dmax)
