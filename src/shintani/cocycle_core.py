@@ -4,20 +4,20 @@ The cocycle is the signed open-cone indicator of the moment columns
 alpha_i (1, e_i, ..., e_i^(n-1)), one infinitesimal per slot, over the
 ordered field of nested infinitesimals; the perturbation resolves every
 degenerate configuration, and the alternating sum over faces equals the
-coboundary invariant ``tau_cocycle``.  ``SigmaKernel`` and
-``tau_cocycle`` compute these signs without polynomials: each matrix is
-first cleared to integers (a positive scale changes no sign), and by
-multilinearity the coefficient of e^k in any of the determinants is the
-integer determinant of the columns alpha_j[:, k_j].  So each Cramer
-numerator is a list of integer cofactor forms in w, ordered by the
-exponent order (compare the highest index first), and every sign is the
-first nonzero sign of such a list.  ``CocycleChecker`` clears each matrix
-of its tuple once, builds the face kernels from those columns, reads tau
-as the alternating sign of their determinants and clears each point of
-``alternating_sum`` once for all its faces; ``tau_cocycle`` is the
-standalone computation it is tested against.  The ordered-field
-definition itself lives with the tests, as the reference the kernel
-must reproduce.
+coboundary invariant ``tau_cocycle``.  ``SigmaKernel`` computes these
+signs without polynomials: each matrix is first cleared to integers (a
+positive scale changes no sign), and by multilinearity the coefficient of
+e^k in any of the determinants is the integer determinant of the columns
+alpha_j[:, k_j].  So each Cramer numerator is a list of integer cofactor
+forms in w, ordered by the exponent order (compare the highest index
+first), and every sign is the first nonzero sign of such a list, read by
+``linalg.first_nonzero_sign`` on the one-generator cone (w,).
+``CocycleChecker`` clears each matrix of its tuple once, builds the face
+kernels from those columns, reads tau as the alternating sign of their
+determinants and clears each point of ``alternating_sum`` once for all
+its faces; ``tau_cocycle`` is the checker's tau.  The ordered-field
+definition itself lives with the tests, as the reference the kernel and
+tau must reproduce.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def _det_sign(cols, last_forms):
     other exponents at column k_last of the last matrix; the last slot is
     the most significant infinitesimal, so its columns are scanned first."""
     for col in cols[-1]:
-        s = first_nonzero_sign(last_forms, col)
+        s = first_nonzero_sign(last_forms, (col,))[0]
         if s:
             return s
     return 0
@@ -118,8 +118,9 @@ class SigmaKernel:
             raise ValueError("point dimension mismatch")
         if not any(w):
             raise ZeroVector("evaluation point must be nonzero")
+        point = (w,)
         for forms in self.forms:
-            if first_nonzero_sign(forms, w) != self.det_sign:
+            if first_nonzero_sign(forms, point)[0] != self.det_sign:
                 return 0
         return self.det_sign
 
@@ -128,27 +129,6 @@ def sigma_eval(alphas, w) -> int:
     """Value at w of the cocycle evaluated on n invertible rational
     matrices; always defined for w != 0."""
     return SigmaKernel(alphas).eval(w)
-
-
-def tau_cocycle(alphas) -> int:
-    """Coboundary invariant of n+1 invertible matrices: the d-invariant of
-    the n+1 perturbed columns, each carrying its own infinitesimal.  The
-    minor omitting column i keeps the relative order of the remaining
-    infinitesimals, so its sign is that of an n-slot kernel determinant."""
-    cols = _integer_columns(alphas)
-    m = len(cols)
-    n = m - 1
-    if n < 1 or len(cols[0]) != n:
-        raise ValueError("need n+1 matrices of size n x n")
-    signs = []
-    for i in range(m):
-        sub = cols[:i] + cols[i + 1:]
-        s = _det_sign(sub, _cramer_forms(sub, n - 1))
-        if s == 0:
-            raise SingularMatrix("perturbed configuration degenerated")
-        signs.append(s if i % 2 == 0 else -s)
-    first = signs[0]
-    return first if all(s == first for s in signs) else 0
 
 
 class CocycleChecker:
@@ -173,3 +153,12 @@ class CocycleChecker:
 
     def holds_at(self, w) -> bool:
         return self.alternating_sum(w) == self.tau
+
+
+def tau_cocycle(alphas) -> int:
+    """Coboundary invariant of n+1 invertible matrices: the d-invariant of
+    the n+1 perturbed columns, each carrying its own infinitesimal.  The
+    minor omitting column i keeps the relative order of the remaining
+    infinitesimals, so its sign is that of face kernel i's determinant;
+    this is the tau of ``CocycleChecker``."""
+    return CocycleChecker(alphas).tau

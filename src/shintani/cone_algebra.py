@@ -17,7 +17,6 @@ generators.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -27,6 +26,7 @@ from .cocycle_core import SigmaKernel
 from .errors import SingularMatrix, UnsupportedDimension, ZeroVector
 from .linalg import (
     coordinate_rows,
+    first_nonzero_sign,
     frac,
     idot,
     int_scale_point,
@@ -65,13 +65,16 @@ class OpenSimplicialCone:
 
     def _contains_scaled(self, wi) -> bool:
         """Membership test against an integer multiple of the point; any
-        positive rescaling of w leaves cone membership unchanged."""
+        positive rescaling of w leaves cone membership unchanged.  A point
+        of another dimension is refused, not truncated."""
+        if len(wi) != self.ambient:
+            raise ValueError("point dimension mismatch")
         coord_rows, span_rows = self._rows
         for row in span_rows:
-            if sum(a * b for a, b in zip(row, wi)) != 0:
+            if idot(row, wi) != 0:
                 return False
         for row in coord_rows:
-            if sum(a * b for a, b in zip(row, wi)) <= 0:
+            if idot(row, wi) <= 0:
                 return False
         return True
 
@@ -111,10 +114,6 @@ class ConeCombo:
     def __add__(self, other: "ConeCombo") -> "ConeCombo":
         return ConeCombo(self.terms + other.terms, self.constant + other.constant)
 
-    def sorted(self) -> "ConeCombo":
-        terms = sorted(self.terms, key=lambda t: t[1].generators)
-        return ConeCombo(terms, self.constant)
-
     def to_json(self) -> dict:
         return {
             "cones": [
@@ -131,9 +130,6 @@ class ConeCombo:
     def from_json(cls, doc: dict) -> "ConeCombo":
         terms = [(entry["coeff"], entry["generators"]) for entry in doc.get("cones", [])]
         return cls(terms, doc.get("constant", "0"))
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 def act(alpha, combo: ConeCombo) -> ConeCombo:
@@ -214,51 +210,25 @@ def _split_piece(gens, form):
 # Decomposition of the cocycle into a cone combo
 # ---------------------------------------------------------------------------
 
-def _classify_piece(gens, int_lists, target):
-    """Decide the lexicographic sign data of one piece, or report a form
-    to split by.
-
-    Returns ('drop', None) when some list already resolves to a sign other
-    than the target on the whole piece, ('keep', None) when every list
-    resolves to the target, and ('split', form) when a form has mixed
-    signs on the piece so the answer is not yet constant.
-    """
-    for forms in int_lists:
-        decided = None
-        for f in forms:
-            vals = [idot(f, g) for g in gens]
-            pos = any(v > 0 for v in vals)
-            neg = any(v < 0 for v in vals)
-            if pos and neg:
-                return "split", f
-            if pos:
-                decided = 1
-                break
-            if neg:
-                decided = -1
-                break
-            # identically zero on the span of the piece: next form decides
-        if decided is None:
-            decided = 0
-        if decided != target:
-            return "drop", None
-    return "keep", None
-
-
 def _decompose_region(n, int_lists, target):
     """Relatively open simplicial pieces exactly covering the region where
-    every lexicographic list resolves to the target sign.  Pieces are
-    split only while some list is still ambiguous on them, and pieces with
-    a resolved non-target sign are dropped immediately."""
+    every lexicographic list resolves to the target sign.  The lists of a
+    piece are read in order by ``linalg.first_nonzero_sign`` on the piece's
+    cone: the piece is dropped at the first list with a sign other than
+    the target, split along the form of the first list whose sign is not
+    constant on it, and kept when every list has the target sign."""
     work = list(_start_pieces(n))
     kept = []
     while work:
         gens = work.pop()
-        status, form = _classify_piece(gens, int_lists, target)
-        if status == "keep":
+        for forms in int_lists:
+            s, form = first_nonzero_sign(forms, gens)
+            if s is None:
+                work.extend(_split_piece(gens, form))
+            if s != target:
+                break
+        else:
             kept.append(gens)
-        elif status == "split":
-            work.extend(_split_piece(gens, form))
     return kept
 
 
@@ -276,6 +246,6 @@ def sigma_decompose(alphas) -> ConeCombo:
     kernel = SigmaKernel(alphas)
     target = kernel.det_sign
     pieces = _decompose_region(n, kernel.forms, target)
-    terms = [(target, OpenSimplicialCone(gens)) for gens in pieces]
-    return ConeCombo(terms).sorted()
+    cones = sorted(map(OpenSimplicialCone, pieces), key=lambda cone: cone.generators)
+    return ConeCombo([(target, cone) for cone in cones])
 

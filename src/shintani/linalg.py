@@ -9,6 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, combinations, permutations
 from math import gcd, lcm
+from operator import mul
 
 from .errors import SingularMatrix
 
@@ -169,7 +170,7 @@ def primitive(vec):
 
 
 def idot(f, g):
-    return sum(a * b for a, b in zip(f, g))
+    return sum(map(mul, f, g))
 
 
 def int_det(m) -> int:
@@ -265,14 +266,30 @@ def reduce_rows(gens):
     return [tuple(g) for g in zip(*rows)], back
 
 
-def first_nonzero_sign(forms, w) -> int:
-    """Sign of the first form in the list that is nonzero at w, or 0: the
-    sign of a lexicographically ordered list of linear forms."""
+def first_nonzero_sign(forms, gens):
+    """Sign of a lexicographically ordered list of integer linear forms on
+    the relatively open cone of the integer vectors gens (their strictly
+    positive combinations); a point w is the one-generator cone (w,).
+
+    A form vanishes identically on the cone when it is zero on every
+    generator, and has one strict sign there when its nonzero values on
+    the generators share it.  Returns (s, form) with s = 1 or -1 for the
+    first form that is not identically zero on the cone, (None, form) when
+    that form takes both signs on the generators, so the list has no
+    constant sign there, and (0, None) when every form vanishes.
+    """
     for f in forms:
-        v = idot(f, w)
-        if v:
-            return 1 if v > 0 else -1
-    return 0
+        s = 0
+        for g in gens:
+            v = idot(f, g)
+            if v:
+                t = 1 if v > 0 else -1
+                if s and s != t:
+                    return None, f
+                s = t
+        if s:
+            return s, f
+    return 0, None
 
 
 def sign(x) -> int:

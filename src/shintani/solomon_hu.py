@@ -41,7 +41,6 @@ are refused with ValueError.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -553,9 +552,6 @@ class QuotSeries:
                 for e, c in sorted(self.num.terms.items())
             ],
         }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

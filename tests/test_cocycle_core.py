@@ -2,9 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings
 
-from conftest import random_general_position, random_nonzero_vector
+from conftest import cocycle_cases, random_general_position, random_nonzero_vector
 from reference import (
     GeneralPositionViolation,
     SingularBasis,
@@ -210,7 +210,7 @@ def test_tau_equals_alternating_sigma_sum():
         n = rng.randint(2, 3)
         alphas = [random_invertible(rng, n) for _ in range(n + 1)]
         checker = CocycleChecker(alphas)
-        assert checker.tau == tau_cocycle(alphas)
+        assert checker.tau == dvalue(_moment_columns(alphas, n + 1))
         for _ in range(10):
             w = random_nonzero_vector(rng, n)
             assert checker.alternating_sum(w) == checker.tau
@@ -283,6 +283,8 @@ def test_sigma_matches_cone_indicator_on_moment_columns():
 
 
 def test_tau_matches_dvalue_on_moment_columns():
+    # tau_cocycle is CocycleChecker's tau, read from its face kernels; the
+    # ordered-field d-invariant is its independent reference
     rng = random.Random(101)
     for n, alphas in _oracle_tuples(rng, (2, 3), 1):
         assert tau_cocycle(alphas) == dvalue(_moment_columns(alphas, n + 1))
@@ -290,7 +292,7 @@ def test_tau_matches_dvalue_on_moment_columns():
 
 def test_checker_setup_matches_standalone_kernels():
     # the checker clears each matrix once and reads tau from its face
-    # kernels; tau must equal the standalone oracle and every face kernel
+    # kernels; tau must equal the ordered-field oracle and every face kernel
     # the kernel built from the face matrices alone
     rng = random.Random(103)
     for n in (1, 2, 3, 4):
@@ -301,7 +303,7 @@ def test_checker_setup_matches_standalone_kernels():
                 else:
                     alphas = [random_invertible(rng, n) for _ in range(n + 1)]
                 checker = CocycleChecker(alphas)
-                assert checker.tau == tau_cocycle(alphas)
+                assert checker.tau == dvalue(_moment_columns(alphas, n + 1))
                 assert len(checker.kernels) == n + 1
                 for i, kernel in enumerate(checker.kernels):
                     face = SigmaKernel(alphas[:i] + alphas[i + 1:])
@@ -504,66 +506,13 @@ def test_closed_form_identity_is_zero():
 # Hypothesis: the cocycle relation on generic and degenerate tuples
 # ---------------------------------------------------------------------------
 
-_ENTRY = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
-
-
-@st.composite
-def _nonzero_vectors(draw, n):
-    v = tuple(draw(st.lists(_ENTRY, min_size=n, max_size=n)))
-    assume(any(v))
-    return v
-
-
-@st.composite
-def _invertible(draw, n, first=None):
-    """An invertible n x n matrix, with the given first column if any."""
-    rows = [draw(st.lists(_ENTRY, min_size=n, max_size=n)) for _ in range(n)]
-    if first is not None:
-        for row, x in zip(rows, first):
-            row[0] = x
-    m = tuple(tuple(row) for row in rows)
-    assume(mat_det(m) != 0)
-    return m
-
-
-@st.composite
-def cocycle_cases(draw):
-    """An (n+1)-tuple from one explicit family, and a nonzero point, at
-    times a first column of the tuple."""
-    n = draw(st.sampled_from([2, 3]))
-    family = draw(st.sampled_from(["generic", "repeated", "parallel", "plane"]))
-    if family in ("generic", "repeated"):
-        alphas = [draw(_invertible(n)) for _ in range(n + 1)]
-        if family == "repeated":
-            i = draw(st.integers(0, n - 1))
-            alphas[i + 1] = alphas[i]
-    elif family == "parallel":
-        v = draw(_nonzero_vectors(n))
-        scales = st.sampled_from([-3, -2, -1, 1, 2, 3])
-        alphas = [draw(_invertible(n, tuple(draw(scales) * x for x in v)))
-                  for _ in range(n + 1)]
-    else:
-        u1, u2 = draw(_nonzero_vectors(n)), draw(_nonzero_vectors(n))
-        alphas = []
-        for _ in range(n + 1):
-            a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
-            col = tuple(a * x + b * y for x, y in zip(u1, u2))
-            alphas.append(draw(_invertible(n, col if any(col) else u1)))
-    if draw(st.booleans()):
-        k = draw(st.integers(0, n))
-        w = tuple(row[0] for row in alphas[k])
-    else:
-        w = draw(_nonzero_vectors(n))
-    return alphas, w
-
-
 @settings(deadline=None, derandomize=True, max_examples=150)
 @given(case=cocycle_cases())
 def test_cocycle_properties_on_drawn_families(case):
     alphas, w = case
     checker = CocycleChecker(alphas)
     assert checker.holds_at(w)
-    assert checker.tau == tau_cocycle(alphas)
+    assert checker.tau == dvalue(_moment_columns(alphas, len(alphas)))
     assert sigma_decompose(alphas[1:]).eval(w) == checker.kernels[0].eval(w)
 
 

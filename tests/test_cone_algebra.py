@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import random_nonzero_vector, random_vector
+from conftest import cocycle_cases, random_nonzero_vector, random_vector
 from shintani.cli import random_degenerate_tuple, random_invertible
 from shintani.cocycle_core import SigmaKernel, tau_cocycle
 from shintani.cone_algebra import (
@@ -309,11 +310,27 @@ def test_decompose_equivariance():
             assert lhs.eval(w) == s * rhs.eval(mat_vec(binv, w))
 
 
+def _assert_relation_transported(alphas, ws):
+    """The face combos of an (n+1)-tuple satisfy the cocycle relation at
+    the points ws and at every piece witness of every face, and each
+    piece's coefficient is its face kernel's value at the witness."""
+    faces = [alphas[:i] + alphas[i + 1:] for i in range(len(alphas))]
+    combos = [sigma_decompose(face) for face in faces]
+    tau = tau_cocycle(alphas)
+    ws = list(ws)
+    for face, combo in zip(faces, combos):
+        kernel = SigmaKernel(face)
+        for coeff, cone in combo.terms:
+            w = cone.witness()
+            assert kernel.eval(w) == coeff
+            ws.append(w)
+    for w in ws:
+        total = sum((-1) ** i * c.eval(w) for i, c in enumerate(combos))
+        assert total == tau
+
+
 def test_decompose_cocycle_relation_transported():
-    # the face combos of an (n+1)-tuple satisfy the cocycle relation at
-    # random points and at every piece witness of every face, and each
-    # piece's coefficient is its face kernel's value at the witness; random
-    # tuples and the CLI's degenerate families, n = 2 and 3
+    # random tuples and the CLI's degenerate families, n = 2 and 3
     rng = random.Random(23)
     for n, count in ((2, 8), (3, 6)):
         for degenerate in (False, True):
@@ -322,19 +339,15 @@ def test_decompose_cocycle_relation_transported():
                     alphas = random_degenerate_tuple(rng, n, n + 1)
                 else:
                     alphas = [random_invertible(rng, n) for _ in range(n + 1)]
-                faces = [alphas[:i] + alphas[i + 1:] for i in range(n + 1)]
-                combos = [sigma_decompose(face) for face in faces]
-                tau = tau_cocycle(alphas)
-                ws = [random_nonzero_vector(rng, n) for _ in range(40)]
-                for face, combo in zip(faces, combos):
-                    kernel = SigmaKernel(face)
-                    for coeff, cone in combo.terms:
-                        w = cone.witness()
-                        assert kernel.eval(w) == coeff
-                        ws.append(w)
-                for w in ws:
-                    total = sum((-1) ** i * c.eval(w) for i, c in enumerate(combos))
-                    assert total == tau
+                _assert_relation_transported(
+                    alphas, [random_nonzero_vector(rng, n) for _ in range(40)])
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(case=cocycle_cases())
+def test_decompose_cocycle_relation_transported_on_drawn_families(case):
+    alphas, w = case
+    _assert_relation_transported(alphas, [w])
 
 
 def test_decompose_degenerate_families():
@@ -374,6 +387,15 @@ def test_decompose_random_degenerate_tuples():
                 assert combo.eval(w) == kernel.eval(w)
 
 
+def test_wrong_length_points_are_refused():
+    # a point is not truncated to the cones' dimension, as the kernel refuses it
+    combo = sigma_decompose([((1, 0), (0, 1)), ((0, 1), (1, 0))])
+    with pytest.raises(ValueError, match="point dimension mismatch"):
+        combo.eval((1, 1, 1))
+    with pytest.raises(ValueError, match="point dimension mismatch"):
+        OpenSimplicialCone(((1, 0, 0), (0, 1, 0))).contains((1, 1))
+
+
 def test_decompose_singular_matrix():
     with pytest.raises(SingularMatrix):
         sigma_decompose([I2, ((1, 2), (2, 4))])
@@ -401,7 +423,7 @@ def test_decompose_region_tiles_punctured_space_by_sign():
                 hits = [(s, c) for s, c in pieces if c.contains(w)]
                 assert len(hits) == 1
                 s, cone = hits[0]
-                assert first_nonzero_sign(forms, w) == s
+                assert first_nonzero_sign(forms, (w,))[0] == s
                 if len(forms) == 1:
                     vals = [idot(forms[0], g) for g in cone.generators]
                     if s > 0:

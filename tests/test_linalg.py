@@ -9,6 +9,7 @@ from shintani.cli import random_invertible
 from shintani.errors import SingularMatrix
 from shintani.linalg import (
     cofactor_form,
+    first_nonzero_sign,
     identity,
     idot,
     int_det,
@@ -17,6 +18,7 @@ from shintani.linalg import (
     mat_inv,
     mat_mul,
     primitive,
+    sign,
     solve_columns,
 )
 
@@ -50,6 +52,43 @@ def test_cofactor_form_reads_det_with_w_inserted(case):
     cols, slot, w = case
     full = list(cols[:slot]) + [w] + list(cols[slot:])
     assert idot(cofactor_form(cols, slot), w) == int_det(list(zip(*full)))
+
+
+@st.composite
+def lex_sign_cases(draw):
+    """One to three nonzero integer generators and one to three integer
+    forms in dimension 2 or 3, with strictly positive integer weights for
+    a few combinations of the generators."""
+    n = draw(st.sampled_from([2, 3]))
+    small = st.tuples(*[st.integers(-3, 3)] * n)
+    gens = draw(st.lists(small.filter(any), min_size=1, max_size=3))
+    forms = draw(st.lists(small, min_size=1, max_size=3))
+    weights = draw(st.lists(st.tuples(*[st.integers(1, 4)] * len(gens)), min_size=1, max_size=6))
+    return gens, forms, weights
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(case=lex_sign_cases())
+def test_first_nonzero_sign_on_cones(case):
+    # a returned sign is the first nonzero sign at every strictly positive
+    # combination of the generators; None comes only with a form that takes
+    # both signs on them; every form before the returned one vanishes on the
+    # cone; and on a one-generator cone it is the sign of the point
+    gens, forms, weights = case
+    s, form = first_nonzero_sign(forms, gens)
+    k = len(forms) if form is None else forms.index(form)
+    assert all(idot(f, g) == 0 for f in forms[:k] for g in gens)
+    if s is None:
+        vals = [idot(form, g) for g in gens]
+        assert min(vals) < 0 < max(vals)
+    else:
+        assert (s == 0) == (form is None)
+        for ws in weights:
+            p = tuple(sum(c * x for c, x in zip(ws, col)) for col in zip(*gens))
+            assert first_nonzero_sign(forms, (p,))[0] == s
+    for w in gens:
+        point = next(((sign(idot(f, w)), f) for f in forms if idot(f, w)), (0, None))
+        assert first_nonzero_sign(forms, (w,)) == point
 
 
 def test_mat_inv_is_two_sided_inverse():
