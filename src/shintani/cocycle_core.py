@@ -9,9 +9,11 @@ signs without polynomials: each matrix is first cleared to integers (a
 positive scale changes no sign), and by multilinearity the coefficient of
 e^k in any of the determinants is the integer determinant of the columns
 alpha_j[:, k_j].  So each Cramer numerator is a list of integer cofactor
-forms in w, ordered by the exponent order (compare the highest index
-first), and every sign is the first nonzero sign of such a list, read by
-``linalg.first_nonzero_sign`` on the one-generator cone (w,).
+forms in w in the exponent order (compare the highest index first), which
+``_cramer_forms`` emits in that order with no sort, and every sign is the
+first nonzero sign of such a list, read by ``linalg.first_nonzero_sign``
+on the one-generator cone (w,).  For n <= 3 each cofactor form is a closed
+form (``linalg.cofactor_form``).
 ``CocycleChecker`` clears each matrix of its tuple once, builds the face
 kernels from those columns, reads tau as the alternating sign of their
 determinants and clears each point of ``alternating_sum`` once for all
@@ -61,21 +63,19 @@ def _cramer_forms(cols, slot):
     multilinearity the coefficient of e^k in the determinant with the
     slot's column replaced by w is the plain determinant with column j
     equal to cols[j][k_j]; as a form in w it is the cofactor vector of the
-    slot.  Forms come back primitive, zero forms dropped, ordered by the
-    infinitesimal exponent order.
+    slot, in closed form for n <= 3.  The other slots' columns are walked
+    with the highest slot varying slowest, so the forms come out in the
+    infinitesimal exponent order with no sort; each is made primitive and
+    zero forms are dropped.
     """
-    n = len(cols)
-    others = [j for j in range(n) if j != slot]
-    by_exp = {}
-    for ks in product(range(n), repeat=n - 1):
-        form = cofactor_form([cols[j][k] for j, k in zip(others, ks)], slot)
+    others = [cols[j] for j in range(len(cols)) if j != slot]
+    out = []
+    for picked in product(*reversed(others)):
+        form = cofactor_form(picked[::-1], slot)
         g = gcd(*form)
         if g:
-            exp = [0] * n
-            for j, k in zip(others, ks):
-                exp[j] = k
-            by_exp[tuple(exp)] = tuple(v // g for v in form)
-    return tuple(by_exp[e] for e in sorted(by_exp, key=lambda e: e[::-1]))
+            out.append(tuple(v // g for v in form))
+    return tuple(out)
 
 
 def _det_sign(cols, last_forms):

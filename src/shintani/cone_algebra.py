@@ -64,11 +64,9 @@ class OpenSimplicialCone:
         return len(self.generators[0])
 
     def _contains_scaled(self, wi) -> bool:
-        """Membership test against an integer multiple of the point; any
-        positive rescaling of w leaves cone membership unchanged.  A point
-        of another dimension is refused, not truncated."""
-        if len(wi) != self.ambient:
-            raise ValueError("point dimension mismatch")
+        """Membership test against an integer multiple of the point, of
+        the cone's ambient dimension; any positive rescaling of w leaves
+        cone membership unchanged."""
         coord_rows, span_rows = self._rows
         for row in span_rows:
             if idot(row, wi) != 0:
@@ -79,7 +77,12 @@ class OpenSimplicialCone:
         return True
 
     def contains(self, w) -> bool:
-        return self._contains_scaled(int_scale_point(w))
+        """Membership of a rational point; a point of another dimension is
+        refused, not truncated."""
+        wi = int_scale_point(w)
+        if len(wi) != self.ambient:
+            raise ValueError("point dimension mismatch")
+        return self._contains_scaled(wi)
 
     def witness(self):
         """An integer interior point: the sum of the generators."""
@@ -87,7 +90,9 @@ class OpenSimplicialCone:
 
 
 class ConeCombo:
-    """Finite signed combination of open simplicial cones plus a constant."""
+    """Finite signed combination of open simplicial cones plus a constant.
+    Every cone lives in one ambient dimension, ``ambient`` (None when there
+    is no cone, and the constant is then read at a point of any length)."""
 
     def __init__(self, terms=(), constant=0):
         self.terms = tuple(
@@ -95,12 +100,18 @@ class ConeCombo:
              else OpenSimplicialCone(tuple(cone)))
             for c, cone in terms
         )
+        dims = {cone.ambient for _, cone in self.terms}
+        if len(dims) > 1:
+            raise ValueError("cone dimensions differ")
+        self.ambient = dims.pop() if dims else None
         self.constant = frac(constant)
 
     def eval(self, w) -> Fraction:
         wi = int_scale_point(w)
         if all(x == 0 for x in wi):
             raise ZeroVector("combos are functions on nonzero points")
+        if self.ambient is not None and len(wi) != self.ambient:
+            raise ValueError("point dimension mismatch")
         total = Fraction(self.constant)
         for c, cone in self.terms:
             if cone._contains_scaled(wi):

@@ -41,11 +41,6 @@ def mat_vec(m, v) -> Vec:
     return tuple(dot(row, v) for row in m)
 
 
-def mat_mul(a, b) -> Mat:
-    cols = list(zip(*b))
-    return tuple(tuple(dot(row, col) for col in cols) for row in a)
-
-
 def mat_det(m) -> Fraction:
     """Determinant by fraction-free-ish Gaussian elimination (exact)."""
     n = len(m)
@@ -66,14 +61,6 @@ def mat_det(m) -> Fraction:
                 for c in range(col, n):
                     a[r][c] -= f * a[col][c]
     return det
-
-
-def mat_inv(m) -> Mat:
-    """Inverse of a square rational matrix, one solve per unit column;
-    raises SingularMatrix when the columns are dependent."""
-    cols = list(zip(*m))
-    inv_cols = [solve_columns(cols, e) for e in identity(len(m))]
-    return tuple(zip(*inv_cols))
 
 
 def solve_columns(cols, w):
@@ -155,9 +142,9 @@ def int_scale_point(w):
     """Positive integer multiple of a rational point, as plain ints."""
     if type(w) is tuple and all(type(x) is int for x in w):
         return w
-    w = [frac(x) for x in w]
-    den = lcm(*(x.denominator for x in w))
-    return tuple(x.numerator * (den // x.denominator) for x in w)
+    ratios = [(x if type(x) is Fraction else frac(x)).as_integer_ratio() for x in w]
+    den = lcm(*[d for _, d in ratios])
+    return tuple([p * (den // d) for p, d in ratios])
 
 
 def primitive(vec):
@@ -191,8 +178,19 @@ def int_det(m) -> int:
 def cofactor_form(cols, slot):
     """Integer linear form w -> det of the n-1 integer columns with w
     inserted at position slot: row slot of the adjugate of any matrix
-    with these other columns."""
+    with these other columns.
+
+    Closed form for n = 3, (-1)^slot times the cross product a x b of the
+    two columns, and for n = 2, (a_1, -a_0) at slot 0 and (-a_1, a_0) at
+    slot 1; n = 1 and n >= 4 take the Laplace expansion along w."""
     n = len(cols) + 1
+    if n == 3:
+        (a0, a1, a2), (b0, b1, b2) = cols
+        x, y, z = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+        return (-x, -y, -z) if slot == 1 else (x, y, z)
+    if n == 2:
+        a0, a1 = cols[0]
+        return (a1, -a0) if slot == 0 else (-a1, a0)
     return tuple(
         (-1) ** (row + slot)
         * int_det([[c[r] for c in cols] for r in range(n) if r != row])

@@ -6,7 +6,11 @@ is an independent definition of a value the library computes another way:
   * ``dvalue`` and ``cvalue``, the sign invariants over the ordered field
     of nested infinitesimals, and ``moment_vector``, the perturbed moment
     columns: the paper's definition of the cocycle, which the integer
-    kernel (``SigmaKernel``, ``tau_cocycle``) must reproduce.
+    kernel (``SigmaKernel``, ``tau_cocycle``) must reproduce;
+    ``cramer_forms_reference``, the kernel's Cramer form lists from unit
+    vector determinants, sorted by exponent.
+  * ``mat_mul`` and ``mat_inv``, rational matrix products and inverses
+    the tests use to move tuples and points by a matrix.
   * ``solomon_s``, ``coboundary_tau_half``, ``tau_transport`` and
     ``closed_form_sigma_n2``: the dimension-2 half-weighted cocycle, the
     half-ray coboundary function and the closed-form tables.
@@ -31,12 +35,22 @@ The error classes ``GeneralPositionViolation``, ``SingularBasis`` and
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 from shintani.cocycle_core import _integer_columns
 from shintani.errors import ShintaniError, TruncationTooSmall, ZeroVector
 from shintani.exactnum import CoeffRing, MPoly, QQ, bernoulli_number
-from shintani.linalg import frac, mat_det, mat_inv, mat_vec, sign as rsign
+from shintani.linalg import (
+    dot,
+    frac,
+    identity,
+    int_det,
+    mat_det,
+    mat_vec,
+    sign as rsign,
+    solve_columns,
+)
 from shintani.lvalues import DirichletChar, dirichlet_L_closed
 from shintani.ordered_field import (
     as_elem,
@@ -144,12 +158,57 @@ def cvalue(basis, w) -> int:
     return s
 
 
+def cramer_forms_reference(cols, slot):
+    """Cramer forms of one slot of the integer kernel by their definition:
+    the form of exponent vector k (k_slot = 0) has entry r equal to the
+    integer determinant with column j = cols[j][k_j] and the unit vector
+    e_r at the slot; primitive, zero forms dropped, sorted by the exponent
+    order (the highest slot compared first).  The oracle for
+    ``cocycle_core._cramer_forms``, which builds the same list in order
+    from closed-form cofactors."""
+    n = len(cols)
+    others = [j for j in range(n) if j != slot]
+    by_exp = {}
+    for ks in product(range(n), repeat=n - 1):
+        picked = dict(zip(others, (cols[j][k] for j, k in zip(others, ks))))
+        form = []
+        for r in range(n):
+            unit = tuple(int(i == r) for i in range(n))
+            columns = [picked.get(j, unit) for j in range(n)]
+            form.append(int_det(list(zip(*columns))))
+        g = gcd(*form)
+        if g:
+            exp = [0] * n
+            for j, k in zip(others, ks):
+                exp[j] = k
+            by_exp[tuple(exp)] = tuple(v // g for v in form)
+    return tuple(by_exp[e] for e in sorted(by_exp, key=lambda e: e[::-1]))
+
+
 def _check_matrices(alphas):
     """Coerce to square rational matrices of a common size and reject
     singular ones."""
     mats = [tuple(tuple(frac(x) for x in row) for row in a) for a in alphas]
     _integer_columns(mats)
     return mats
+
+
+# ---------------------------------------------------------------------------
+# Rational matrices
+# ---------------------------------------------------------------------------
+
+def mat_mul(a, b):
+    """Product of two rational matrices given as row tuples."""
+    cols = list(zip(*b))
+    return tuple(tuple(dot(row, col) for col in cols) for row in a)
+
+
+def mat_inv(m):
+    """Inverse of a square rational matrix, one solve per unit column;
+    raises SingularMatrix when the columns are dependent."""
+    cols = list(zip(*m))
+    inv_cols = [solve_columns(cols, e) for e in identity(len(m))]
+    return tuple(zip(*inv_cols))
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,9 @@ def _pair_one_class(values, **ring):
     ("pair", _pair_one_class([{"class": [1], "value": [[1.9, 0, "1"]]}], zeta_order=3)),
     ("pair", _pair_one_class([{"class": [1], "value": [[-1, 0, "1"]]}], zeta_order=3)),
     ("pair", _pair_one_class([{"class": [1], "value": [[0, 1, "1"]]}])),
+    # pair: cones of two ambient dimensions in one combo
+    ("pair", {"combo": {"cones": [{"coeff": "1", "generators": [[1, 0]]},
+                                  {"coeff": "1", "generators": [[1, 0, 0]]}]}, "phi": _PHI2}),
 ])
 def test_rejects_malformed_job_fields(command, job, capsys):
     _schema_rejects(command, json.dumps(job), capsys)

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from conftest import cocycle_cases, random_general_position, random_nonzero_vector
 from reference import (
@@ -10,18 +10,27 @@ from reference import (
     SingularBasis,
     closed_form_sigma_n2,
     coboundary_tau_half,
+    cramer_forms_reference,
     cvalue,
     dvalue,
+    mat_inv,
+    mat_mul,
     moment_vector,
     solomon_s,
     tau_transport,
 )
 from shintani.cli import random_degenerate_tuple, random_invertible
-from shintani.cocycle_core import CocycleChecker, SigmaKernel, sigma_eval, tau_cocycle
+from shintani.cocycle_core import (
+    CocycleChecker,
+    SigmaKernel,
+    _cramer_forms,
+    sigma_eval,
+    tau_cocycle,
+)
 from shintani.cone_algebra import sigma_decompose
 from shintani.errors import SingularMatrix, ZeroVector
 from shintani.exactnum import MPoly
-from shintani.linalg import identity, mat_det, mat_inv, mat_mul, mat_vec, sign
+from shintani.linalg import identity, mat_det, mat_vec, sign
 from shintani.ordered_field import OrderedElem, iota
 
 
@@ -310,6 +319,30 @@ def test_checker_setup_matches_standalone_kernels():
                     assert kernel.n == face.n == n
                     assert kernel.forms == face.forms
                     assert kernel.det_sign == face.det_sign
+
+
+@st.composite
+def cramer_cases(draw):
+    """Integer columns cols[j][k] of n matrices (n = 1..4) and a slot.
+    Entries are small, so zero entries and zero forms are common; half the
+    cases draw every column from a pool of two, so columns repeat within
+    and across the matrices."""
+    n = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(-2, 2)] * n)
+    if draw(st.booleans()):
+        vec = st.sampled_from(draw(st.lists(vec, min_size=2, max_size=2)))
+    cols = draw(st.lists(st.tuples(*[vec] * n), min_size=n, max_size=n))
+    return cols, draw(st.integers(0, n - 1))
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(case=cramer_cases())
+def test_cramer_forms_match_the_sorted_reference(case):
+    # the kernel walks the columns in exponent order and uses closed-form
+    # cofactors; the reference builds each form from unit-vector
+    # determinants, keyed by exponent and sorted
+    cols, slot = case
+    assert _cramer_forms(cols, slot) == cramer_forms_reference(cols, slot)
 
 
 _SING = ((1, 0), (2, 0))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import cocycle_cases, random_nonzero_vector, random_vector
+from reference import mat_inv
 from shintani.cli import random_degenerate_tuple, random_invertible
 from shintani.cocycle_core import SigmaKernel, tau_cocycle
 from shintani.cone_algebra import (
@@ -22,7 +23,6 @@ from shintani.linalg import (
     identity,
     idot,
     mat_det,
-    mat_inv,
     mat_vec,
     primitive,
     sign,
@@ -394,6 +394,20 @@ def test_wrong_length_points_are_refused():
         combo.eval((1, 1, 1))
     with pytest.raises(ValueError, match="point dimension mismatch"):
         OpenSimplicialCone(((1, 0, 0), (0, 1, 0))).contains((1, 1))
+
+
+def test_combo_refuses_cones_of_mixed_dimension():
+    # one ambient dimension per combo, checked once at construction; a combo
+    # without cones reads its constant at a point of any length
+    with pytest.raises(ValueError, match="cone dimensions differ"):
+        ConeCombo([(1, ((1, 0),)), (1, ((1, 0, 0),))])
+    plane = ConeCombo([(1, ((1, 0),))])
+    with pytest.raises(ValueError, match="cone dimensions differ"):
+        plane + ConeCombo([(1, ((1, 0, 0),))])
+    assert plane.ambient == 2 and (plane + ConeCombo([], 3)).ambient == 2
+    empty = ConeCombo([], constant=Fraction(1, 2))
+    assert empty.ambient is None
+    assert empty.eval((1,)) == empty.eval((1, 2, 3)) == Fraction(1, 2)
 
 
 def test_decompose_singular_matrix():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import gauss_jordan_oracle, outcome
+from reference import mat_inv, mat_mul
 from shintani.cli import random_invertible
 from shintani.errors import SingularMatrix
 from shintani.linalg import (
@@ -15,8 +16,6 @@ from shintani.linalg import (
     int_det,
     int_scale_point,
     mat_det,
-    mat_inv,
-    mat_mul,
     primitive,
     sign,
     solve_columns,
@@ -33,10 +32,15 @@ def _square(size):
 
 @st.composite
 def insertion_cases(draw):
-    """n - 1 integer columns of length n, a slot and a point w."""
-    n = draw(st.integers(1, 4))
+    """n - 1 integer columns of length n (n <= 5), a slot and a point w;
+    at times one column is a copy of another with one entry set to 0."""
+    n = draw(st.integers(1, 5))
     vec = st.tuples(*[ENTRY] * n)
     cols = draw(st.lists(vec, min_size=n - 1, max_size=n - 1))
+    if cols and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 2)), draw(st.integers(0, n - 2))
+        k = draw(st.integers(0, n - 1))
+        cols[i] = cols[j][:k] + (0,) + cols[j][k + 1:]
     return cols, draw(st.integers(0, n - 1)), draw(vec)
 
 
@@ -46,9 +50,11 @@ def test_int_det_matches_fraction_elimination(m):
     assert int_det(m) == mat_det([[Fraction(x) for x in row] for row in m])
 
 
-@settings(deadline=None, derandomize=True, max_examples=200)
+@settings(deadline=None, derandomize=True, max_examples=300)
 @given(case=insertion_cases())
 def test_cofactor_form_reads_det_with_w_inserted(case):
+    # the closed forms (n = 2, 3) and the Laplace expansion (n = 1, 4, 5)
+    # against the determinant of the matrix with w inserted at the slot
     cols, slot, w = case
     full = list(cols[:slot]) + [w] + list(cols[slot:])
     assert idot(cofactor_form(cols, slot), w) == int_det(list(zip(*full)))
@@ -134,12 +140,16 @@ def test_solve_columns_and_mat_inv_refuse_floats_and_bools():
 
 
 def test_integer_points_keep_their_entries_and_refuse_floats_and_bools():
-    assert int_scale_point((3, -6, 0)) == (3, -6, 0)
+    ints = (3, -6, 0)
+    assert int_scale_point(ints) is ints
     assert int_scale_point([3, -6]) == (3, -6)
     assert int_scale_point((Fraction(1, 2), 3)) == (1, 6)
+    mixed = int_scale_point((2, Fraction(-1, 4), "5/6", "3", Fraction(4, 2)))
+    assert mixed == (24, -3, 10, 36, 24) and all(type(x) is int for x in mixed)
+    assert int_scale_point(()) == ()
     assert primitive((3, -6, 0)) == (1, -2, 0)
     assert all(type(x) is int for x in primitive((Fraction(2, 3), 4)))
-    for bad in ((True, 2), (1, 0.5), [False, 1]):
+    for bad in ((True, 2), (1, 0.5), [False, 1], (Fraction(1, 2), 0.5), ("1/2", True)):
         with pytest.raises(TypeError, match="inexact or boolean"):
             int_scale_point(bad)
         with pytest.raises(TypeError, match="inexact or boolean"):

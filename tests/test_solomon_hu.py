@@ -11,6 +11,8 @@ from conftest import gauss_jordan_oracle, outcome, rational_points
 from reference import (
     exp_series,
     g_series,
+    mat_inv,
+    mat_mul,
     one_minus_exp,
     phi_map,
     quot_equal_as_laurent,
@@ -27,7 +29,7 @@ from shintani.errors import (
     ZeroForm,
 )
 from shintani.exactnum import CoeffRing, QQ, bernoulli_poly
-from shintani.linalg import idot, int_det, mat_inv, mat_mul, reduce_rows
+from shintani.linalg import idot, int_det, reduce_rows
 from shintani.lvalues import build_real_quad
 from shintani.solomon_hu import (
     MSeries,
