@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb, gcd
+from functools import cache
+from itertools import product
+from math import comb, gcd, prod
 
-from .errors import ShintaniError, SingularMatrix
-from .linalg import frac, solve_columns
+from .errors import ShintaniError
+from .linalg import frac
 
 Rat = Fraction
 
@@ -232,38 +234,31 @@ def bernoulli_poly(m: int, x) -> Fraction:
 # Cyclotomic polynomials
 # ---------------------------------------------------------------------------
 
-def _poly_divmod_int(num, den):
-    """Division of integer coefficient lists (little-endian), exact use only."""
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for k in range(len(q) - 1, -1, -1):
-        c, r = divmod(num[k + len(den) - 1], den[-1])
-        q[k] = c
-        for i, d in enumerate(den):
-            num[k + i] -= c * d
-    return q, num[: len(den) - 1]
-
-
-_CYCLOTOMIC_CACHE: dict[int, tuple[int, ...]] = {}
-
-
+@cache
 def cyclotomic_poly(m: int) -> tuple[int, ...]:
-    """Coefficients of Phi_m (little-endian), by dividing x^m - 1 by the
-    cyclotomic polynomials of the proper divisors of m."""
+    """Coefficients of Phi_m (little-endian), as the Moebius product
+    prod_(d | m) (1 - x^d)^mu(m/d) read in power series to the degree
+    phi(m): one sparse multiply (mu = 1) or one exact series division
+    (mu = -1) by 1 - x^d per square-free cofactor m/d, skipped when
+    d > phi(m).  The product is -Phi_1 at m = 1 and Phi_m beyond."""
     if m < 1:
         raise ValueError("cyclotomic order must be >= 1")
-    if m in _CYCLOTOMIC_CACHE:
-        return _CYCLOTOMIC_CACHE[m]
-    poly = [-1] + [0] * (m - 1) + [1]
-    for d in range(1, m):
-        if m % d == 0:
-            q, rem = _poly_divmod_int(poly, list(cyclotomic_poly(d)))
-            if any(rem):
-                raise ShintaniError("cyclotomic division failed")
-            poly = q
-    out = tuple(poly)
-    _CYCLOTOMIC_CACHE[m] = out
-    return out
+    if m == 1:
+        return (-1, 1)
+    primes = list(_factorize(m))
+    deg = m
+    for p in primes:
+        deg = deg // p * (p - 1)
+    poly = [1] + [0] * deg
+    for chosen in product((False, True), repeat=len(primes)):
+        d = m // prod(p for p, c in zip(primes, chosen) if c)
+        if sum(chosen) % 2:
+            for i in range(d, deg + 1):
+                poly[i] += poly[i - d]
+        else:
+            for i in range(deg, d - 1, -1):
+                poly[i] -= poly[i - d]
+    return tuple(poly)
 
 
 # Largest sqrt(D) generator accepted: its square-freeness is checked by
@@ -470,36 +465,6 @@ class CoeffElem:
         return CoeffElem(ring, acc)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inv() ** (-k)
-        out = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def inv(self) -> "CoeffElem":
-        """Multiplicative inverse: 1/c for a rational c, otherwise the
-        solution x of self * x = 1 over the rational basis.  Raises
-        ZeroDivisionError if the element is not a unit."""
-        ring = self.ring
-        if self.is_rational():
-            return ring.from_rat(1 / self.rational_part())
-        basis = ring.basis()
-        cols = []
-        for b in basis:
-            prod = self * CoeffElem(ring, {b: Fraction(1)})
-            cols.append([prod.coeffs.get(k, Fraction(0)) for k in basis])
-        try:
-            x = solve_columns(cols, [Fraction(b == (0, 0)) for b in basis])
-        except SingularMatrix:
-            raise ZeroDivisionError("element is not invertible in the ring")
-        return CoeffElem(ring, {b: c for b, c in zip(basis, x) if c})
 
     def is_rational(self) -> bool:
         return all(k == (0, 0) for k in self.coeffs)

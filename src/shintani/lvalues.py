@@ -3,11 +3,11 @@
 Two pipelines:
 
   * Dirichlet characters over Q: the classical Bernoulli closed form
-    L(chi, 1-r) = -(f^(r-1)/r) sum_n chi(n) B_r(n/f), summed from integer
-    power sums per character value, and independently the cone pipeline
-    (decompose the one-dimensional cocycle, pair with the character, read
-    the Laurent coefficient).  The two must agree exactly.  The characters
-    of a modulus form a sequence that builds each one when it is indexed.
+    L(chi, 1-r) = -(f^(r-1)/r) sum_n chi(n) B_r(n/f), one integer sum per
+    basis key of the ring, and independently the cone pipeline (decompose
+    the one-dimensional cocycle, pair with the character, read the Laurent
+    coefficient).  The two must agree exactly.  The characters of a
+    modulus form a sequence that builds each one when it is indexed.
 
   * Real quadratic fields of narrow class number one: the cocycle paired
     with the totally positive fundamental unit represents the half-open
@@ -202,30 +202,31 @@ class CharacterTable(Sequence):
 
 def dirichlet_L_closed(chi: DirichletChar, r: int) -> CoeffElem:
     """L(chi, 1-r) = -(f^(r-1)/r) sum_{n=1}^{f} chi(n) B_r(n/f), expanded by
-    B_r(x) = sum_j C(r, j) B_j x^(r-j): the residues of one value v share
-    integer power sums S_k = sum n^k, one ring product per distinct value,
-    and L = -(1/r) sum_v v sum_j C(r, j) B_j f^(j-1) S_(r-j).  The weights
-    -C(r, j) B_j f^(j-1) / r share one denominator, so each value's factor
-    is an integer sum over it."""
+    B_r(x) = sum_j C(r, j) B_j x^(r-j) into -(1/(r f)) sum_n chi(n) P(n)
+    with P(n) = sum_j C(r, j) B_j f^j n^(r-j).  The weights of P are
+    cleared to integers over the lcm of the Bernoulli denominators, and
+    the values to integers over the lcm of their coefficient denominators;
+    per unit u the integer P(n) is read by Horner's rule (n = u, or f for
+    the unit 0 of modulus 1) and its products with the value's integer
+    coefficients are added into one int per basis key.  Each nonzero key
+    ends as one Fraction: no ring element is multiplied or added."""
     if r < 1:
         raise ValueError("r must be a positive integer")
     f = chi.f
-    groups = {}
+    bern = [bernoulli_number(j) for j in range(r + 1)]
+    den = lcm(*(b.denominator for b in bern))
+    weights = [comb(r, j) * b.numerator * (den // b.denominator) * f ** j
+               for j, b in enumerate(bern)]
+    vden = lcm(*(c.denominator for v in chi.values.values() for c in v.coeffs.values()))
+    sums = {}
     for u, v in chi.values.items():
-        sums = groups.setdefault(v.key(), (v, [0] * (r + 1)))[1]
-        n, power = u or f, 1
-        for k in range(r + 1):
-            sums[k] += power
-            power *= n
-    weights = [comb(r, j) * bernoulli_number(j) * Fraction(f) ** (j - 1)
-               for j in range(r + 1)]
-    den = lcm(*(w.denominator for w in weights))
-    weights = [w.numerator * (den // w.denominator) for w in weights]
-    acc = chi.ring.zero()
-    for v, sums in groups.values():
-        num = sum(map(operator.mul, weights, reversed(sums)))
-        acc = acc + v * Fraction(num, -r * den)
-    return acc
+        n, p = u or f, 0
+        for w in weights:
+            p = p * n + w
+        for b, c in v.coeffs.items():
+            sums[b] = sums.get(b, 0) + p * c.numerator * (vden // c.denominator)
+    scale = -r * f * den * vden
+    return CoeffElem(chi.ring, {b: Fraction(s, scale) for b, s in sums.items() if s})
 
 
 def dirichlet_L_via_cocycle(chi: DirichletChar, r: int) -> CoeffElem:

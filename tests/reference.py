@@ -11,6 +11,11 @@ is an independent definition of a value the library computes another way:
     vector determinants, sorted by exponent.
   * ``mat_mul`` and ``mat_inv``, rational matrix products and inverses
     the tests use to move tuples and points by a matrix.
+  * ``cyclotomic_poly_reference``, Phi_m by dense division of x^m - 1 by
+    the cyclotomic polynomials of the proper divisors, the oracle for the
+    Moebius product of ``cyclotomic_poly``; ``coeff_inv`` and
+    ``coeff_pow``, ring inverses by a linear solve over the rational basis
+    and powers by repeated squaring.
   * ``solomon_s``, ``coboundary_tau_half``, ``tau_transport`` and
     ``closed_form_sigma_n2``: the dimension-2 half-weighted cocycle, the
     half-ray coboundary function and the closed-form tables.
@@ -19,11 +24,15 @@ is an independent definition of a value the library computes another way:
     integer numerator of ``exp_sum`` (the kernel ``_numerator`` on single
     points) and ``pair_cone``; ``one_minus_exp``, ``phi_map``,
     ``translate`` and ``quot_equal_as_laurent`` state the pairing
-    identities.
+    identities; ``pair_cone_by_class_reference`` pairs with one moment
+    list per residue class, the grouping ``pair_cone`` makes per value.
   * ``symmetric_laurent_coeff_reference``: the symmetric Laurent
     extraction in CoeffElem arithmetic (forms T^t v by ring products,
     inverse series and ring inverses), the oracle for the Z[sqrt D]
     integer route of ``symmetric_laurent_coeff``.
+  * ``dirichlet_L_closed_reference``: the Bernoulli closed form with one
+    ring product per distinct character value, the oracle for the integer
+    accumulation of ``dirichlet_L_closed``.
   * ``base_change_L``: L_K(chi o N, -r) = L(chi, -r) L(chi chi_K, -r) from
     the Bernoulli closed form, sharing no code with the cone route, for
     the test function ``norm_character_schwartz`` builds.
@@ -35,19 +44,22 @@ The error classes ``GeneralPositionViolation``, ``SingularBasis`` and
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from shintani.cocycle_core import _integer_columns
-from shintani.errors import ShintaniError, TruncationTooSmall, ZeroVector
-from shintani.exactnum import CoeffRing, MPoly, QQ, bernoulli_number
+from shintani.errors import ShintaniError, SingularMatrix, TruncationTooSmall, ZeroVector
+from shintani.exactnum import CoeffElem, CoeffRing, MPoly, QQ, bernoulli_number
 from shintani.linalg import (
     dot,
     frac,
     identity,
+    idot,
     int_det,
     mat_det,
     mat_vec,
+    reduce_rows,
     sign as rsign,
     solve_columns,
 )
@@ -59,7 +71,13 @@ from shintani.ordered_field import (
     infer_nvars,
     sign_mpoly,
 )
-from shintani.solomon_hu import MSeries, QuotSeries, SchwartzFn, _numerator
+from shintani.solomon_hu import (
+    MSeries,
+    QuotSeries,
+    SchwartzFn,
+    _numerator,
+    parallelotope_points,
+)
 
 
 class GeneralPositionViolation(ShintaniError):
@@ -300,6 +318,67 @@ def closed_form_sigma_n2(alpha, w) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Cyclotomic polynomials and ring inverses
+# ---------------------------------------------------------------------------
+
+def _poly_divmod_int(num, den):
+    """Division of integer coefficient lists (little-endian), exact use only."""
+    num = list(num)
+    q = [0] * (len(num) - len(den) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c, r = divmod(num[k + len(den) - 1], den[-1])
+        q[k] = c
+        for i, d in enumerate(den):
+            num[k + i] -= c * d
+    return q, num[: len(den) - 1]
+
+
+@cache
+def cyclotomic_poly_reference(m: int) -> tuple[int, ...]:
+    """Coefficients of Phi_m (little-endian), by dividing x^m - 1 by the
+    cyclotomic polynomials of the proper divisors of m."""
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            poly, rem = _poly_divmod_int(poly, cyclotomic_poly_reference(d))
+            if any(rem):
+                raise ShintaniError("cyclotomic division failed")
+    return tuple(poly)
+
+
+def coeff_inv(x: CoeffElem) -> CoeffElem:
+    """Multiplicative inverse: 1/c for a rational c, otherwise the solution
+    y of x * y = 1 over the rational basis.  Raises ZeroDivisionError if x
+    is not a unit."""
+    ring = x.ring
+    if x.is_rational():
+        return ring.from_rat(1 / x.rational_part())
+    basis = ring.basis()
+    cols = []
+    for b in basis:
+        prod = x * CoeffElem(ring, {b: Fraction(1)})
+        cols.append([prod.coeffs.get(k, Fraction(0)) for k in basis])
+    try:
+        y = solve_columns(cols, [Fraction(b == (0, 0)) for b in basis])
+    except SingularMatrix:
+        raise ZeroDivisionError("element is not invertible in the ring")
+    return CoeffElem(ring, {b: c for b, c in zip(basis, y) if c})
+
+
+def coeff_pow(x: CoeffElem, k: int) -> CoeffElem:
+    """x^k by repeated squaring; a negative k inverts x first."""
+    if k < 0:
+        return coeff_pow(coeff_inv(x), -k)
+    out = x.ring.one()
+    while k:
+        if k & 1:
+            out = out * x
+        x = x * x
+        k >>= 1
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Series oracles for the pairing
 # ---------------------------------------------------------------------------
 
@@ -396,6 +475,22 @@ def translate(A, v):
     return {tuple(a + b for a, b in zip(w, v)): c for w, c in A.items()}
 
 
+def pair_cone_by_class_reference(cone, phi: SchwartzFn, dmax: int) -> QuotSeries:
+    """pair_cone with one point group per residue class present in the
+    table rather than one per distinct value: equal values of different
+    classes keep separate moment lists."""
+    d, mod = phi.d, phi.d * phi.f
+    scaled = [tuple(phi.f * x for x in g) for g in cone.generators]
+    rows, back = reduce_rows(scaled)
+    classes = {}
+    for k in parallelotope_points(rows, d, phi.f):
+        if back is not None:
+            k = tuple(idot(b, k) for b in back)
+        classes.setdefault(tuple(x % mod for x in k), []).append(k)
+    groups = [(phi.table[c], pts) for c, pts in classes.items() if c in phi.table]
+    return QuotSeries(_numerator(phi.ring, phi.n, dmax + cone.dim, d, groups, scaled), scaled)
+
+
 # ---------------------------------------------------------------------------
 # Symmetric Laurent extraction in ring arithmetic
 # ---------------------------------------------------------------------------
@@ -406,7 +501,7 @@ def _series_inverse_coeffs(coeffs, order: int, ring: CoeffRing):
     c0 = coeffs[0] if coeffs else ring.zero()
     if not c0:
         raise ZeroDivisionError("constant term vanishes")
-    inv0 = c0.inv()
+    inv0 = coeff_inv(c0)
     out = [inv0]
     for k in range(1, order + 1):
         acc = ring.zero()
@@ -447,15 +542,16 @@ def _iterated_coeff(num: MSeries, forms, main: int, m_main: int, m_other: int):
     acc = ring.zero()
     for j in range(min(target, len(pcoeffs) - 1) + 1):
         acc = acc + pcoeffs[j] * inv[target - j]
-    return acc * const_prod.inv()
+    return acc * coeff_inv(const_prod)
 
 
 def symmetric_laurent_coeff_reference(q: QuotSeries, m1: int, m2: int, images):
     """symmetric_laurent_coeff in ring arithmetic: the whole numerator is
     substituted by MSeries.substitute_linear, each integer form v becomes
-    T^t v by CoeffElem products, and the result is the average of the two iterated-Laurent extractions,
-    each with the inverse series of the denominator product computed in
-    CoeffElem arithmetic (CoeffElem.inv for the constant terms)."""
+    T^t v by CoeffElem products, and the result is the average of the two
+    iterated-Laurent extractions, each with the inverse series of the
+    denominator product computed in CoeffElem arithmetic (coeff_inv for
+    the constant terms)."""
     if q.nvars != 2:
         raise ValueError("two-variable extraction only")
     if m1 + m2 > q.dmax:
@@ -520,6 +616,30 @@ def norm_character_schwartz(D: int, chi: DirichletChar) -> SchwartzFn:
             if gcd(norm, f) == 1:
                 table[(a, b)] = ring.coerce(chi(norm))
     return SchwartzFn(2, 1, f, table, ring)
+
+
+def dirichlet_L_closed_reference(chi: DirichletChar, r: int) -> CoeffElem:
+    """L(chi, 1-r) = -(1/r) sum_v v sum_j C(r, j) B_j f^(j-1) S_(r-j), the
+    residues n of one value v (equal CoeffElem.key()) sharing the integer
+    power sums S_k = sum n^k: one ring product and one ring sum per
+    distinct value."""
+    f = chi.f
+    groups = {}
+    for u, v in chi.values.items():
+        sums = groups.setdefault(v.key(), (v, [0] * (r + 1)))[1]
+        n, power = u or f, 1
+        for k in range(r + 1):
+            sums[k] += power
+            power *= n
+    weights = [comb(r, j) * bernoulli_number(j) * Fraction(f) ** (j - 1)
+               for j in range(r + 1)]
+    den = lcm(*(w.denominator for w in weights))
+    weights = [w.numerator * (den // w.denominator) for w in weights]
+    acc = chi.ring.zero()
+    for v, sums in groups.values():
+        num = sum(w * s for w, s in zip(weights, reversed(sums)))
+        acc = acc + v * Fraction(num, -r * den)
+    return acc
 
 
 def base_change_L(D: int, chi: DirichletChar, r: int):

@@ -7,6 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from reference import (
     base_change_L,
+    coeff_pow,
+    dirichlet_L_closed_reference,
     norm_character_schwartz,
     symmetric_laurent_coeff_reference,
 )
@@ -211,6 +213,49 @@ def test_closed_form_matches_per_residue_bernoulli_sum():
                 assert dirichlet_L_closed(chi, r) == acc * Fraction(-(f ** (r - 1)), r)
                 count += 1
     assert count == 490 * 6
+
+
+def test_closed_form_matches_value_group_reference():
+    # the integer accumulation against one ring product per distinct value
+    count = 0
+    for f in range(1, 41):
+        for chi in DirichletChar.enumerate(f):
+            for r in range(1, 7):
+                assert dirichlet_L_closed(chi, r) == dirichlet_L_closed_reference(chi, r)
+                count += 1
+    assert count == 490 * 6
+
+
+def test_closed_form_clears_fractional_values():
+    # unvalidated tables with rational and zeta coefficients over several
+    # denominators, including values that cancel and a zero value
+    ring = CoeffRing(4)
+    i = ring.zeta(1)
+    tables = [
+        (1, {0: Fraction(7, 3)}),
+        (5, {1: Fraction(1, 2), 2: i * Fraction(-2, 3), 3: i * Fraction(2, 3),
+             4: ring.one() + i * Fraction(1, 6)}),
+        (8, {1: Fraction(3, 4), 3: Fraction(-3, 4), 5: i * Fraction(5, 9), 7: 0}),
+        (12, {1: i + Fraction(1, 10), 5: Fraction(-1, 10), 7: -i, 11: Fraction(2, 7)}),
+    ]
+    for f, values in tables:
+        chi = DirichletChar(f, values, ring, validate=False)
+        for r in range(1, 7):
+            value = dirichlet_L_closed(chi, r)
+            assert value == dirichlet_L_closed_reference(chi, r)
+            assert all(type(c) is Fraction and c for c in value.coeffs.values())
+
+
+def test_character_table_builds_a_fresh_character_per_index():
+    for f in (1, 5, 12, 29):
+        chars = DirichletChar.enumerate(f)
+        assert chars[0] is not chars[0]
+        first = chars[len(chars) - 1]
+        before = dict(first.values)
+        first.values[1] = chars.ring.zero()
+        first.values.pop(1 % f)
+        again = chars[len(chars) - 1]
+        assert again.values == before and again.values is not first.values
 
 
 def test_cocycle_route_examples():
@@ -603,7 +648,7 @@ def _binomial_l_value(K, sc, r):
         m2 = 2 * r - m1
         inner = ring.zero()
         for k in range(max(0, r - m1), min(m2, r) + 1):
-            inner = inner + (T1 ** k) * (T2 ** (m2 - k)) * (comb(m2, k) * comb(m1, r - k))
+            inner = inner + coeff_pow(T1, k) * coeff_pow(T2, m2 - k) * (comb(m2, k) * comb(m1, r - k))
         acc = acc + sc.get(m1, m2) * inner * Fraction(1, factorial(m1) * factorial(m2))
     return acc * factorial(r) ** 2
 
