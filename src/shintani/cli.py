@@ -17,7 +17,7 @@ from fractions import Fraction
 from .cocycle_core import CocycleChecker, sigma_eval
 from .cone_algebra import ConeCombo, sigma_decompose
 from .errors import SchemaError, ShintaniError, TruncationTooSmall
-from .exactnum import MAX_D, CoeffRing
+from .exactnum import MAX_D, MAX_ZETA_ORDER, CoeffRing
 from .linalg import frac, identity, mat_det
 from .lvalues import (
     DirichletChar,
@@ -55,6 +55,15 @@ def _int_field(doc, key, default=None, minimum=None):
     if minimum is not None and val < minimum:
         raise SchemaError(f"field '{key}' must be at least {minimum}")
     return val
+
+
+def _zeta_order(doc):
+    """The optional 'zeta_order' of a character or test function; an order
+    above MAX_ZETA_ORDER exits 64."""
+    m = _int_field(doc, "zeta_order", 1, 1)
+    if m > MAX_ZETA_ORDER:
+        raise SchemaError(f"field 'zeta_order' must be at most {MAX_ZETA_ORDER}")
+    return m
 
 
 def _force_field(doc):
@@ -131,7 +140,7 @@ def _parse_char(doc) -> DirichletChar:
         if not 0 <= idx < len(chars):
             raise SchemaError(f"character index out of range (0..{len(chars) - 1})")
         return chars[idx]
-    ring = CoeffRing(_int_field(doc, "zeta_order", 1, 1))
+    ring = CoeffRing(_zeta_order(doc))
     values = {k: v for (k,), v in _char_values(doc, ring, 1).items()}
     return DirichletChar(f, values, ring)
 
@@ -142,7 +151,7 @@ def _parse_quad_char(doc, K) -> SchwartzFn:
     if doc is None or doc.get("kind") == "trivial":
         return trivial_quad_schwartz(K)
     f = _int_field(doc, "f", 1, 1)
-    ring = CoeffRing(_int_field(doc, "zeta_order", 1, 1), K.D)
+    ring = CoeffRing(_zeta_order(doc), K.D)
     return SchwartzFn(2, 1, f, _char_values(doc, ring, 2), ring)
 
 
@@ -170,8 +179,9 @@ def _cmd_decompose(doc):
 
 def _cmd_pair(doc):
     phi_doc = _require(doc, "phi", dict)
-    for key, default in (("n", None), ("d", 1), ("f", 1), ("zeta_order", 1)):
+    for key, default in (("n", None), ("d", 1), ("f", 1)):
         _int_field(phi_doc, key, default, 1)
+    _zeta_order(phi_doc)
     if phi_doc.get("sqrt") is not None:
         _int_field(phi_doc, "sqrt", None, 2)
     try:

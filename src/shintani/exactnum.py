@@ -240,9 +240,12 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
     prod_(d | m) (1 - x^d)^mu(m/d) read in power series to the degree
     phi(m): one sparse multiply (mu = 1) or one exact series division
     (mu = -1) by 1 - x^d per square-free cofactor m/d, skipped when
-    d > phi(m).  The product is -Phi_1 at m = 1 and Phi_m beyond."""
+    d > phi(m).  The product is -Phi_1 at m = 1 and Phi_m beyond.  An
+    order above MAX_ZETA_ORDER raises ValueError before the factorization."""
     if m < 1:
         raise ValueError("cyclotomic order must be >= 1")
+    if m > MAX_ZETA_ORDER:
+        raise ValueError(f"cyclotomic order must be at most {MAX_ZETA_ORDER}")
     if m == 1:
         return (-1, 1)
     primes = list(_factorize(m))
@@ -261,9 +264,11 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-# Largest sqrt(D) generator accepted: its square-freeness is checked by
-# trial division, at most 10^6 divisions up to sqrt(D).
+# Largest sqrt(D) generator and largest cyclotomic order accepted: D is
+# checked square-free and the order is factored by trial division, at most
+# 10^6 divisions up to the square root.
 MAX_D = 10 ** 12
+MAX_ZETA_ORDER = 10 ** 12
 
 
 def _factorize(n: int) -> dict[int, int]:

@@ -14,15 +14,14 @@ of the -g factors, with the pole data carried exactly by the denominator
 multiset.  Each form v is a vector of plain ints, f times a primitive
 cone generator, from the pairing to the Laurent coefficient.  The numerator
 is built in integers (``_numerator``): each point p is enumerated as its
-integer vector k = d p, its value is read at the residue class k mod d f,
-and the points of one value share one list of integer moments sum k^e,
-so the exponential sum's z^e coefficient is sum_value value moment /
-(d^|e| e!).  The g factors (z^e coefficient B_|e| v^e / e!) are
-multiplied once as one integer list over a common denominator; per basis
-key of the coefficient ring the cleared values are convolved with it in
-integers, and every nonzero coefficient is one Fraction.  All
-coefficients of the represented Laurent expansion up to the tracked
-degree are exact.
+integer vector k = d p, and the points of one residue class k mod d f
+share one list of integer moments sum k^e, so the exponential sum's z^e
+coefficient is sum_class phi(class) moment / (d^|e| e!).  The g factors
+(z^e coefficient B_|e| v^e / e!) are multiplied once as one integer list
+over a common denominator; per basis key of the coefficient ring the
+cleared class values are convolved with it in integers, and every
+nonzero coefficient is one Fraction.  All coefficients of the
+represented Laurent expansion up to the tracked degree are exact.
 
 A two-variable series is read in embedding coordinates z = T t in
 Z[sqrt D] integers by one call, ``symmetric_laurent_coeff(q, m1, m2,
@@ -573,11 +572,10 @@ def pair_cone(cone: OpenSimplicialCone, phi: SchwartzFn, dmax: int) -> QuotSerie
     k = U^-1 k' (no mapping when U is the identity, as always at n = 1).
     The value of the point k / d is read from the residue table at
     k mod d f; points of an absent class contribute nothing, and the
-    points of every class of one value (equal CoeffElem.key()) form one
-    group with one list of integer moments.  The numerator comes from the
-    integer kernel _numerator: one integer g-product, one integer
-    convolution per basis key of the ring and one Fraction per nonzero
-    coefficient.
+    points of one class share one list of integer moments.  The numerator
+    comes from the integer kernel _numerator: one integer g-product, one
+    integer convolution per basis key of the ring and one Fraction per
+    nonzero coefficient.
     """
     if cone.ambient != phi.n:
         raise ValueError("cone and test function dimensions differ")
@@ -589,12 +587,8 @@ def pair_cone(cone: OpenSimplicialCone, phi: SchwartzFn, dmax: int) -> QuotSerie
         if back is not None:
             k = tuple(idot(b, k) for b in back)
         classes.setdefault(tuple(x % mod for x in k), []).append(k)
-    groups = {}
-    for c, pts in classes.items():
-        value = phi.table.get(c)
-        if value is not None:
-            groups.setdefault(value.key(), (value, []))[1].extend(pts)
-    num = _numerator(phi.ring, phi.n, dmax + cone.dim, d, groups.values(), scaled)
+    groups = [(phi.table[c], pts) for c, pts in classes.items() if c in phi.table]
+    num = _numerator(phi.ring, phi.n, dmax + cone.dim, d, groups, scaled)
     return QuotSeries(num, scaled)
 
 

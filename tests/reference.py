@@ -24,15 +24,11 @@ is an independent definition of a value the library computes another way:
     integer numerator of ``exp_sum`` (the kernel ``_numerator`` on single
     points) and ``pair_cone``; ``one_minus_exp``, ``phi_map``,
     ``translate`` and ``quot_equal_as_laurent`` state the pairing
-    identities; ``pair_cone_by_class_reference`` pairs with one moment
-    list per residue class, the grouping ``pair_cone`` makes per value.
+    identities.
   * ``symmetric_laurent_coeff_reference``: the symmetric Laurent
     extraction in CoeffElem arithmetic (forms T^t v by ring products,
     inverse series and ring inverses), the oracle for the Z[sqrt D]
     integer route of ``symmetric_laurent_coeff``.
-  * ``dirichlet_L_closed_reference``: the Bernoulli closed form with one
-    ring product per distinct character value, the oracle for the integer
-    accumulation of ``dirichlet_L_closed``.
   * ``base_change_L``: L_K(chi o N, -r) = L(chi, -r) L(chi chi_K, -r) from
     the Bernoulli closed form, sharing no code with the cone route, for
     the test function ``norm_character_schwartz`` builds.
@@ -46,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 from shintani.cocycle_core import _integer_columns
 from shintani.errors import ShintaniError, SingularMatrix, TruncationTooSmall, ZeroVector
@@ -55,11 +51,9 @@ from shintani.linalg import (
     dot,
     frac,
     identity,
-    idot,
     int_det,
     mat_det,
     mat_vec,
-    reduce_rows,
     sign as rsign,
     solve_columns,
 )
@@ -71,13 +65,7 @@ from shintani.ordered_field import (
     infer_nvars,
     sign_mpoly,
 )
-from shintani.solomon_hu import (
-    MSeries,
-    QuotSeries,
-    SchwartzFn,
-    _numerator,
-    parallelotope_points,
-)
+from shintani.solomon_hu import MSeries, QuotSeries, SchwartzFn, _numerator
 
 
 class GeneralPositionViolation(ShintaniError):
@@ -475,22 +463,6 @@ def translate(A, v):
     return {tuple(a + b for a, b in zip(w, v)): c for w, c in A.items()}
 
 
-def pair_cone_by_class_reference(cone, phi: SchwartzFn, dmax: int) -> QuotSeries:
-    """pair_cone with one point group per residue class present in the
-    table rather than one per distinct value: equal values of different
-    classes keep separate moment lists."""
-    d, mod = phi.d, phi.d * phi.f
-    scaled = [tuple(phi.f * x for x in g) for g in cone.generators]
-    rows, back = reduce_rows(scaled)
-    classes = {}
-    for k in parallelotope_points(rows, d, phi.f):
-        if back is not None:
-            k = tuple(idot(b, k) for b in back)
-        classes.setdefault(tuple(x % mod for x in k), []).append(k)
-    groups = [(phi.table[c], pts) for c, pts in classes.items() if c in phi.table]
-    return QuotSeries(_numerator(phi.ring, phi.n, dmax + cone.dim, d, groups, scaled), scaled)
-
-
 # ---------------------------------------------------------------------------
 # Symmetric Laurent extraction in ring arithmetic
 # ---------------------------------------------------------------------------
@@ -616,30 +588,6 @@ def norm_character_schwartz(D: int, chi: DirichletChar) -> SchwartzFn:
             if gcd(norm, f) == 1:
                 table[(a, b)] = ring.coerce(chi(norm))
     return SchwartzFn(2, 1, f, table, ring)
-
-
-def dirichlet_L_closed_reference(chi: DirichletChar, r: int) -> CoeffElem:
-    """L(chi, 1-r) = -(1/r) sum_v v sum_j C(r, j) B_j f^(j-1) S_(r-j), the
-    residues n of one value v (equal CoeffElem.key()) sharing the integer
-    power sums S_k = sum n^k: one ring product and one ring sum per
-    distinct value."""
-    f = chi.f
-    groups = {}
-    for u, v in chi.values.items():
-        sums = groups.setdefault(v.key(), (v, [0] * (r + 1)))[1]
-        n, power = u or f, 1
-        for k in range(r + 1):
-            sums[k] += power
-            power *= n
-    weights = [comb(r, j) * bernoulli_number(j) * Fraction(f) ** (j - 1)
-               for j in range(r + 1)]
-    den = lcm(*(w.denominator for w in weights))
-    weights = [w.numerator * (den // w.denominator) for w in weights]
-    acc = chi.ring.zero()
-    for v, sums in groups.values():
-        num = sum(w * s for w, s in zip(weights, reversed(sums)))
-        acc = acc + v * Fraction(num, -r * den)
-    return acc
 
 
 def base_change_L(D: int, chi: DirichletChar, r: int):

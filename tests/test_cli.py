@@ -1,4 +1,3 @@
-import hashlib
 import json
 import pathlib
 import subprocess
@@ -248,137 +247,98 @@ def _pair_one_class(values, **ring):
             "phi": {"n": 1, "f": 3, **ring, "values": values}, "dmax": 1}
 
 
-def _case_id(command, job):
-    """The command and a short hash of the job's sorted JSON."""
-    digest = hashlib.sha256(json.dumps(job, sort_keys=True).encode()).hexdigest()
-    return f"{command}-{digest[:10]}"
-
-
-# (command, job) or (command, job, id).  Every id is fixed by its case, so
-# inserting a case renames no other: the cases listed with an id keep the
-# names they had when ids were positions in this list, and a case without
-# one is named by _case_id.
-_MALFORMED_JOBS = [
+@pytest.mark.parametrize("command,job", [
     # pair: malformed combos and test functions
-    ("pair", {"combo": {"cones": [{"coeff": "1", "generators": [[0.5, 1]]}]}, "phi": _PHI2},
-     "pair-job0"),
-    ("pair", {"combo": {"cones": [{"coeff": 0.5, "generators": [[1, 1]]}]}, "phi": _PHI2},
-     "pair-job1"),
-    ("pair", {"combo": {"cones": []}, "phi": {}}, "pair-job2"),
+    ("pair", {"combo": {"cones": [{"coeff": "1", "generators": [[0.5, 1]]}]}, "phi": _PHI2}),
+    ("pair", {"combo": {"cones": [{"coeff": 0.5, "generators": [[1, 1]]}]}, "phi": _PHI2}),
+    ("pair", {"combo": {"cones": []}, "phi": {}}),
     ("pair", {"combo": {"cones": [{"coeff": "1", "generators": [[1, 0], [2, 0]]}]},
-              "phi": _PHI2}, "pair-job3"),
-    ("pair", {"combo": {"cones": [{"coeff": "1", "generators": [["x", 0]]}]}, "phi": _PHI2},
-     "pair-job4"),
-    ("pair", {"combo": {"cones": [{"generators": [[1, 0]]}]}, "phi": _PHI2}, "pair-job5"),
-    ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "f": 2.0}}, "pair-job6"),
-    ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "d": 0}}, "pair-job7"),
-    ("pair", {"combo": _ONE_CONE, "phi": _PHI2, "dmax": -3}, "pair-job8"),
+              "phi": _PHI2}),
+    ("pair", {"combo": {"cones": [{"coeff": "1", "generators": [["x", 0]]}]}, "phi": _PHI2}),
+    ("pair", {"combo": {"cones": [{"generators": [[1, 0]]}]}, "phi": _PHI2}),
+    ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "f": 2.0}}),
+    ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "d": 0}}),
+    ("pair", {"combo": _ONE_CONE, "phi": _PHI2, "dmax": -3}),
     # integer job fields
-    ("lvalue-q", {"char": _Q3, "r": 1.9}, "lvalue-q-job9"),
-    ("lvalue-q", {"char": _Q3, "r": True}, "lvalue-q-job10"),
-    ("lvalue-q", {"char": _Q3, "r": "1"}, "lvalue-q-job11"),
-    ("lvalue-q", {"char": _Q3, "r": 0}, "lvalue-q-job12"),
-    ("lvalue-q", {"char": _Q3, "r": 1, "dmax": -3}, "lvalue-q-job13"),
-    ("lvalue-q", {"char": {"modulus": 3.0, "index": 1}, "r": 1}, "lvalue-q-job14"),
-    ("lvalue-q", {"char": {"modulus": 3, "index": "1"}, "r": 1}, "lvalue-q-job15"),
-    ("lvalue-q", {"char": {"modulus": 5, "zeta_order": 4.0, "values": {"2": 1}}, "r": 1},
-     "lvalue-q-job16"),
-    ("lvalue-quad", {"field": {"D": "x"}, "r": 1}, "lvalue-quad-job17"),
-    ("lvalue-quad", {"field": {"D": 5}, "r": 1.9}, "lvalue-quad-job18"),
-    ("lvalue-quad", {"field": {"D": 5}, "r": 1, "dmax": -3}, "lvalue-quad-job19"),
-    ("lvalue-quad", {"field": {"D": 5}, "char": {"f": 2.5, "values": {}}, "r": 1},
-     "lvalue-quad-job20"),
-    ("s-coeffs", {"field": {"D": 5}, "rmax": 1.5}, "s-coeffs-job21"),
-    ("verify-cocycle", {"n": 2.5, "seed": 1}, "verify-cocycle-job22"),
-    ("verify-cocycle", {"n": 2, "seed": "7"}, "verify-cocycle-job23"),
-    ("verify-cocycle", {"n": 2, "seed": 7, "trials": True}, "verify-cocycle-job24"),
+    ("lvalue-q", {"char": _Q3, "r": 1.9}),
+    ("lvalue-q", {"char": _Q3, "r": True}),
+    ("lvalue-q", {"char": _Q3, "r": "1"}),
+    ("lvalue-q", {"char": _Q3, "r": 0}),
+    ("lvalue-q", {"char": _Q3, "r": 1, "dmax": -3}),
+    ("lvalue-q", {"char": {"modulus": 3.0, "index": 1}, "r": 1}),
+    ("lvalue-q", {"char": {"modulus": 3, "index": "1"}, "r": 1}),
+    ("lvalue-q", {"char": {"modulus": 5, "zeta_order": 4.0, "values": {"2": 1}}, "r": 1}),
+    ("lvalue-quad", {"field": {"D": "x"}, "r": 1}),
+    ("lvalue-quad", {"field": {"D": 5}, "r": 1.9}),
+    ("lvalue-quad", {"field": {"D": 5}, "r": 1, "dmax": -3}),
+    ("lvalue-quad", {"field": {"D": 5}, "char": {"f": 2.5, "values": {}}, "r": 1}),
+    ("s-coeffs", {"field": {"D": 5}, "rmax": 1.5}),
+    ("verify-cocycle", {"n": 2.5, "seed": 1}),
+    ("verify-cocycle", {"n": 2, "seed": "7"}),
+    ("verify-cocycle", {"n": 2, "seed": 7, "trials": True}),
     # character documents
-    ("lvalue-quad", {"field": {"D": 5}, "char": [], "r": 1}, "lvalue-quad-job25"),
-    ("lvalue-quad", {"field": {"D": 5}, "char": 3, "r": 1}, "lvalue-quad-job26"),
-    ("s-coeffs", {"field": {"D": 5}, "char": [], "rmax": 1}, "s-coeffs-job27"),
-    ("s-coeffs", {"field": {"D": 5}, "char": 3, "rmax": 1}, "s-coeffs-job28"),
-    ("lvalue-quad", {"field": {"D": 5}, "char": {"f": 2, "values": {"1": 1}}, "r": 1},
-     "lvalue-quad-job29"),
-    ("lvalue-quad", {"field": {"D": 5}, "char": {"f": 2, "values": {"1,0,1": 1}}, "r": 1},
-     "lvalue-quad-job30"),
-    ("lvalue-quad", {"field": {"D": 5}, "char": {"f": 2, "values": {"1,x": 1}}, "r": 1},
-     "lvalue-quad-job31"),
-    ("lvalue-q", {"char": {"modulus": 5, "values": {"x": 1}}, "r": 1}, "lvalue-q-job32"),
-    ("lvalue-q", {"char": {"modulus": 5, "values": {"1,2": 1}}, "r": 1}, "lvalue-q-job33"),
-    ("lvalue-q", {"char": {"f": 0}, "r": 1}, "lvalue-q-job34"),
-    ("lvalue-q", {"char": {"modulus": -3}, "r": 1}, "lvalue-q-job35"),
-    ("lvalue-quad", {"field": {"D": 5}, "char": {"f": 0, "values": {}}, "r": 1},
-     "lvalue-quad-job36"),
-    ("lvalue-quad", {"field": {"D": 5}, "char": {"f": -3, "values": {}}, "r": 1},
-     "lvalue-quad-job37"),
-    ("lvalue-q", {"char": {"modulus": 5, "zeta_order": 0, "values": {"1": 0}}, "r": 1},
-     "lvalue-q-job38"),
-    ("lvalue-q", {"char": {"modulus": 5, "zeta_order": -2, "values": {"1": 0}}, "r": 1},
-     "lvalue-q-job39"),
-    ("lvalue-q", {"char": _Z5(1.7), "r": 1}, "lvalue-q-job40"),
-    ("lvalue-q", {"char": _Z5(True), "r": 1}, "lvalue-q-job41"),
-    ("lvalue-q", {"char": _Z5("1"), "r": 1}, "lvalue-q-job42"),
-    ("lvalue-quad", {"field": {"D": 5}, "char": {"f": 2, "values": {"1,0": 0.5}}, "r": 1},
-     "lvalue-quad-job43"),
+    ("lvalue-quad", {"field": {"D": 5}, "char": [], "r": 1}),
+    ("lvalue-quad", {"field": {"D": 5}, "char": 3, "r": 1}),
+    ("s-coeffs", {"field": {"D": 5}, "char": [], "rmax": 1}),
+    ("s-coeffs", {"field": {"D": 5}, "char": 3, "rmax": 1}),
+    ("lvalue-quad", {"field": {"D": 5}, "char": {"f": 2, "values": {"1": 1}}, "r": 1}),
+    ("lvalue-quad", {"field": {"D": 5}, "char": {"f": 2, "values": {"1,0,1": 1}}, "r": 1}),
+    ("lvalue-quad", {"field": {"D": 5}, "char": {"f": 2, "values": {"1,x": 1}}, "r": 1}),
+    ("lvalue-q", {"char": {"modulus": 5, "values": {"x": 1}}, "r": 1}),
+    ("lvalue-q", {"char": {"modulus": 5, "values": {"1,2": 1}}, "r": 1}),
+    ("lvalue-q", {"char": {"f": 0}, "r": 1}),
+    ("lvalue-q", {"char": {"modulus": -3}, "r": 1}),
+    ("lvalue-quad", {"field": {"D": 5}, "char": {"f": 0, "values": {}}, "r": 1}),
+    ("lvalue-quad", {"field": {"D": 5}, "char": {"f": -3, "values": {}}, "r": 1}),
+    ("lvalue-q", {"char": {"modulus": 5, "zeta_order": 0, "values": {"1": 0}}, "r": 1}),
+    ("lvalue-q", {"char": {"modulus": 5, "zeta_order": -2, "values": {"1": 0}}, "r": 1}),
+    ("lvalue-q", {"char": _Z5(1.7), "r": 1}),
+    ("lvalue-q", {"char": _Z5(True), "r": 1}),
+    ("lvalue-q", {"char": _Z5("1"), "r": 1}),
+    ("lvalue-quad", {"field": {"D": 5}, "char": {"f": 2, "values": {"1,0": 0.5}}, "r": 1}),
     # matrix tuples: none, or a count that differs from the matrix size
-    ("eval-sigma", {"alphas": [], "w": [1, 1]}, "eval-sigma-job44"),
-    ("decompose", {"alphas": []}, "decompose-job45"),
-    ("eval-sigma", {"alphas": [[[1, 0], [0, 1]]], "w": [1, 1]}, "eval-sigma-job46"),
-    ("decompose", {"alphas": [[[1, 0], [0, 1]]] * 3}, "decompose-job47"),
-    ("eval-sigma", {"alpha": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "w": [1, 1, 1]},
-     "eval-sigma-job48"),
-    ("decompose", {"alpha": [[2]]}, "decompose-job49"),
+    ("eval-sigma", {"alphas": [], "w": [1, 1]}),
+    ("decompose", {"alphas": []}),
+    ("eval-sigma", {"alphas": [[[1, 0], [0, 1]]], "w": [1, 1]}),
+    ("decompose", {"alphas": [[[1, 0], [0, 1]]] * 3}),
+    ("eval-sigma", {"alpha": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "w": [1, 1, 1]}),
+    ("decompose", {"alpha": [[2]]}),
     # force is a JSON boolean
-    ("lvalue-quad", {"field": {"D": 3}, "r": 1, "force": "false"}, "lvalue-quad-job50"),
-    ("lvalue-quad", {"field": {"D": 5}, "r": 1, "force": 1}, "lvalue-quad-job51"),
-    ("lvalue-quad", {"field": {"D": 5}, "r": 1, "force": None}, "lvalue-quad-job52"),
-    ("s-coeffs", {"field": {"D": 3}, "rmax": 1, "force": "true"}, "s-coeffs-job53"),
+    ("lvalue-quad", {"field": {"D": 3}, "r": 1, "force": "false"}),
+    ("lvalue-quad", {"field": {"D": 5}, "r": 1, "force": 1}),
+    ("lvalue-quad", {"field": {"D": 5}, "r": 1, "force": None}),
+    ("s-coeffs", {"field": {"D": 3}, "rmax": 1, "force": "true"}),
     # pair: the test function's ring fields
-    ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "zeta_order": True}}, "pair-job54"),
-    ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "zeta_order": 0}}, "pair-job55"),
-    ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "sqrt": 2.7}}, "pair-job56"),
-    ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "sqrt": "5"}}, "pair-job57"),
-    ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "sqrt": 4}}, "pair-job58"),
-    ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "sqrt": 1}}, "pair-job59"),
+    ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "zeta_order": True}}),
+    ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "zeta_order": 0}}),
+    ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "sqrt": 2.7}}),
+    ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "sqrt": "5"}}),
+    ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "sqrt": 4}}),
+    ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "sqrt": 1}}),
     # a square-root generator above 10^12, here a 21-digit prime, whose
     # trial division would not finish
-    ("pair", {"combo": {"cones": []}, "phi": {"n": 1, "sqrt": _BIG_D, "values": []}},
-     "pair-job60"),
-    ("lvalue-quad", {"field": {"D": _BIG_D}, "r": 1}, "lvalue-quad-job61"),
-    ("s-coeffs", {"field": {"D": _BIG_D}, "rmax": 1}, "s-coeffs-job62"),
+    ("pair", {"combo": {"cones": []}, "phi": {"n": 1, "sqrt": _BIG_D, "values": []}}),
+    ("lvalue-quad", {"field": {"D": _BIG_D}, "r": 1}),
+    ("s-coeffs", {"field": {"D": _BIG_D}, "rmax": 1}),
     # pair: residue classes and basis indices are JSON integers, and each
     # (i, j) is a basis index of the test function's ring
-    ("pair", _pair_one_class([{"class": [1.7], "value": "1"}]), "pair-job63"),
-    ("pair", _pair_one_class([{"class": [True], "value": "1"}]), "pair-job64"),
-    ("pair", _pair_one_class([{"class": [1], "value": [[1.9, 0, "1"]]}], zeta_order=3),
-     "pair-job65"),
-    ("pair", _pair_one_class([{"class": [1], "value": [[-1, 0, "1"]]}], zeta_order=3),
-     "pair-job66"),
-    ("pair", _pair_one_class([{"class": [1], "value": [[0, 1, "1"]]}]), "pair-job67"),
+    ("pair", _pair_one_class([{"class": [1.7], "value": "1"}])),
+    ("pair", _pair_one_class([{"class": [True], "value": "1"}])),
+    ("pair", _pair_one_class([{"class": [1], "value": [[1.9, 0, "1"]]}], zeta_order=3)),
+    ("pair", _pair_one_class([{"class": [1], "value": [[-1, 0, "1"]]}], zeta_order=3)),
+    ("pair", _pair_one_class([{"class": [1], "value": [[0, 1, "1"]]}])),
     # pair: cones of two ambient dimensions in one combo
     ("pair", {"combo": {"cones": [{"coeff": "1", "generators": [[1, 0]]},
-                                  {"coeff": "1", "generators": [[1, 0, 0]]}]}, "phi": _PHI2},
-     "pair-job68"),
-]
-
-
-_MALFORMED_PARAMS = [
-    pytest.param(command, job, id=ident[0] if ident else _case_id(command, job))
-    for command, job, *ident in _MALFORMED_JOBS
-]
-
-
-@pytest.mark.parametrize("command,job", _MALFORMED_PARAMS)
+                                  {"coeff": "1", "generators": [[1, 0, 0]]}]}, "phi": _PHI2}),
+    # a cyclotomic order above MAX_ZETA_ORDER, here a 21-digit prime, is
+    # refused before its trial division
+    ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "zeta_order": _BIG_D}}),
+    ("lvalue-q", {"char": {"modulus": 5, "zeta_order": _BIG_D, "values": {"1": 0}}, "r": 1}),
+    ("lvalue-quad", {"field": {"D": 5}, "char": {"f": 2, "zeta_order": _BIG_D, "values": {}},
+                     "r": 1}),
+])
 def test_rejects_malformed_job_fields(command, job, capsys):
     _schema_rejects(command, json.dumps(job), capsys)
-
-
-def test_malformed_job_ids_are_unique():
-    # no two cases share an id, and no two share a job, so every case can
-    # be named by its content
-    ids = [param.id for param in _MALFORMED_PARAMS]
-    assert len(set(ids)) == len(ids)
-    assert len({_case_id(command, job) for command, job, *_ in _MALFORMED_JOBS}) == len(ids)
 
 
 def test_rejects_non_object_document_with_overrides(capsys):

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from reference import coeff_inv, coeff_pow, cyclotomic_poly_reference
 from shintani.exactnum import (
+    MAX_ZETA_ORDER,
     CoeffRing,
     MPoly,
     bernoulli_number,
@@ -145,6 +146,16 @@ def test_cyclotomic_small():
 def test_cyclotomic_moebius_product_matches_division():
     for m in range(1, 401):
         assert cyclotomic_poly(m) == cyclotomic_poly_reference(m)
+
+
+def test_cyclotomic_order_bound():
+    # an order above MAX_ZETA_ORDER is refused before any trial division,
+    # here also a 21-digit prime whose factorization would not finish
+    for m in (MAX_ZETA_ORDER + 1, 100000000000000000039):
+        with pytest.raises(ValueError):
+            cyclotomic_poly(m)
+        with pytest.raises(ValueError):
+            CoeffRing(m)
 
 
 def test_coeff_ring_root_of_unity():

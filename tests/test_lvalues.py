@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 from reference import (
     base_change_L,
     coeff_pow,
-    dirichlet_L_closed_reference,
     norm_character_schwartz,
     symmetric_laurent_coeff_reference,
 )
@@ -198,30 +197,23 @@ def test_weighted_sum_oracle():
             assert dirichlet_L_closed(chi, 1) == acc * Fraction(-1, f)
 
 
+def _per_residue_bernoulli(chi, r, b):
+    """-(f^(r-1)/r) sum_{n=1}^{f} chi(n) B_r(n/f), with b[n - 1] = B_r(n/f):
+    the formula the closed form's integer accumulation expands."""
+    acc = chi.ring.zero()
+    for n in range(1, chi.f + 1):
+        acc = acc + chi(n) * b[n - 1]
+    return acc * Fraction(-(chi.f ** (r - 1)), r)
+
+
 def test_closed_form_matches_per_residue_bernoulli_sum():
-    # the grouped power sums against the formula they expand, one
-    # B_r(n/f) per residue: -(f^(r-1)/r) sum_{n=1}^{f} chi(n) B_r(n/f)
     count = 0
     for f in range(1, 41):
         chars = DirichletChar.enumerate(f)
         for r in range(1, 7):
             b = [bernoulli_poly(r, Fraction(n, f)) for n in range(1, f + 1)]
             for chi in chars:
-                acc = chi.ring.zero()
-                for n in range(1, f + 1):
-                    acc = acc + chi(n) * b[n - 1]
-                assert dirichlet_L_closed(chi, r) == acc * Fraction(-(f ** (r - 1)), r)
-                count += 1
-    assert count == 490 * 6
-
-
-def test_closed_form_matches_value_group_reference():
-    # the integer accumulation against one ring product per distinct value
-    count = 0
-    for f in range(1, 41):
-        for chi in DirichletChar.enumerate(f):
-            for r in range(1, 7):
-                assert dirichlet_L_closed(chi, r) == dirichlet_L_closed_reference(chi, r)
+                assert dirichlet_L_closed(chi, r) == _per_residue_bernoulli(chi, r, b)
                 count += 1
     assert count == 490 * 6
 
@@ -241,8 +233,9 @@ def test_closed_form_clears_fractional_values():
     for f, values in tables:
         chi = DirichletChar(f, values, ring, validate=False)
         for r in range(1, 7):
+            b = [bernoulli_poly(r, Fraction(n, f)) for n in range(1, f + 1)]
             value = dirichlet_L_closed(chi, r)
-            assert value == dirichlet_L_closed_reference(chi, r)
+            assert value == _per_residue_bernoulli(chi, r, b)
             assert all(type(c) is Fraction and c for c in value.coeffs.values())
 
 

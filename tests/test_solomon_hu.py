@@ -14,7 +14,6 @@ from reference import (
     mat_inv,
     mat_mul,
     one_minus_exp,
-    pair_cone_by_class_reference,
     phi_map,
     quot_equal_as_laurent,
     series_product,
@@ -31,7 +30,6 @@ from shintani.errors import (
 )
 from shintani.exactnum import CoeffRing, QQ, bernoulli_poly
 from shintani.linalg import idot, int_det, reduce_rows
-from shintani import solomon_hu
 from shintani.lvalues import build_real_quad
 from shintani.solomon_hu import (
     MSeries,
@@ -442,56 +440,6 @@ def test_pair_cone_numerator_coefficients_are_fractions(case):
     cone, phi, dmax = case
     for c in pair_cone(cone, phi, dmax).num.terms.values():
         assert c.coeffs and all(type(x) is Fraction for x in c.coeffs.values())
-
-
-@st.composite
-def equal_value_cases(draw):
-    """A cone and a test function in n = 1 or 2 whose table repeats values
-    from a small palette, each entry a distinct CoeffElem object."""
-    n = draw(st.sampled_from([1, 2]))
-    d, f = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    ring = draw(st.sampled_from(RINGS))
-    vec = st.tuples(*[st.integers(-2, 2)] * n).filter(any)
-    gens = draw(st.lists(vec, min_size=1, max_size=n))
-    cols = [tuple(map(Fraction, g)) for g in gens]
-    assume(outcome(gauss_jordan_oracle, cols, (Fraction(0),) * n) is not SingularMatrix)
-    residues = list(product(range(d * f), repeat=n))
-    values = draw(palette_values(ring, len(residues)))
-    table = {k: ring.elem(dict(v.coeffs)) for k, v in zip(residues, values)}
-    phi = SchwartzFn(n, d, f, table, ring)
-    return OpenSimplicialCone(tuple(gens)), phi, draw(st.integers(0, 3))
-
-
-# one quadratic character mod 5 on the ray: the classes 1, 4 and 2, 3 share
-# the values 1 and -1
-@example(case=(OpenSimplicialCone(((1,),)),
-               SchwartzFn(1, 1, 5, {(1,): 1, (2,): -1, (3,): -1, (4,): 1}), 2))
-# the constant 1/2 on the nonzero classes of Z^2 / 2Z^2, as three objects
-@example(case=(OpenSimplicialCone(((1, 0), (1, 2))),
-               SchwartzFn(2, 1, 2, {(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2),
-                                    (1, 1): Fraction(1, 2)}), 3))
-@settings(deadline=None, derandomize=True, max_examples=100)
-@given(case=equal_value_cases())
-def test_pair_cone_groups_equal_values_like_per_class_reference(case):
-    cone, phi, dmax = case
-    values = list(phi.table.values())
-    assert len({id(v) for v in values}) == len(values)
-    seen = []
-    numerator = solomon_hu._numerator
-
-    def recording(ring, nvars, trunc, d, groups, gens=()):
-        groups = list(groups)
-        seen.append([value.key() for value, _ in groups])
-        return numerator(ring, nvars, trunc, d, groups, gens)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solomon_hu, "_numerator", recording)
-        q = pair_cone(cone, phi, dmax)
-    (keys,) = seen
-    assert len(keys) == len(set(keys)) <= len({v.key() for v in values})
-    ref = pair_cone_by_class_reference(cone, phi, dmax)
-    assert (q.num.trunc, q.denoms) == (ref.num.trunc, ref.denoms)
-    assert q.num.terms == ref.num.terms
 
 
 _R5 = CoeffRing(5)
