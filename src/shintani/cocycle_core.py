@@ -17,9 +17,12 @@ form (``linalg.cofactor_form``).
 ``CocycleChecker`` clears each matrix of its tuple once, builds the face
 kernels from those columns, reads tau as the alternating sign of their
 determinants and clears each point of ``alternating_sum`` once for all
-its faces; ``tau_cocycle`` is the checker's tau.  The ordered-field
-definition itself lives with the tests, as the reference the kernel and
-tau must reproduce.
+its faces; ``tau_cocycle`` reads the same alternating sign from each
+face's last slot alone, the only forms a determinant sign needs.  A
+caller evaluating the face kernels one by one at one tuple of Fractions
+also clears it once: ``linalg.int_scale_point`` remembers the last such
+tuple.  The ordered-field definition itself lives with the tests, as the
+reference the kernel and tau must reproduce.
 """
 
 from __future__ import annotations
@@ -82,12 +85,13 @@ def _det_sign(cols, last_forms):
     """Sign of the perturbed determinant, given the Cramer forms of the
     last slot.  Its coefficient at e^k is the last slot's form for the
     other exponents at column k_last of the last matrix; the last slot is
-    the most significant infinitesimal, so its columns are scanned first."""
+    the most significant infinitesimal, so its columns are scanned first.
+    Raises SingularMatrix when every coefficient vanishes."""
     for col in cols[-1]:
         s = first_nonzero_sign(last_forms, (col,))[0]
         if s:
             return s
-    return 0
+    raise SingularMatrix("perturbed column matrix is singular")
 
 
 class SigmaKernel:
@@ -109,8 +113,6 @@ class SigmaKernel:
         self.n = n
         self.forms = tuple(_cramer_forms(cols, i) for i in range(n))
         self.det_sign = _det_sign(cols, self.forms[-1])
-        if self.det_sign == 0:
-            raise SingularMatrix("perturbed column matrix is singular")
 
     def eval(self, w) -> int:
         w = int_scale_point(w)
@@ -131,17 +133,29 @@ def sigma_eval(alphas, w) -> int:
     return SigmaKernel(alphas).eval(w)
 
 
+def _faces(alphas):
+    """Integer columns of the n+1 faces of n+1 matrices of size n, face i
+    omitting matrix i; each matrix is checked and cleared once."""
+    cols = _integer_columns(alphas)
+    if len(cols) < 2 or len(cols[0]) != len(cols) - 1:
+        raise ValueError("need n+1 matrices of size n x n")
+    return [cols[:i] + cols[i + 1:] for i in range(len(cols))]
+
+
+def _alternating_sign(det_signs):
+    """tau from the determinant signs of the faces in order: the common
+    value of (-1)^i times sign i, or 0 when these differ."""
+    signs = [s if i % 2 == 0 else -s for i, s in enumerate(det_signs)]
+    return signs[0] if all(s == signs[0] for s in signs) else 0
+
+
 class CocycleChecker:
     """Caches the face evaluators of an (n+1)-tuple so the alternating-sum
     identity can be tested at many points cheaply; tau is read from them."""
 
     def __init__(self, alphas):
-        cols = _integer_columns(alphas)
-        if len(cols) < 2 or len(cols[0]) != len(cols) - 1:
-            raise ValueError("need n+1 matrices of size n x n")
-        self.kernels = [SigmaKernel(columns=cols[:i] + cols[i + 1:]) for i in range(len(cols))]
-        signs = [k.det_sign if i % 2 == 0 else -k.det_sign for i, k in enumerate(self.kernels)]
-        self.tau = signs[0] if all(s == signs[0] for s in signs) else 0
+        self.kernels = [SigmaKernel(columns=face) for face in _faces(alphas)]
+        self.tau = _alternating_sign(k.det_sign for k in self.kernels)
 
     def alternating_sum(self, w) -> int:
         w = int_scale_point(w)  # cleared once; each face kernel keeps the int tuple
@@ -159,6 +173,9 @@ def tau_cocycle(alphas) -> int:
     """Coboundary invariant of n+1 invertible matrices: the d-invariant of
     the n+1 perturbed columns, each carrying its own infinitesimal.  The
     minor omitting column i keeps the relative order of the remaining
-    infinitesimals, so its sign is that of face kernel i's determinant;
-    this is the tau of ``CocycleChecker``."""
-    return CocycleChecker(alphas).tau
+    infinitesimals, so its sign is that of face kernel i's determinant,
+    read here from the face's last slot alone; ``CocycleChecker`` reads
+    the same signs from its full face kernels."""
+    return _alternating_sign(
+        _det_sign(face, _cramer_forms(face, len(face) - 1)) for face in _faces(alphas)
+    )

@@ -2,25 +2,29 @@
 
 A combo is a finite list of (rational coefficient, open simplicial cone)
 plus an explicit constant offset; evaluation at a nonzero rational point
-is the coefficient-weighted membership sum.  The decomposition routine
-turns a pointwise cocycle value into such a combo with the same values
-everywhere, by refining a fan against the hyperplanes on which the
-cocycle's Cramer sign data can flip and reading the value off one
-interior witness per piece.
+is the coefficient-weighted membership sum, read from integer adjugate
+rows each cone computes once (``linalg.coordinate_rows``).  The
+decomposition routine turns a pointwise cocycle value into such a combo
+with the same values everywhere, by refining a fan against the
+hyperplanes on which the cocycle's Cramer sign data can flip and reading
+each piece's sign lists on its open cone.
 
 The refinement step is a sequential split of relatively open simplicial
 cones along hyperplanes.  Each split keeps the pieces disjoint,
 relatively open and simplicial; in ambient dimension <= 3 a case table
 covers every mixed-sign pattern of a hyperplane on at most three
-generators.
+generators.  A split piece goes on from the list that split it, so each
+sign list is read on a piece only when no larger cone has settled it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import gcd
+from operator import mul
 
 from .cocycle_core import SigmaKernel
 from .errors import SingularMatrix, UnsupportedDimension, ZeroVector
@@ -69,10 +73,10 @@ class OpenSimplicialCone:
         cone membership unchanged."""
         coord_rows, span_rows = self._rows
         for row in span_rows:
-            if idot(row, wi) != 0:
+            if sum(map(mul, row, wi)):
                 return False
         for row in coord_rows:
-            if idot(row, wi) <= 0:
+            if sum(map(mul, row, wi)) <= 0:
                 return False
         return True
 
@@ -165,9 +169,11 @@ def act(alpha, combo: ConeCombo) -> ConeCombo:
 # vectors, which positive scaling makes harmless for every sign test.
 # ---------------------------------------------------------------------------
 
+@cache
 def _start_pieces(n: int):
     """The relatively open faces of the fan of coordinate orthants: a
-    disjoint cover of the punctured space by open simplicial cones."""
+    disjoint cover of the punctured space by open simplicial cones, built
+    once per n."""
     pieces = []
     for signs in product((-1, 0, 1), repeat=n):
         gens = tuple(
@@ -176,7 +182,7 @@ def _start_pieces(n: int):
         )
         if gens:
             pieces.append(gens)
-    return pieces
+    return tuple(pieces)
 
 
 def _cross(vp, vq, hp, hq):
@@ -227,15 +233,21 @@ def _decompose_region(n, int_lists, target):
     piece are read in order by ``linalg.first_nonzero_sign`` on the piece's
     cone: the piece is dropped at the first list with a sign other than
     the target, split along the form of the first list whose sign is not
-    constant on it, and kept when every list has the target sign."""
-    work = list(_start_pieces(n))
+    constant on it, and kept when every list has the target sign.
+
+    A split piece resumes at the list that split it.  The pieces of a
+    split partition the open cone they came from, and a list with one
+    sign on an open cone has that sign on each open cone inside it, so
+    every earlier list still reads the target on every piece.
+    """
+    work = [(gens, 0) for gens in _start_pieces(n)]
     kept = []
     while work:
-        gens = work.pop()
-        for forms in int_lists:
-            s, form = first_nonzero_sign(forms, gens)
+        gens, start = work.pop()
+        for j in range(start, len(int_lists)):
+            s, form = first_nonzero_sign(int_lists[j], gens)
             if s is None:
-                work.extend(_split_piece(gens, form))
+                work.extend((piece, j) for piece in _split_piece(gens, form))
             if s != target:
                 break
         else:

@@ -138,13 +138,30 @@ def _solve_small_int(cols, w, n, r):
 # computations clear denominators first and run on plain ints.
 # ---------------------------------------------------------------------------
 
+# (point, ints) of the last tuple of ints and Fractions cleared, replaced
+# as one tuple so that a reader never pairs a point with another's ints.
+_last_cleared = [(object(), None)]
+
+
 def int_scale_point(w):
-    """Positive integer multiple of a rational point, as plain ints."""
-    if type(w) is tuple and all(type(x) is int for x in w):
+    """Positive integer multiple of a rational point, as plain ints.
+
+    A tuple of ints is its own multiple.  The last tuple of ints and
+    Fractions cleared is remembered by identity (both are immutable), so
+    the face kernels of a cocycle tuple read at one point clear it once;
+    lists and tuples with other entries are cleared every time."""
+    last = _last_cleared[0]
+    if w is last[0]:
+        return last[1]
+    kinds = set(map(type, w)) if type(w) is tuple else {type(w)}
+    if kinds <= {int}:
         return w
     ratios = [(x if type(x) is Fraction else frac(x)).as_integer_ratio() for x in w]
     den = lcm(*[d for _, d in ratios])
-    return tuple([p * (den // d) for p, d in ratios])
+    ints = tuple([p * (den // d) for p, d in ratios])
+    if kinds <= {int, Fraction}:
+        _last_cleared[0] = (w, ints)
+    return ints
 
 
 def primitive(vec):
@@ -181,8 +198,9 @@ def cofactor_form(cols, slot):
     with these other columns.
 
     Closed form for n = 3, (-1)^slot times the cross product a x b of the
-    two columns, and for n = 2, (a_1, -a_0) at slot 0 and (-a_1, a_0) at
-    slot 1; n = 1 and n >= 4 take the Laplace expansion along w."""
+    two columns, for n = 2, (a_1, -a_0) at slot 0 and (-a_1, a_0) at
+    slot 1, and (1,) for n = 1; n >= 4 takes the Laplace expansion along
+    w."""
     n = len(cols) + 1
     if n == 3:
         (a0, a1, a2), (b0, b1, b2) = cols
@@ -191,6 +209,8 @@ def cofactor_form(cols, slot):
     if n == 2:
         a0, a1 = cols[0]
         return (a1, -a0) if slot == 0 else (-a1, a0)
+    if n == 1:
+        return (1,)
     return tuple(
         (-1) ** (row + slot)
         * int_det([[c[r] for c in cols] for r in range(n) if r != row])
@@ -205,20 +225,23 @@ def coordinate_rows(gens):
     matrix and returns (den, coord_rows, span_rows) from its adjugate,
     signed so that den > 0: at p = sum x_i gens[i], coord row i reads
     den * x_i, and the span rows vanish exactly on the span of the
-    generators.  Raises ValueError when the generators are dependent.
+    generators.  den is the determinant, read as adjugate row 0 times
+    column 0 (Laplace along that column), so no determinant is computed
+    apart from the adjugate.  Raises ValueError when the generators are
+    dependent.
     """
     n = len(gens[0])
     r = len(gens)
     for extra in combinations(range(n), n - r) if r <= n else ():
         cols = list(gens) + [tuple(int(i == j) for i in range(n)) for j in extra]
-        den = int_det(list(zip(*cols)))
+        row0 = cofactor_form(cols[1:], 0)
+        den = sum(map(mul, row0, cols[0]))
         if den:
-            s = 1 if den > 0 else -1
-            rows = [
-                tuple(s * x for x in cofactor_form(cols[:i] + cols[i + 1:], i))
-                for i in range(n)
-            ]
-            return abs(den), tuple(rows[:r]), tuple(rows[r:])
+            rows = [row0] + [cofactor_form(cols[:i] + cols[i + 1:], i) for i in range(1, n)]
+            if den < 0:
+                den = -den
+                rows = [tuple([-x for x in row]) for row in rows]
+            return den, tuple(rows[:r]), tuple(rows[r:])
     raise ValueError("generators must be linearly independent")
 
 
@@ -279,7 +302,7 @@ def first_nonzero_sign(forms, gens):
     for f in forms:
         s = 0
         for g in gens:
-            v = idot(f, g)
+            v = sum(map(mul, f, g))
             if v:
                 t = 1 if v > 0 else -1
                 if s and s != t:

@@ -153,11 +153,16 @@ class MSeries:
         and the common scale s^m.  Every coefficient component of the
         result is one Fraction.  Linearity preserves homogeneous degrees,
         so the truncation bound carries over exactly."""
-        if self.nvars != 2 or len(images) != 2 or any(len(img) != 2 for img in images):
-            raise ValueError("substitution needs a binary series and binary images")
+        if self.nvars != 2:
+            raise ValueError("substitution needs a binary series")
+        return self._substitute_cleared(*_clear_real(self.ring, images))
+
+    def _substitute_cleared(self, s, cleared):
+        """substitute_linear on images already cleared by ``_clear_real``:
+        the scale s and the integer pairs of the images."""
         ring = self.ring
         sqd = ring.D or 0
-        s, ((a1, b1), (a2, b2)) = _clear_real(ring, images)
+        (a1, b1), (a2, b2) = cleared
         components = {}  # degree m -> {a: c_a}
         for (i, j), c in self.terms.items():
             components.setdefault(i + j, {})[i] = c
@@ -225,10 +230,12 @@ def _zmul(u, v, sqd):
 
 
 def _clear_real(ring, images):
-    """Images of the variables, coerced into the ring, cleared from
+    """Images of the two variables, coerced into the ring, cleared from
     Q(sqrt D) to Z[sqrt D]: the lcm s of their denominators and the rows
-    of integer pairs (x, y), each entry being (x + y sqrt D) / s.  An image
-    with a zeta component raises ValueError."""
+    of integer pairs (x, y), each entry being (x + y sqrt D) / s.  Images
+    other than two pairs, or with a zeta component, raise ValueError."""
+    if len(images) != 2 or any(len(img) != 2 for img in images):
+        raise ValueError("substitution needs binary images")
     rows = [[ring.coerce(c) for c in img] for img in images]
     for row in rows:
         for c in row:
@@ -750,13 +757,14 @@ def symmetric_laurent_coeff(q: QuotSeries, m1: int, m2: int, images) -> CoeffEle
     this is the finite part that the two-sided Mellin split produces.
 
     The coefficient is homogeneous of degree k = m1 + m2 + #forms in the
-    numerator, so only that component is substituted
-    (MSeries.substitute_linear), and is then cleared to integers over the
+    numerator, so only that component is substituted (as by
+    MSeries.substitute_linear), and is then cleared to integers over the
     lcm P of its denominators and split by zeta index.  The images must
-    lie in Q(sqrt D) (a zeta component raises ValueError); cleared to
-    Z[sqrt D] by the lcm s of their denominators, they map each integer
-    form v to s T^t v, the integer combination sum_j v_j (s images[j]),
-    so F = s^#forms is the compensating factor.  The two extractions
+    lie in Q(sqrt D) (a zeta component raises ValueError); cleared once
+    to Z[sqrt D] by the lcm s of their denominators, they feed the
+    substitution and map each integer form v to s T^t v, the integer
+    combination sum_j v_j (s images[j]), so F = s^#forms is the
+    compensating factor.  The two extractions
     (_iterated_coeff) give N_0 / W_0 and N_1 / W_1, and the average
     F (N_0 W_1 + N_1 W_0) / (2 P W_0 W_1) is rationalised once, by the
     conjugate of W_0 W_1 over its integer norm: one Fraction per
@@ -771,8 +779,8 @@ def symmetric_laurent_coeff(q: QuotSeries, m1: int, m2: int, images) -> CoeffEle
     sqd = ring.D or 0
     k = m1 + m2 + len(q.denoms)
     top = MSeries(ring, 2, k, {e: c for e, c in q.num.terms.items() if sum(e) == k})
-    den, slices = _split_zeta(top.substitute_linear(images).terms)
     s, cleared = _clear_real(ring, images)
+    den, slices = _split_zeta(top._substitute_cleared(s, cleared).terms)
     columns = [tuple(zip(*col)) for col in zip(*cleared)]  # per t_i: (xs, ys) over z_j
     forms = [[(idot(v, xs), idot(v, ys)) for xs, ys in columns] for v in q.denoms]
     if [(0, 0), (0, 0)] in forms:

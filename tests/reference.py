@@ -9,6 +9,9 @@ is an independent definition of a value the library computes another way:
     kernel (``SigmaKernel``, ``tau_cocycle``) must reproduce;
     ``cramer_forms_reference``, the kernel's Cramer form lists from unit
     vector determinants, sorted by exponent.
+  * ``decompose_region_reference``, the fan refinement reading every
+    piece's lists from the first, the oracle for the resumed split
+    pieces of ``cone_algebra._decompose_region``.
   * ``mat_mul`` and ``mat_inv``, rational matrix products and inverses
     the tests use to move tuples and points by a matrix.
   * ``cyclotomic_poly_reference``, Phi_m by dense division of x^m - 1 by
@@ -45,10 +48,12 @@ from itertools import product
 from math import gcd, lcm
 
 from shintani.cocycle_core import _integer_columns
+from shintani.cone_algebra import _split_piece, _start_pieces
 from shintani.errors import ShintaniError, SingularMatrix, TruncationTooSmall, ZeroVector
 from shintani.exactnum import CoeffElem, CoeffRing, MPoly, QQ, bernoulli_number
 from shintani.linalg import (
     dot,
+    first_nonzero_sign,
     frac,
     identity,
     int_det,
@@ -189,6 +194,25 @@ def cramer_forms_reference(cols, slot):
                 exp[j] = k
             by_exp[tuple(exp)] = tuple(v // g for v in form)
     return tuple(by_exp[e] for e in sorted(by_exp, key=lambda e: e[::-1]))
+
+
+def decompose_region_reference(n, int_lists, target):
+    """The fan refinement of ``cone_algebra._decompose_region`` with every
+    piece, split ones too, read from the first list: the same pieces in
+    the same order, with no claim about lists a piece inherits."""
+    work = list(_start_pieces(n))
+    kept = []
+    while work:
+        gens = work.pop()
+        for forms in int_lists:
+            s, form = first_nonzero_sign(forms, gens)
+            if s is None:
+                work.extend(_split_piece(gens, form))
+            if s != target:
+                break
+        else:
+            kept.append(gens)
+    return kept
 
 
 def _check_matrices(alphas):

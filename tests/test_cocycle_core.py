@@ -292,8 +292,9 @@ def test_sigma_matches_cone_indicator_on_moment_columns():
 
 
 def test_tau_matches_dvalue_on_moment_columns():
-    # tau_cocycle is CocycleChecker's tau, read from its face kernels; the
-    # ordered-field d-invariant is its independent reference
+    # tau_cocycle reads the alternating sign of the faces' determinants
+    # from their last slots; the ordered-field d-invariant is its
+    # independent reference
     rng = random.Random(101)
     for n, alphas in _oracle_tuples(rng, (2, 3), 1):
         assert tau_cocycle(alphas) == dvalue(_moment_columns(alphas, n + 1))
@@ -583,3 +584,21 @@ def test_alternating_sum_clears_each_point_once(monkeypatch):
     w = (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4))
     checker.alternating_sum(w)
     assert cleared == [w]
+
+
+def test_face_kernels_clear_a_point_once(monkeypatch):
+    # the n+1 face kernels of a checker read one tuple of Fractions in
+    # turn and clear it once, with the values of the cleared point
+    import shintani.linalg as linalg
+    rng = random.Random(79)
+    checker = CocycleChecker([random_invertible(rng, 3) for _ in range(4)])
+    clears = []
+    real_lcm = linalg.lcm
+    monkeypatch.setattr(linalg, "lcm", lambda *ds: clears.append(ds) or real_lcm(*ds))
+    for _ in range(5):
+        w = tuple(Fraction(rng.randint(1, 6) * rng.choice((-1, 1)), rng.randint(2, 5))
+                  for _ in range(3))
+        del clears[:]
+        values = [k.eval(w) for k in checker.kernels]
+        assert len(clears) == 1
+        assert values == [k.eval(tuple(int(60 * x) for x in w)) for k in checker.kernels]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import cocycle_cases, random_nonzero_vector, random_vector
-from reference import mat_inv
+from reference import decompose_region_reference, mat_inv
 from shintani.cli import random_degenerate_tuple, random_invertible
 from shintani.cocycle_core import SigmaKernel, tau_cocycle
 from shintani.cone_algebra import (
@@ -446,3 +446,38 @@ def test_decompose_region_tiles_punctured_space_by_sign():
                         assert all(v <= 0 for v in vals)
                     else:
                         assert all(v == 0 for v in vals)
+
+
+def _degenerate_kind(alphas):
+    """Which family of the CLI's degenerate generator drew the tuple:
+    repeated matrices, pairwise parallel first columns, or first columns
+    in a plane."""
+    if any(a == b for a, b in zip(alphas, alphas[1:])):
+        return "repeated"
+    firsts = [tuple(row[0] for row in a) for a in alphas]
+    if all(c[i] * d[j] == c[j] * d[i] for c in firsts for d in firsts
+           for i in range(len(c)) for j in range(i)):
+        return "parallel"
+    return "plane"
+
+
+def test_decompose_region_resumes_like_the_restarting_loop():
+    # a split piece resumes at the list that split it; reading every list
+    # from the first gives the same pieces in the same order, for each
+    # target, on generic tuples and on every degenerate family the CLI
+    # generator draws
+    rng = random.Random(43)
+    kinds = set()
+    for n in (1, 2, 3):
+        for degenerate in (False, True):
+            for _ in range(10 if n == 3 else 4):
+                if degenerate:
+                    alphas = random_degenerate_tuple(rng, n, n)
+                    kinds.add(_degenerate_kind(alphas))
+                else:
+                    alphas = [random_invertible(rng, n) for _ in range(n)]
+                kernel = SigmaKernel(alphas)
+                for target in (kernel.det_sign, 0, -kernel.det_sign):
+                    assert (_decompose_region(n, kernel.forms, target)
+                            == decompose_region_reference(n, kernel.forms, target))
+    assert kinds == {"repeated", "parallel", "plane"}

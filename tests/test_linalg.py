@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import gauss_jordan_oracle, outcome
 from reference import mat_inv, mat_mul
 from shintani.cli import random_invertible
+from shintani import linalg
 from shintani.errors import SingularMatrix
 from shintani.linalg import (
     cofactor_form,
@@ -53,7 +55,7 @@ def test_int_det_matches_fraction_elimination(m):
 @settings(deadline=None, derandomize=True, max_examples=300)
 @given(case=insertion_cases())
 def test_cofactor_form_reads_det_with_w_inserted(case):
-    # the closed forms (n = 2, 3) and the Laplace expansion (n = 1, 4, 5)
+    # the closed forms (n = 1, 2, 3) and the Laplace expansion (n = 4, 5)
     # against the determinant of the matrix with w inserted at the slot
     cols, slot, w = case
     full = list(cols[:slot]) + [w] + list(cols[slot:])
@@ -154,6 +156,47 @@ def test_integer_points_keep_their_entries_and_refuse_floats_and_bools():
             int_scale_point(bad)
         with pytest.raises(TypeError, match="inexact or boolean"):
             primitive(bad)
+
+
+def _fresh_clear(w):
+    """A point cleared by definition: each entry times the lcm of the
+    entries' denominators."""
+    fs = [Fraction(x) for x in w]
+    den = lcm(*(f.denominator for f in fs))
+    return tuple(int(f * den) for f in fs)
+
+
+def test_int_scale_point_remembers_only_the_last_tuple(monkeypatch):
+    # the last tuple of ints and Fractions cleared is read back by
+    # identity; every other input is cleared again, and every read gives
+    # exactly what a fresh clear gives
+    clears = []
+    real_lcm = linalg.lcm
+    monkeypatch.setattr(linalg, "lcm", lambda *ds: clears.append(ds) or real_lcm(*ds))
+
+    def read(point, cleared):
+        del clears[:]
+        out = int_scale_point(point)
+        assert out == _fresh_clear(point) and type(out) is tuple
+        assert all(type(x) is int for x in out)
+        assert len(clears) == cleared
+
+    w = (Fraction(1, 2), Fraction(-2, 3), 5)
+    read(w, 1)
+    read(w, 0)
+    twin = tuple(list(w))
+    assert twin == w and twin is not w
+    read(twin, 1)
+    for point in ([Fraction(1, 2), 7], ("1/2", Fraction(-2, 3), "5/4")):
+        read(point, 1)
+        read(point, 1)
+    read(twin, 0)  # neither the list nor the str tuple took its place
+    other = (Fraction(3, 7), 1, Fraction(-1, 2))
+    for _ in range(3):
+        read(other, 1)
+        read(twin, 1)
+    for k in range(1, 40):  # new tuples, often at the address of a freed one
+        read((Fraction(1, k), Fraction(k, 3)), 1)
 
 
 MIXED = st.one_of(ENTRY, st.fractions(-9, 9, max_denominator=6))
