@@ -18,7 +18,7 @@ from .cocycle_core import CocycleChecker, sigma_eval
 from .cone_algebra import ConeCombo, sigma_decompose
 from .errors import SchemaError, ShintaniError, TruncationTooSmall
 from .exactnum import MAX_D, MAX_ZETA_ORDER, CoeffRing
-from .linalg import frac, identity, mat_det
+from .linalg import frac, int_det, int_rows
 from .lvalues import (
     DirichletChar,
     build_real_quad,
@@ -93,7 +93,8 @@ def _parse_alphas(doc):
         alphas = [_parse_matrix(m) for m in _require(doc, "alphas", list)]
     elif "alpha" in doc:
         m = _parse_matrix(doc["alpha"])
-        alphas = [identity(len(m)), m]
+        n = len(m)
+        alphas = [tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), m]
     else:
         raise SchemaError("need 'alphas' (list of matrices) or 'alpha'")
     if not alphas:
@@ -293,7 +294,7 @@ def random_invertible(rng, n):
             tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
             for _ in range(n)
         )
-        if mat_det(m) != 0:
+        if int_det(int_rows(m)):
             return m
 
 
@@ -341,7 +342,7 @@ def _with_first_column(rng, n, col):
         for i in range(n):
             m[i][0] = col[i]
         m = tuple(tuple(row) for row in m)
-        if mat_det(m) != 0:
+        if int_det(int_rows(m)):
             return m
 
 

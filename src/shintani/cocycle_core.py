@@ -31,7 +31,7 @@ from itertools import product
 from math import gcd
 
 from .errors import SingularMatrix, ZeroVector
-from .linalg import cofactor_form, first_nonzero_sign, frac, int_det, int_scale_point
+from .linalg import cofactor_form, first_nonzero_sign, frac, int_det, int_rows, int_scale_point
 
 
 # ---------------------------------------------------------------------------
@@ -51,11 +51,10 @@ def _integer_columns(alphas):
     for a in mats:
         if len(a) != size or any(len(row) != size for row in a):
             raise ValueError("matrices must all be square of one size")
-        flat = int_scale_point([x for row in a for x in row])
-        cols = tuple(flat[k::size] for k in range(size))
-        if int_det(cols) == 0:
+        rows = int_rows(a)
+        if int_det(rows) == 0:
             raise SingularMatrix("matrix argument is singular")
-        out.append(cols)
+        out.append(tuple(zip(*rows)))
     return out
 
 

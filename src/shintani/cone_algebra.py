@@ -33,9 +33,9 @@ from .linalg import (
     first_nonzero_sign,
     frac,
     idot,
+    int_det,
+    int_rows,
     int_scale_point,
-    mat_det,
-    mat_vec,
     primitive,
     sign as rsign,
 )
@@ -150,14 +150,19 @@ class ConeCombo:
 def act(alpha, combo: ConeCombo) -> ConeCombo:
     """Push a combo forward along an invertible rational matrix: map the
     generators and multiply every weight by the determinant sign, so that
-    eval(act(a, c), w) = sign(det a) * eval(c, a^(-1) w)."""
-    alpha = tuple(tuple(frac(x) for x in row) for row in alpha)
-    d = mat_det(alpha)
-    if d == 0:
+    eval(act(a, c), w) = sign(det a) * eval(c, a^(-1) w).  The matrix is
+    cleared to integer rows first, a positive scale that moves no ray; a
+    matrix that is not square or not of the combo's dimension raises
+    ValueError."""
+    rows = int_rows(alpha)
+    if combo.ambient is not None and len(rows) != combo.ambient:
+        raise ValueError("matrix size differs from the combo's dimension")
+    s = rsign(int_det(rows))
+    if not s:
         raise SingularMatrix("combo action needs an invertible matrix")
-    s = rsign(d)
     terms = [
-        (s * c, OpenSimplicialCone(tuple(mat_vec(alpha, g) for g in cone.generators)))
+        (s * c, OpenSimplicialCone(tuple(tuple(idot(row, g) for row in rows)
+                                         for g in cone.generators)))
         for c, cone in combo.terms
     ]
     return ConeCombo(terms, s * combo.constant)

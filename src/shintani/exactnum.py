@@ -477,12 +477,6 @@ class CoeffElem:
     def rational_part(self) -> Fraction:
         return self.coeffs.get((0, 0), Fraction(0))
 
-    def key(self):
-        """Canonical hashable key, used for sorting and dict membership."""
-        return tuple(sorted(
-            (k, (c.numerator, c.denominator)) for k, c in self.coeffs.items()
-        ))
-
     def __repr__(self):
         if not self.coeffs:
             return "0"

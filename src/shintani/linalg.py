@@ -1,7 +1,9 @@
-"""Small exact linear algebra helpers over the rationals.
+"""Small exact linear algebra helpers in integers.
 
-Vectors are tuples of Fraction, matrices are tuples of row tuples.
-Everything is immutable and all arithmetic is exact.
+A rational vector is a tuple of ints and Fractions.  A matrix is held in
+one form only: rows of plain ints that are a positive multiple of the
+rational matrix (``int_rows``), since a positive scale changes no sign
+and no solution.  Everything is immutable and all arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -12,9 +14,6 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import SingularMatrix
-
-Vec = tuple
-Mat = tuple
 
 
 def frac(x) -> Fraction:
@@ -27,54 +26,16 @@ def frac(x) -> Fraction:
     return Fraction(x)
 
 
-def identity(n: int) -> Mat:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
-
-
-def dot(u, v) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def mat_vec(m, v) -> Vec:
-    return tuple(dot(row, v) for row in m)
-
-
-def mat_det(m) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination (exact)."""
-    n = len(m)
-    a = [[frac(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return det
-
-
 def solve_columns(cols, w):
     """Solve sum_i x_i * cols[i] = w for linearly independent columns.
 
     Two routes, picked by the input alone.  A system of plain ints with
     len(w) <= 2 is solved in closed form (_solve_small_int).  Anything
-    else (Fraction entries, or three or more equations) goes through
-    fraction-free Gauss-Jordan elimination (Bareiss): the augmented system
-    is cleared to integers by one common denominator, and every step
-    divides exactly by the previous pivot, so each row stays a nonzero
-    multiple of its rational counterpart and the last pivot is the common
-    denominator of the solution.  Entries other than int and Fraction are
-    coerced by frac, so floats and bools raise TypeError.
+    else (Fraction entries, or three or more equations) is cleared to
+    integers by one common denominator and goes through ``_eliminate``,
+    whose last pivot is the common denominator of the solution.  Entries
+    other than int and Fraction are coerced by frac, so floats and bools
+    raise TypeError.
 
     Both routes return the coefficient list as Fractions, or None when w
     is outside the span, and raise SingularMatrix if the columns are
@@ -91,12 +52,32 @@ def solve_columns(cols, w):
     if kinds != {int}:
         den = lcm(*(x.denominator for row in a for x in row))
         a = [[x.numerator * (den // x.denominator) for x in row] for row in a]
+    p = _eliminate(a, r)[0]
+    if not p:
+        raise SingularMatrix("columns are linearly dependent")
+    if any(a[k][r] for k in range(r, n)):
+        return None
+    return [Fraction(a[j][r], p) for j in range(r)]
+
+
+def _eliminate(a, r):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of the first r
+    columns of the integer rows a, in place.  Every step divides exactly
+    by the previous pivot, so each row stays a nonzero multiple of its
+    rational counterpart, and the pivot of step k is the leading minor of
+    size k + 1 of the row-swapped matrix.  Returns (the last pivot, the
+    number of row swaps); the pivot is 0 when one of the r columns has
+    none, and the elimination stops there."""
+    n = len(a)
     prev = 1
+    swaps = 0
     for col in range(r):
         piv = next((k for k in range(col, n) if a[k][col]), None)
         if piv is None:
-            raise SingularMatrix("columns are linearly dependent")
-        a[col], a[piv] = a[piv], a[col]
+            return 0, swaps
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            swaps += 1
         top = a[col]
         p = top[col]
         for k in range(n):
@@ -104,9 +85,7 @@ def solve_columns(cols, w):
                 f = a[k][col]
                 a[k] = [(p * x - f * y) // prev for x, y in zip(a[k], top)]
         prev = p
-    if any(a[k][r] for k in range(r, n)):
-        return None
-    return [Fraction(a[j][r], prev) for j in range(r)]
+    return prev, swaps
 
 
 def _solve_small_int(cols, w, n, r):
@@ -177,19 +156,28 @@ def idot(f, g):
     return sum(map(mul, f, g))
 
 
+def int_rows(m):
+    """Positive integer multiple of a square rational matrix, as rows of
+    plain ints cleared by one common denominator (``int_scale_point`` on
+    the entries).  A matrix that is not square raises ValueError, a float
+    or bool entry TypeError."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix must be square")
+    flat = int_scale_point([x for row in m for x in row])
+    return tuple(flat[k * n:k * n + n] for k in range(n))
+
+
 def int_det(m) -> int:
-    """Determinant of a small square integer matrix (rows): closed form up
-    to size 2 (the empty matrix has determinant 1), cofactor expansion
-    along the first row beyond."""
-    if len(m) == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if len(m) < 2:
-        return m[0][0] if m else 1
-    return sum(
-        (-1) ** j * m[0][j] * int_det([row[:j] + row[j + 1:] for row in m[1:]])
-        for j in range(len(m))
-        if m[0][j]
-    )
+    """Determinant of a square integer matrix (rows).  Up to size 3 it is
+    row 0 times the closed-form cofactor_form of the other rows (the empty
+    matrix has determinant 1); beyond, the last pivot of the fraction-free
+    elimination that solve_columns runs, signed by its row swaps."""
+    n = len(m)
+    if n <= 3:
+        return idot(m[0], cofactor_form(m[1:], 0)) if n else 1
+    p, swaps = _eliminate([list(row) for row in m], n)
+    return -p if swaps % 2 else p
 
 
 def cofactor_form(cols, slot):

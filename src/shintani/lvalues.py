@@ -94,8 +94,11 @@ def unit_group_generators(f: int):
 class DirichletChar:
     """Character of (Z/f)^*, extended by zero off the units.
 
-    Values are stored as coefficient ring elements (roots of unity).
-    Multiplicativity on the units is validated at construction.
+    Values are stored as coefficient ring elements (roots of unity).  With
+    validate (the default, and the route of every table read from outside)
+    the table must cover exactly the units and be multiplicative there;
+    ``trivial`` and ``CharacterTable`` build exact unit tables and skip
+    both checks.
     """
 
     def __init__(self, f: int, values: dict, ring: CoeffRing, validate: bool = True):
@@ -105,10 +108,10 @@ class DirichletChar:
         for n, v in values.items():
             vals[n % f] = ring.coerce(v)
         self.values = vals
-        units = [n for n in range(f) if gcd(n, f) == 1]
-        if set(units) != set(vals):
-            raise ValueError("character table must cover exactly the units")
         if validate:
+            units = [n for n in range(f) if gcd(n, f) == 1]
+            if set(units) != set(vals):
+                raise ValueError("character table must cover exactly the units")
             one = 1 % f
             if vals[one] != ring.one():
                 raise ValueError("character must send 1 to 1")

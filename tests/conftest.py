@@ -7,9 +7,9 @@ from fractions import Fraction
 from hypothesis import assume, strategies as st
 
 import shintani
+from reference import mat_det
 from shintani.cli import random_nonzero_vector
 from shintani.errors import SingularMatrix
-from shintani.linalg import mat_det
 from shintani.solomon_hu import parallelotope_points
 
 # `python -m shintani` subprocesses import the package from the tree the

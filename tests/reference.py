@@ -12,8 +12,10 @@ is an independent definition of a value the library computes another way:
   * ``decompose_region_reference``, the fan refinement reading every
     piece's lists from the first, the oracle for the resumed split
     pieces of ``cone_algebra._decompose_region``.
-  * ``mat_mul`` and ``mat_inv``, rational matrix products and inverses
-    the tests use to move tuples and points by a matrix.
+  * ``identity``, ``dot``, ``mat_vec``, ``mat_det``, ``mat_mul`` and
+    ``mat_inv``: rational matrices, vectors and determinants by Gaussian
+    elimination, which the tests use to move tuples and points by a
+    matrix; ``mat_det`` is the oracle for the integer ``int_det``.
   * ``cyclotomic_poly_reference``, Phi_m by dense division of x^m - 1 by
     the cyclotomic polynomials of the proper divisors, the oracle for the
     Moebius product of ``cyclotomic_poly``; ``coeff_inv`` and
@@ -52,13 +54,9 @@ from shintani.cone_algebra import _split_piece, _start_pieces
 from shintani.errors import ShintaniError, SingularMatrix, TruncationTooSmall, ZeroVector
 from shintani.exactnum import CoeffElem, CoeffRing, MPoly, QQ, bernoulli_number
 from shintani.linalg import (
-    dot,
     first_nonzero_sign,
     frac,
-    identity,
     int_det,
-    mat_det,
-    mat_vec,
     sign as rsign,
     solve_columns,
 )
@@ -226,6 +224,43 @@ def _check_matrices(alphas):
 # ---------------------------------------------------------------------------
 # Rational matrices
 # ---------------------------------------------------------------------------
+
+def identity(n: int):
+    return tuple(
+        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
+    )
+
+
+def dot(u, v) -> Fraction:
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def mat_vec(m, v):
+    return tuple(dot(row, v) for row in m)
+
+
+def mat_det(m) -> Fraction:
+    """Determinant by Gaussian elimination over the rationals, the oracle
+    for the integer ``linalg.int_det``."""
+    n = len(m)
+    a = [[frac(x) for x in row] for row in m]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        inv = 1 / a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col] != 0:
+                f = a[r][col] * inv
+                for c in range(col, n):
+                    a[r][c] -= f * a[col][c]
+    return det
+
 
 def mat_mul(a, b):
     """Product of two rational matrices given as row tuples."""

@@ -15,6 +15,9 @@ from reference import (
     closed_form_sigma_n2,
     dvalue,
     exp_series,
+    identity,
+    mat_det,
+    mat_vec,
     one_minus_exp,
     phi_map,
     quot_equal_as_laurent,
@@ -27,7 +30,7 @@ from shintani.cli import random_degenerate_tuple, random_invertible
 from shintani.cocycle_core import CocycleChecker, SigmaKernel, sigma_eval
 from shintani.cone_algebra import OpenSimplicialCone, ConeCombo, sigma_decompose
 from shintani.exactnum import QQ
-from shintani.linalg import identity, mat_det, mat_vec, sign
+from shintani.linalg import sign
 from shintani.lvalues import (
     DirichletChar,
     build_real_quad,

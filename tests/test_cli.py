@@ -114,6 +114,13 @@ def test_math_error_exit_code(capsys):
     assert "singular" in json.loads(out)["error"]["message"]
 
 
+def test_character_table_missing_a_unit_exit_code(capsys):
+    job = '{"char": {"modulus": 5, "values": {"1": "1", "4": "1"}}, "r": 1}'
+    code, out = run_cli(["lvalue-q", "--inline", job], capsys)
+    assert code == 65
+    assert json.loads(out)["error"]["message"] == "character table must cover exactly the units"
+
+
 def test_truncation_error_exit_code(capsys):
     job = '{"field": {"D": 5}, "char": {"kind": "trivial"}, "r": 2, "dmax": 2}'
     code, out = run_cli(["lvalue-quad", "--inline", job], capsys)
@@ -249,93 +256,121 @@ def _pair_one_class(values, **ring):
 
 @pytest.mark.parametrize("command,job", [
     # pair: malformed combos and test functions
-    ("pair", {"combo": {"cones": [{"coeff": "1", "generators": [[0.5, 1]]}]}, "phi": _PHI2}),
-    ("pair", {"combo": {"cones": [{"coeff": 0.5, "generators": [[1, 1]]}]}, "phi": _PHI2}),
-    ("pair", {"combo": {"cones": []}, "phi": {}}),
-    ("pair", {"combo": {"cones": [{"coeff": "1", "generators": [[1, 0], [2, 0]]}]},
-              "phi": _PHI2}),
-    ("pair", {"combo": {"cones": [{"coeff": "1", "generators": [["x", 0]]}]}, "phi": _PHI2}),
-    ("pair", {"combo": {"cones": [{"generators": [[1, 0]]}]}, "phi": _PHI2}),
-    ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "f": 2.0}}),
-    ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "d": 0}}),
-    ("pair", {"combo": _ONE_CONE, "phi": _PHI2, "dmax": -3}),
+    pytest.param("pair", {"combo": {"cones": [{"coeff": "1", "generators": [[0.5, 1]]}]},
+                          "phi": _PHI2}, id="pair-job0"),
+    pytest.param("pair", {"combo": {"cones": [{"coeff": 0.5, "generators": [[1, 1]]}]},
+                          "phi": _PHI2}, id="pair-job1"),
+    pytest.param("pair", {"combo": {"cones": []}, "phi": {}}, id="pair-job2"),
+    pytest.param("pair", {"combo": {"cones": [{"coeff": "1", "generators": [[1, 0], [2, 0]]}]},
+                          "phi": _PHI2}, id="pair-job3"),
+    pytest.param("pair", {"combo": {"cones": [{"coeff": "1", "generators": [["x", 0]]}]},
+                          "phi": _PHI2}, id="pair-job4"),
+    pytest.param("pair", {"combo": {"cones": [{"generators": [[1, 0]]}]}, "phi": _PHI2},
+                 id="pair-job5"),
+    pytest.param("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "f": 2.0}}, id="pair-job6"),
+    pytest.param("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "d": 0}}, id="pair-job7"),
+    pytest.param("pair", {"combo": _ONE_CONE, "phi": _PHI2, "dmax": -3}, id="pair-job8"),
     # integer job fields
-    ("lvalue-q", {"char": _Q3, "r": 1.9}),
-    ("lvalue-q", {"char": _Q3, "r": True}),
-    ("lvalue-q", {"char": _Q3, "r": "1"}),
-    ("lvalue-q", {"char": _Q3, "r": 0}),
-    ("lvalue-q", {"char": _Q3, "r": 1, "dmax": -3}),
-    ("lvalue-q", {"char": {"modulus": 3.0, "index": 1}, "r": 1}),
-    ("lvalue-q", {"char": {"modulus": 3, "index": "1"}, "r": 1}),
-    ("lvalue-q", {"char": {"modulus": 5, "zeta_order": 4.0, "values": {"2": 1}}, "r": 1}),
-    ("lvalue-quad", {"field": {"D": "x"}, "r": 1}),
-    ("lvalue-quad", {"field": {"D": 5}, "r": 1.9}),
-    ("lvalue-quad", {"field": {"D": 5}, "r": 1, "dmax": -3}),
-    ("lvalue-quad", {"field": {"D": 5}, "char": {"f": 2.5, "values": {}}, "r": 1}),
-    ("s-coeffs", {"field": {"D": 5}, "rmax": 1.5}),
-    ("verify-cocycle", {"n": 2.5, "seed": 1}),
-    ("verify-cocycle", {"n": 2, "seed": "7"}),
-    ("verify-cocycle", {"n": 2, "seed": 7, "trials": True}),
+    pytest.param("lvalue-q", {"char": _Q3, "r": 1.9}, id="lvalue-q-job9"),
+    pytest.param("lvalue-q", {"char": _Q3, "r": True}, id="lvalue-q-job10"),
+    pytest.param("lvalue-q", {"char": _Q3, "r": "1"}, id="lvalue-q-job11"),
+    pytest.param("lvalue-q", {"char": _Q3, "r": 0}, id="lvalue-q-job12"),
+    pytest.param("lvalue-q", {"char": _Q3, "r": 1, "dmax": -3}, id="lvalue-q-job13"),
+    pytest.param("lvalue-q", {"char": {"modulus": 3.0, "index": 1}, "r": 1}, id="lvalue-q-job14"),
+    pytest.param("lvalue-q", {"char": {"modulus": 3, "index": "1"}, "r": 1}, id="lvalue-q-job15"),
+    pytest.param("lvalue-q", {"char": {"modulus": 5, "zeta_order": 4.0, "values": {"2": 1}},
+                              "r": 1}, id="lvalue-q-job16"),
+    pytest.param("lvalue-quad", {"field": {"D": "x"}, "r": 1}, id="lvalue-quad-job17"),
+    pytest.param("lvalue-quad", {"field": {"D": 5}, "r": 1.9}, id="lvalue-quad-job18"),
+    pytest.param("lvalue-quad", {"field": {"D": 5}, "r": 1, "dmax": -3}, id="lvalue-quad-job19"),
+    pytest.param("lvalue-quad", {"field": {"D": 5}, "char": {"f": 2.5, "values": {}}, "r": 1},
+                 id="lvalue-quad-job20"),
+    pytest.param("s-coeffs", {"field": {"D": 5}, "rmax": 1.5}, id="s-coeffs-job21"),
+    pytest.param("verify-cocycle", {"n": 2.5, "seed": 1}, id="verify-cocycle-job22"),
+    pytest.param("verify-cocycle", {"n": 2, "seed": "7"}, id="verify-cocycle-job23"),
+    pytest.param("verify-cocycle", {"n": 2, "seed": 7, "trials": True}, id="verify-cocycle-job24"),
     # character documents
-    ("lvalue-quad", {"field": {"D": 5}, "char": [], "r": 1}),
-    ("lvalue-quad", {"field": {"D": 5}, "char": 3, "r": 1}),
-    ("s-coeffs", {"field": {"D": 5}, "char": [], "rmax": 1}),
-    ("s-coeffs", {"field": {"D": 5}, "char": 3, "rmax": 1}),
-    ("lvalue-quad", {"field": {"D": 5}, "char": {"f": 2, "values": {"1": 1}}, "r": 1}),
-    ("lvalue-quad", {"field": {"D": 5}, "char": {"f": 2, "values": {"1,0,1": 1}}, "r": 1}),
-    ("lvalue-quad", {"field": {"D": 5}, "char": {"f": 2, "values": {"1,x": 1}}, "r": 1}),
-    ("lvalue-q", {"char": {"modulus": 5, "values": {"x": 1}}, "r": 1}),
-    ("lvalue-q", {"char": {"modulus": 5, "values": {"1,2": 1}}, "r": 1}),
-    ("lvalue-q", {"char": {"f": 0}, "r": 1}),
-    ("lvalue-q", {"char": {"modulus": -3}, "r": 1}),
-    ("lvalue-quad", {"field": {"D": 5}, "char": {"f": 0, "values": {}}, "r": 1}),
-    ("lvalue-quad", {"field": {"D": 5}, "char": {"f": -3, "values": {}}, "r": 1}),
-    ("lvalue-q", {"char": {"modulus": 5, "zeta_order": 0, "values": {"1": 0}}, "r": 1}),
-    ("lvalue-q", {"char": {"modulus": 5, "zeta_order": -2, "values": {"1": 0}}, "r": 1}),
-    ("lvalue-q", {"char": _Z5(1.7), "r": 1}),
-    ("lvalue-q", {"char": _Z5(True), "r": 1}),
-    ("lvalue-q", {"char": _Z5("1"), "r": 1}),
-    ("lvalue-quad", {"field": {"D": 5}, "char": {"f": 2, "values": {"1,0": 0.5}}, "r": 1}),
+    pytest.param("lvalue-quad", {"field": {"D": 5}, "char": [], "r": 1}, id="lvalue-quad-job25"),
+    pytest.param("lvalue-quad", {"field": {"D": 5}, "char": 3, "r": 1}, id="lvalue-quad-job26"),
+    pytest.param("s-coeffs", {"field": {"D": 5}, "char": [], "rmax": 1}, id="s-coeffs-job27"),
+    pytest.param("s-coeffs", {"field": {"D": 5}, "char": 3, "rmax": 1}, id="s-coeffs-job28"),
+    pytest.param("lvalue-quad", {"field": {"D": 5}, "char": {"f": 2, "values": {"1": 1}}, "r": 1},
+                 id="lvalue-quad-job29"),
+    pytest.param("lvalue-quad", {"field": {"D": 5}, "char": {"f": 2, "values": {"1,0,1": 1}},
+                                 "r": 1}, id="lvalue-quad-job30"),
+    pytest.param("lvalue-quad", {"field": {"D": 5}, "char": {"f": 2, "values": {"1,x": 1}},
+                                 "r": 1}, id="lvalue-quad-job31"),
+    pytest.param("lvalue-q", {"char": {"modulus": 5, "values": {"x": 1}}, "r": 1},
+                 id="lvalue-q-job32"),
+    pytest.param("lvalue-q", {"char": {"modulus": 5, "values": {"1,2": 1}}, "r": 1},
+                 id="lvalue-q-job33"),
+    pytest.param("lvalue-q", {"char": {"f": 0}, "r": 1}, id="lvalue-q-job34"),
+    pytest.param("lvalue-q", {"char": {"modulus": -3}, "r": 1}, id="lvalue-q-job35"),
+    pytest.param("lvalue-quad", {"field": {"D": 5}, "char": {"f": 0, "values": {}}, "r": 1},
+                 id="lvalue-quad-job36"),
+    pytest.param("lvalue-quad", {"field": {"D": 5}, "char": {"f": -3, "values": {}}, "r": 1},
+                 id="lvalue-quad-job37"),
+    pytest.param("lvalue-q", {"char": {"modulus": 5, "zeta_order": 0, "values": {"1": 0}}, "r": 1},
+                 id="lvalue-q-job38"),
+    pytest.param("lvalue-q", {"char": {"modulus": 5, "zeta_order": -2, "values": {"1": 0}},
+                              "r": 1}, id="lvalue-q-job39"),
+    pytest.param("lvalue-q", {"char": _Z5(1.7), "r": 1}, id="lvalue-q-job40"),
+    pytest.param("lvalue-q", {"char": _Z5(True), "r": 1}, id="lvalue-q-job41"),
+    pytest.param("lvalue-q", {"char": _Z5("1"), "r": 1}, id="lvalue-q-job42"),
+    pytest.param("lvalue-quad", {"field": {"D": 5}, "char": {"f": 2, "values": {"1,0": 0.5}},
+                                 "r": 1}, id="lvalue-quad-job43"),
     # matrix tuples: none, or a count that differs from the matrix size
-    ("eval-sigma", {"alphas": [], "w": [1, 1]}),
-    ("decompose", {"alphas": []}),
-    ("eval-sigma", {"alphas": [[[1, 0], [0, 1]]], "w": [1, 1]}),
-    ("decompose", {"alphas": [[[1, 0], [0, 1]]] * 3}),
-    ("eval-sigma", {"alpha": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "w": [1, 1, 1]}),
-    ("decompose", {"alpha": [[2]]}),
+    pytest.param("eval-sigma", {"alphas": [], "w": [1, 1]}, id="eval-sigma-job44"),
+    pytest.param("decompose", {"alphas": []}, id="decompose-job45"),
+    pytest.param("eval-sigma", {"alphas": [[[1, 0], [0, 1]]], "w": [1, 1]}, id="eval-sigma-job46"),
+    pytest.param("decompose", {"alphas": [[[1, 0], [0, 1]]] * 3}, id="decompose-job47"),
+    pytest.param("eval-sigma", {"alpha": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "w": [1, 1, 1]},
+                 id="eval-sigma-job48"),
+    pytest.param("decompose", {"alpha": [[2]]}, id="decompose-job49"),
     # force is a JSON boolean
-    ("lvalue-quad", {"field": {"D": 3}, "r": 1, "force": "false"}),
-    ("lvalue-quad", {"field": {"D": 5}, "r": 1, "force": 1}),
-    ("lvalue-quad", {"field": {"D": 5}, "r": 1, "force": None}),
-    ("s-coeffs", {"field": {"D": 3}, "rmax": 1, "force": "true"}),
+    pytest.param("lvalue-quad", {"field": {"D": 3}, "r": 1, "force": "false"},
+                 id="lvalue-quad-job50"),
+    pytest.param("lvalue-quad", {"field": {"D": 5}, "r": 1, "force": 1}, id="lvalue-quad-job51"),
+    pytest.param("lvalue-quad", {"field": {"D": 5}, "r": 1, "force": None},
+                 id="lvalue-quad-job52"),
+    pytest.param("s-coeffs", {"field": {"D": 3}, "rmax": 1, "force": "true"}, id="s-coeffs-job53"),
     # pair: the test function's ring fields
-    ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "zeta_order": True}}),
-    ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "zeta_order": 0}}),
-    ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "sqrt": 2.7}}),
-    ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "sqrt": "5"}}),
-    ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "sqrt": 4}}),
-    ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "sqrt": 1}}),
+    pytest.param("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "zeta_order": True}},
+                 id="pair-job54"),
+    pytest.param("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "zeta_order": 0}}, id="pair-job55"),
+    pytest.param("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "sqrt": 2.7}}, id="pair-job56"),
+    pytest.param("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "sqrt": "5"}}, id="pair-job57"),
+    pytest.param("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "sqrt": 4}}, id="pair-job58"),
+    pytest.param("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "sqrt": 1}}, id="pair-job59"),
     # a square-root generator above 10^12, here a 21-digit prime, whose
     # trial division would not finish
-    ("pair", {"combo": {"cones": []}, "phi": {"n": 1, "sqrt": _BIG_D, "values": []}}),
-    ("lvalue-quad", {"field": {"D": _BIG_D}, "r": 1}),
-    ("s-coeffs", {"field": {"D": _BIG_D}, "rmax": 1}),
+    pytest.param("pair", {"combo": {"cones": []}, "phi": {"n": 1, "sqrt": _BIG_D, "values": []}},
+                 id="pair-job60"),
+    pytest.param("lvalue-quad", {"field": {"D": _BIG_D}, "r": 1}, id="lvalue-quad-job61"),
+    pytest.param("s-coeffs", {"field": {"D": _BIG_D}, "rmax": 1}, id="s-coeffs-job62"),
     # pair: residue classes and basis indices are JSON integers, and each
     # (i, j) is a basis index of the test function's ring
-    ("pair", _pair_one_class([{"class": [1.7], "value": "1"}])),
-    ("pair", _pair_one_class([{"class": [True], "value": "1"}])),
-    ("pair", _pair_one_class([{"class": [1], "value": [[1.9, 0, "1"]]}], zeta_order=3)),
-    ("pair", _pair_one_class([{"class": [1], "value": [[-1, 0, "1"]]}], zeta_order=3)),
-    ("pair", _pair_one_class([{"class": [1], "value": [[0, 1, "1"]]}])),
+    pytest.param("pair", _pair_one_class([{"class": [1.7], "value": "1"}]), id="pair-job63"),
+    pytest.param("pair", _pair_one_class([{"class": [True], "value": "1"}]), id="pair-job64"),
+    pytest.param("pair", _pair_one_class([{"class": [1], "value": [[1.9, 0, "1"]]}], zeta_order=3),
+                 id="pair-job65"),
+    pytest.param("pair", _pair_one_class([{"class": [1], "value": [[-1, 0, "1"]]}], zeta_order=3),
+                 id="pair-job66"),
+    pytest.param("pair", _pair_one_class([{"class": [1], "value": [[0, 1, "1"]]}]),
+                 id="pair-job67"),
     # pair: cones of two ambient dimensions in one combo
-    ("pair", {"combo": {"cones": [{"coeff": "1", "generators": [[1, 0]]},
-                                  {"coeff": "1", "generators": [[1, 0, 0]]}]}, "phi": _PHI2}),
+    pytest.param("pair", {"combo": {"cones": [{"coeff": "1", "generators": [[1, 0]]},
+                                              {"coeff": "1", "generators": [[1, 0, 0]]}]},
+                          "phi": _PHI2}, id="pair-job68"),
     # a cyclotomic order above MAX_ZETA_ORDER, here a 21-digit prime, is
     # refused before its trial division
-    ("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "zeta_order": _BIG_D}}),
-    ("lvalue-q", {"char": {"modulus": 5, "zeta_order": _BIG_D, "values": {"1": 0}}, "r": 1}),
-    ("lvalue-quad", {"field": {"D": 5}, "char": {"f": 2, "zeta_order": _BIG_D, "values": {}},
-                     "r": 1}),
+    pytest.param("pair", {"combo": _ONE_CONE, "phi": {"n": 2, "zeta_order": _BIG_D}},
+                 id="pair-job69"),
+    pytest.param("lvalue-q", {"char": {"modulus": 5, "zeta_order": _BIG_D, "values": {"1": 0}},
+                              "r": 1}, id="lvalue-q-job70"),
+    pytest.param("lvalue-quad", {"field": {"D": 5},
+                                 "char": {"f": 2, "zeta_order": _BIG_D, "values": {}}, "r": 1},
+                 id="lvalue-quad-job71"),
 ])
 def test_rejects_malformed_job_fields(command, job, capsys):
     _schema_rejects(command, json.dumps(job), capsys)

@@ -13,8 +13,11 @@ from reference import (
     cramer_forms_reference,
     cvalue,
     dvalue,
+    identity,
+    mat_det,
     mat_inv,
     mat_mul,
+    mat_vec,
     moment_vector,
     solomon_s,
     tau_transport,
@@ -30,7 +33,7 @@ from shintani.cocycle_core import (
 from shintani.cone_algebra import sigma_decompose
 from shintani.errors import SingularMatrix, ZeroVector
 from shintani.exactnum import MPoly
-from shintani.linalg import identity, mat_det, mat_vec, sign
+from shintani.linalg import sign
 from shintani.ordered_field import OrderedElem, iota
 
 

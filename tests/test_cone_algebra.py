@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import cocycle_cases, random_nonzero_vector, random_vector
-from reference import decompose_region_reference, mat_inv
+from reference import decompose_region_reference, identity, mat_det, mat_inv, mat_vec
 from shintani.cli import random_degenerate_tuple, random_invertible
 from shintani.cocycle_core import SigmaKernel, tau_cocycle
 from shintani.cone_algebra import (
@@ -20,10 +20,7 @@ from shintani.errors import SingularMatrix, UnsupportedDimension, ZeroVector
 from shintani.linalg import (
     coordinate_rows,
     first_nonzero_sign,
-    identity,
     idot,
-    mat_det,
-    mat_vec,
     primitive,
     sign,
     solve_columns,
@@ -146,6 +143,21 @@ def test_act_examples():
     assert flipped.eval((1, -1)) == -1
     with pytest.raises(SingularMatrix):
         act(((1, 0), (2, 0)), quad)
+
+
+_PLANE3 = ConeCombo([(1, ((1, 0, 0), (0, 1, 0)))])
+
+
+def test_act_refuses_a_matrix_that_is_not_square():
+    with pytest.raises(ValueError, match="matrix must be square"):
+        act(((1, 0, 0), (0, 1, 0)), _PLANE3)
+
+
+def test_act_refuses_a_matrix_of_another_dimension():
+    with pytest.raises(ValueError, match="matrix size differs from the combo's dimension"):
+        act(((1, 0), (0, 1)), _PLANE3)
+    # a combo with no cone is a constant, moved by a matrix of any size
+    assert act(((-2,),), ConeCombo([], 3)).constant == -3
 
 
 def test_act_matches_pullback_definition():

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from reference import coeff_inv, coeff_pow, cyclotomic_poly_reference
+from reference import coeff_inv, coeff_pow, cyclotomic_poly_reference, mat_det
 from shintani.exactnum import (
     MAX_ZETA_ORDER,
     CoeffRing,
@@ -16,7 +16,6 @@ from shintani.exactnum import (
 )
 from shintani.errors import ShintaniError
 from shintani.solomon_hu import QQ, SchwartzFn
-from shintani.linalg import mat_det
 
 
 # ---------------------------------------------------------------------------

@@ -6,18 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import gauss_jordan_oracle, outcome
-from reference import mat_inv, mat_mul
+from reference import identity, mat_det, mat_inv, mat_mul
 from shintani.cli import random_invertible
 from shintani import linalg
 from shintani.errors import SingularMatrix
 from shintani.linalg import (
     cofactor_form,
     first_nonzero_sign,
-    identity,
     idot,
     int_det,
+    int_rows,
     int_scale_point,
-    mat_det,
     primitive,
     sign,
     solve_columns,
@@ -46,10 +45,35 @@ def insertion_cases(draw):
     return cols, draw(st.integers(0, n - 1)), draw(vec)
 
 
-@settings(deadline=None, derandomize=True, max_examples=200)
-@given(m=st.integers(0, 4).flatmap(_square))
+@st.composite
+def square_cases(draw):
+    """A square integer matrix of size 0..6, the closed forms (n <= 3) and
+    the elimination beyond; one in four has a row set to a copy of another
+    row or to zero, so singular matrices of every size are drawn."""
+    n = draw(st.integers(0, 6))
+    m = draw(_square(n))
+    if n and draw(st.integers(0, 3)) == 0:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        m[i] = list(m[j]) if i != j else [0] * n
+    return m
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(m=square_cases())
 def test_int_det_matches_fraction_elimination(m):
     assert int_det(m) == mat_det([[Fraction(x) for x in row] for row in m])
+
+
+def test_int_rows_clears_by_one_scale_and_refuses_other_shapes():
+    assert int_rows(((Fraction(1, 2), 1), (0, "2/3"))) == ((3, 6), (0, 4))
+    assert int_rows(((2, -4), (6, 0))) == ((2, -4), (6, 0))
+    assert int_rows(()) == ()
+    for bad in (((1, 0, 0), (0, 1, 0)), ((1, 0), (0,)), ((1, 2),)):
+        with pytest.raises(ValueError, match="matrix must be square"):
+            int_rows(bad)
+    for bad in (((1, 0.5), (0, 1)), ((True, 0), (0, 1))):
+        with pytest.raises(TypeError, match="inexact or boolean"):
+            int_rows(bad)
 
 
 @settings(deadline=None, derandomize=True, max_examples=300)

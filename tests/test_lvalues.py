@@ -61,6 +61,14 @@ def test_character_counts_and_multiplicativity():
             DirichletChar(f, chi.values, chi.ring)
 
 
+def test_validated_table_must_cover_exactly_the_units():
+    ring = CoeffRing(2)
+    for f, values in ((5, {1: 1, 4: 1}), (5, {0: 1, 1: 1, 2: -1, 3: -1, 4: 1}),
+                      (4, {1: 1, 2: 1, 3: -1})):
+        with pytest.raises(ValueError, match="cover exactly the units"):
+            DirichletChar(f, values, ring)
+
+
 def test_character_flags():
     chars = DirichletChar.enumerate(4)
     trivial = [c for c in chars if c.is_trivial]
