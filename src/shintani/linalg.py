@@ -187,8 +187,10 @@ def cofactor_form(cols, slot):
 
     Closed form for n = 3, (-1)^slot times the cross product a x b of the
     two columns, for n = 2, (a_1, -a_0) at slot 0 and (-a_1, a_0) at
-    slot 1, and (1,) for n = 1; n >= 4 takes the Laplace expansion along
-    w."""
+    slot 1, and (1,) for n = 1.  For n >= 4, _eliminate of [cols | I_n]
+    over the n - 1 columns leaves in the last row the determinants with
+    each unit vector appended, so the form is that row times
+    (-1)^(swaps + n - 1 - slot); dependent columns give the zero form."""
     n = len(cols) + 1
     if n == 3:
         (a0, a1, a2), (b0, b1, b2) = cols
@@ -199,11 +201,12 @@ def cofactor_form(cols, slot):
         return (a1, -a0) if slot == 0 else (-a1, a0)
     if n == 1:
         return (1,)
-    return tuple(
-        (-1) ** (row + slot)
-        * int_det([[c[r] for c in cols] for r in range(n) if r != row])
-        for row in range(n)
-    )
+    a = [[c[r] for c in cols] + [int(r == t) for t in range(n)] for r in range(n)]
+    p, swaps = _eliminate(a, n - 1)
+    if not p:
+        return (0,) * n
+    row = a[n - 1][n - 1:]
+    return tuple(row) if (swaps + n - 1 - slot) % 2 == 0 else tuple(-x for x in row)
 
 
 def coordinate_rows(gens):

@@ -376,6 +376,10 @@ class SchwartzFn:
         self.table = tbl
 
     def value_at(self, w) -> CoeffElem:
+        """Value at a rational point; zero off the support lattice, and a
+        point of another dimension is refused, not truncated or padded."""
+        if len(w) != self.n:
+            raise ValueError("point dimension mismatch")
         mod = self.d * self.f
         key = []
         for x in w:
@@ -489,6 +493,14 @@ def parallelotope_points(gens, d: int, f: int):
     return out
 
 
+def _ray_points(g, mod: int):
+    """parallelotope_points([f g], d, f) in closed form for a primitive g
+    and mod = d f: k = j g for j = 1 .. mod, in lexicographic order; no
+    two of these points share a residue class mod d f."""
+    steps = range(1, mod + 1) if next(x for x in g if x) > 0 else range(mod, 0, -1)
+    return [tuple([j * x for x in g]) for j in steps]
+
+
 # ---------------------------------------------------------------------------
 # Quotient series
 # ---------------------------------------------------------------------------
@@ -571,12 +583,14 @@ def pair_cone(cone: OpenSimplicialCone, phi: SchwartzFn, dmax: int) -> QuotSerie
     Scales each generator into the period lattice (the least multiple of
     a primitive generator in f Z^n is f times it) and returns the quotient
     series sum_p phi(p) exp(p.z) prod_i (-g(v_i.z)) / prod_i v_i.z, p over
-    the half-open parallelotope of the scaled generators v_i.  The
-    parallelotope is scanned in a reduced basis: linalg.reduce_rows gives
-    a unimodular U of Z^n that shortens the coordinate rows of the
+    the half-open parallelotope of the scaled generators v_i, each point
+    as its integer vector k = d p.  The points of a ray come in closed
+    form (_ray_points), with no scan and no solve; a cone of two or more
+    generators is scanned in a reduced basis: linalg.reduce_rows gives a
+    unimodular U of Z^n that shortens the coordinate rows of the
     generators, parallelotope_points scans the smaller box of the U v_i
     and yields integer vectors k' = d p', and each maps back to
-    k = U^-1 k' (no mapping when U is the identity, as always at n = 1).
+    k = U^-1 k' (no mapping when U is the identity).
     The value of the point k / d is read from the residue table at
     k mod d f; points of an absent class contribute nothing, and the
     points of one class share one list of integer moments.  The numerator
@@ -588,11 +602,15 @@ def pair_cone(cone: OpenSimplicialCone, phi: SchwartzFn, dmax: int) -> QuotSerie
         raise ValueError("cone and test function dimensions differ")
     d, mod = phi.d, phi.d * phi.f
     scaled = [tuple(phi.f * x for x in g) for g in cone.generators]
-    rows, back = reduce_rows(scaled)
-    classes = {}
-    for k in parallelotope_points(rows, d, phi.f):
+    if cone.dim == 1:
+        points = _ray_points(cone.generators[0], mod)
+    else:
+        rows, back = reduce_rows(scaled)
+        points = parallelotope_points(rows, d, phi.f)
         if back is not None:
-            k = tuple(idot(b, k) for b in back)
+            points = [tuple(idot(b, k) for b in back) for k in points]
+    classes = {}
+    for k in points:
         classes.setdefault(tuple(x % mod for x in k), []).append(k)
     groups = [(phi.table[c], pts) for c, pts in classes.items() if c in phi.table]
     num = _numerator(phi.ring, phi.n, dmax + cone.dim, d, groups, scaled)

@@ -8,7 +8,9 @@ is an independent definition of a value the library computes another way:
     columns: the paper's definition of the cocycle, which the integer
     kernel (``SigmaKernel``, ``tau_cocycle``) must reproduce;
     ``cramer_forms_reference``, the kernel's Cramer form lists from unit
-    vector determinants, sorted by exponent.
+    vector determinants, sorted by exponent; ``cofactor_form_reference``,
+    an adjugate row by Laplace expansion, the oracle for the eliminated
+    rows of ``linalg.cofactor_form``.
   * ``decompose_region_reference``, the fan refinement reading every
     piece's lists from the first, the oracle for the resumed split
     pieces of ``cone_algebra._decompose_region``.
@@ -165,6 +167,19 @@ def cvalue(basis, w) -> int:
         if sign_mpoly(det_mpoly_columns(repl)) != s:
             return 0
     return s
+
+
+def cofactor_form_reference(cols, slot):
+    """Row slot of the adjugate by Laplace expansion along the inserted
+    column: entry r is (-1)^(r + slot) times the minor of the n - 1
+    columns without row r.  The oracle for ``linalg.cofactor_form`` at
+    n >= 4, which reads the whole row from one elimination."""
+    n = len(cols) + 1
+    return tuple(
+        (-1) ** (row + slot)
+        * int_det([[c[r] for c in cols] for r in range(n) if r != row])
+        for row in range(n)
+    )
 
 
 def cramer_forms_reference(cols, slot):

@@ -3,10 +3,10 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import gauss_jordan_oracle, outcome
-from reference import identity, mat_det, mat_inv, mat_mul
+from reference import cofactor_form_reference, identity, mat_det, mat_inv, mat_mul
 from shintani.cli import random_invertible
 from shintani import linalg
 from shintani.errors import SingularMatrix
@@ -79,11 +79,35 @@ def test_int_rows_clears_by_one_scale_and_refuses_other_shapes():
 @settings(deadline=None, derandomize=True, max_examples=300)
 @given(case=insertion_cases())
 def test_cofactor_form_reads_det_with_w_inserted(case):
-    # the closed forms (n = 1, 2, 3) and the Laplace expansion (n = 4, 5)
+    # the closed forms (n = 1, 2, 3) and the elimination (n = 4, 5)
     # against the determinant of the matrix with w inserted at the slot
     cols, slot, w = case
     full = list(cols[:slot]) + [w] + list(cols[slot:])
     assert idot(cofactor_form(cols, slot), w) == int_det(list(zip(*full)))
+
+
+@st.composite
+def large_insertion_cases(draw):
+    """n - 1 integer columns of length n = 4..7 and a slot; at times one
+    column repeats another, so the columns are dependent."""
+    n = draw(st.integers(4, 7))
+    vec = st.tuples(*[st.integers(-5, 5)] * n)
+    cols = draw(st.lists(vec, min_size=n - 1, max_size=n - 1))
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 2)), draw(st.integers(0, n - 2))
+        cols[i] = cols[j]
+    return cols, draw(st.integers(0, n - 1))
+
+
+@example(case=([(1, 2, 3, 4, 5), (0, 1, 0, 2, 0), (1, 2, 3, 4, 5), (7, 0, 1, 1, 3)], 2))
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(case=large_insertion_cases())
+def test_cofactor_form_by_elimination_matches_laplace_expansion(case):
+    cols, slot = case
+    form = cofactor_form(cols, slot)
+    assert form == cofactor_form_reference(cols, slot)
+    if len(set(cols)) < len(cols):
+        assert not any(form)
 
 
 @st.composite

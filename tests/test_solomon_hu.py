@@ -35,6 +35,7 @@ from shintani.solomon_hu import (
     MSeries,
     QuotSeries,
     SchwartzFn,
+    _ray_points,
     laurent_coeff_1var,
     pair_cone,
     pair_combo,
@@ -311,6 +312,59 @@ def test_pair_cone_bilinear_in_phi():
     assert quot_equal_as_laurent(qsum, combined)
 
 
+@st.composite
+def ray_cases(draw):
+    """A primitive integer generator in ambient 1..3 with entries in
+    -3..3, of either lexicographic sign, and lattice data d, f in 1..3."""
+    n = draw(st.integers(1, 3))
+    g = draw(st.tuples(*[st.integers(-3, 3)] * n).filter(lambda g: gcd(*g) == 1))
+    return g, draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+
+@example(case=((1,), 3, 3))
+@example(case=((-1,), 2, 3))
+@example(case=((0, -2, 1), 3, 2))
+@example(case=((3, -1, 0), 3, 3))
+@example(case=((-1, 3, -3), 2, 3))
+@settings(deadline=None, derandomize=True, max_examples=120)
+@given(case=ray_cases())
+def test_ray_points_match_the_parallelotope_scan(case):
+    # the closed form gives the scan's points of the scaled ray, in its order
+    g, d, f = case
+    points = _ray_points(g, d * f)
+    assert points == parallelotope_points([tuple(f * x for x in g)], d, f)
+    assert len({tuple(x % (d * f) for x in k) for k in points}) == d * f
+
+
+def _assert_defining_identity(cone, phi, dmax):
+    """Multiplying the pairing back by prod(1 - exp(v.z)) recovers the
+    exponential sum over the parallelotope points of the scan."""
+    n = phi.n
+    q = pair_cone(cone, phi, dmax)
+    lhs = q.num
+    for vec in q.denoms:
+        lhs = series_product(lhs, one_minus_exp(q.ring, n, q.num.trunc, vec))
+    rhs = MSeries.zero(q.ring, n, q.num.trunc)
+    for p in rational_points(q.denoms, phi.d, phi.f):
+        v = phi.value_at(p)
+        if v:
+            rhs = rhs + exp_series(q.ring, n, q.num.trunc, p).scale(v)
+    for vec in q.denoms:
+        rhs = rhs.mul_exact_linear(vec)
+    assert lhs == rhs
+
+
+def test_pair_cone_defining_identity_on_rays():
+    # rays in ambient 1..3 with d = 3 and f = 2 or 3, generators of both signs
+    rng = random.Random(25)
+    for n, f, g in ((1, 2, (1,)), (1, 3, (-1,)), (2, 2, (2, -3)), (2, 3, (-1, 1)),
+                    (3, 2, (1, 0, -2)), (3, 3, (0, -1, 2)), (3, 2, (-2, 1, 1))):
+        d = 3
+        table = {k: Fraction(rng.randint(-2, 2))
+                 for k in product(range(d * f), repeat=n) if rng.randrange(3)}
+        _assert_defining_identity(OpenSimplicialCone((g,)), SchwartzFn(n, d, f, table), 2)
+
+
 def test_pair_cone_defining_identity():
     # multiplying back by prod(1 - exp(v.z)) recovers the parallelotope sum
     rng = random.Random(6)
@@ -327,19 +381,7 @@ def test_pair_cone_defining_identity():
             for j in range(d * f):
                 if rng.randrange(3):
                     table[(i, j)] = Fraction(rng.randint(-2, 2))
-        phi = SchwartzFn(2, d, f, table)
-        q = pair_cone(cone, phi, 3)
-        lhs = q.num
-        for vec in q.denoms:
-            lhs = series_product(lhs, one_minus_exp(q.ring, 2, q.num.trunc, vec))
-        rhs = MSeries.zero(q.ring, 2, q.num.trunc)
-        for p in rational_points(q.denoms, d, f):
-            v = phi.value_at(p)
-            if v:
-                rhs = rhs + exp_series(q.ring, 2, q.num.trunc, p).scale(v)
-        for vec in q.denoms:
-            rhs = rhs.mul_exact_linear(vec)
-        assert lhs == rhs
+        _assert_defining_identity(cone, SchwartzFn(2, d, f, table), 3)
 
 
 def test_pair_cone_scaling_robustness():
@@ -861,3 +903,11 @@ def test_schwartz_value_lookup():
     assert phi.value_at((Fraction(1, 2) + 3,)) == QQ.from_rat(5)
     assert phi.value_at((Fraction(1, 3),)) == QQ.zero()
     assert phi.value_at((Fraction(1),)) == QQ.zero()
+
+
+def test_schwartz_value_refuses_a_point_of_another_dimension():
+    phi = SchwartzFn(2, 1, 2, {(1, 0): 1})
+    assert phi.value_at((1, 0)) == QQ.from_rat(1)
+    for w in ((1,), (1, 0, 0)):
+        with pytest.raises(ValueError, match="point dimension mismatch"):
+            phi.value_at(w)
