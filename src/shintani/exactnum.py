@@ -13,7 +13,6 @@ used anywhere.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -185,38 +184,22 @@ class MPoly:
 # Bernoulli numbers and polynomials, convention B_1 = -1/2
 # ---------------------------------------------------------------------------
 
-class BernoulliTable:
-    """Cached Bernoulli numbers, extended on demand.
-
-    Uses the defining recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1,
-    which forces B_0 = 1 and B_1 = -1/2.  Extension is guarded by a lock so
-    the cache is safe to grow from concurrent tasks.
-    """
-
-    def __init__(self):
-        self._values = [Fraction(1)]
-        self._lock = threading.Lock()
-
-    def get(self, m: int) -> Fraction:
-        if m < 0:
-            raise ValueError("Bernoulli index must be non-negative")
-        if m >= len(self._values):
-            with self._lock:
-                while len(self._values) <= m:
-                    k = len(self._values)
-                    acc = sum(
-                        comb(k + 1, j) * self._values[j] for j in range(k)
-                    )
-                    self._values.append(Fraction(-acc, k + 1))
-        return self._values[m]
-
-
-_BERNOULLI = BernoulliTable()
+# B_0 .. B_k so far; bernoulli_number extends the list on demand, with no
+# lock, since the package runs no threads.
+_BERNOULLI = [Fraction(1)]
 
 
 def bernoulli_number(m: int) -> Fraction:
-    """B_m with B_1 = -1/2 (generating function t / (e^t - 1))."""
-    return _BERNOULLI.get(m)
+    """B_m with B_1 = -1/2 (generating function t / (e^t - 1)), from the
+    defining recurrence sum_{j=0}^{k} C(k+1, j) B_j = 0 for k >= 1, which
+    forces B_0 = 1 and B_1 = -1/2; the values are kept in _BERNOULLI."""
+    if m < 0:
+        raise ValueError("Bernoulli index must be non-negative")
+    values = _BERNOULLI
+    while len(values) <= m:
+        k = len(values)
+        values.append(Fraction(-sum(comb(k + 1, j) * values[j] for j in range(k)), k + 1))
+    return values[m]
 
 
 def bernoulli_poly(m: int, x) -> Fraction:

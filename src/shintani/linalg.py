@@ -3,13 +3,15 @@
 A rational vector is a tuple of ints and Fractions.  A matrix is held in
 one form only: rows of plain ints that are a positive multiple of the
 rational matrix (``int_rows``), since a positive scale changes no sign
-and no solution.  Everything is immutable and all arithmetic is exact.
+and no solution.  The determinant, adjugate and solve helpers take plain
+ints and answer in ints, a rational answer as integers over one positive
+denominator.  Everything is immutable and all arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations, permutations
+from itertools import combinations, permutations
 from math import gcd, lcm
 from operator import mul
 
@@ -27,37 +29,35 @@ def frac(x) -> Fraction:
 
 
 def solve_columns(cols, w):
-    """Solve sum_i x_i * cols[i] = w for linearly independent columns.
+    """Solve sum_i x_i * cols[i] = w in integers, for plain int columns
+    and an int w; callers clear rational input first (``int_rows``,
+    ``int_scale_point``).
 
-    Two routes, picked by the input alone.  A system of plain ints with
-    len(w) <= 2 is solved in closed form (_solve_small_int).  Anything
-    else (Fraction entries, or three or more equations) is cleared to
-    integers by one common denominator and goes through ``_eliminate``,
-    whose last pivot is the common denominator of the solution.  Entries
-    other than int and Fraction are coerced by frac, so floats and bools
-    raise TypeError.
-
-    Both routes return the coefficient list as Fractions, or None when w
-    is outside the span, and raise SingularMatrix if the columns are
-    dependent (checked before the span).
+    Returns (den, ys) with den > 0 and sum_i ys[i] * cols[i] = den * w,
+    so x_i = ys[i] / den, or None when w is outside the span; raises
+    SingularMatrix when the columns are dependent, checked before the
+    span.  Two routes, picked by shape: Cramer's rule for two columns of
+    length 2, where den is |det|, and ``_eliminate`` for everything else,
+    where den is the absolute value of its last pivot.  For a square
+    system both give den = |det| and the ys of ``coordinate_rows``.
     """
     n = len(w)
     r = len(cols)
-    kinds = set(map(type, chain(w, *cols)))
-    if n <= 2 and kinds <= {int}:
-        return _solve_small_int(cols, w, n, r)
-    a = [[cols[j][i] for j in range(r)] + [w[i]] for i in range(n)]
-    if not kinds <= {int, Fraction}:
-        a = [[frac(x) for x in row] for row in a]
-    if kinds != {int}:
-        den = lcm(*(x.denominator for row in a for x in row))
-        a = [[x.numerator * (den // x.denominator) for x in row] for row in a]
+    if n == r == 2:
+        (a, c), (b, d) = cols
+        det = a * d - b * c
+        if not det:
+            raise SingularMatrix("columns are linearly dependent")
+        y0, y1 = w[0] * d - b * w[1], a * w[1] - c * w[0]
+        return (det, [y0, y1]) if det > 0 else (-det, [-y0, -y1])
+    a = [[col[i] for col in cols] + [w[i]] for i in range(n)]
     p = _eliminate(a, r)[0]
     if not p:
         raise SingularMatrix("columns are linearly dependent")
     if any(a[k][r] for k in range(r, n)):
         return None
-    return [Fraction(a[j][r], p) for j in range(r)]
+    ys = [a[j][r] for j in range(r)]
+    return (p, ys) if p > 0 else (-p, [-y for y in ys])
 
 
 def _eliminate(a, r):
@@ -65,9 +65,10 @@ def _eliminate(a, r):
     columns of the integer rows a, in place.  Every step divides exactly
     by the previous pivot, so each row stays a nonzero multiple of its
     rational counterpart, and the pivot of step k is the leading minor of
-    size k + 1 of the row-swapped matrix.  Returns (the last pivot, the
-    number of row swaps); the pivot is 0 when one of the r columns has
-    none, and the elimination stops there."""
+    size k + 1 of the row-swapped matrix; after the last step every row
+    j < r reads that pivot in column j and zero in the other r - 1.
+    Returns (the last pivot, the number of row swaps); the pivot is 0
+    when one of the r columns has none, and the elimination stops there."""
     n = len(a)
     prev = 1
     swaps = 0
@@ -86,30 +87,6 @@ def _eliminate(a, r):
                 a[k] = [(p * x - f * y) // prev for x, y in zip(a[k], top)]
         prev = p
     return prev, swaps
-
-
-def _solve_small_int(cols, w, n, r):
-    """solve_columns for plain ints and n = len(w) <= 2, in closed form:
-    r = 0 is solved iff w = 0, r > n is always dependent, one column is
-    read at its first nonzero entry and w is tested against it by cross
-    multiplication, and r = n = 2 is Cramer's rule."""
-    if r == 0:
-        return None if any(w) else []
-    if r > n:
-        raise SingularMatrix("columns are linearly dependent")
-    if r == 2:
-        (a, c), (b, d) = cols[0][:2], cols[1][:2]
-        det = a * d - b * c
-        if not det:
-            raise SingularMatrix("columns are linearly dependent")
-        return [Fraction(w[0] * d - b * w[1], det), Fraction(a * w[1] - c * w[0], det)]
-    g = cols[0]
-    p = 0 if g[0] else n - 1
-    if not g[p]:
-        raise SingularMatrix("columns are linearly dependent")
-    if n == 2 and w[0] * g[1] != w[1] * g[0]:
-        return None
-    return [Fraction(w[p], g[p])]
 
 
 # ---------------------------------------------------------------------------

@@ -96,9 +96,11 @@ class DirichletChar:
 
     Values are stored as coefficient ring elements (roots of unity).  With
     validate (the default, and the route of every table read from outside)
-    the table must cover exactly the units and be multiplicative there;
+    the table must cover exactly the units, send 1 to 1 and be
+    multiplicative there, checked at every unit times every generator of
+    ``unit_group_generators`` (phi(f) * #generators ring products);
     ``trivial`` and ``CharacterTable`` build exact unit tables and skip
-    both checks.
+    these checks.
     """
 
     def __init__(self, f: int, values: dict, ring: CoeffRing, validate: bool = True):
@@ -115,9 +117,11 @@ class DirichletChar:
             one = 1 % f
             if vals[one] != ring.one():
                 raise ValueError("character must send 1 to 1")
-            for a in units:
-                for b in units:
-                    if vals[(a * b) % f] != vals[a] * vals[b]:
+            # chi(a g) = chi(a) chi(g) at every generator g gives chi(ab) =
+            # chi(a) chi(b) by induction on a word for b in the generators
+            for g in unit_group_generators(f)[0]:
+                for a in units:
+                    if vals[(a * g) % f] != vals[a] * vals[g]:
                         raise ValueError("character table is not multiplicative")
 
     def __call__(self, n: int) -> CoeffElem:

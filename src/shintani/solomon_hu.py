@@ -469,26 +469,29 @@ def parallelotope_points(gens, d: int, f: int):
     """Points p of the support lattice (1/d)Z^n inside the half-open
     parallelotope {sum x_i g_i : x_i in (0, 1]}, as their integer vectors
     k = d p in lexicographic order; the point k/d is left implicit.
-    Scans the integer points k of the bounding box scaled by d, solves
-    sum y_i g_i = k exactly (y = d x) and keeps k when 0 < y_i <= d,
-    tested on numerator and (positive) denominator as integers.
-    Generators must lie in f Z^n.  The box is that of the generators as
-    given; pair_cone passes generators shortened by linalg.reduce_rows,
-    which keeps the points up to a unimodular change of coordinates."""
-    gens = [tuple(frac(x) for x in g) for g in gens]
+
+    The generators are vectors of plain ints in f Z^n: any other entry
+    raises TypeError, an entry off f Z raises ValueError.  Scans the
+    integer points k of the bounding box scaled by d; each k is one
+    integer solve_columns, (den, y) with sum y_i g_i = den k, and is kept
+    when 0 < y_i <= d den, i.e. 0 < x_i <= 1 for x_i = y_i / (d den).
+    The box is that of the generators as given; pair_cone passes
+    generators shortened by linalg.reduce_rows, which keeps the points up
+    to a unimodular change of coordinates."""
     for g in gens:
         for x in g:
-            if x.denominator != 1 or x.numerator % f != 0:
+            if type(x) is not int:
+                raise TypeError(f"generator entries must be ints, got {x!r}")
+            if x % f:
                 raise ValueError("generators must lie in the period lattice")
-    gens = [tuple(x.numerator for x in g) for g in gens]
     ranges = [
         range(d * sum(min(0, x) for x in col), d * sum(max(0, x) for x in col) + 1)
         for col in zip(*gens)
     ]
     out = []
     for k in product(*ranges):
-        y = solve_columns(gens, k)
-        if y is not None and all(0 < c.numerator <= d * c.denominator for c in y):
+        sol = solve_columns(gens, k)
+        if sol is not None and all(0 < y <= d * sol[0] for y in sol[1]):
             out.append(k)
     return out
 
@@ -588,9 +591,10 @@ def pair_cone(cone: OpenSimplicialCone, phi: SchwartzFn, dmax: int) -> QuotSerie
     form (_ray_points), with no scan and no solve; a cone of two or more
     generators is scanned in a reduced basis: linalg.reduce_rows gives a
     unimodular U of Z^n that shortens the coordinate rows of the
-    generators, parallelotope_points scans the smaller box of the U v_i
-    and yields integer vectors k' = d p', and each maps back to
-    k = U^-1 k' (no mapping when U is the identity).
+    generators, parallelotope_points scans the smaller box of the U v_i,
+    one integer solve per candidate, and yields integer vectors
+    k' = d p', and each maps back to k = U^-1 k' (no mapping when U is
+    the identity).
     The value of the point k / d is read from the residue table at
     k mod d f; points of an absent class contribute nothing, and the
     points of one class share one list of integer moments.  The numerator

@@ -45,35 +45,6 @@ def random_general_position(rng, n, count, lo=-5, hi=5):
             return vecs
 
 
-def gauss_jordan_oracle(cols, w):
-    """Rational Gauss-Jordan solve of sum_i x_i * cols[i] = w on Fraction
-    entries (each pivot row normalised to 1), the oracle for the
-    fraction-free linalg.solve_columns.  Same contract: None when w is
-    outside the span, SingularMatrix when the columns are dependent."""
-    n = len(w)
-    r = len(cols)
-    a = [[cols[j][i] for j in range(r)] + [w[i]] for i in range(n)]
-    row = 0
-    pivots = []
-    for col in range(r):
-        piv = next((k for k in range(row, n) if a[k][col] != 0), None)
-        if piv is None:
-            raise SingularMatrix("columns are linearly dependent")
-        a[row], a[piv] = a[piv], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        for k in range(n):
-            if k != row and a[k][col] != 0:
-                f = a[k][col]
-                a[k] = [x - f * y for x, y in zip(a[k], a[row])]
-        pivots.append(row)
-        row += 1
-    for k in range(row, n):
-        if a[k][r] != 0:
-            return None
-    return [a[pivots[col]][r] for col in range(r)]
-
-
 def outcome(solve, *args):
     """Result of solve(*args), or the SingularMatrix class if it raised it."""
     try:

@@ -14,15 +14,17 @@ is an independent definition of a value the library computes another way:
   * ``decompose_region_reference``, the fan refinement reading every
     piece's lists from the first, the oracle for the resumed split
     pieces of ``cone_algebra._decompose_region``.
-  * ``identity``, ``dot``, ``mat_vec``, ``mat_det``, ``mat_mul`` and
-    ``mat_inv``: rational matrices, vectors and determinants by Gaussian
-    elimination, which the tests use to move tuples and points by a
-    matrix; ``mat_det`` is the oracle for the integer ``int_det``.
+  * ``identity``, ``dot``, ``mat_vec``, ``mat_det``, ``mat_mul``,
+    ``gauss_jordan_oracle`` and ``mat_inv``: rational matrices, vectors,
+    determinants and solves by Gaussian elimination, which the tests use
+    to move tuples and points by a matrix; ``mat_det`` is the oracle for
+    the integer ``int_det`` and ``gauss_jordan_oracle`` for the integer
+    ``solve_columns``.
   * ``cyclotomic_poly_reference``, Phi_m by dense division of x^m - 1 by
     the cyclotomic polynomials of the proper divisors, the oracle for the
     Moebius product of ``cyclotomic_poly``; ``coeff_inv`` and
-    ``coeff_pow``, ring inverses by a linear solve over the rational basis
-    and powers by repeated squaring.
+    ``coeff_pow``, ring inverses by a Gauss-Jordan solve over the rational
+    basis and powers by repeated squaring.
   * ``solomon_s``, ``coboundary_tau_half``, ``tau_transport`` and
     ``closed_form_sigma_n2``: the dimension-2 half-weighted cocycle, the
     half-ray coboundary function and the closed-form tables.
@@ -60,7 +62,6 @@ from shintani.linalg import (
     frac,
     int_det,
     sign as rsign,
-    solve_columns,
 )
 from shintani.lvalues import DirichletChar, dirichlet_L_closed
 from shintani.ordered_field import (
@@ -283,11 +284,42 @@ def mat_mul(a, b):
     return tuple(tuple(dot(row, col) for col in cols) for row in a)
 
 
+def gauss_jordan_oracle(cols, w):
+    """Rational Gauss-Jordan solve of sum_i x_i * cols[i] = w (each pivot
+    row normalised to 1), the oracle for the integer linalg.solve_columns:
+    x as a list of Fractions, None when w is outside the span,
+    SingularMatrix when the columns are dependent.  Entries are coerced
+    by frac, so floats and bools raise TypeError."""
+    n = len(w)
+    r = len(cols)
+    a = [[frac(cols[j][i]) for j in range(r)] + [frac(w[i])] for i in range(n)]
+    row = 0
+    pivots = []
+    for col in range(r):
+        piv = next((k for k in range(row, n) if a[k][col] != 0), None)
+        if piv is None:
+            raise SingularMatrix("columns are linearly dependent")
+        a[row], a[piv] = a[piv], a[row]
+        inv = 1 / a[row][col]
+        a[row] = [x * inv for x in a[row]]
+        for k in range(n):
+            if k != row and a[k][col] != 0:
+                f = a[k][col]
+                a[k] = [x - f * y for x, y in zip(a[k], a[row])]
+        pivots.append(row)
+        row += 1
+    for k in range(row, n):
+        if a[k][r] != 0:
+            return None
+    return [a[pivots[col]][r] for col in range(r)]
+
+
 def mat_inv(m):
-    """Inverse of a square rational matrix, one solve per unit column;
-    raises SingularMatrix when the columns are dependent."""
+    """Inverse of a square rational matrix, one Gauss-Jordan solve per
+    unit column; float and bool entries raise TypeError, dependent
+    columns SingularMatrix."""
     cols = list(zip(*m))
-    inv_cols = [solve_columns(cols, e) for e in identity(len(m))]
+    inv_cols = [gauss_jordan_oracle(cols, e) for e in identity(len(m))]
     return tuple(zip(*inv_cols))
 
 
@@ -421,7 +453,7 @@ def coeff_inv(x: CoeffElem) -> CoeffElem:
         prod = x * CoeffElem(ring, {b: Fraction(1)})
         cols.append([prod.coeffs.get(k, Fraction(0)) for k in basis])
     try:
-        y = solve_columns(cols, [Fraction(b == (0, 0)) for b in basis])
+        y = gauss_jordan_oracle(cols, [Fraction(b == (0, 0)) for b in basis])
     except SingularMatrix:
         raise ZeroDivisionError("element is not invertible in the ring")
     return CoeffElem(ring, {b: c for b, c in zip(basis, y) if c})

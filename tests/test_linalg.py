@@ -5,13 +5,21 @@ from math import lcm
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import gauss_jordan_oracle, outcome
-from reference import cofactor_form_reference, identity, mat_det, mat_inv, mat_mul
+from conftest import outcome
+from reference import (
+    cofactor_form_reference,
+    gauss_jordan_oracle,
+    identity,
+    mat_det,
+    mat_inv,
+    mat_mul,
+)
 from shintani.cli import random_invertible
 from shintani import linalg
 from shintani.errors import SingularMatrix
 from shintani.linalg import (
     cofactor_form,
+    coordinate_rows,
     first_nonzero_sign,
     idot,
     int_det,
@@ -167,8 +175,6 @@ def test_mat_inv_rejects_singular():
 
 
 def test_integer_input_gives_fractions():
-    x = solve_columns([(3,)], (1,))
-    assert x == [Fraction(1, 3)] and type(x[0]) is Fraction
     inv = mat_inv(((2, 0), (0, 3)))
     assert inv == ((Fraction(1, 2), 0), (0, Fraction(1, 3)))
     assert all(type(c) is Fraction for row in inv for c in row)
@@ -178,12 +184,8 @@ def test_integer_input_gives_fractions():
         mat_det(((2.0, 1), (1, 3)))
 
 
-def test_solve_columns_and_mat_inv_refuse_floats_and_bools():
+def test_mat_inv_refuses_floats_and_bools():
     for bad in (0.5, True, False):
-        for cols, w in (([(bad,)], (1,)), ([(1,)], (bad,)),
-                        ([(Fraction(1, 2), 1), (0, bad)], (1, 1))):
-            with pytest.raises(TypeError, match="inexact or boolean"):
-                solve_columns(cols, w)
         for m in (((2, 0), (0, bad)), ((Fraction(1, 2), 0), (bad, 1))):
             with pytest.raises(TypeError, match="inexact or boolean"):
                 mat_inv(m)
@@ -247,45 +249,91 @@ def test_int_scale_point_remembers_only_the_last_tuple(monkeypatch):
         read((Fraction(1, k), Fraction(k, 3)), 1)
 
 
-MIXED = st.one_of(ENTRY, st.fractions(-9, 9, max_denominator=6))
+def test_solve_columns_answers_in_integers_over_a_positive_denominator():
+    assert solve_columns([(3,)], (1,)) == (3, [1])
+    assert solve_columns([(-3,)], (1,)) == (3, [-1])
+    assert solve_columns([(0, 1), (1, 0)], (2, 5)) == (1, [5, 2])  # det -1
+    assert solve_columns([(2, 0, 0), (0, 0, -3)], (1, 0, 1)) == (6, [3, -2])
+    assert solve_columns([(1, 2)], (1, 3)) is None
+    assert solve_columns([], (0, 0)) == (1, [])
+    assert solve_columns([], (0, 1)) is None
+    # dependent columns are refused before w is tested against the span
+    for cols, w in (([(1, 2), (2, 4)], (1, 3)), ([(1, 0), (0, 1), (1, 1)], (0, 7)),
+                    ([(0, 0, 0)], (1, 0, 0)), ([(1,)] * 2, (1,))):
+        with pytest.raises(SingularMatrix):
+            solve_columns(cols, w)
 
 
 @st.composite
 def solve_cases(draw):
-    """Columns and a right-hand side for solve_columns, drawn for either of
-    its routes.  Half the cases are mixed int/Fraction entries, n <= 5 and
-    r <= n.  The other half are plain ints with n <= 2 and r <= n + 1, the
-    closed-form route.  Either way a column may be forced into the span of
-    the others (a zero column when it is the only one or its coefficients
-    vanish), and w is a combination of the columns or drawn freely (off
-    the span for most r < n)."""
-    small = draw(st.booleans())
-    entry = ENTRY if small else MIXED
-    n = draw(st.integers(0, 2) if small else st.integers(1, 5))
-    r = draw(st.integers(0, n + small))
-    vec = st.lists(entry, min_size=n, max_size=n)
+    """Integer columns and right-hand side for solve_columns: n <= 5 and
+    r <= n + 1, so both routes (two columns of length 2, and elimination)
+    are drawn.  A column may be forced into the span of the others (a
+    zero column when it is the only one or its coefficients vanish), and
+    w is a combination of the columns or drawn freely (off the span for
+    most r < n)."""
+    n = draw(st.integers(0, 5))
+    r = draw(st.integers(0, n + 1))
+    vec = st.lists(ENTRY, min_size=n, max_size=n)
     cols = draw(st.lists(vec, min_size=r, max_size=r))
     if r and draw(st.booleans()):
         j = draw(st.integers(0, r - 1))
-        cols[j] = draw(_combinations(cols[:j] + cols[j + 1:], n, entry))
-    w = draw(_combinations(cols, n, entry) if draw(st.booleans()) else vec)
+        cols[j] = draw(_combinations(cols[:j] + cols[j + 1:], n))
+    w = draw(_combinations(cols, n) if draw(st.booleans()) else vec)
     return cols, w
 
 
-def _combinations(cols, n, entry):
-    """Combinations of the columns with coefficients drawn from entry (the
-    zero vector if there are no columns); plain ints stay plain ints."""
-    return st.lists(entry, min_size=len(cols), max_size=len(cols)).map(
+def _combinations(cols, n):
+    """Integer combinations of the columns (the zero vector if there are
+    no columns)."""
+    return st.lists(ENTRY, min_size=len(cols), max_size=len(cols)).map(
         lambda coeffs: [sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(n)]
     )
 
 
+@example(case=([(1, 2), (3, 4)], [5, 6]))
+@example(case=([(1, 2), (2, 4)], [1, 3]))
+@example(case=([(1, 0, 2), (0, 1, 1)], [1, 1, 9]))
 @settings(deadline=None, derandomize=True, max_examples=800)
 @given(case=solve_cases())
 def test_solve_columns_matches_rational_gauss_jordan(case):
     cols, w = case
-    rational = ([[Fraction(x) for x in col] for col in cols], [Fraction(x) for x in w])
     got = outcome(solve_columns, cols, w)
-    assert got == outcome(gauss_jordan_oracle, *rational)
-    if isinstance(got, list):
-        assert all(type(x) is Fraction for x in got)
+    want = outcome(gauss_jordan_oracle, cols, w)
+    if not isinstance(got, tuple):
+        assert got == want
+        return
+    den, ys = got
+    assert type(den) is int and den > 0 and all(type(y) is int for y in ys)
+    assert [Fraction(y, den) for y in ys] == want
+    combination = [sum(y * col[i] for y, col in zip(ys, cols)) for i in range(len(w))]
+    assert combination == [den * x for x in w]
+
+
+@st.composite
+def square_cases(draw):
+    """n integer columns of length n <= 5 and a point w; at times one
+    column is a copy of another with one entry set to 0."""
+    n = draw(st.integers(1, 5))
+    vec = st.lists(ENTRY, min_size=n, max_size=n)
+    cols = draw(st.lists(vec, min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        cols[i] = list(cols[j])
+        cols[i][draw(st.integers(0, n - 1))] = 0
+    return cols, draw(vec)
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(case=square_cases())
+def test_square_solve_reads_the_coordinate_rows(case):
+    # den is |det| on both routes, and ys are the coordinate rows at w
+    cols, w = case
+    try:
+        den, rows, _ = coordinate_rows(cols)
+    except ValueError:
+        with pytest.raises(SingularMatrix):
+            solve_columns(cols, w)
+        return
+    assert den == abs(int_det(list(zip(*cols))))
+    assert solve_columns(cols, w) == (den, [idot(row, w) for row in rows])

@@ -17,7 +17,7 @@ from shintani.errors import (
     NotDivisible,
     NotSquareFree,
 )
-from shintani.exactnum import MAX_D, CoeffRing, _factorize, bernoulli_poly
+from shintani.exactnum import MAX_D, CoeffElem, CoeffRing, _factorize, bernoulli_poly
 from shintani.lvalues import (
     DirichletChar,
     build_real_quad,
@@ -67,6 +67,37 @@ def test_validated_table_must_cover_exactly_the_units():
                       (4, {1: 1, 2: 1, 3: -1})):
         with pytest.raises(ValueError, match="cover exactly the units"):
             DirichletChar(f, values, ring)
+
+
+def test_validation_multiplies_each_unit_by_each_generator(monkeypatch):
+    # chi(a g) = chi(a) chi(g) for every unit a and generator g: phi(f)
+    # ring products per generator, not phi(f)^2
+    calls = []
+    mul = CoeffElem.__mul__
+    monkeypatch.setattr(CoeffElem, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+    for f in (1, 2, 8, 24, 105, 131):
+        chi = DirichletChar.enumerate(f)[-1]
+        units = sum(1 for n in range(f) if _gcd(n, f) == 1)
+        del calls[:]
+        DirichletChar(f, chi.values, chi.ring)
+        assert len(calls) <= units * len(unit_group_generators(f)[0])
+
+
+def test_validation_refuses_every_single_changed_value():
+    # a character with one value negated at a unit u != 1 (a generator or
+    # not) is refused by the generator check
+    for f in (5, 7, 8, 9, 12, 15, 16, 21, 24):
+        gens = unit_group_generators(f)[0]
+        chars = DirichletChar.enumerate(f)
+        for chi in (chars[1], chars[len(chars) - 1]):
+            changed = 0
+            for u, v in chi.values.items():
+                if u == 1:
+                    continue
+                changed += u not in gens
+                with pytest.raises(ValueError, match="^character table is not multiplicative$"):
+                    DirichletChar(f, {**chi.values, u: -v}, chi.ring)
+            assert changed  # some changed unit was not a generator
 
 
 def test_character_flags():

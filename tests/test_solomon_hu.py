@@ -7,10 +7,11 @@ from math import ceil, floor, gcd
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import gauss_jordan_oracle, outcome, rational_points
+from conftest import outcome, rational_points
 from reference import (
     exp_series,
     g_series,
+    gauss_jordan_oracle,
     mat_inv,
     mat_mul,
     one_minus_exp,
@@ -88,37 +89,46 @@ def test_phi_map_translation_compatibility():
 # ---------------------------------------------------------------------------
 
 def test_parallelotope_interval():
-    pts = rational_points([(fr(2),)], 1, 1)
+    pts = rational_points([(2,)], 1, 1)
     assert pts == [(Fraction(1),), (Fraction(2),)]
 
 
 def test_parallelotope_unit_box():
-    pts = rational_points([(fr(1), fr(0)), (fr(0), fr(1))], 1, 1)
+    pts = rational_points([(1, 0), (0, 1)], 1, 1)
     assert pts == [(Fraction(1), Fraction(1))]
 
 
 def test_parallelotope_sheared():
     # frozen oracle from an independent scan over the bounding box
-    pts = rational_points([(fr(1), fr(0)), (fr(1), fr(2))], 1, 1)
+    pts = rational_points([(1, 0), (1, 2)], 1, 1)
     assert pts == [(Fraction(1), Fraction(1)), (Fraction(2), Fraction(2))]
 
 
 def test_parallelotope_fine_support():
     # the points come as their integer vectors k = d p
-    ks = parallelotope_points([(fr(1),)], 2, 1)
+    ks = parallelotope_points([(1,)], 2, 1)
     assert ks == [(1,), (2,)] and all(type(x) is int for k in ks for x in k)
-    pts = rational_points([(fr(1),)], 2, 1)
+    pts = rational_points([(1,)], 2, 1)
     assert pts == [(Fraction(1, 2),), (Fraction(1),)]
 
 
 def test_parallelotope_requires_period_lattice():
     for gens, d, f in (
-        ([(Fraction(1, 2),)], 1, 1),
-        ([(fr(2), fr(1))], 1, 2),
-        ([(fr(3), fr(0)), (fr(0), fr(-4))], 2, 3),
+        ([(3,)], 1, 2),
+        ([(2, 1)], 1, 2),
+        ([(3, 0), (0, -4)], 2, 3),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="period lattice"):
             parallelotope_points(gens, d, f)
+
+
+def test_parallelotope_refuses_entries_that_are_not_ints():
+    # Fractions (integral ones too), floats and bools: generators are
+    # plain ints, checked once per cone before the scan
+    for bad in (Fraction(1, 2), Fraction(2), 2.0, 0.5, True, False):
+        for gens in ([(bad,)], [(1, 0), (0, bad)], [(bad, 1), (1, 2)], [(1, 0, bad)]):
+            with pytest.raises(TypeError, match="must be ints"):
+                parallelotope_points(gens, 1, 1)
 
 
 def _box_scan_oracle(gens, d):
@@ -149,7 +159,7 @@ def parallelotope_cases(draw):
     f = draw(st.integers(1, 3))
     entry = st.integers(-2, 2) if n < 3 else st.integers(-1, 1)
     gens = draw(st.lists(st.tuples(*[entry] * n), min_size=r, max_size=r))
-    return [tuple(Fraction(f * x) for x in g) for g in gens], d, f
+    return [tuple(f * x for x in g) for g in gens], d, f
 
 
 @settings(deadline=None, derandomize=True, max_examples=150)
@@ -165,14 +175,14 @@ def test_parallelotope_brute_force_cross_check():
     # the determinant, so a grid at that resolution is exhaustive
     rng = random.Random(4)
     for _ in range(10):
-        g1 = (Fraction(rng.randint(1, 3)), Fraction(rng.randint(0, 2)))
-        g2 = (Fraction(rng.randint(-2, 2)), Fraction(rng.randint(1, 3)))
+        g1 = (rng.randint(1, 3), rng.randint(0, 2))
+        g2 = (rng.randint(-2, 2), rng.randint(1, 3))
         det = g1[0] * g2[1] - g1[1] * g2[0]
         if det == 0:
             continue
         pts = set(rational_points([g1, g2], 1, 1))
         expected = set()
-        steps = abs(int(det))
+        steps = abs(det)
         for i in range(1, steps + 1):
             for j in range(1, steps + 1):
                 x1 = Fraction(i, steps)
@@ -369,8 +379,8 @@ def test_pair_cone_defining_identity():
     # multiplying back by prod(1 - exp(v.z)) recovers the parallelotope sum
     rng = random.Random(6)
     for _ in range(12):
-        g1 = (Fraction(rng.randint(1, 3)), Fraction(rng.randint(0, 2)))
-        g2 = (Fraction(rng.randint(-2, 2)), Fraction(rng.randint(1, 3)))
+        g1 = (rng.randint(1, 3), rng.randint(0, 2))
+        g2 = (rng.randint(-2, 2), rng.randint(1, 3))
         if g1[0] * g2[1] - g1[1] * g2[0] == 0:
             continue
         cone = OpenSimplicialCone((g1, g2))
