@@ -28,7 +28,7 @@ from .lvalues import (
     s_coeffs,
     trivial_quad_schwartz,
 )
-from .solomon_hu import SchwartzFn, pair_combo, _coeff_to_json
+from .solomon_hu import SchwartzFn, pair_combo
 
 EXIT_OK = 0
 EXIT_SCHEMA = 64
@@ -157,7 +157,7 @@ def _parse_quad_char(doc, K) -> SchwartzFn:
 
 
 def _value_json(v):
-    return str(v) if isinstance(v, Fraction) else _coeff_to_json(v)
+    return str(v) if isinstance(v, Fraction) else v.to_json()
 
 
 # ---------------------------------------------------------------------------

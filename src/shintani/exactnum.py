@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import comb, gcd, prod
+from math import comb, gcd, lcm, prod
 
 from .errors import ShintaniError
 from .linalg import frac
@@ -277,7 +277,9 @@ class CoeffRing:
 
     m = 1 and D = None degenerate to Q itself.  Only positive square-free
     D > 1 is accepted.  Basis monomials are g1^i * g2^j with
-    0 <= i < deg(Phi_m) and j in {0} or {0, 1}.
+    0 <= i < deg(Phi_m) and j in {0} or {0, 1}.  One integer table of the
+    reduced powers g1^k, k = 0..m-1, serves zeta, coerce and the product,
+    where a rational right factor multiplies as a scalar.
     """
 
     def __init__(self, m: int = 1, D=None):
@@ -361,6 +363,24 @@ class CoeffRing:
 
     def basis(self):
         return [(i, j) for j in self._jrange for i in range(self.deg)]
+
+    # -- integer views -------------------------------------------------------
+
+    def clear(self, elems):
+        """Elements of this ring over one denominator: (den, [{key: int}]),
+        den > 0 the lcm of their coefficient denominators (1 for none) and
+        each element sum_key ints[key] basis[key] / den; elems is read once."""
+        elems = [e.coeffs for e in elems]
+        den = lcm(*{c.denominator for e in elems for c in e.values()})
+        if den == 1:  # character values: skip the rescaling
+            return 1, [{k: c.numerator for k, c in e.items()} for e in elems]
+        return den, [{k: c.numerator * (den // c.denominator) for k, c in e.items()}
+                     for e in elems]
+
+    def from_ints(self, ints, den: int) -> "CoeffElem":
+        """sum_key ints[key] basis[key] / den for a nonzero int den, zero
+        entries dropped: the inverse of clear for one element."""
+        return CoeffElem(self, {k: Fraction(x, den) for k, x in ints.items() if x})
 
 
 class CoeffElem:
@@ -459,6 +479,13 @@ class CoeffElem:
 
     def rational_part(self) -> Fraction:
         return self.coeffs.get((0, 0), Fraction(0))
+
+    def to_json(self):
+        """A rational as its string, otherwise [i, j, c] triples in basis
+        order, c the string of the coefficient of g1^i g2^j."""
+        if self.is_rational():
+            return str(self.rational_part())
+        return [[i, j, str(c)] for (i, j), c in sorted(self.coeffs.items())]
 
     def __repr__(self):
         if not self.coeffs:

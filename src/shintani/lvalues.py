@@ -212,7 +212,7 @@ def dirichlet_L_closed(chi: DirichletChar, r: int) -> CoeffElem:
     B_r(x) = sum_j C(r, j) B_j x^(r-j) into -(1/(r f)) sum_n chi(n) P(n)
     with P(n) = sum_j C(r, j) B_j f^j n^(r-j).  The weights of P are
     cleared to integers over the lcm of the Bernoulli denominators, and
-    the values to integers over the lcm of their coefficient denominators;
+    the values to integers over one denominator by CoeffRing.clear;
     per unit u the integer P(n) is read by Horner's rule (n = u, or f for
     the unit 0 of modulus 1) and its products with the value's integer
     coefficients are added into one int per basis key.  Each nonzero key
@@ -224,16 +224,15 @@ def dirichlet_L_closed(chi: DirichletChar, r: int) -> CoeffElem:
     den = lcm(*(b.denominator for b in bern))
     weights = [comb(r, j) * b.numerator * (den // b.denominator) * f ** j
                for j, b in enumerate(bern)]
-    vden = lcm(*(c.denominator for v in chi.values.values() for c in v.coeffs.values()))
+    vden, values = chi.ring.clear(chi.values.values())
     sums = {}
-    for u, v in chi.values.items():
+    for u, v in zip(chi.values, values):
         n, p = u or f, 0
         for w in weights:
             p = p * n + w
-        for b, c in v.coeffs.items():
-            sums[b] = sums.get(b, 0) + p * c.numerator * (vden // c.denominator)
-    scale = -r * f * den * vden
-    return CoeffElem(chi.ring, {b: Fraction(s, scale) for b, s in sums.items() if s})
+        for b, c in v.items():
+            sums[b] = sums.get(b, 0) + p * c
+    return chi.ring.from_ints(sums, -r * f * den * vden)
 
 
 def dirichlet_L_via_cocycle(chi: DirichletChar, r: int) -> CoeffElem:
@@ -262,11 +261,6 @@ def _norm_theta(a: int, b: int, D: int, half: bool) -> int:
     return a * a - D * b * b
 
 
-def _theta_cf_state(D: int, half: bool):
-    """Continued fraction state for theta as (P + sqrt(D)) / Q."""
-    return (1, 2) if half else (0, 1)
-
-
 def fundamental_unit(D: int):
     """Fundamental unit of the maximal order, as theta-basis coordinates.
 
@@ -275,7 +269,7 @@ def fundamental_unit(D: int):
     fundamental unit (Cohen, GTM 138, section 5.7).  Returns ((a, b), norm).
     """
     half = D % 4 == 1
-    P, Q = _theta_cf_state(D, half)
+    P, Q = (1, 2) if half else (0, 1)  # theta = (P + sqrt(D)) / Q
     s = isqrt(D)
     p_cur, p_prev = 1, 0
     q_cur, q_prev = 0, 1
@@ -424,10 +418,6 @@ def trivial_quad_schwartz(K: RealQuadField) -> SchwartzFn:
     return SchwartzFn(2, 1, 1, {(0, 0): K.ring.one()}, K.ring)
 
 
-def _identity2():
-    return ((1, 0), (0, 1))
-
-
 def quad_L_value(K: RealQuadField, phi: SchwartzFn, r: int):
     """L(phi, -r) through the cone pipeline.
 
@@ -443,7 +433,7 @@ def quad_L_value(K: RealQuadField, phi: SchwartzFn, r: int):
         raise ValueError("need a rank-two residue function")
     if phi.ring.D != K.D:
         raise ShintaniError("residue function ring must contain sqrt(D)")
-    combo = sigma_decompose([_identity2(), K.u_matrix])
+    combo = sigma_decompose([((1, 0), (0, 1)), K.u_matrix])
     q = pair_combo(combo, phi, 2 * r)
     value = symmetric_laurent_coeff(q, r, r, K.transition_images()) * factorial(r) ** 2
     real_valued = all(v.is_rational() for v in phi.table.values())
@@ -473,7 +463,7 @@ def s_coeffs(K: RealQuadField, phi: SchwartzFn, rmax: int) -> SCoeffs:
     otherwise)."""
     if rmax < 0:
         raise ValueError("rmax must be non-negative")
-    combo = sigma_decompose([_identity2(), K.u_matrix])
+    combo = sigma_decompose([((1, 0), (0, 1)), K.u_matrix])
     q = pair_combo(combo, phi, 2 * rmax)
     series = reduce_to_power_series(q)
     table = {}

@@ -19,9 +19,10 @@ share one list of integer moments sum k^e, so the exponential sum's z^e
 coefficient is sum_class phi(class) moment / (d^|e| e!).  The g factors
 (z^e coefficient B_|e| v^e / e!) are multiplied once as one integer list
 over a common denominator; per basis key of the coefficient ring the
-cleared class values are convolved with it in integers, and every
-nonzero coefficient is one Fraction.  All coefficients of the
-represented Laurent expansion up to the tracked degree are exact.
+class values, cleared by ``CoeffRing.clear``, are convolved with it in
+integers, and every nonzero coefficient is one Fraction.  All
+coefficients of the represented Laurent expansion up to the tracked
+degree are exact.
 
 A two-variable series is read in embedding coordinates z = T t in
 Z[sqrt D] integers by one call, ``symmetric_laurent_coeff(q, m1, m2,
@@ -29,14 +30,15 @@ images)``.  Every number that step touches lies in Q(sqrt D) apart from
 the numerator's zeta parts, and the step is linear in the numerator, so
 a coefficient splits by zeta index into slices x + y sqrt D and each
 slice runs on integer pairs (x, y) over one positive denominator
-(``_split_zeta``, ``_clear_real``).  ``MSeries.substitute_linear``
-evaluates each homogeneous component by Horner's rule on such pairs;
-each integer form v becomes T^t v as an integer combination of the
-cleared images; and the Laurent coefficient comes from a fraction-free
-inverse series and one division by a Z[sqrt D] integer, made rational by
-its conjugate.  No step multiplies two ring elements or inverts one, and
-each returns one Fraction per component.  Images with a zeta component
-are refused with ValueError.
+(``_split_zeta`` on ``CoeffRing.clear``; the images go through the same
+split in ``_clear_real``).  One integer Horner routine, ``_horner``,
+evaluates a homogeneous component for both ``MSeries.substitute_linear``
+and the extraction; each integer form v becomes T^t v as an integer
+combination of the cleared images; and the Laurent coefficient comes
+from a fraction-free inverse series and one division by a Z[sqrt D]
+integer, made rational by its conjugate.  No step multiplies two ring
+elements or inverts one, and each returns one Fraction per component.
+Images with a zeta component are refused with ValueError.
 """
 
 from __future__ import annotations
@@ -143,52 +145,28 @@ class MSeries:
         """Substitute z_j = images[j][0] t_1 + images[j][1] t_2 in a series
         of two variables, in Z[sqrt D] integers.  The images must lie in
         Q(sqrt D) (a zeta component raises ValueError) and are cleared to
-        Z[sqrt D] by the lcm s of their denominators.  Each homogeneous
-        component sum_a c_a z_1^a z_2^(m-a) is cleared to integers over
-        the lcm of its coefficient denominators and split by zeta index,
-        c_a = sum_i zeta^i (x + y sqrt D); each slice is a binary form
-        with coefficients (x, y) by the power of t_1, evaluated by
-        Horner's rule in z_2, acc <- acc z_2 + c_a z_1^a for a = 0..m,
-        with one integer table of powers of z_1's image for every degree
-        and the common scale s^m.  Every coefficient component of the
-        result is one Fraction.  Linearity preserves homogeneous degrees,
-        so the truncation bound carries over exactly."""
+        Z[sqrt D] by the lcm s of their denominators (_clear_real).  Each
+        homogeneous component of degree m is cleared to integers over one
+        denominator P and split by zeta index (_split_zeta); each slice is
+        a binary form evaluated by _horner, and each coefficient of the
+        result is read over s^m P.  Linearity preserves homogeneous
+        degrees, so the truncation bound carries over exactly."""
         if self.nvars != 2:
             raise ValueError("substitution needs a binary series")
-        return self._substitute_cleared(*_clear_real(self.ring, images))
-
-    def _substitute_cleared(self, s, cleared):
-        """substitute_linear on images already cleared by ``_clear_real``:
-        the scale s and the integer pairs of the images."""
         ring = self.ring
         sqd = ring.D or 0
-        (a1, b1), (a2, b2) = cleared
+        s, (z1, z2) = _clear_real(ring, images)
         components = {}  # degree m -> {a: c_a}
         for (i, j), c in self.terms.items():
             components.setdefault(i + j, {})[i] = c
-        powers = [[(1, 0)]]  # powers of z_1's image over s^a
-        for _ in range(max(components, default=0)):
-            powers.append(_times_linear(powers[-1], a1, b1, sqd))
         terms = {}
         for m, comp in components.items():
-            den, slices = _split_zeta(comp)
-            scale = s ** m * den
+            den, slices = _split_zeta(ring, comp)
             out = [{} for _ in range(m + 1)]
-            for i, cs in slices.items():
-                acc = [cs.get(0, (0, 0))]
-                for a in range(1, m + 1):
-                    acc = _times_linear(acc, a2, b2, sqd)
-                    c = cs.get(a)
-                    if c is not None:
-                        cx, cy = c
-                        acc = [(x + cx * px + sqd * cy * py, y + cx * py + cy * px)
-                               for (x, y), (px, py) in zip(acc, powers[a])]
-                for coeffs, (x, y) in zip(out, acc):
-                    if x:
-                        coeffs[(i, 0)] = Fraction(x, scale)
-                    if y:
-                        coeffs[(i, 1)] = Fraction(y, scale)
-            terms.update(((p, m - p), CoeffElem(ring, c)) for p, c in enumerate(out) if c)
+            for i, row in slices.items():
+                for ints, (x, y) in zip(out, _horner(row, m, z1, z2, sqd)):
+                    ints[(i, 0)], ints[(i, 1)] = x, y
+            terms.update(((p, m - p), ring.from_ints(c, s ** m * den)) for p, c in enumerate(out))
         return MSeries(ring, 2, self.trunc, terms)
 
     def __eq__(self, other):
@@ -223,6 +201,24 @@ def _times_linear(form, a, b, sqd):
     return out
 
 
+def _horner(row, m, z1, z2, sqd):
+    """sum_a c_a z_1^a z_2^(m-a) as a binary form, its m + 1 Z[sqrt D]
+    pairs by the power of t_1: row maps a to the pair of c_a, and z1, z2
+    are the images of z_1, z_2.  Horner's rule in z_2, acc <- acc z_2 +
+    c_a z_1^a for a = 0..m, with z_1^a built along, in integers."""
+    acc = [row.get(0, (0, 0))]
+    power = [(1, 0)]
+    for a in range(1, m + 1):
+        acc = _times_linear(acc, *z2, sqd)
+        power = _times_linear(power, *z1, sqd)
+        c = row.get(a)
+        if c is not None:
+            cx, cy = c
+            acc = [(x + cx * px + sqd * cy * py, y + cx * py + cy * px)
+                   for (x, y), (px, py) in zip(acc, power)]
+    return acc
+
+
 def _zmul(u, v, sqd):
     """Product of two Z[sqrt D] integers given as pairs (x, y)."""
     (ux, uy), (vx, vy) = u, v
@@ -231,33 +227,32 @@ def _zmul(u, v, sqd):
 
 def _clear_real(ring, images):
     """Images of the two variables, coerced into the ring, cleared from
-    Q(sqrt D) to Z[sqrt D]: the lcm s of their denominators and the rows
-    of integer pairs (x, y), each entry being (x + y sqrt D) / s.  Images
-    other than two pairs, or with a zeta component, raise ValueError."""
+    Q(sqrt D) to Z[sqrt D] through _split_zeta: the lcm s of their
+    denominators and the rows of integer pairs (x, y), each entry being
+    (x + y sqrt D) / s.  Images other than two pairs, or with a zeta
+    component, raise ValueError."""
     if len(images) != 2 or any(len(img) != 2 for img in images):
         raise ValueError("substitution needs binary images")
-    rows = [[ring.coerce(c) for c in img] for img in images]
-    for row in rows:
-        for c in row:
-            if any(i for i, _ in c.coeffs):
-                raise ValueError(f"image {c!r} has a zeta component; only Q(sqrt D) is supported")
-    s = lcm(*(c.denominator for row in rows for e in row for c in e.coeffs.values()))
-    return s, [[tuple(c.numerator * (s // c.denominator)
-                      for c in (e.coeffs.get((0, 0), 0), e.coeffs.get((0, 1), 0)))
-                for e in row] for row in rows]
+    elems = {(r, c): ring.coerce(e) for r, img in enumerate(images) for c, e in enumerate(img)}
+    s, slices = _split_zeta(ring, elems)
+    zeta = [key for i, row in slices.items() if i for key in row]
+    if zeta:
+        raise ValueError(f"image {elems[min(zeta)]!r} has a zeta component; "
+                         "only Q(sqrt D) is supported")
+    real = slices.get(0, {})
+    return s, [[real.get((r, c), (0, 0)) for c in range(2)] for r in range(2)]
 
 
-def _split_zeta(elems):
-    """Ring elements cleared to integers and split by zeta index: the lcm
-    P of their denominators and {i: {key: (x, y)}} with
+def _split_zeta(ring, elems):
+    """Ring elements {key: elem} cleared by ring.clear and split by zeta
+    index: the denominator P and {i: {key: (x, y)}} with
     elems[key] = sum_i zeta^i (x + y sqrt D) / P."""
-    den = lcm(*(c.denominator for e in elems.values() for c in e.coeffs.values()))
+    den, ints = ring.clear(elems.values())
     slices = {}
-    for key, e in elems.items():
-        for (i, j), c in e.coeffs.items():
+    for key, c in zip(elems, ints):
+        for (i, j), v in c.items():
             row = slices.setdefault(i, {})
             x, y = row.get(key, (0, 0))
-            v = c.numerator * (den // c.denominator)
             row[key] = (x, v) if j else (v, y)
     return den, slices
 
@@ -322,7 +317,7 @@ def _numerator(ring, nvars, trunc, d, groups, gens=()):
     bern = [bernoulli_number(sum(e)) for e in exps]
     bden = lcm(*(b.denominator for b in bern))
     gprod = [1] + [0] * (len(exps) - 1)
-    den = lcm(*(x.denominator for value, _ in groups for x in value.coeffs.values()))
+    den, values = ring.clear([value for value, _ in groups])
     scale = d ** trunc * top * den
     for v in gens:
         g = [b.numerator * (bden // b.denominator) * c * x
@@ -330,18 +325,17 @@ def _numerator(ring, nvars, trunc, d, groups, gens=()):
         gprod = _convolve(gprod, g, pairs)
         scale *= -bden * top
     sums = {}
-    for value, points in groups:
+    for (_, points), value in zip(groups, values):
         moments = [sum(m) for m in zip(*(_monomials(k, steps) for k in points))]
-        for b, x in value.coeffs.items():
-            c = x.numerator * (den // x.denominator)
+        for b, c in value.items():
             sums[b] = [a + c * m for a, m in zip(sums.get(b, [0] * len(exps)), moments)]
     weights = [d ** (trunc - sum(e)) * c for e, c in zip(exps, rel)]
     terms = {}
     for b, acc in sums.items():
         for e, a in zip(exps, _convolve(list(map(mul, acc, weights)), gprod, pairs)):
             if a:
-                terms.setdefault(e, {})[b] = Fraction(a, scale)
-    return MSeries(ring, nvars, trunc, {e: CoeffElem(ring, c) for e, c in terms.items()})
+                terms.setdefault(e, {})[b] = a
+    return MSeries(ring, nvars, trunc, {e: ring.from_ints(c, scale) for e, c in terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +346,9 @@ class SchwartzFn:
     """Locally constant test function: supported on (1/d)Z^n, invariant
     under translation by f Z^n, given by a finite residue table.
 
-    Table keys are integer tuples k with k = d*w mod d*f; missing keys
-    mean value zero.  The function vanishes near zero exactly when the
-    zero residue class has value zero.
+    Table keys are tuples of plain ints k with k = d*w mod d*f (any other
+    entry raises TypeError); missing keys mean value zero.  The function
+    vanishes near zero exactly when the zero residue class has value zero.
     """
 
     def __init__(self, n: int, d: int, f: int, table, ring: CoeffRing | None = None):
@@ -367,7 +361,7 @@ class SchwartzFn:
         mod = d * f
         tbl = {}
         for k, v in table.items():
-            k = tuple(int(x) % mod for x in k)
+            k = tuple(_json_int(x) % mod for x in k)
             if len(k) != n:
                 raise ValueError("bad residue key length")
             v = self.ring.coerce(v)
@@ -422,7 +416,7 @@ class SchwartzFn:
             "zeta_order": self.ring.m,
             "sqrt": self.ring.D,
             "values": [
-                {"class": list(k), "value": _coeff_to_json(v)}
+                {"class": list(k), "value": v.to_json()}
                 for k, v in sorted(self.table.items())
             ],
         }
@@ -435,12 +429,6 @@ class SchwartzFn:
             for entry in doc.get("values", [])
         }
         return cls(doc["n"], doc.get("d", 1), doc.get("f", 1), table, ring)
-
-
-def _coeff_to_json(v: CoeffElem):
-    if v.is_rational():
-        return str(v.rational_part())
-    return [[i, j, str(c)] for (i, j), c in sorted(v.coeffs.items())]
 
 
 def _json_int(x) -> int:
@@ -570,7 +558,7 @@ class QuotSeries:
             "sqrt": self.ring.D,
             "denoms": [[str(x) for x in form] for form in self.denoms],
             "coeffs": [
-                {"deg": list(e), "value": _coeff_to_json(c)}
+                {"deg": list(e), "value": c.to_json()}
                 for e, c in sorted(self.num.terms.items())
             ],
         }
@@ -720,7 +708,8 @@ def _iterated_coeff(slices, forms, k, main, m_main, m_other, sqd):
     ({i: N_i}, W) with N_i and W in Z[sqrt D], the coefficient being
     sum_i zeta^i N_i / W times the rational factor symmetric_laurent_coeff
     applies.  slices is the substituted degree-k numerator split by zeta
-    index, forms the denominator forms s T^t v as Z[sqrt D] pairs.
+    index, each slice its k + 1 Z[sqrt D] pairs by the power of t_1, and
+    forms the denominator forms s T^t v as Z[sqrt D] pairs.
 
     On t_main = 1 the numerator is a polynomial p(v) in v = t_other and
     each form (a, b) is a + b v.  A form with a = 0 puts its b into the
@@ -762,11 +751,9 @@ def _iterated_coeff(slices, forms, k, main, m_main, m_other, sqd):
     for i, row in slices.items():
         nx = ny = 0
         for j, w in enumerate(weights):
-            p = row.get((k - j, j) if main == 0 else (j, k - j))
-            if p is not None:
-                x, y = _zmul(p, w, sqd)
-                nx += x
-                ny += y
+            x, y = _zmul(row[k - j if main == 0 else j], w, sqd)
+            nx += x
+            ny += y
         out[i] = (nx, ny)
     return out, _zmul(q0_powers[target + 1], const, sqd)
 
@@ -779,18 +766,18 @@ def symmetric_laurent_coeff(q: QuotSeries, m1: int, m2: int, images) -> CoeffEle
     this is the finite part that the two-sided Mellin split produces.
 
     The coefficient is homogeneous of degree k = m1 + m2 + #forms in the
-    numerator, so only that component is substituted (as by
-    MSeries.substitute_linear), and is then cleared to integers over the
-    lcm P of its denominators and split by zeta index.  The images must
-    lie in Q(sqrt D) (a zeta component raises ValueError); cleared once
-    to Z[sqrt D] by the lcm s of their denominators, they feed the
-    substitution and map each integer form v to s T^t v, the integer
-    combination sum_j v_j (s images[j]), so F = s^#forms is the
-    compensating factor.  The two extractions
-    (_iterated_coeff) give N_0 / W_0 and N_1 / W_1, and the average
-    F (N_0 W_1 + N_1 W_0) / (2 P W_0 W_1) is rationalised once, by the
-    conjugate of W_0 W_1 over its integer norm: one Fraction per
-    component of the result."""
+    numerator, so only that component is read: cleared once to integers
+    over one denominator P and split by zeta index (_split_zeta), each
+    slice substituted by _horner, the integer routine of
+    MSeries.substitute_linear.  The images must lie in Q(sqrt D) (a zeta
+    component raises ValueError); cleared once to Z[sqrt D] by the lcm s
+    of their denominators, they feed the substitution, which is s^k times
+    too large, and map each integer form v to s T^t v, the integer
+    combination sum_j v_j (s images[j]), s^#forms times too large.  The
+    two extractions (_iterated_coeff) give N_0 / W_0 and N_1 / W_1, and
+    the average (N_0 W_1 + N_1 W_0) / (2 P s^(m1+m2) W_0 W_1) is
+    rationalised once, by the conjugate of W_0 W_1 over its integer norm:
+    one Fraction per component of the result."""
     if q.nvars != 2:
         raise ValueError("two-variable extraction only")
     if m1 + m2 > q.dmax:
@@ -800,25 +787,19 @@ def symmetric_laurent_coeff(q: QuotSeries, m1: int, m2: int, images) -> CoeffEle
     ring = q.ring
     sqd = ring.D or 0
     k = m1 + m2 + len(q.denoms)
-    top = MSeries(ring, 2, k, {e: c for e, c in q.num.terms.items() if sum(e) == k})
-    s, cleared = _clear_real(ring, images)
-    den, slices = _split_zeta(top._substitute_cleared(s, cleared).terms)
-    columns = [tuple(zip(*col)) for col in zip(*cleared)]  # per t_i: (xs, ys) over z_j
+    s, (z1, z2) = _clear_real(ring, images)
+    den, top = _split_zeta(ring, {i: c for (i, j), c in q.num.terms.items() if i + j == k})
+    slices = {i: _horner(row, k, z1, z2, sqd) for i, row in top.items()}
+    columns = [tuple(zip(*col)) for col in zip(z1, z2)]  # per t_i: (xs, ys) over z_j
     forms = [[(idot(v, xs), idot(v, ys)) for xs, ys in columns] for v in q.denoms]
     if [(0, 0), (0, 0)] in forms:
         raise ZeroForm("a denominator form vanishes on the images")
-    factor = s ** len(forms)
     n0, w0 = _iterated_coeff(slices, forms, k, 0, m1, m2, sqd)
     n1, w1 = _iterated_coeff(slices, forms, k, 1, m2, m1, sqd)
     wx, wy = _zmul(w0, w1, sqd)
-    scale = 2 * den * (wx * wx - sqd * wy * wy)
-    coeffs = {}
+    ints = {}
     for i in slices:
         ax, ay = _zmul(n0.get(i, (0, 0)), w1, sqd)
         bx, by = _zmul(n1.get(i, (0, 0)), w0, sqd)
-        x, y = _zmul((ax + bx, ay + by), (wx, -wy), sqd)
-        if x:
-            coeffs[(i, 0)] = Fraction(factor * x, scale)
-        if y:
-            coeffs[(i, 1)] = Fraction(factor * y, scale)
-    return CoeffElem(ring, coeffs)
+        ints[(i, 0)], ints[(i, 1)] = _zmul((ax + bx, ay + by), (wx, -wy), sqd)
+    return ring.from_ints(ints, 2 * den * s ** (m1 + m2) * (wx * wx - sqd * wy * wy))

@@ -15,7 +15,9 @@ is an independent definition of a value the library computes another way:
     piece's lists from the first, the oracle for the resumed split
     pieces of ``cone_algebra._decompose_region``.
   * ``identity``, ``dot``, ``mat_vec``, ``mat_det``, ``mat_mul``,
-    ``gauss_jordan_oracle`` and ``mat_inv``: rational matrices, vectors,
+    ``gauss_jordan_oracle``, ``gauss_jordan_solve`` (several right-hand
+    sides in one elimination) and ``mat_inv`` (one elimination over
+    [m | I]): rational matrices, vectors,
     determinants and solves by Gaussian elimination, which the tests use
     to move tuples and points by a matrix; ``mat_det`` is the oracle for
     the integer ``int_det`` and ``gauss_jordan_oracle`` for the integer
@@ -290,9 +292,15 @@ def gauss_jordan_oracle(cols, w):
     x as a list of Fractions, None when w is outside the span,
     SingularMatrix when the columns are dependent.  Entries are coerced
     by frac, so floats and bools raise TypeError."""
-    n = len(w)
+    return gauss_jordan_solve(cols, [w])[0]
+
+
+def gauss_jordan_solve(cols, rhs):
+    """gauss_jordan_oracle for every right-hand side w in rhs, in one
+    elimination over [cols | rhs]: one x (or None) per w."""
+    n = len(rhs[0]) if rhs else 0
     r = len(cols)
-    a = [[frac(cols[j][i]) for j in range(r)] + [frac(w[i])] for i in range(n)]
+    a = [[frac(cols[j][i]) for j in range(r)] + [frac(w[i]) for w in rhs] for i in range(n)]
     row = 0
     pivots = []
     for col in range(r):
@@ -301,26 +309,22 @@ def gauss_jordan_oracle(cols, w):
             raise SingularMatrix("columns are linearly dependent")
         a[row], a[piv] = a[piv], a[row]
         inv = 1 / a[row][col]
-        a[row] = [x * inv for x in a[row]]
+        a[row] = [x * inv if x else x for x in a[row]]
         for k in range(n):
             if k != row and a[k][col] != 0:
                 f = a[k][col]
-                a[k] = [x - f * y for x, y in zip(a[k], a[row])]
+                a[k] = [x - f * y if y else x for x, y in zip(a[k], a[row])]
         pivots.append(row)
         row += 1
-    for k in range(row, n):
-        if a[k][r] != 0:
-            return None
-    return [a[pivots[col]][r] for col in range(r)]
+    return [None if any(a[k][r + b] != 0 for k in range(row, n))
+            else [a[pivots[col]][r + b] for col in range(r)] for b in range(len(rhs))]
 
 
 def mat_inv(m):
-    """Inverse of a square rational matrix, one Gauss-Jordan solve per
-    unit column; float and bool entries raise TypeError, dependent
+    """Inverse of a square rational matrix, one Gauss-Jordan elimination
+    over [m | I]; float and bool entries raise TypeError, dependent
     columns SingularMatrix."""
-    cols = list(zip(*m))
-    inv_cols = [gauss_jordan_oracle(cols, e) for e in identity(len(m))]
-    return tuple(zip(*inv_cols))
+    return tuple(zip(*gauss_jordan_solve(list(zip(*m)), identity(len(m)))))
 
 
 # ---------------------------------------------------------------------------

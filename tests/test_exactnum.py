@@ -1,6 +1,7 @@
+import json
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -387,3 +388,50 @@ def test_coeff_elem_rationality():
     assert not ring.zeta(1).is_rational()
     assert not ring.sqrtD().is_rational()
     assert ring.from_rat(Fraction(7, 2)).rational_part() == Fraction(7, 2)
+
+
+# ---------------------------------------------------------------------------
+# Integer views: clear, from_ints and to_json
+# ---------------------------------------------------------------------------
+
+_COEFF = st.one_of(st.just(Fraction(0)),
+                   st.fractions(min_value=-9, max_value=9, max_denominator=12))
+
+
+@st.composite
+def element_lists(draw):
+    """A ring among Q, Q(zeta_m), Q(sqrt D) and Q(zeta_m, sqrt D), and a
+    possibly empty list of its elements, zeros among them."""
+    ring = CoeffRing(draw(st.sampled_from([1, 3, 4, 12])), draw(st.sampled_from([None, 2, 5])))
+    return ring, [ring.elem({b: draw(_COEFF) for b in ring.basis()})
+                  for _ in range(draw(st.integers(0, 4)))]
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(case=element_lists())
+def test_clear_round_trips_through_from_ints(case):
+    ring, elems = case
+    den, ints = ring.clear(iter(elems))
+    assert type(den) is int and den > 0 and len(ints) == len(elems)
+    assert all(type(x) is int for c in ints for x in c.values())
+    assert [ring.from_ints(c, den) for c in ints] == elems
+    # den is the least common denominator: no divisor of it clears them all
+    assert gcd(den, *(x for c in ints for x in c.values())) == 1
+
+
+def test_clear_of_no_elements_and_of_zeros():
+    ring = CoeffRing(4, 5)
+    assert ring.clear([]) == (1, [])
+    assert ring.clear([ring.zero(), ring.zero()]) == (1, [{}, {}])
+    assert ring.from_ints({(0, 0): 0, (1, 1): 0}, 7) == ring.zero()
+    x = ring.elem({(0, 0): Fraction(1, 6), (1, 1): Fraction(-3, 4)})
+    assert ring.clear([x, ring.one()]) == (12, [{(0, 0): 2, (1, 1): -9}, {(0, 0): 12}])
+    assert ring.from_ints({(0, 0): 2, (1, 1): -9}, -12) == -x
+
+
+def test_to_json_keeps_the_cli_bytes():
+    ring = CoeffRing(4, 5)
+    assert json.dumps(ring.from_rat(Fraction(-7, 3)).to_json()) == '"-7/3"'
+    assert json.dumps(ring.zero().to_json()) == '"0"'
+    x = ring.elem({(1, 1): Fraction(-3, 4), (0, 1): 2, (1, 0): Fraction(1, 6)})
+    assert json.dumps(x.to_json()) == '[[0, 1, "2"], [1, 0, "1/6"], [1, 1, "-3/4"]]'

@@ -921,3 +921,13 @@ def test_schwartz_value_refuses_a_point_of_another_dimension():
     for w in ((1,), (1, 0, 0)):
         with pytest.raises(ValueError, match="point dimension mismatch"):
             phi.value_at(w)
+
+
+def test_schwartz_refuses_residue_keys_that_are_not_ints():
+    # int(x) used to truncate such keys: {(1.5,): 1} read as {(1,): 1}
+    assert SchwartzFn(1, 1, 2, {(3,): 1, (-2,): 4}).table == {(1,): QQ.one(), (0,): 4}
+    for bad in (1.5, Fraction(3, 2), True, "3", None):
+        with pytest.raises(TypeError, match="expected an integer"):
+            SchwartzFn(1, 1, 2, {(bad,): 1})
+        with pytest.raises(TypeError, match="expected an integer"):
+            SchwartzFn(2, 1, 2, {(0, bad): 1})
