@@ -77,14 +77,14 @@ def _force_field(doc):
 def _parse_matrix(doc):
     try:
         return tuple(tuple(frac(x) for x in row) for row in doc)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad matrix: {exc}")
 
 
 def _parse_vector(doc):
     try:
         return tuple(frac(x) for x in doc)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad vector: {exc}")
 
 
@@ -126,7 +126,7 @@ def _char_values(doc, ring, arity):
         else:
             try:
                 table[parts] = ring.from_rat(frac(e))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise SchemaError(f"bad value of {key!r}: {exc}")
     return table
 
@@ -188,7 +188,7 @@ def _cmd_pair(doc):
     try:
         combo = ConeCombo.from_json(_require(doc, "combo", dict))
         phi = SchwartzFn.from_json(phi_doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad combo or test function: {exc!r}")
     dmax = _int_field(doc, "dmax", 4, 0)
     q = pair_combo(combo, phi, dmax)
@@ -232,16 +232,15 @@ def _cmd_lvalue_q(doc):
     dmax = _int_field(doc, "dmax", r, 0)
     out = {"r": r, "modulus": chi.f, "route": route}
     if route in ("closed", "both"):
-        closed = dirichlet_L_closed(chi, r)
-        out["value"] = _value_json(closed)
+        value = closed = dirichlet_L_closed(chi, r)
     if route in ("cocycle", "both"):
         if dmax < r:
             raise TruncationTooSmall("need dmax >= r")
-        via = dirichlet_L_via_cocycle(chi, r)
-        out["value"] = _value_json(via)
+        value = via = dirichlet_L_via_cocycle(chi, r)
         out["dmax"] = dmax
     if route == "both":
         out["agrees"] = closed == via
+    out["value"] = _value_json(value)
     return out
 
 
@@ -370,19 +369,24 @@ def run(command: str, doc: dict) -> dict:
 
 
 def _load_doc(args) -> dict:
-    if args.inline is not None:
-        text = args.inline
-    elif args.input == "-":
-        text = sys.stdin.read()
-    elif args.input is not None:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = "{}"
+    """The job document; a file or stdin that cannot be read, text that is
+    not UTF-8, JSON nested past the parser's recursion limit and invalid
+    JSON are schema errors."""
     try:
+        if args.inline is not None:
+            text = args.inline
+        elif args.input == "-":
+            text = sys.stdin.read()
+        elif args.input is not None:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = "{}"
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}")
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        raise SchemaError(f"unreadable job document: {exc}")
 
 
 def main(argv=None) -> int:

@@ -111,6 +111,8 @@ class ConeCombo:
         self.constant = frac(constant)
 
     def eval(self, w) -> Fraction:
+        """Value at a nonzero rational point; a point of another dimension
+        is refused with ValueError."""
         wi = int_scale_point(w)
         if all(x == 0 for x in wi):
             raise ZeroVector("combos are functions on nonzero points")

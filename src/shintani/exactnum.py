@@ -279,7 +279,11 @@ class CoeffRing:
     D > 1 is accepted.  Basis monomials are g1^i * g2^j with
     0 <= i < deg(Phi_m) and j in {0} or {0, 1}.  One integer table of the
     reduced powers g1^k, k = 0..m-1, serves zeta, coerce and the product,
-    where a rational right factor multiplies as a scalar.
+    where a rational right factor multiplies as a scalar.  Rationals enter
+    through linalg.frac, so a float or bool raises TypeError; other modules
+    read and build elements only through clear, from_ints and
+    CoeffElem.to_json.  The ring has no inverse and no power (the tests'
+    coeff_inv and coeff_pow supply both).
     """
 
     def __init__(self, m: int = 1, D=None):

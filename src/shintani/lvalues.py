@@ -6,11 +6,13 @@ Two pipelines:
     L(chi, 1-r) = -(f^(r-1)/r) sum_n chi(n) B_r(n/f), one integer sum per
     basis key of the ring, and independently the cone pipeline (decompose
     the one-dimensional cocycle, pair with the character, read the Laurent
-    coefficient).  The two must agree exactly.  The characters of a
+    coefficient).  The two must agree exactly.  A character is the residue
+    function on Z of period f that it is paired as; the characters of a
     modulus form a sequence that builds each one when it is indexed.
 
-  * Real quadratic fields of narrow class number one: the cocycle paired
-    with the totally positive fundamental unit represents the half-open
+  * Real quadratic fields of narrow class number one, the maximal order
+    written Z[theta] with theta^2 = t theta - n: the cocycle paired with
+    the totally positive fundamental unit represents the half-open
     fundamental cone; pairing against a residue character and passing to
     embedding coordinates yields L(chi, -r) as (r!)^2 times the symmetric
     Laurent coefficient of t1^r t2^r.
@@ -91,31 +93,27 @@ def unit_group_generators(f: int):
     return gens, orders
 
 
-class DirichletChar:
-    """Character of (Z/f)^*, extended by zero off the units.
+class DirichletChar(SchwartzFn):
+    """Character of (Z/f)^*, extended by zero off the units: the residue
+    function on Z of period f that the cone pipeline pairs, with the one
+    table {(n,): chi(n)}.
 
-    Values are stored as coefficient ring elements (roots of unity).  With
-    validate (the default, and the route of every table read from outside)
-    the table must cover exactly the units, send 1 to 1 and be
-    multiplicative there, checked at every unit times every generator of
-    ``unit_group_generators`` (phi(f) * #generators ring products);
-    ``trivial`` and ``CharacterTable`` build exact unit tables and skip
-    these checks.
+    Values are coefficient ring elements (roots of unity).  With validate
+    (the default, and the route of every table read from outside) the
+    caller's table {n: value} must cover exactly the units, send 1 to 1 and
+    be multiplicative there, checked at every unit times every generator
+    of ``unit_group_generators`` (phi(f) * #generators ring products)
+    before the residue table is built; ``trivial`` and ``CharacterTable``
+    build exact unit tables and skip these checks.
     """
 
     def __init__(self, f: int, values: dict, ring: CoeffRing, validate: bool = True):
-        self.f = f
-        self.ring = ring
-        vals = {}
-        for n, v in values.items():
-            vals[n % f] = ring.coerce(v)
-        self.values = vals
         if validate:
+            vals = {n % f: ring.coerce(v) for n, v in values.items()}
             units = [n for n in range(f) if gcd(n, f) == 1]
             if set(units) != set(vals):
                 raise ValueError("character table must cover exactly the units")
-            one = 1 % f
-            if vals[one] != ring.one():
+            if vals[1 % f] != ring.one():
                 raise ValueError("character must send 1 to 1")
             # chi(a g) = chi(a) chi(g) at every generator g gives chi(ab) =
             # chi(a) chi(b) by induction on a word for b in the generators
@@ -123,22 +121,24 @@ class DirichletChar:
                 for a in units:
                     if vals[(a * g) % f] != vals[a] * vals[g]:
                         raise ValueError("character table is not multiplicative")
-
-    def __call__(self, n: int) -> CoeffElem:
-        return self.values.get(n % self.f, self.ring.zero())
+        super().__init__(1, 1, f, {(n,): v for n, v in values.items()}, ring)
 
     @property
-    def modulus(self) -> int:
-        return self.f
+    def values(self) -> dict:
+        """The table read by integer residue, as a new dict."""
+        return {n: v for (n,), v in self.table.items()}
+
+    def __call__(self, n: int) -> CoeffElem:
+        return self.table.get((n % self.f,), self.ring.zero())
 
     @property
     def is_trivial(self) -> bool:
         one = self.ring.one()
-        return all(v == one for v in self.values.values())
+        return all(v == one for v in self.table.values())
 
     @property
     def is_real(self) -> bool:
-        return all(v.is_rational() for v in self.values.values())
+        return all(v.is_rational() for v in self.table.values())
 
     @property
     def is_odd(self) -> bool:
@@ -153,16 +153,12 @@ class DirichletChar:
         return next(
             f0 for f0 in range(1, self.f + 1)
             if self.f % f0 == 0
-            and all(v == one for u, v in self.values.items() if u % f0 == 1 % f0)
+            and all(v == one for (u,), v in self.table.items() if u % f0 == 1 % f0)
         )
 
     @property
     def is_primitive(self) -> bool:
         return self.conductor() == self.f
-
-    def to_schwartz(self) -> SchwartzFn:
-        table = {(n,): v for n, v in self.values.items()}
-        return SchwartzFn(1, 1, self.f, table, self.ring)
 
     @classmethod
     def trivial(cls, f: int = 1) -> "DirichletChar":
@@ -224,9 +220,9 @@ def dirichlet_L_closed(chi: DirichletChar, r: int) -> CoeffElem:
     den = lcm(*(b.denominator for b in bern))
     weights = [comb(r, j) * b.numerator * (den // b.denominator) * f ** j
                for j, b in enumerate(bern)]
-    vden, values = chi.ring.clear(chi.values.values())
+    vden, values = chi.ring.clear(chi.table.values())
     sums = {}
-    for u, v in zip(chi.values, values):
+    for (u,), v in zip(chi.table, values):
         n, p = u or f, 0
         for w in weights:
             p = p * n + w
@@ -246,7 +242,7 @@ def dirichlet_L_via_cocycle(chi: DirichletChar, r: int) -> CoeffElem:
     if r < 1:
         raise ValueError("r must be a positive integer")
     combo = sigma_decompose([[[1]]])
-    q = pair_combo(combo, chi.to_schwartz(), r - 1)
+    q = pair_combo(combo, chi, r - 1)
     return laurent_coeff_1var(q, r - 1) * factorial(r - 1)
 
 
@@ -254,75 +250,65 @@ def dirichlet_L_via_cocycle(chi: DirichletChar, r: int) -> CoeffElem:
 # Real quadratic fields
 # ---------------------------------------------------------------------------
 
-def _norm_theta(a: int, b: int, D: int, half: bool) -> int:
-    """Norm of a + b*theta where theta = sqrt(D) or (1+sqrt(D))/2."""
-    if half:
-        return a * a + a * b - b * b * (D - 1) // 4
-    return a * a - D * b * b
+# The maximal order is Z[theta] with theta^2 = t theta - n: (t, n) is
+# (1, (1 - D)/4), theta = (1 + sqrt D)/2, for D = 1 mod 4, and (0, -D),
+# theta = sqrt D, otherwise; the discriminant is t^2 - 4n.
+
+def _trace_norm(D: int) -> tuple[int, int]:
+    """Trace and norm (t, n) of theta."""
+    return (1, (1 - D) // 4) if D % 4 == 1 else (0, -D)
+
+
+def _norm_theta(a: int, b: int, t: int, n: int) -> int:
+    """Norm of a + b theta."""
+    return a * a + t * a * b + n * b * b
 
 
 def fundamental_unit(D: int):
     """Fundamental unit of the maximal order, as theta-basis coordinates.
 
-    The continued fraction of theta (exact P, Q recurrence) is expanded
-    until a convergent has norm +-1; that first convergent is the
-    fundamental unit (Cohen, GTM 138, section 5.7).  Returns ((a, b), norm).
+    The continued fraction of theta = (P + sqrt(disc)) / Q, from (P, Q) =
+    (t, 2) by the exact P, Q recurrence, is expanded until a convergent p/q
+    gives a unit p - q conj(theta) = (p - q t) + q theta of norm +-1; the
+    first one is the fundamental unit (Cohen, GTM 138, section 5.7).
+    Returns ((a, b), norm).
     """
-    half = D % 4 == 1
-    P, Q = (1, 2) if half else (0, 1)  # theta = (P + sqrt(D)) / Q
-    s = isqrt(D)
+    t, n = _trace_norm(D)
+    disc = t * t - 4 * n
+    P, Q = t, 2
+    s = isqrt(disc)
     p_cur, p_prev = 1, 0
     q_cur, q_prev = 0, 1
-    # iterate a_k = floor((P + sqrt(D)) / Q) with convergents p/q of theta;
-    # the unit candidate is p - q * conj(theta), i.e. coordinates
-    # (p - q, q) in the half-integer basis and (p, q) otherwise
     for _ in range(10 ** 6):
         a_k = (P + s) // Q
         p_cur, p_prev = a_k * p_cur + p_prev, p_cur
         q_cur, q_prev = a_k * q_cur + q_prev, q_cur
         P = a_k * Q - P
-        Q = (D - P * P) // Q
-        a0 = p_cur - q_cur if half else p_cur
-        nrm = _norm_theta(a0, q_cur, D, half)
+        Q = (disc - P * P) // Q
+        a0 = p_cur - q_cur * t
+        nrm = _norm_theta(a0, q_cur, t, n)
         if abs(nrm) == 1:
             return (a0, q_cur), nrm
     raise ShintaniError("continued fraction failed to produce a unit")
 
 
-def _theta_mul(x, y, D: int, half: bool):
-    """(a1 + b1 theta)(a2 + b2 theta) in theta-basis coordinates."""
-    a1, b1 = x
-    a2, b2 = y
-    if half:
-        c = (D - 1) // 4
-        return (a1 * a2 + b1 * b2 * c, a1 * b2 + b1 * a2 + b1 * b2)
-    return (a1 * a2 + D * b1 * b2, a1 * b2 + b1 * a2)
-
-
-def _class_number_one_certified(D: int, half: bool) -> bool | None:
+def _class_number_one_certified(D: int, t: int, n: int) -> bool | None:
     """Try to certify class number one via the Minkowski bound and a
     bounded search for elements of small prime norm.  Returns True when
     certified, None when the search was inconclusive."""
-    disc = D if half else 4 * D
-    bound = isqrt(disc) // 2
-    for p in range(2, bound + 1):
+    disc = t * t - 4 * n
+    for p in range(2, isqrt(disc) // 2 + 1):
         if _factorize(p) != {p: 1}:
             continue
-        if half:
-            ramified_or_split = pow(disc % p, (p - 1) // 2, p) != p - 1 if p != 2 else disc % 8 in (0, 1, 4)
+        if p == 2:
+            ramified_or_split = disc % 8 in (0, 1, 4)
         else:
-            ramified_or_split = (p == 2) or pow(disc % p, (p - 1) // 2, p) != p - 1
-        if not ramified_or_split:
-            continue
-        ok = False
-        for b in range(0, 4 * p + 1):
-            for a in range(-4 * p - isqrt(D) * b - 2, 4 * p + isqrt(D) * b + 3):
-                if abs(_norm_theta(a, b, D, half)) == p:
-                    ok = True
-                    break
-            if ok:
-                break
-        if not ok:
+            ramified_or_split = pow(disc % p, (p - 1) // 2, p) != p - 1
+        if ramified_or_split and not any(
+            abs(_norm_theta(a, b, t, n)) == p
+            for b in range(0, 4 * p + 1)
+            for a in range(-4 * p - isqrt(D) * b - 2, 4 * p + isqrt(D) * b + 3)
+        ):
             return None
     return True
 
@@ -331,13 +317,14 @@ def _class_number_one_certified(D: int, half: bool) -> bool | None:
 class RealQuadField:
     """Data of a real quadratic field prepared for the cone pipeline.
 
-    theta is the second basis element (sqrt(D), or (1+sqrt(D))/2 when
-    D = 1 mod 4); eps is the fundamental unit and u the totally positive
-    fundamental unit in theta-coordinates; u_matrix is multiplication by
-    u in the integral basis (1, theta)."""
+    theta is the second basis element, theta^2 = t theta - n; eps is the
+    fundamental unit and u the totally positive fundamental unit in
+    theta-coordinates; u_matrix is multiplication by u in the integral
+    basis (1, theta)."""
 
     D: int
-    half: bool
+    t: int
+    n: int
     disc: int
     eps: tuple
     eps_norm: int
@@ -347,12 +334,11 @@ class RealQuadField:
     ring: CoeffRing
 
     def theta_embedding(self, which: int) -> CoeffElem:
-        """Image of theta under the two real embeddings: the sign of
+        """Image (t +- sqrt(disc))/2 of theta under the two real
+        embeddings, sqrt(disc) being k sqrt(D) with k = 1 or 2: the sign of
         sqrt(D) distinguishes them."""
-        s = self.ring.sqrtD() if which == 0 else -self.ring.sqrtD()
-        if self.half:
-            return (self.ring.one() + s) * Fraction(1, 2)
-        return s
+        k = isqrt(self.disc // self.D)
+        return self.ring.from_ints({(0, 0): self.t, (0, 1): k if which == 0 else -k}, 2)
 
     def embed(self, coords, which: int) -> CoeffElem:
         a, b = coords
@@ -384,30 +370,21 @@ def build_real_quad(D: int, allow_narrow_failure: bool = False) -> RealQuadField
     # unit has norm -1 and the narrow class number is 2h
     if not allow_narrow_failure and any(p % 4 == 3 for p in _factorize(D)):
         raise NarrowClassNumberNotOne(refusal)
-    half = D % 4 == 1
-    disc = D if half else 4 * D
+    t, n = _trace_norm(D)
     eps, nrm = fundamental_unit(D)
-    if nrm == -1:
-        u = _theta_mul(eps, eps, D, half)
-    else:
-        u = eps
+    a, b = eps
+    u_matrix = ((a, -n * b), (b, a + t * b))  # multiplication by eps in (1, theta)
+    if nrm == -1:  # u = eps^2, the square of eps's matrix
+        (a, b), (c, d) = u_matrix
+        u_matrix = ((a * a + b * c, a * b + b * d), (c * a + d * c, c * b + d * d))
+    u = (u_matrix[0][0], u_matrix[1][0])
     # u > 1 with norm +1 is automatically totally positive
-    assert _norm_theta(u[0], u[1], D, half) == 1
-    # multiplication by u in the basis (1, theta)
-    a, b = u
-    if half:
-        c = (D - 1) // 4
-        u_matrix = ((a, b * c), (b, a + b))
-    else:
-        u_matrix = ((a, D * b), (b, a))
-    narrow = nrm == -1
-    if narrow:
-        cert = _class_number_one_certified(D, half)
-        narrow = cert is True
+    assert _norm_theta(*u, t, n) == 1
+    narrow = nrm == -1 and _class_number_one_certified(D, t, n) is True
     if not narrow and not allow_narrow_failure:
         raise NarrowClassNumberNotOne(refusal)
     return RealQuadField(
-        D=D, half=half, disc=disc, eps=eps, eps_norm=nrm, u=u,
+        D=D, t=t, n=n, disc=t * t - 4 * n, eps=eps, eps_norm=nrm, u=u,
         u_matrix=u_matrix, narrow_h1=narrow, ring=ring,
     )
 

@@ -428,7 +428,7 @@ class SchwartzFn:
             tuple(_json_int(x) for x in entry["class"]): _coeff_from_json(ring, entry["value"])
             for entry in doc.get("values", [])
         }
-        return cls(doc["n"], doc.get("d", 1), doc.get("f", 1), table, ring)
+        return SchwartzFn(doc["n"], doc.get("d", 1), doc.get("f", 1), table, ring)
 
 
 def _json_int(x) -> int:

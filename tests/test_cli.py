@@ -405,3 +405,120 @@ _GOLDEN = json.loads((pathlib.Path(__file__).parent / "cli_golden.json").read_te
 def test_golden_cli_bytes(entry, capsys):
     code, out = run_cli([entry["command"], "--inline", json.dumps(entry["job"])], capsys)
     assert (code, out) == (entry["exit"], entry["stdout"])
+
+
+# ---------------------------------------------------------------------------
+# Unreadable documents, rationals over zero and the less used CLI branches
+# ---------------------------------------------------------------------------
+
+def _schema_message(args, capsys):
+    """Run the CLI, expect exit 64 with one JSON document, return its message."""
+    code, out = run_cli(args, capsys)
+    assert code == 64
+    (line,) = out.splitlines()
+    error = json.loads(line)["error"]
+    assert error["code"] == 64 and error["context"] == args[0]
+    return error["message"]
+
+
+@pytest.mark.parametrize("make,reason", [
+    pytest.param(lambda d: d / "missing.json", "No such file or directory", id="missing-file"),
+    pytest.param(lambda d: d, "Is a directory", id="directory"),
+    pytest.param(lambda d: d / "deep.json", "maximum recursion depth exceeded", id="deep-array"),
+    pytest.param(lambda d: d / "latin1.json", "can't decode byte 0xe9", id="invalid-utf8"),
+])
+def test_unreadable_input_is_a_schema_error(make, reason, tmp_path, capsys):
+    depth = 100000
+    (tmp_path / "deep.json").write_text("[" * depth + "]" * depth, encoding="utf-8")
+    (tmp_path / "latin1.json").write_bytes('{"char": {"modulus": 1}, "r": 1, "x": "é"}'.encode("latin-1"))
+    message = _schema_message(["lvalue-q", "--input", str(make(tmp_path))], capsys)
+    assert message.startswith("unreadable job document: ") and reason in message
+
+
+@pytest.mark.parametrize("command,job,message", [
+    pytest.param("eval-sigma", {"alpha": [["1/0", 0], [0, 1]], "w": [1, 1]},
+                 "bad matrix: Fraction(1, 0)", id="eval-sigma-matrix-entry"),
+    pytest.param("eval-sigma", {"alpha": [[1, 0], [0, 1]], "w": ["1/0", 1]},
+                 "bad vector: Fraction(1, 0)", id="eval-sigma-point-entry"),
+    pytest.param("decompose", {"alphas": [[[1, 0], [0, 1]], [["2/0", 0], [0, 1]]]},
+                 "bad matrix: Fraction(2, 0)", id="decompose-matrix-entry"),
+    pytest.param("lvalue-q", {"char": {"modulus": 3, "values": {"1": "1", "2": "-1/0"}}, "r": 1},
+                 "bad value of '2': Fraction(-1, 0)", id="lvalue-q-character-value"),
+    pytest.param("lvalue-quad", {"field": {"D": 5}, "char": {"f": 2, "values": {"1,0": "1/0"}},
+                                 "r": 1},
+                 "bad value of '1,0': Fraction(1, 0)", id="lvalue-quad-character-value"),
+    pytest.param("pair", {"combo": {"cones": [{"coeff": "1/0", "generators": [[1, 0]]}]},
+                          "phi": {"n": 2}},
+                 "bad combo or test function: ZeroDivisionError('Fraction(1, 0)')",
+                 id="pair-combo-coefficient"),
+    pytest.param("pair", {"combo": {"cones": []},
+                          "phi": {"n": 1, "values": [{"class": [0], "value": "3/0"}]}},
+                 "bad combo or test function: ZeroDivisionError('Fraction(3, 0)')",
+                 id="pair-test-function-value"),
+])
+def test_rational_over_zero_is_a_schema_error(command, job, message, capsys):
+    assert _schema_message([command, "--inline", json.dumps(job)], capsys) == message
+
+
+@pytest.mark.parametrize("command,job,message", [
+    pytest.param("lvalue-q", {"char": [1], "r": 1}, "field 'char' has the wrong type",
+                 id="wrong-type"),
+    pytest.param("lvalue-q", {"char": {"modulus": 5, "index": 4}, "r": 1},
+                 "character index out of range (0..3)", id="index-above-range"),
+    pytest.param("lvalue-q", {"char": {"modulus": 5, "index": -1}, "r": 1},
+                 "character index out of range (0..3)", id="index-below-range"),
+    pytest.param("lvalue-q", {"char": {"modulus": 1}, "r": 1, "route": "fast"},
+                 "route must be closed, cocycle or both", id="unknown-route"),
+])
+def test_refused_job_fields_name_the_field(command, job, message, capsys):
+    assert _schema_message([command, "--inline", json.dumps(job)], capsys) == message
+
+
+def test_run_refuses_an_unknown_command():
+    from shintani import cli
+    from shintani.errors import SchemaError
+    with pytest.raises(SchemaError, match="^unknown command 'lvalue-z'$"):
+        cli.run("lvalue-z", {})
+
+
+def test_input_from_stdin(monkeypatch, capsys):
+    import io
+    first = _GOLDEN[0]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(first["job"])))
+    assert run_cli([first["command"], "--input", "-"], capsys) == (first["exit"], first["stdout"])
+
+
+def test_no_document_is_read_as_empty_object(capsys):
+    assert _schema_message(["lvalue-q"], capsys) == "missing field 'char'"
+    code, out = run_cli(["verify-cocycle", "--seed", "5"], capsys)
+    assert code == 64
+    assert json.loads(out)["error"]["message"] == "missing field 'n'"
+
+
+def test_command_line_options_override_the_document(capsys):
+    job = json.dumps({"n": 2, "seed": 1, "trials": 100, "samples": 20})
+    code, out = run_cli(["verify-cocycle", "--inline", job, "--seed", "7",
+                         "--trials", "3", "--samples", "2"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["seed"], doc["trials"], doc["samples"]) == (7, 3, 2)
+    job = json.dumps({"char": {"modulus": 1}, "r": 2, "dmax": 9})
+    code, out = run_cli(["lvalue-q", "--inline", job, "--dmax", "1"], capsys)
+    assert (code, json.loads(out)["error"]["message"]) == (66, "need dmax >= r")
+    code, out = run_cli(["lvalue-q", "--inline", job, "--dmax", "4"], capsys)
+    assert (code, json.loads(out)["dmax"]) == (0, 4)
+
+
+def test_lvalue_q_single_routes(capsys):
+    # each route alone prints the value of the two-route job; only the
+    # cocycle route echoes dmax, and neither compares
+    job = {"char": {"modulus": 7, "index": 2}, "r": 2}
+    code, out = run_cli(["lvalue-q", "--inline", json.dumps(job)], capsys)
+    both = json.loads(out)
+    assert code == 0 and both["agrees"] is True
+    for route, keys in (("closed", set()), ("cocycle", {"dmax"})):
+        code, out = run_cli(["lvalue-q", "--inline", json.dumps({**job, "route": route})], capsys)
+        doc = json.loads(out)
+        assert code == 0
+        assert set(doc) == {"r", "modulus", "route", "value"} | keys
+        assert doc["value"] == both["value"] and doc["route"] == route

@@ -175,6 +175,30 @@ def test_lvalue_q_job_builds_one_character(monkeypatch):
     assert out["agrees"] is True
 
 
+def test_character_is_its_residue_function(monkeypatch):
+    # a character mod f is the test function on Z of period f that the
+    # cone route pairs, with the one table {(n,): chi(n)}
+    from math import gcd
+    for f in (1, 2, 5, 12):
+        for chi in DirichletChar.enumerate(f):
+            assert isinstance(chi, SchwartzFn) and (chi.n, chi.d, chi.f) == (1, 1, f)
+            assert chi.table == {(u,): chi(u) for u in range(f) if gcd(u, f) == 1}
+            assert chi.values == {u: v for (u,), v in chi.table.items()}
+            for w in range(-f, 2 * f):
+                assert chi.value_at((w,)) == chi(w)
+            assert chi.vanishes_near_zero == (f > 1)
+    chi = DirichletChar.enumerate(5)[1]
+    for phi in (SchwartzFn.from_json(chi.to_json()), DirichletChar.from_json(chi.to_json()),
+                chi.add(chi), chi.scale(2)):
+        assert type(phi) is SchwartzFn and (phi.n, phi.d, phi.f) == (1, 1, 5)
+    paired = []
+    pair = pair_combo
+    monkeypatch.setattr("shintani.lvalues.pair_combo",
+                        lambda combo, phi, dmax: paired.append(phi) or pair(combo, phi, dmax))
+    dirichlet_L_via_cocycle(chi, 2)
+    assert paired == [chi] and paired[0] is chi
+
+
 def _conductor_by_pairs(chi):
     """Reference conductor: the least divisor f0 of the modulus such that
     chi(a) == chi(b) for every pair of units a = b (mod f0)."""
@@ -283,11 +307,11 @@ def test_character_table_builds_a_fresh_character_per_index():
         chars = DirichletChar.enumerate(f)
         assert chars[0] is not chars[0]
         first = chars[len(chars) - 1]
-        before = dict(first.values)
-        first.values[1] = chars.ring.zero()
-        first.values.pop(1 % f)
+        before = dict(first.table)
+        first.table[(1,)] = chars.ring.zero()
+        first.table.pop((1 % f,))
         again = chars[len(chars) - 1]
-        assert again.values == before and again.values is not first.values
+        assert again.table == before and again.table is not first.table
 
 
 def test_cocycle_route_examples():
@@ -343,7 +367,7 @@ def test_fundamental_units():
 
 def test_build_real_quad_d5():
     K = build_real_quad(5)
-    assert K.half and K.disc == 5
+    assert (K.t, K.n) == (1, -1) and K.disc == 5
     assert K.eps == (0, 1) and K.eps_norm == -1
     assert K.u == (1, 1)
     assert K.u_matrix == ((1, 1), (1, 2))
@@ -354,7 +378,7 @@ def test_build_real_quad_d5():
 
 def test_build_real_quad_d2():
     K = build_real_quad(2)
-    assert not K.half and K.disc == 8
+    assert (K.t, K.n) == (0, -2) and K.disc == 8
     assert K.eps == (1, 1) and K.eps_norm == -1
     assert K.u == (3, 2)   # 3 + 2 sqrt2
     assert K.u_matrix == ((3, 4), (2, 3))
@@ -416,6 +440,26 @@ def test_prime_three_mod_four_forces_unit_norm_plus_one():
         assert fundamental_unit(D)[1] == 1, D
         checked += 1
     assert checked > 100
+
+
+def test_order_is_theta_squared_equals_t_theta_minus_n():
+    # read in the ring of Q(sqrt D) from the two embeddings alone: theta
+    # has trace t and norm n, eps has norm eps_norm, and u_matrix has
+    # determinant one and trace u_1 + u_2
+    checked = 0
+    for D in range(2, 500):
+        if any(e > 1 for e in _factorize(D).values()):
+            continue
+        K = build_real_quad(D, allow_narrow_failure=True)
+        ring = K.ring
+        _, (th1, th2) = K.transition_images()
+        assert th1 + th2 == ring.from_rat(K.t) and th1 * th2 == ring.from_rat(K.n)
+        assert K.embed(K.eps, 0) * K.embed(K.eps, 1) == ring.from_rat(K.eps_norm)
+        (a, b), (c, d) = K.u_matrix
+        assert a * d - b * c == 1
+        assert ring.from_rat(a + d) == K.embed(K.u, 0) + K.embed(K.u, 1)
+        checked += 1
+    assert checked == 305
 
 
 def _siegel_zeta_minus_one(D):
