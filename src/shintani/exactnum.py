@@ -184,22 +184,39 @@ class MPoly:
 # Bernoulli numbers and polynomials, convention B_1 = -1/2
 # ---------------------------------------------------------------------------
 
-# B_0 .. B_k so far; bernoulli_number extends the list on demand, with no
-# lock, since the package runs no threads.
-_BERNOULLI = [Fraction(1)]
+# B_0, B_2, B_4, .. so far; bernoulli_number extends the list on demand,
+# with no lock, since the package runs no threads.
+_EVEN_BERNOULLI = [Fraction(1)]
 
 
 def bernoulli_number(m: int) -> Fraction:
-    """B_m with B_1 = -1/2 (generating function t / (e^t - 1)), from the
-    defining recurrence sum_{j=0}^{k} C(k+1, j) B_j = 0 for k >= 1, which
-    forces B_0 = 1 and B_1 = -1/2; the values are kept in _BERNOULLI."""
+    """B_m with B_1 = -1/2 (generating function t / (e^t - 1)): 0 for odd
+    m > 1, and B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the integer
+    tangent numbers T_k (_tangent_numbers).  The even values are kept in
+    _EVEN_BERNOULLI, whose length at least doubles when it grows."""
     if m < 0:
         raise ValueError("Bernoulli index must be non-negative")
-    values = _BERNOULLI
-    while len(values) <= m:
-        k = len(values)
-        values.append(Fraction(-sum(comb(k + 1, j) * values[j] for j in range(k)), k + 1))
-    return values[m]
+    if m % 2:
+        return Fraction(-1, 2) if m == 1 else Fraction(0)
+    k = m // 2
+    if k >= len(_EVEN_BERNOULLI):
+        n = max(k, 2 * len(_EVEN_BERNOULLI))
+        _EVEN_BERNOULLI[1:] = [Fraction((-1) ** (j - 1) * 2 * j * t, 4 ** j * (4 ** j - 1))
+                               for j, t in enumerate(_tangent_numbers(n), 1)]
+    return _EVEN_BERNOULLI[k]
+
+
+def _tangent_numbers(n: int) -> list[int]:
+    """T_1 .. T_n, tan x = sum_k T_k x^(2k-1) / (2k-1)!, in O(n^2) integer
+    operations (Brent and Harvey, Fast computation of Bernoulli, Tangent
+    and Secant numbers, 2011, algorithm TangentNumbers)."""
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:n + 1]
 
 
 def bernoulli_poly(m: int, x) -> Fraction:

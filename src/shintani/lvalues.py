@@ -6,9 +6,10 @@ Two pipelines:
     L(chi, 1-r) = -(f^(r-1)/r) sum_n chi(n) B_r(n/f), one integer sum per
     basis key of the ring, and independently the cone pipeline (decompose
     the one-dimensional cocycle, pair with the character, read the Laurent
-    coefficient).  The two must agree exactly.  A character is the residue
-    function on Z of period f that it is paired as; the characters of a
-    modulus form a sequence that builds each one when it is indexed.
+    coefficient of z^(r-1)).  The two must agree exactly.  A character is
+    the residue function on Z of period f that it is paired as; the
+    characters of a modulus form a sequence that builds each one when it
+    is indexed.
 
   * Real quadratic fields of narrow class number one, the maximal order
     written Z[theta] with theta^2 = t theta - n: the cocycle paired with
@@ -16,6 +17,11 @@ Two pipelines:
     fundamental cone; pairing against a residue character and passing to
     embedding coordinates yields L(chi, -r) as (r!)^2 times the symmetric
     Laurent coefficient of t1^r t2^r.
+
+Each value is one Laurent coefficient, which reads one homogeneous
+degree of each cone's paired numerator, r - 1 + rank and 2r + rank, so
+both cone routes pair each cone for that degree alone and add the cones'
+coefficients; ``s_coeffs`` needs every degree and pairs the whole combo.
 """
 
 from __future__ import annotations
@@ -36,13 +42,14 @@ from .errors import (
 )
 from .exactnum import MAX_D, CoeffElem, CoeffRing, _factorize, bernoulli_number
 from .solomon_hu import (
-    MSeries,
-    QuotSeries,
     SchwartzFn,
-    laurent_coeff_1var,
+    _clear_real,
+    _combo_laurent_1var,
+    _combo_symmetric_laurent,
+    _split_zeta,
+    _symmetric_coeff,
     pair_combo,
     reduce_to_power_series,
-    symmetric_laurent_coeff,
 )
 
 
@@ -102,9 +109,12 @@ class DirichletChar(SchwartzFn):
     (the default, and the route of every table read from outside) the
     caller's table {n: value} must cover exactly the units, send 1 to 1 and
     be multiplicative there, checked at every unit times every generator
-    of ``unit_group_generators`` (phi(f) * #generators ring products)
-    before the residue table is built; ``trivial`` and ``CharacterTable``
-    build exact unit tables and skip these checks.
+    of ``unit_group_generators`` (phi(f) * #generators ring products),
+    and the residue table then gets SchwartzFn's key and value checks.
+    Without validate the keys are trusted to be the units 0 <= u < f and
+    the residue table is built directly, each value coerced into the ring
+    and zeros dropped as SchwartzFn does: ``trivial`` and
+    ``CharacterTable`` build exact unit tables this way.
     """
 
     def __init__(self, f: int, values: dict, ring: CoeffRing, validate: bool = True):
@@ -121,7 +131,10 @@ class DirichletChar(SchwartzFn):
                 for a in units:
                     if vals[(a * g) % f] != vals[a] * vals[g]:
                         raise ValueError("character table is not multiplicative")
-        super().__init__(1, 1, f, {(n,): v for n, v in values.items()}, ring)
+            super().__init__(1, 1, f, {(n,): v for n, v in values.items()}, ring)
+        else:
+            self.n, self.d, self.f, self.ring = 1, 1, f, ring
+            self.table = {(u,): c for u, v in values.items() if (c := ring.coerce(v))}
 
     @property
     def values(self) -> dict:
@@ -233,8 +246,9 @@ def dirichlet_L_closed(chi: DirichletChar, r: int) -> CoeffElem:
 
 def dirichlet_L_via_cocycle(chi: DirichletChar, r: int) -> CoeffElem:
     """Same value through the cone pipeline: decompose the 1-dimensional
-    cocycle at the identity, pair with the character to degree r - 1, and
-    read off the z^(r-1) coefficient times (r-1)!.
+    cocycle at the identity, pair with the character, and read off the
+    z^(r-1) Laurent coefficient times (r-1)!.  Each cone is paired for the
+    one numerator degree that coefficient reads.
 
     The coefficient is read from the Laurent expansion, which in one
     variable equals the power-series coefficient whenever the pole cancels.
@@ -242,8 +256,7 @@ def dirichlet_L_via_cocycle(chi: DirichletChar, r: int) -> CoeffElem:
     if r < 1:
         raise ValueError("r must be a positive integer")
     combo = sigma_decompose([[[1]]])
-    q = pair_combo(combo, chi, r - 1)
-    return laurent_coeff_1var(q, r - 1) * factorial(r - 1)
+    return _combo_laurent_1var(combo, chi, r - 1) * factorial(r - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +412,10 @@ def quad_L_value(K: RealQuadField, phi: SchwartzFn, r: int):
     """L(phi, -r) through the cone pipeline.
 
     Decomposes the cocycle on (identity, unit matrix), pairs against the
-    residue function to degree 2r, passes to embedding coordinates and
-    extracts (r!)^2 times the symmetric Laurent coefficient of t1^r t2^r.
+    residue function, passes to embedding coordinates and extracts (r!)^2
+    times the symmetric Laurent coefficient of t1^r t2^r.  Each cone is
+    paired for the one numerator degree, 2r + rank, that coefficient
+    reads, and the cones' coefficients add.
     For a rational-valued phi the result is asserted rational and returned
     as a Fraction.
     """
@@ -411,8 +426,7 @@ def quad_L_value(K: RealQuadField, phi: SchwartzFn, r: int):
     if phi.ring.D != K.D:
         raise ShintaniError("residue function ring must contain sqrt(D)")
     combo = sigma_decompose([((1, 0), (0, 1)), K.u_matrix])
-    q = pair_combo(combo, phi, 2 * r)
-    value = symmetric_laurent_coeff(q, r, r, K.transition_images()) * factorial(r) ** 2
+    value = _combo_symmetric_laurent(combo, phi, r, r, K.transition_images()) * factorial(r) ** 2
     real_valued = all(v.is_rational() for v in phi.table.values())
     if real_valued:
         if not value.is_rational():
@@ -458,7 +472,7 @@ def l_value_from_s_coeffs(K: RealQuadField, sc: SCoeffs, r: int):
     read in embedding coordinates like the paired series of quad_L_value."""
     if r > sc.rmax:
         raise TruncationTooSmall("table does not reach degree 2r")
-    num = {m: s * Fraction(1, factorial(m[0]) * factorial(m[1]))
-           for m, s in sc.table.items() if sum(m) == 2 * r}
-    q = QuotSeries(MSeries(sc.ring, 2, 2 * r, num))
-    return symmetric_laurent_coeff(q, r, r, K.transition_images()) * factorial(r) ** 2
+    den, rows = _split_zeta(sc.ring, {m1: s * Fraction(1, factorial(m1) * factorial(m2))
+                                      for (m1, m2), s in sc.table.items() if m1 + m2 == 2 * r})
+    images = _clear_real(sc.ring, K.transition_images())
+    return _symmetric_coeff(sc.ring, den, rows, (), r, r, images) * factorial(r) ** 2

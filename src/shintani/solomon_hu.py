@@ -13,16 +13,14 @@ so the numerator is the parallelotope exponential sum times the product
 of the -g factors, with the pole data carried exactly by the denominator
 multiset.  Each form v is a vector of plain ints, f times a primitive
 cone generator, from the pairing to the Laurent coefficient.  The numerator
-is built in integers (``_numerator``): each point p is enumerated as its
-integer vector k = d p, and the points of one residue class k mod d f
-share one list of integer moments sum k^e, so the exponential sum's z^e
-coefficient is sum_class phi(class) moment / (d^|e| e!).  The g factors
-(z^e coefficient B_|e| v^e / e!) are multiplied once as one integer list
-over a common denominator; per basis key of the coefficient ring the
-class values, cleared by ``CoeffRing.clear``, are convolved with it in
-integers, and every nonzero coefficient is one Fraction.  All
-coefficients of the represented Laurent expansion up to the tracked
-degree are exact.
+is built in integers and kept by homogeneous component (``_numerator``),
+with one Fraction per nonzero coefficient; all coefficients of the
+represented Laurent expansion up to the tracked degree are exact.
+
+A Laurent coefficient of total degree m reads only the degree m + rank
+component of each cone's numerator and is linear in the series, so the
+L-value routes pair a combo cone by cone for that component and add the
+cones' coefficients (``_combo_value``); ``pair_combo`` builds every degree.
 
 A two-variable series is read in embedding coordinates z = T t in
 Z[sqrt D] integers by one call, ``symmetric_laurent_coeff(q, m1, m2,
@@ -45,10 +43,9 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cache
-from itertools import product
-from math import factorial, lcm, prod
-from operator import add, mul
+from itertools import accumulate, product
+from math import lcm, prod
+from operator import mul
 
 from .cone_algebra import ConeCombo, OpenSimplicialCone
 from .errors import (
@@ -248,94 +245,149 @@ def _split_zeta(ring, elems):
     index: the denominator P and {i: {key: (x, y)}} with
     elems[key] = sum_i zeta^i (x + y sqrt D) / P."""
     den, ints = ring.clear(elems.values())
+    return den, _zeta_rows(zip(elems, ints))
+
+
+def _zeta_rows(entries):
+    """{i: {key: (x, y)}} from entries (key, {(i, j): int}), the ints of
+    one element as CoeffRing.clear gives them: (x, y) are the ints at
+    (i, 0) and (i, 1)."""
     slices = {}
-    for key, c in zip(elems, ints):
+    for key, c in entries:
         for (i, j), v in c.items():
             row = slices.setdefault(i, {})
             x, y = row.get(key, (0, 0))
             row[key] = (x, v) if j else (v, y)
-    return den, slices
+    return slices
 
 
-@cache
-def _exponents(nvars, trunc):
-    """Exponents |e| <= trunc in lex order, the steps that build their
-    monomials and the pairs of a truncated product, once per shape: step
-    (i, j) makes the next exponent from exps[i] by one more power of z_j,
-    so a point's monomials cost one integer product each, and pairs[i]
-    lists the (j, k) with exps[i] + exps[j] = exps[k].  Every caller
-    shares the cached tables, so they are tuples."""
-    exps = tuple(e for e in product(range(trunc + 1), repeat=nvars) if sum(e) <= trunc)
-    index = {e: i for i, e in enumerate(exps)}
-    steps = []
-    for e in exps[1:]:
-        j = next(i for i, k in enumerate(e) if k)
-        steps.append((index[e[:j] + (e[j] - 1,) + e[j + 1:]], j))
-    pairs = tuple(tuple((j, index[tuple(map(add, e, f))]) for j, f in enumerate(exps)
-                        if sum(e) + sum(f) <= trunc) for e in exps)
-    return exps, tuple(steps), pairs
-
-
-def _monomials(k, steps):
-    """k^e for every exponent the steps build, k an integer vector."""
-    mono = [1]
-    for parent, j in steps:
-        mono.append(mono[parent] * k[j])
-    return mono
-
-
-def _convolve(x, y, pairs):
-    """Truncated product of two coefficient lists; pairs[i] lists the
-    (j, k) with exps[i] + exps[j] = exps[k]."""
-    out = [0] * len(x)
-    for a, row in zip(x, pairs):
-        if a:
-            for j, k in row:
-                out[k] += a * y[j]
+def _moments(points, weights, trunc, layout):
+    """sum_k w_k k^e over integer vectors k with weights w_k, for every
+    entry (c, i, j) of a layout (see _numerator): k^e is the product of
+    the powers of k_1 .. k_(n-1) that index i spells, times k_n^j, and a
+    hole (j < 0) holds 0.  weights maps each basis key to its column of
+    w_k, and the result maps it to its list of moments.  Every power is
+    kept as a column over the points, so each moment is one sum of
+    products."""
+    if not weights:
+        return {}
+    cols = []
+    for xs in zip(*points):  # per variable, its powers 0 .. trunc as columns
+        col = [[1] * len(points)]
+        for _ in range(trunc):
+            col.append(list(map(mul, col[-1], xs)))
+        cols.append(col)
+    last = cols[-1] + [[0] * len(points)]
+    out = {}
+    for b, w in weights.items():
+        head = [w]  # by index: the weights times the powers its digits name
+        for col in reversed(cols[:-1]):
+            head = [list(map(mul, x, y)) for x in col for y in head]
+        out[b] = [sum(map(mul, head[i], last[j])) for _, i, j in layout]
     return out
 
 
-def _numerator(ring, nvars, trunc, d, groups, gens=()):
+def _split(flat, width, trunc):
+    """Components end to end, as the list of components of degree 0..trunc."""
+    out, start = [], 0
+    for c in range(trunc + 1):
+        out.append(flat[start:start + c * width + 1])
+        start += c * width + 1
+    return out
+
+
+def _product(x, y):
+    """The product of two graded series, each as its components from
+    degree 0, up to the degree of x: component c is the sum over a + b = c
+    of the 1-D convolutions of x[a] and y[b]."""
+    taps = [[(j, v) for j, v in enumerate(comp) if v] for comp in y]
+    out = []
+    for c, xc in enumerate(x):
+        comp = [0] * len(xc)
+        for xa, yb in zip(x, reversed(taps[:c + 1])):
+            for i, u in enumerate(xa):
+                if u:
+                    for j, v in yb:
+                        comp[i + j] += u * v
+        out.append(comp)
+    return out
+
+
+def _numerator(ring, nvars, trunc, d, groups, gens=(), top=False):
     """sum_p phi(p) exp(p.z) prod_{v in gens} (-g(v.z)) truncated at trunc,
     for groups (value, integer points k = d p) of points sharing one value:
-    the integer kernel of pair_cone.
+    the integer kernel of pair_cone.  Returns the MSeries of every degree,
+    or with top only the degree-trunc component, the one a Laurent
+    coefficient of the pairing reads, as (den, [{key: int}] by index),
+    each entry over den as CoeffRing.clear gives it.
 
-    Each group keeps one list of integer moments sum k^e, so the z^e
-    coefficient of the exponential sum is sum_groups value moment /
-    (d^|e| e!): the moment times the integer weight d^(trunc-|e|) trunc!/e!,
-    over d^trunc trunc!.  One factor g(v.z) has the z^e coefficient
-    B_|e| v^e / e!, an integer over B trunc! with B the lcm of the
-    Bernoulli denominators, and the factors are multiplied once as integer
-    lists.  The group values are cleared to integers over the lcm D of
-    their coefficient denominators; per basis key of the ring the weighted
-    moment sum is convolved with the g-product in integers, and each
-    nonzero coefficient is one Fraction over d^trunc trunc! D
-    (-B trunc!)^len(gens)."""
-    exps, steps, pairs = _exponents(nvars, trunc)
-    top = factorial(trunc)
-    rel = [top // prod(map(factorial, e)) for e in exps]  # trunc! / e!
-    bern = [bernoulli_number(sum(e)) for e in exps]
+    A degree-c component is one list of ints indexed by the exponents of
+    z_1 .. z_(n-1) as the digits of a number in base trunc + 1, z_1 the
+    most significant (an index whose digits sum past c holds 0), and z_n
+    takes the rest of the degree: one int in one variable, c + 1 by the
+    power of z_1 in two.  No digit of a product index carries, so
+    components multiply by 1-D convolution (_product), with no table of
+    exponent pairs.
+
+    The moments sum_k value(k) k^e (_moments) give the z^e coefficient of
+    the exponential sum as moment / (d^|e| e!), an integer weight
+    d^(trunc-|e|) trunc!/e! over d^trunc trunc!; a factor g(v.z) has the
+    z^e coefficient B_|e| v^e / e!, an integer over B trunc! with B the
+    lcm of the Bernoulli denominators.  The values are cleared to integers
+    over the lcm D of their denominators, and per basis key the weighted
+    moments meet the g-product: in every component by _product, or in the
+    top one alone as one sum of products per index, the entry of degree c
+    at index a meeting the g-product's degree trunc - c entry at i - a.
+    Each coefficient is over d^trunc trunc! D (-B trunc!)^len(gens)."""
+    width = (trunc + 1) ** (nvars - 2) if nvars > 1 else 0  # index growth per degree
+    fact = list(accumulate(range(1, trunc + 1), mul, initial=1))
+    digit_sum, digit_fact = [0], [1]  # by index, over the exponents of z_1 .. z_(n-1)
+    for _ in range(nvars - 1):
+        digit_sum = [x + y for x in range(trunc + 1) for y in digit_sum]
+        digit_fact = [x * y for x in fact for y in digit_fact]
+    # the entries (degree c, index i, exponent j of z_n) end to end; j < 0 in a hole
+    layout = [(c, i, c - digit_sum[i]) for c in range(trunc + 1) for i in range(c * width + 1)]
+    rel = [fact[trunc] // (digit_fact[i] * fact[j]) if j >= 0 else 0
+           for _, i, j in layout]  # trunc! / e!
+    bern = [bernoulli_number(c) for c in range(trunc + 1)]
     bden = lcm(*(b.denominator for b in bern))
-    gprod = [1] + [0] * (len(exps) - 1)
+    bern = [b.numerator * (bden // b.denominator) for b in bern]
     den, values = ring.clear([value for value, _ in groups])
-    scale = d ** trunc * top * den
-    for v in gens:
-        g = [b.numerator * (bden // b.denominator) * c * x
-             for b, c, x in zip(bern, rel, _monomials(v, steps))]
-        gprod = _convolve(gprod, g, pairs)
-        scale *= -bden * top
-    sums = {}
-    for (_, points), value in zip(groups, values):
-        moments = [sum(m) for m in zip(*(_monomials(k, steps) for k in points))]
-        for b, c in value.items():
-            sums[b] = [a + c * m for a, m in zip(sums.get(b, [0] * len(exps)), moments)]
-    weights = [d ** (trunc - sum(e)) * c for e, c in zip(exps, rel)]
+    scale = d ** trunc * fact[trunc] * den
+    gprod = [[1]] + [[0] * (c * width + 1) for c in range(1, trunc + 1)]  # the empty product
+    for i, v in enumerate(gens):
+        powers = _moments([v], {0: [1]}, trunc, layout)[0]
+        g = _split([bern[c] * w * x for (c, _, _), w, x in zip(layout, rel, powers)], width, trunc)
+        gprod = _product(gprod, g) if i else g
+        scale *= -bden * fact[trunc]
+    points = [k for _, pts in groups for k in pts]
+    owner = [value for (_, pts), value in zip(groups, values) for _ in pts]
+    moments = _moments(points, {b: [value.get(b, 0) for value in owner]
+                                for b in {b for value in values for b in value}}, trunc, layout)
+    weights = [d ** (trunc - c) * w for (c, _, _), w in zip(layout, rel)]
+    if top:
+        size = trunc * width + 1
+        rows = [[] for _ in range(size)]  # per index i, the g-product entry each entry meets
+        for c in range(trunc + 1):
+            zeros = [0] * (c * width)
+            pad = zeros + gprod[trunc - c][::-1] + zeros
+            for i, row in enumerate(rows, 1):
+                row += pad[size - i:size - i + c * width + 1]
+        tops = {}
+        for b, acc in moments.items():
+            acc = list(map(mul, acc, weights))
+            tops[b] = [sum(map(mul, acc, row)) for row in rows]
+        return scale, [{b: t[i] for b, t in tops.items() if t[i]} for i in range(size)]
     terms = {}
-    for b, acc in sums.items():
-        for e, a in zip(exps, _convolve(list(map(mul, acc, weights)), gprod, pairs)):
-            if a:
-                terms.setdefault(e, {})[b] = a
-    return MSeries(ring, nvars, trunc, {e: ring.from_ints(c, scale) for e, c in terms.items()})
+    for b, acc in moments.items():
+        acc = _split(list(map(mul, acc, weights)), width, trunc)
+        for c, comp in enumerate(_product(acc, gprod)):
+            for i, a in enumerate(comp):
+                if a:
+                    terms.setdefault((c, i), {})[b] = a
+    digits = list(product(range(trunc + 1), repeat=nvars - 1))
+    return MSeries(ring, nvars, trunc, {(*digits[i], c - digit_sum[i]): ring.from_ints(v, scale)
+                                        for (c, i), v in terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +620,27 @@ class QuotSeries:
 # The pairing
 # ---------------------------------------------------------------------------
 
+def _cone_points(cone: OpenSimplicialCone, phi: SchwartzFn):
+    """The generators of a cone scaled into the period lattice and the
+    groups (value, points) of its paired points, for _numerator (see
+    pair_cone)."""
+    if cone.ambient != phi.n:
+        raise ValueError("cone and test function dimensions differ")
+    mod = phi.d * phi.f
+    scaled = [tuple(phi.f * x for x in g) for g in cone.generators]
+    if cone.dim == 1:
+        points = _ray_points(cone.generators[0], mod)
+    else:
+        rows, back = reduce_rows(scaled)
+        points = parallelotope_points(rows, phi.d, phi.f)
+        if back is not None:
+            points = [tuple(idot(b, k) for b in back) for k in points]
+    classes = {}
+    for k in points:
+        classes.setdefault(tuple(x % mod for x in k), []).append(k)
+    return scaled, [(phi.table[c], pts) for c, pts in classes.items() if c in phi.table]
+
+
 def pair_cone(cone: OpenSimplicialCone, phi: SchwartzFn, dmax: int) -> QuotSeries:
     """Pairing of one open simplicial cone with a test function.
 
@@ -584,29 +657,23 @@ def pair_cone(cone: OpenSimplicialCone, phi: SchwartzFn, dmax: int) -> QuotSerie
     k' = d p', and each maps back to k = U^-1 k' (no mapping when U is
     the identity).
     The value of the point k / d is read from the residue table at
-    k mod d f; points of an absent class contribute nothing, and the
-    points of one class share one list of integer moments.  The numerator
-    comes from the integer kernel _numerator: one integer g-product, one
-    integer convolution per basis key of the ring and one Fraction per
-    nonzero coefficient.
+    k mod d f, and points of an absent class contribute nothing.  The
+    numerator comes from the integer kernel _numerator, every degree up to
+    dmax + rank.
     """
-    if cone.ambient != phi.n:
-        raise ValueError("cone and test function dimensions differ")
-    d, mod = phi.d, phi.d * phi.f
-    scaled = [tuple(phi.f * x for x in g) for g in cone.generators]
-    if cone.dim == 1:
-        points = _ray_points(cone.generators[0], mod)
-    else:
-        rows, back = reduce_rows(scaled)
-        points = parallelotope_points(rows, d, phi.f)
-        if back is not None:
-            points = [tuple(idot(b, k) for b in back) for k in points]
-    classes = {}
-    for k in points:
-        classes.setdefault(tuple(x % mod for x in k), []).append(k)
-    groups = [(phi.table[c], pts) for c, pts in classes.items() if c in phi.table]
-    num = _numerator(phi.ring, phi.n, dmax + cone.dim, d, groups, scaled)
-    return QuotSeries(num, scaled)
+    scaled, groups = _cone_points(cone, phi)
+    return QuotSeries(_numerator(phi.ring, phi.n, dmax + cone.dim, phi.d, groups, scaled), scaled)
+
+
+def _combo_cones(combo: ConeCombo, phi: SchwartzFn):
+    """The (coefficient, cone) terms of a combo in the sorted order they are
+    paired in, once a nonzero constant offset is known to pair to zero:
+    that requires the test function to vanish near zero."""
+    if combo.constant != 0 and not phi.vanishes_near_zero:
+        raise ConstantAgainstNonVanishing(
+            "constant offset paired against a test function with phi(0) != 0"
+        )
+    return sorted(combo.terms, key=lambda t: t[1].generators)
 
 
 def pair_combo(combo: ConeCombo, phi: SchwartzFn, dmax: int) -> QuotSeries:
@@ -621,12 +688,8 @@ def pair_combo(combo: ConeCombo, phi: SchwartzFn, dmax: int) -> QuotSeries:
     zero, in which case the constant pairs to zero.  Cones are processed
     in a deterministic sorted order.
     """
-    if combo.constant != 0 and not phi.vanishes_near_zero:
-        raise ConstantAgainstNonVanishing(
-            "constant offset paired against a test function with phi(0) != 0"
-        )
     total = None
-    for coeff, cone in sorted(combo.terms, key=lambda t: t[1].generators):
+    for coeff, cone in _combo_cones(combo, phi):
         q = pair_cone(cone, phi, dmax)
         if coeff != 1:
             q = q.scale(coeff)
@@ -634,6 +697,40 @@ def pair_combo(combo: ConeCombo, phi: SchwartzFn, dmax: int) -> QuotSeries:
     if total is None:
         return QuotSeries(MSeries.zero(phi.ring, phi.n, dmax))
     return total
+
+
+def _combo_value(combo: ConeCombo, phi: SchwartzFn, degree: int, read) -> CoeffElem:
+    """A Laurent coefficient of total degree `degree` of pair_combo(combo,
+    phi, degree), cone by cone: each cone is paired for the one numerator
+    component the coefficient reads, degree + rank (_numerator with top),
+    read(den, component, forms) gives that cone's coefficient, and the
+    coefficients add, since a Laurent coefficient is linear in the series
+    and the sum of the cones' series is the combo's.  No series of any
+    other degree is built."""
+    values = []
+    for coeff, cone in _combo_cones(combo, phi):
+        forms, groups = _cone_points(cone, phi)
+        den, comp = _numerator(phi.ring, phi.n, degree + cone.dim, phi.d, groups, forms, top=True)
+        value = read(den, comp, forms)
+        values.append(value if coeff == 1 else value * coeff)
+    return sum(values, phi.ring.zero())
+
+
+def _combo_laurent_1var(combo: ConeCombo, phi: SchwartzFn, k: int) -> CoeffElem:
+    """laurent_coeff_1var(pair_combo(combo, phi, k), k), phi of one
+    variable, built for the one degree it reads (_combo_value)."""
+    return _combo_value(combo, phi, k, lambda den, comp, forms: phi.ring.from_ints(
+        comp[0], den * prod(form[0] for form in forms)))
+
+
+def _combo_symmetric_laurent(combo: ConeCombo, phi: SchwartzFn, m1: int, m2: int,
+                             images) -> CoeffElem:
+    """symmetric_laurent_coeff(pair_combo(combo, phi, m1 + m2), m1, m2,
+    images), phi of two variables, built for the one degree it reads
+    (_combo_value)."""
+    images = _clear_real(phi.ring, images)
+    return _combo_value(combo, phi, m1 + m2, lambda den, comp, forms: _symmetric_coeff(
+        phi.ring, den, _zeta_rows(enumerate(comp)), forms, m1, m2, images))
 
 
 # ---------------------------------------------------------------------------
@@ -767,31 +864,39 @@ def symmetric_laurent_coeff(q: QuotSeries, m1: int, m2: int, images) -> CoeffEle
 
     The coefficient is homogeneous of degree k = m1 + m2 + #forms in the
     numerator, so only that component is read: cleared once to integers
-    over one denominator P and split by zeta index (_split_zeta), each
-    slice substituted by _horner, the integer routine of
-    MSeries.substitute_linear.  The images must lie in Q(sqrt D) (a zeta
-    component raises ValueError); cleared once to Z[sqrt D] by the lcm s
-    of their denominators, they feed the substitution, which is s^k times
-    too large, and map each integer form v to s T^t v, the integer
-    combination sum_j v_j (s images[j]), s^#forms times too large.  The
-    two extractions (_iterated_coeff) give N_0 / W_0 and N_1 / W_1, and
-    the average (N_0 W_1 + N_1 W_0) / (2 P s^(m1+m2) W_0 W_1) is
-    rationalised once, by the conjugate of W_0 W_1 over its integer norm:
-    one Fraction per component of the result."""
+    over one denominator P and split by zeta index (_split_zeta), and
+    read by _symmetric_coeff."""
     if q.nvars != 2:
         raise ValueError("two-variable extraction only")
     if m1 + m2 > q.dmax:
         raise TruncationTooSmall(
             f"coefficient degree {m1 + m2} beyond tracked degree {q.dmax}"
         )
-    ring = q.ring
-    sqd = ring.D or 0
     k = m1 + m2 + len(q.denoms)
-    s, (z1, z2) = _clear_real(ring, images)
-    den, top = _split_zeta(ring, {i: c for (i, j), c in q.num.terms.items() if i + j == k})
-    slices = {i: _horner(row, k, z1, z2, sqd) for i, row in top.items()}
+    den, rows = _split_zeta(q.ring, {i: c for (i, j), c in q.num.terms.items() if i + j == k})
+    return _symmetric_coeff(q.ring, den, rows, q.denoms, m1, m2, _clear_real(q.ring, images))
+
+
+def _symmetric_coeff(ring, den, rows, denoms, m1, m2, cleared) -> CoeffElem:
+    """symmetric_laurent_coeff from the numerator component it reads, of
+    degree k = m1 + m2 + len(denoms): rows {zeta index i: {a: (x, y)}}
+    over den > 0, the coefficient of z_1^a z_2^(k-a) being sum_i zeta^i
+    (x + y sqrt D) / den, each slice substituted by _horner, the integer
+    routine of MSeries.substitute_linear.  The images come cleared by
+    _clear_real to Z[sqrt D] over the lcm s of their denominators; they
+    feed the substitution, which is s^k times too large, and map each
+    integer form v to s T^t v, the integer combination sum_j v_j
+    (s images[j]), s^#forms times too large.  The two extractions (_iterated_coeff) give
+    N_0 / W_0 and N_1 / W_1, and the average (N_0 W_1 + N_1 W_0) /
+    (2 P s^(m1+m2) W_0 W_1) is rationalised once, by the conjugate of
+    W_0 W_1 over its integer norm: one Fraction per component of the
+    result."""
+    sqd = ring.D or 0
+    k = m1 + m2 + len(denoms)
+    s, (z1, z2) = cleared
+    slices = {i: _horner(row, k, z1, z2, sqd) for i, row in rows.items()}
     columns = [tuple(zip(*col)) for col in zip(z1, z2)]  # per t_i: (xs, ys) over z_j
-    forms = [[(idot(v, xs), idot(v, ys)) for xs, ys in columns] for v in q.denoms]
+    forms = [[(idot(v, xs), idot(v, ys)) for xs, ys in columns] for v in denoms]
     if [(0, 0), (0, 0)] in forms:
         raise ZeroForm("a denominator form vanishes on the images")
     n0, w0 = _iterated_coeff(slices, forms, k, 0, m1, m2, sqd)

@@ -22,6 +22,9 @@ is an independent definition of a value the library computes another way:
     to move tuples and points by a matrix; ``mat_det`` is the oracle for
     the integer ``int_det`` and ``gauss_jordan_oracle`` for the integer
     ``solve_columns``.
+  * ``bernoulli_numbers_reference``, B_0 .. B_n by the defining
+    recurrence in Fractions, the oracle for the integer tangent numbers
+    behind ``bernoulli_number``.
   * ``cyclotomic_poly_reference``, Phi_m by dense division of x^m - 1 by
     the cyclotomic polynomials of the proper divisors, the oracle for the
     Moebius product of ``cyclotomic_poly``; ``coeff_inv`` and
@@ -53,7 +56,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from shintani.cocycle_core import _integer_columns
 from shintani.cone_algebra import _split_piece, _start_pieces
@@ -413,6 +416,20 @@ def closed_form_sigma_n2(alpha, w) -> int:
     if a < 0 and c > 0:
         return 1 if (y > 0 and t >= 0) else 0
     return -1 if (y <= 0 and t <= 0) else 0
+
+
+# ---------------------------------------------------------------------------
+# Bernoulli numbers
+# ---------------------------------------------------------------------------
+
+def bernoulli_numbers_reference(n: int) -> list[Fraction]:
+    """B_0 .. B_n from the defining recurrence sum_{j=0}^{k} C(k+1, j) B_j
+    = 0 for k >= 1, in Fractions: the oracle for the tangent-number route
+    of bernoulli_number."""
+    values = [Fraction(1)]
+    for k in range(1, n + 1):
+        values.append(Fraction(-sum(comb(k + 1, j) * values[j] for j in range(k)), k + 1))
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,14 @@ from math import comb, gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from reference import coeff_inv, coeff_pow, cyclotomic_poly_reference, mat_det
+from reference import (
+    bernoulli_numbers_reference,
+    coeff_inv,
+    coeff_pow,
+    cyclotomic_poly_reference,
+    mat_det,
+)
+from shintani import exactnum
 from shintani.exactnum import (
     MAX_ZETA_ORDER,
     CoeffRing,
@@ -48,6 +55,14 @@ def test_bernoulli_defining_recurrence_to_30():
 def test_bernoulli_odd_vanish():
     for m in range(3, 31, 2):
         assert bernoulli_number(m) == 0
+
+
+def test_bernoulli_from_tangent_numbers_matches_the_recurrence_to_300():
+    assert [bernoulli_number(m) for m in range(301)] == bernoulli_numbers_reference(300)
+    # an odd index above 1 is read without extending the table
+    known = len(exactnum._EVEN_BERNOULLI)
+    assert bernoulli_number(10 ** 9 + 1) == 0
+    assert len(exactnum._EVEN_BERNOULLI) == known
 
 
 def test_bernoulli_poly_examples():

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 from fractions import Fraction
 from math import comb, factorial
 
@@ -11,6 +12,7 @@ from reference import (
     norm_character_schwartz,
     symmetric_laurent_coeff_reference,
 )
+from shintani import lvalues
 from shintani.cone_algebra import sigma_decompose
 from shintani.errors import (
     NarrowClassNumberNotOne,
@@ -30,7 +32,7 @@ from shintani.lvalues import (
     trivial_quad_schwartz,
     unit_group_generators,
 )
-from shintani.solomon_hu import SchwartzFn, pair_combo
+from shintani.solomon_hu import SchwartzFn, pair_combo, symmetric_laurent_coeff
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +194,9 @@ def test_character_is_its_residue_function(monkeypatch):
                 chi.add(chi), chi.scale(2)):
         assert type(phi) is SchwartzFn and (phi.n, phi.d, phi.f) == (1, 1, 5)
     paired = []
-    pair = pair_combo
-    monkeypatch.setattr("shintani.lvalues.pair_combo",
-                        lambda combo, phi, dmax: paired.append(phi) or pair(combo, phi, dmax))
+    pair = lvalues._combo_laurent_1var
+    monkeypatch.setattr("shintani.lvalues._combo_laurent_1var",
+                        lambda combo, phi, k: paired.append(phi) or pair(combo, phi, k))
     dirichlet_L_via_cocycle(chi, 2)
     assert paired == [chi] and paired[0] is chi
 
@@ -312,6 +314,17 @@ def test_character_table_builds_a_fresh_character_per_index():
         first.table.pop((1 % f,))
         again = chars[len(chars) - 1]
         assert again.table == before and again.table is not first.table
+
+
+def test_unchecked_character_tables_equal_the_validated_ones():
+    # trivial and CharacterTable build their residue tables directly; the
+    # validated constructor, with SchwartzFn's checks, builds the same ones
+    for f in range(1, 31):
+        for chi in list(DirichletChar.enumerate(f)) + [DirichletChar.trivial(f)]:
+            checked = DirichletChar(f, chi.values, chi.ring)
+            assert (chi.n, chi.d, chi.f) == (checked.n, checked.d, checked.f)
+            assert chi.ring is checked.ring and chi.table == checked.table
+            assert list(chi.table) == list(checked.table)
 
 
 def test_cocycle_route_examples():
@@ -644,6 +657,34 @@ def test_quad_value_of_norm_character_matches_base_change(D, char, r):
     assert phi.ring.coerce(value) == phi.ring.coerce(base_change_L(D, chi, r))
 
 
+@pytest.mark.parametrize("D,r", [(5, 21), (13, 21), (13, 41)])
+def test_quad_value_at_large_odd_r_matches_base_change(D, r):
+    # each cone is paired for its top degree alone, so a large r costs no
+    # table of exponent pairs; the trivial character's base change is
+    # zeta(-r) L(chi_K, -r)
+    value = quad_L_value(build_real_quad(D), trivial_quad_schwartz(build_real_quad(D)), r)
+    assert value == base_change_L(D, DirichletChar.trivial(), r).rational_part()
+
+
+def test_quad_value_at_r41_stays_small():
+    K = build_real_quad(5)
+    phi = trivial_quad_schwartz(K)
+    tracemalloc.start()
+    try:
+        value = quad_L_value(K, phi, 41)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == base_change_L(5, DirichletChar.trivial(), 41).rational_part()
+    assert peak < 64 * 2 ** 20
+
+
+def test_cocycle_route_at_r200_matches_closed_form():
+    for chi in DirichletChar.enumerate(5):
+        for r in (199, 200):
+            assert dirichlet_L_via_cocycle(chi, r) == dirichlet_L_closed(chi, r)
+
+
 def test_quad_value_independent_of_truncation():
     # pairing past degree 2r leaves the value read at t1^r t2^r unchanged
     for D in (2, 5):
@@ -711,6 +752,22 @@ def test_quad_value_matches_full_series_route(D, spec, direction):
                 assert expected.rational_part() == value
             else:
                 assert value == expected
+
+
+@pytest.mark.parametrize("D", [2, 5, 13])
+@pytest.mark.parametrize("spec,direction", [(None, None)] + [
+    (spec, d) for spec in (_QUARTIC5, _CUBIC7) for d in _DIRECTIONS
+])
+def test_quad_value_reads_the_paired_combo(D, spec, direction):
+    # the cone-by-cone top degree build gives what the public reader finds
+    # in pair_combo's series, poles and zeta values included
+    K = build_real_quad(D)
+    phi = trivial_quad_schwartz(K) if spec is None else _pullback_zeta(K, spec, direction)
+    combo = sigma_decompose([((1, 0), (0, 1)), K.u_matrix])
+    for r in (1, 2, 3):
+        expected = symmetric_laurent_coeff(pair_combo(combo, phi, 2 * r), r, r,
+                                           K.transition_images()) * factorial(r) ** 2
+        assert phi.ring.coerce(quad_L_value(K, phi, r)) == expected
 
 
 def _binomial_l_value(K, sc, r):

@@ -36,6 +36,10 @@ from shintani.solomon_hu import (
     MSeries,
     QuotSeries,
     SchwartzFn,
+    _combo_laurent_1var,
+    _combo_symmetric_laurent,
+    _cone_points,
+    _numerator,
     _ray_points,
     laurent_coeff_1var,
     pair_cone,
@@ -433,11 +437,12 @@ def palette_values(draw, ring, size):
 
 
 @st.composite
-def pairing_cases(draw):
+def pairing_cases(draw, ambient=(1, 1, 1, 2, 2, 2, 2, 3)):
     """A cone, a test function and dmax: n <= 2 with d, f <= 3 and
     dmax <= 3, and one case in eight n = 3 with entries in {-1, 0, 1},
-    d = 1, f <= 2 and dmax <= 1 to keep the box and the oracle small."""
-    n = draw(st.sampled_from([1, 1, 1, 2, 2, 2, 2, 3]))
+    d = 1, f <= 2 and dmax <= 1 to keep the box and the oracle small; n
+    is drawn from ambient."""
+    n = draw(st.sampled_from(ambient))
     small = n == 3
     d = 1 if small else draw(st.integers(1, 3))
     f = draw(st.integers(1, 2 if small else 3))
@@ -492,6 +497,34 @@ def test_pair_cone_numerator_coefficients_are_fractions(case):
     cone, phi, dmax = case
     for c in pair_cone(cone, phi, dmax).num.terms.values():
         assert c.coeffs and all(type(x) is Fraction for x in c.coeffs.values())
+
+
+@example(case=(OpenSimplicialCone(((1, 0),)), SchwartzFn(2, 1, 2, {(0, 1): 1}), 2))
+@example(case=(OpenSimplicialCone(((1, 0), (1, 1))), SchwartzFn(2, 1, 1, {(0, 0): 1}), 0))
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(case=pairing_cases(ambient=(1, 2)))
+def test_top_degree_numerator_is_the_top_of_the_full_series(case):
+    # the component the L-value routes build alone, degree dmax + rank, is
+    # the degree-trunc part of the series pair_cone builds from every degree
+    cone, phi, dmax = case
+    trunc = dmax + cone.dim
+    forms, groups = _cone_points(cone, phi)
+    den, comp = _numerator(phi.ring, phi.n, trunc, phi.d, groups, forms, top=True)
+    assert len(comp) == (trunc + 1 if phi.n == 2 else 1)
+    top = {(a, trunc - a)[2 - phi.n:]: phi.ring.from_ints(ints, den) for a, ints in enumerate(comp)}
+    full = pair_cone(cone, phi, dmax).num
+    assert {e: c for e, c in top.items() if c} == {
+        e: c for e, c in full.terms.items() if sum(e) == trunc}
+    assert full == _numerator(phi.ring, phi.n, trunc, phi.d, groups, forms)
+    # and the combo routes read what the public readers read off pair_combo
+    combo = ConeCombo([(Fraction(-2, 3), cone)])
+    if phi.n == 1:
+        assert (_combo_laurent_1var(combo, phi, dmax)
+                == laurent_coeff_1var(pair_combo(combo, phi, dmax), dmax))
+    else:
+        images, m1 = ((1, 2), (-1, 3)), dmax // 2
+        assert (_combo_symmetric_laurent(combo, phi, m1, dmax - m1, images)
+                == symmetric_laurent_coeff(pair_combo(combo, phi, dmax), m1, dmax - m1, images))
 
 
 _R5 = CoeffRing(5)
