@@ -268,9 +268,18 @@ def _moments(points, weights, trunc, layout):
     hole (j < 0) holds 0.  weights maps each basis key to its column of
     w_k, and the result maps it to its list of moments.  Every power is
     kept as a column over the points, so each moment is one sum of
-    products."""
+    products; one point (every g factor, a ray's point when d f = 1)
+    takes its monomials directly."""
     if not weights:
         return {}
+    if len(points) == 1:
+        pows = [list(accumulate([x] * trunc, mul, initial=1)) for x in points[0]]
+        head = [1]
+        for col in reversed(pows[:-1]):
+            head = [x * y for x in col for y in head]
+        last = pows[-1] + [0]
+        mono = [head[i] * last[j] for _, i, j in layout]
+        return {b: [w * m for m in mono] for b, (w,) in weights.items()}
     cols = []
     for xs in zip(*points):  # per variable, its powers 0 .. trunc as columns
         col = [[1] * len(points)]
@@ -364,7 +373,8 @@ def _numerator(ring, nvars, trunc, d, groups, gens=(), top=False):
     owner = [value for (_, pts), value in zip(groups, values) for _ in pts]
     moments = _moments(points, {b: [value.get(b, 0) for value in owner]
                                 for b in {b for value in values for b in value}}, trunc, layout)
-    weights = [d ** (trunc - c) * w for (c, _, _), w in zip(layout, rel)]
+    dpow = [d ** (trunc - c) for c in range(trunc + 1)]
+    weights = [dpow[c] * w for (c, _, _), w in zip(layout, rel)]
     if top:
         size = trunc * width + 1
         rows = [[] for _ in range(size)]  # per index i, the g-product entry each entry meets
