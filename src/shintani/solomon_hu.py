@@ -13,14 +13,17 @@ so the numerator is the parallelotope exponential sum times the product
 of the -g factors, with the pole data carried exactly by the denominator
 multiset.  Each form v is a vector of plain ints, f times a primitive
 cone generator, from the pairing to the Laurent coefficient.  The numerator
-is built in integers and kept by homogeneous component (``_numerator``),
-with one Fraction per nonzero coefficient; all coefficients of the
-represented Laurent expansion up to the tracked degree are exact.
+is built in integers (``_numerator``), kept by homogeneous component, and
+every component of every product comes from one graded product,
+``_product``; the kernel returns the ints of each coefficient over one
+denominator, and ``pair_cone`` makes them one Fraction per nonzero
+coefficient.  All coefficients of the represented Laurent expansion up to
+the tracked degree are exact.
 
 A Laurent coefficient of total degree m reads only the degree m + rank
 component of each cone's numerator and is linear in the series, so the
-L-value routes pair a combo cone by cone for that component and add the
-cones' coefficients (``_combo_value``); ``pair_combo`` builds every degree.
+L-value routes ask the kernel for that component alone and add the cones'
+coefficients (``_combo_value``); ``pair_combo`` builds every degree.
 
 A two-variable series is read in embedding coordinates z = T t in
 Z[sqrt D] integers by one call, ``symmetric_laurent_coeff(q, m1, m2,
@@ -36,7 +39,8 @@ combination of the cleared images; and the Laurent coefficient comes
 from a fraction-free inverse series and one division by a Z[sqrt D]
 integer, made rational by its conjugate.  No step multiplies two ring
 elements or inverts one, and each returns one Fraction per component.
-Images with a zeta component are refused with ValueError.
+Both steps refuse a series or image list that is not binary, and an image
+with a zeta component, with ValueError.
 """
 
 from __future__ import annotations
@@ -140,9 +144,10 @@ class MSeries:
 
     def substitute_linear(self, images) -> "MSeries":
         """Substitute z_j = images[j][0] t_1 + images[j][1] t_2 in a series
-        of two variables, in Z[sqrt D] integers.  The images must lie in
-        Q(sqrt D) (a zeta component raises ValueError) and are cleared to
-        Z[sqrt D] by the lcm s of their denominators (_clear_real).  Each
+        of two variables, in Z[sqrt D] integers.  The images must be two
+        pairs in Q(sqrt D) (otherwise, or for a series of another arity,
+        ValueError) and are cleared to Z[sqrt D] by the lcm s of their
+        denominators (_clear_real).  Each
         homogeneous component of degree m is cleared to integers over one
         denominator P and split by zeta index (_split_zeta); each slice is
         a binary form evaluated by _horner, and each coefficient of the
@@ -296,24 +301,15 @@ def _moments(points, weights, trunc, layout):
     return out
 
 
-def _split(flat, width, trunc):
-    """Components end to end, as the list of components of degree 0..trunc."""
-    out, start = [], 0
-    for c in range(trunc + 1):
-        out.append(flat[start:start + c * width + 1])
-        start += c * width + 1
-    return out
-
-
-def _product(x, y):
-    """The product of two graded series, each as its components from
-    degree 0, up to the degree of x: component c is the sum over a + b = c
-    of the 1-D convolutions of x[a] and y[b]."""
-    taps = [[(j, v) for j, v in enumerate(comp) if v] for comp in y]
+def _product(x, taps, low=0):
+    """The product of two graded series, each from degree 0, x as its
+    components and y as its taps, per component the (index, value) pairs
+    of its nonzero entries, in the degrees low .. len(x) - 1: component c
+    is the sum over a + b = c of the 1-D convolutions of x[a] and y[b]."""
     out = []
-    for c, xc in enumerate(x):
-        comp = [0] * len(xc)
-        for xa, yb in zip(x, reversed(taps[:c + 1])):
+    for c in range(low, len(x)):
+        comp = [0] * len(x[c])
+        for xa, yb in zip(x, taps[c::-1]):
             for i, u in enumerate(xa):
                 if u:
                     for j, v in yb:
@@ -322,13 +318,14 @@ def _product(x, y):
     return out
 
 
-def _numerator(ring, nvars, trunc, d, groups, gens=(), top=False):
+def _numerator(ring, nvars, trunc, d, groups, gens=(), low=0):
     """sum_p phi(p) exp(p.z) prod_{v in gens} (-g(v.z)) truncated at trunc,
     for groups (value, integer points k = d p) of points sharing one value:
-    the integer kernel of pair_cone.  Returns the MSeries of every degree,
-    or with top only the degree-trunc component, the one a Laurent
-    coefficient of the pairing reads, as (den, [{key: int}] by index),
-    each entry over den as CoeffRing.clear gives it.
+    the integer kernel of pair_cone and of the L-value routes, which read
+    only the degree-trunc component (low = trunc).  Returns (den, terms),
+    terms mapping each exponent of total degree low .. trunc with a nonzero
+    coefficient to that coefficient's ints {key: int} over den, as
+    CoeffRing.clear gives them (CoeffRing.from_ints reads one back).
 
     A degree-c component is one list of ints indexed by the exponents of
     z_1 .. z_(n-1) as the digits of a number in base trunc + 1, z_1 the
@@ -343,11 +340,11 @@ def _numerator(ring, nvars, trunc, d, groups, gens=(), top=False):
     d^(trunc-|e|) trunc!/e! over d^trunc trunc!; a factor g(v.z) has the
     z^e coefficient B_|e| v^e / e!, an integer over B trunc! with B the
     lcm of the Bernoulli denominators.  The values are cleared to integers
-    over the lcm D of their denominators, and per basis key the weighted
-    moments meet the g-product: in every component by _product, or in the
-    top one alone as one sum of products per index, the entry of degree c
-    at index a meeting the g-product's degree trunc - c entry at i - a.
-    Each coefficient is over d^trunc trunc! D (-B trunc!)^len(gens)."""
+    over the lcm D of their denominators, and per basis key _product
+    multiplies the weighted moments by the g-product, kept as its taps, in
+    the degrees low .. trunc; a lower degree of either factor still feeds
+    a higher degree of the product.  den is d^trunc trunc! D
+    (-B trunc!)^len(gens)."""
     width = (trunc + 1) ** (nvars - 2) if nvars > 1 else 0  # index growth per degree
     fact = list(accumulate(range(1, trunc + 1), mul, initial=1))
     digit_sum, digit_fact = [0], [1]  # by index, over the exponents of z_1 .. z_(n-1)
@@ -356,48 +353,39 @@ def _numerator(ring, nvars, trunc, d, groups, gens=(), top=False):
         digit_fact = [x * y for x in fact for y in digit_fact]
     # the entries (degree c, index i, exponent j of z_n) end to end; j < 0 in a hole
     layout = [(c, i, c - digit_sum[i]) for c in range(trunc + 1) for i in range(c * width + 1)]
+    spans = [slice(c * (c - 1) // 2 * width + c, c * (c + 1) // 2 * width + c + 1)
+             for c in range(trunc + 1)]  # of each component in the layout
     rel = [fact[trunc] // (digit_fact[i] * fact[j]) if j >= 0 else 0
            for _, i, j in layout]  # trunc! / e!
     bern = [bernoulli_number(c) for c in range(trunc + 1)]
     bden = lcm(*(b.denominator for b in bern))
     bern = [b.numerator * (bden // b.denominator) for b in bern]
     den, values = ring.clear([value for value, _ in groups])
-    scale = d ** trunc * fact[trunc] * den
-    gprod = [[1]] + [[0] * (c * width + 1) for c in range(1, trunc + 1)]  # the empty product
+    den *= d ** trunc * fact[trunc]
+    taps = [[(0, 1)]] + [[]] * trunc  # of the g-product, from the empty product
     for i, v in enumerate(gens):
         powers = _moments([v], {0: [1]}, trunc, layout)[0]
-        g = _split([bern[c] * w * x for (c, _, _), w, x in zip(layout, rel, powers)], width, trunc)
-        gprod = _product(gprod, g) if i else g
-        scale *= -bden * fact[trunc]
+        g = [bern[c] * w * x for (c, _, _), w, x in zip(layout, rel, powers)]
+        g = [g[span] for span in spans]
+        g = _product(g, taps) if i else g
+        taps = [[(j, t) for j, t in enumerate(comp) if t] for comp in g]
+        den *= -bden * fact[trunc]
     points = [k for _, pts in groups for k in pts]
     owner = [value for (_, pts), value in zip(groups, values) for _ in pts]
     moments = _moments(points, {b: [value.get(b, 0) for value in owner]
                                 for b in {b for value in values for b in value}}, trunc, layout)
     dpow = [d ** (trunc - c) for c in range(trunc + 1)]
     weights = [dpow[c] * w for (c, _, _), w in zip(layout, rel)]
-    if top:
-        size = trunc * width + 1
-        rows = [[] for _ in range(size)]  # per index i, the g-product entry each entry meets
-        for c in range(trunc + 1):
-            zeros = [0] * (c * width)
-            pad = zeros + gprod[trunc - c][::-1] + zeros
-            for i, row in enumerate(rows, 1):
-                row += pad[size - i:size - i + c * width + 1]
-        tops = {}
-        for b, acc in moments.items():
-            acc = list(map(mul, acc, weights))
-            tops[b] = [sum(map(mul, acc, row)) for row in rows]
-        return scale, [{b: t[i] for b, t in tops.items() if t[i]} for i in range(size)]
+    digits = list(product(range(trunc + 1), repeat=nvars - 1))
     terms = {}
     for b, acc in moments.items():
-        acc = _split(list(map(mul, acc, weights)), width, trunc)
-        for c, comp in enumerate(_product(acc, gprod)):
+        acc = list(map(mul, acc, weights))
+        acc = [acc[span] for span in spans]
+        for c, comp in enumerate(_product(acc, taps, low), low):
             for i, a in enumerate(comp):
                 if a:
-                    terms.setdefault((c, i), {})[b] = a
-    digits = list(product(range(trunc + 1), repeat=nvars - 1))
-    return MSeries(ring, nvars, trunc, {(*digits[i], c - digit_sum[i]): ring.from_ints(v, scale)
-                                        for (c, i), v in terms.items()})
+                    terms.setdefault((*digits[i], c - digit_sum[i]), {})[b] = a
+    return den, terms
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +660,10 @@ def pair_cone(cone: OpenSimplicialCone, phi: SchwartzFn, dmax: int) -> QuotSerie
     dmax + rank.
     """
     scaled, groups = _cone_points(cone, phi)
-    return QuotSeries(_numerator(phi.ring, phi.n, dmax + cone.dim, phi.d, groups, scaled), scaled)
+    trunc = dmax + cone.dim
+    den, terms = _numerator(phi.ring, phi.n, trunc, phi.d, groups, scaled)
+    num = MSeries(phi.ring, phi.n, trunc, {e: phi.ring.from_ints(v, den) for e, v in terms.items()})
+    return QuotSeries(num, scaled)
 
 
 def _combo_cones(combo: ConeCombo, phi: SchwartzFn):
@@ -712,16 +703,17 @@ def pair_combo(combo: ConeCombo, phi: SchwartzFn, dmax: int) -> QuotSeries:
 def _combo_value(combo: ConeCombo, phi: SchwartzFn, degree: int, read) -> CoeffElem:
     """A Laurent coefficient of total degree `degree` of pair_combo(combo,
     phi, degree), cone by cone: each cone is paired for the one numerator
-    component the coefficient reads, degree + rank (_numerator with top),
-    read(den, component, forms) gives that cone's coefficient, and the
-    coefficients add, since a Laurent coefficient is linear in the series
-    and the sum of the cones' series is the combo's.  No series of any
-    other degree is built."""
+    component the coefficient reads, degree + rank (_numerator with low
+    at that degree), read(den, terms, forms) gives that cone's coefficient,
+    and the coefficients add, since a Laurent coefficient is linear in the
+    series and the sum of the cones' series is the combo's.  No series of
+    any other degree is built."""
     values = []
     for coeff, cone in _combo_cones(combo, phi):
         forms, groups = _cone_points(cone, phi)
-        den, comp = _numerator(phi.ring, phi.n, degree + cone.dim, phi.d, groups, forms, top=True)
-        value = read(den, comp, forms)
+        trunc = degree + cone.dim
+        den, terms = _numerator(phi.ring, phi.n, trunc, phi.d, groups, forms, low=trunc)
+        value = read(den, terms, forms)
         values.append(value if coeff == 1 else value * coeff)
     return sum(values, phi.ring.zero())
 
@@ -729,8 +721,8 @@ def _combo_value(combo: ConeCombo, phi: SchwartzFn, degree: int, read) -> CoeffE
 def _combo_laurent_1var(combo: ConeCombo, phi: SchwartzFn, k: int) -> CoeffElem:
     """laurent_coeff_1var(pair_combo(combo, phi, k), k), phi of one
     variable, built for the one degree it reads (_combo_value)."""
-    return _combo_value(combo, phi, k, lambda den, comp, forms: phi.ring.from_ints(
-        comp[0], den * prod(form[0] for form in forms)))
+    return _combo_value(combo, phi, k, lambda den, terms, forms: phi.ring.from_ints(
+        terms.get((k + len(forms),), {}), den * prod(form[0] for form in forms)))
 
 
 def _combo_symmetric_laurent(combo: ConeCombo, phi: SchwartzFn, m1: int, m2: int,
@@ -739,8 +731,8 @@ def _combo_symmetric_laurent(combo: ConeCombo, phi: SchwartzFn, m1: int, m2: int
     images), phi of two variables, built for the one degree it reads
     (_combo_value)."""
     images = _clear_real(phi.ring, images)
-    return _combo_value(combo, phi, m1 + m2, lambda den, comp, forms: _symmetric_coeff(
-        phi.ring, den, _zeta_rows(enumerate(comp)), forms, m1, m2, images))
+    return _combo_value(combo, phi, m1 + m2, lambda den, terms, forms: _symmetric_coeff(
+        phi.ring, den, _zeta_rows((e[0], v) for e, v in terms.items()), forms, m1, m2, images))
 
 
 # ---------------------------------------------------------------------------
@@ -875,7 +867,10 @@ def symmetric_laurent_coeff(q: QuotSeries, m1: int, m2: int, images) -> CoeffEle
     The coefficient is homogeneous of degree k = m1 + m2 + #forms in the
     numerator, so only that component is read: cleared once to integers
     over one denominator P and split by zeta index (_split_zeta), and
-    read by _symmetric_coeff."""
+    read by _symmetric_coeff.  A series that is not binary, images other
+    than two pairs and an image with a zeta component raise ValueError,
+    m1 + m2 past dmax TruncationTooSmall, and a form whose image vanishes
+    ZeroForm."""
     if q.nvars != 2:
         raise ValueError("two-variable extraction only")
     if m1 + m2 > q.dmax:
@@ -900,7 +895,8 @@ def _symmetric_coeff(ring, den, rows, denoms, m1, m2, cleared) -> CoeffElem:
     N_0 / W_0 and N_1 / W_1, and the average (N_0 W_1 + N_1 W_0) /
     (2 P s^(m1+m2) W_0 W_1) is rationalised once, by the conjugate of
     W_0 W_1 over its integer norm: one Fraction per component of the
-    result."""
+    result.  A polar degree, m1 + m2 < 0, moves s^-(m1+m2) to the
+    numerator, so every step stays in integers."""
     sqd = ring.D or 0
     k = m1 + m2 + len(denoms)
     s, (z1, z2) = cleared
@@ -912,9 +908,10 @@ def _symmetric_coeff(ring, den, rows, denoms, m1, m2, cleared) -> CoeffElem:
     n0, w0 = _iterated_coeff(slices, forms, k, 0, m1, m2, sqd)
     n1, w1 = _iterated_coeff(slices, forms, k, 1, m2, m1, sqd)
     wx, wy = _zmul(w0, w1, sqd)
+    up, down = s ** max(-m1 - m2, 0), s ** max(m1 + m2, 0)
     ints = {}
     for i in slices:
         ax, ay = _zmul(n0.get(i, (0, 0)), w1, sqd)
         bx, by = _zmul(n1.get(i, (0, 0)), w0, sqd)
-        ints[(i, 0)], ints[(i, 1)] = _zmul((ax + bx, ay + by), (wx, -wy), sqd)
-    return ring.from_ints(ints, 2 * den * s ** (m1 + m2) * (wx * wx - sqd * wy * wy))
+        ints[(i, 0)], ints[(i, 1)] = _zmul((up * (ax + bx), up * (ay + by)), (wx, -wy), sqd)
+    return ring.from_ints(ints, 2 * den * down * (wx * wx - sqd * wy * wy))

@@ -569,7 +569,8 @@ def exp_sum(ring, nvars, trunc, weighted) -> MSeries:
     weighted = [(ring.coerce(c), [frac(x) for x in p]) for p, c in weighted]
     den = lcm(*(x.denominator for _, p in weighted for x in p))
     groups = [(c, [[x.numerator * (den // x.denominator) for x in p]]) for c, p in weighted]
-    return _numerator(ring, nvars, trunc, den, groups)
+    den, terms = _numerator(ring, nvars, trunc, den, groups)
+    return MSeries(ring, nvars, trunc, {e: ring.from_ints(v, den) for e, v in terms.items()})
 
 
 def phi_map(A, dmax: int, ring: CoeffRing | None = None, nvars: int | None = None) -> QuotSeries:

@@ -676,7 +676,7 @@ def test_quad_value_at_r41_stays_small():
     finally:
         tracemalloc.stop()
     assert value == base_change_L(5, DirichletChar.trivial(), 41).rational_part()
-    assert peak < 64 * 2 ** 20
+    assert peak < 3 * 2 ** 20
 
 
 def test_cocycle_route_at_r200_matches_closed_form():

@@ -21,7 +21,7 @@ from reference import (
     symmetric_laurent_coeff_reference,
     translate,
 )
-from shintani.cone_algebra import ConeCombo, OpenSimplicialCone
+from shintani.cone_algebra import ConeCombo, OpenSimplicialCone, sigma_decompose
 from shintani.errors import (
     ConstantAgainstNonVanishing,
     NotDivisible,
@@ -501,6 +501,12 @@ def test_pair_cone_numerator_coefficients_are_fractions(case):
 
 @example(case=(OpenSimplicialCone(((1, 0),)), SchwartzFn(2, 1, 2, {(0, 1): 1}), 2))
 @example(case=(OpenSimplicialCone(((1, 0), (1, 1))), SchwartzFn(2, 1, 1, {(0, 0): 1}), 0))
+# d f = 4 at dmax 6, past the drawn dmax: a top component of nine
+# entries, each a sum over nine pairs of degrees, from 22 valued points
+@example(case=(OpenSimplicialCone(((1, 0), (1, 2))),
+               SchwartzFn(2, 2, 2, {(i, j): (i + 2 * j) % 3 - 1
+                                    for i in range(4) for j in range(4)}),
+               6))
 @settings(deadline=None, derandomize=True, max_examples=150)
 @given(case=pairing_cases(ambient=(1, 2)))
 def test_top_degree_numerator_is_the_top_of_the_full_series(case):
@@ -509,13 +515,14 @@ def test_top_degree_numerator_is_the_top_of_the_full_series(case):
     cone, phi, dmax = case
     trunc = dmax + cone.dim
     forms, groups = _cone_points(cone, phi)
-    den, comp = _numerator(phi.ring, phi.n, trunc, phi.d, groups, forms, top=True)
-    assert len(comp) == (trunc + 1 if phi.n == 2 else 1)
-    top = {(a, trunc - a)[2 - phi.n:]: phi.ring.from_ints(ints, den) for a, ints in enumerate(comp)}
+    den, terms = _numerator(phi.ring, phi.n, trunc, phi.d, groups, forms, low=trunc)
+    assert all(sum(e) == trunc and any(ints.values()) for e, ints in terms.items())
+    top = {e: phi.ring.from_ints(ints, den) for e, ints in terms.items()}
     full = pair_cone(cone, phi, dmax).num
-    assert {e: c for e, c in top.items() if c} == {
-        e: c for e, c in full.terms.items() if sum(e) == trunc}
-    assert full == _numerator(phi.ring, phi.n, trunc, phi.d, groups, forms)
+    assert top == {e: c for e, c in full.terms.items() if sum(e) == trunc}
+    den, terms = _numerator(phi.ring, phi.n, trunc, phi.d, groups, forms)
+    assert full == MSeries(phi.ring, phi.n, trunc,
+                           {e: phi.ring.from_ints(ints, den) for e, ints in terms.items()})
     # and the combo routes read what the public readers read off pair_combo
     combo = ConeCombo([(Fraction(-2, 3), cone)])
     if phi.n == 1:
@@ -626,7 +633,6 @@ def test_pair_combo_cocycle_faces_pair_to_zero():
     # vanishing-near-zero test function kills
     rng = random.Random(12)
     from shintani.cli import random_invertible
-    from shintani.cone_algebra import sigma_decompose
     for _ in range(4):
         alphas = [random_invertible(rng, 2) for _ in range(3)]
         phi = SchwartzFn(2, 1, 2, {(1, 0): 1, (0, 1): Fraction(1, 2), (1, 1): -2})
@@ -774,7 +780,9 @@ def laurent_cases(draw):
     forms; images a + b sqrt(D) of the two variables that are linearly
     independent, drawn freely or among the identity and
     ((1, 1), (0, s)), which keep forms whose image has a zero entry; and
-    (m1, m2) with m1 + m2 <= dmax, an exponent -1 included."""
+    (m1, m2) with m1 + m2 <= dmax, an exponent -1 included, and m1 + m2
+    reaching -len(forms): the polar degrees, down to the numerator's
+    constant term."""
     ring = draw(st.sampled_from(_LAURENT_RINGS))
     rat = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
     elem = st.lists(rat, min_size=len(ring.basis()), max_size=len(ring.basis())).map(
@@ -793,8 +801,8 @@ def laurent_cases(draw):
         st.tuples(nonzero, st.just(0)),
     ), max_size=3))
     dmax = draw(st.integers(0, 4))
-    m1 = draw(st.integers(-1, dmax))
-    m2 = draw(st.integers(-1, dmax - m1))
+    m1 = draw(st.integers(-1 - len(forms), dmax))
+    m2 = draw(st.integers(min(-1, -len(forms) - m1), dmax - m1))
     honest = draw(st.booleans())
     trunc = dmax if honest else dmax + len(forms)
     exps = [(i, m - i) for m in range(trunc + 1) for i in range(m + 1)]
@@ -806,6 +814,9 @@ def laurent_cases(draw):
     return QuotSeries(num, forms), m1, m2, images, series if honest else None
 
 
+# a negative power of s: the polar coefficient [t_1^-1] of 1 / z_1, which is 1
+@example(case=(QuotSeries(MSeries(QQ, 2, 1, {(0, 0): QQ.one()}), ((1, 0),)),
+               -1, 0, _IDENTITY, None))
 @settings(deadline=None, derandomize=True, max_examples=150)
 @given(case=laurent_cases())
 def test_symmetric_laurent_coeff_matches_ring_reference(case):
@@ -816,6 +827,17 @@ def test_symmetric_laurent_coeff_matches_ring_reference(case):
     assert value == symmetric_laurent_coeff_reference(q, m1, m2, images)
     if honest is not None:
         assert value == honest.substitute_linear(images).coeff((m1, m2))
+
+
+def test_symmetric_laurent_coeff_reads_a_polar_degree_of_the_unit_combo():
+    # D = 5's unit combo against the trivial function, read at t_1^-2 in
+    # embedding coordinates, whose images are cleared over s = 2
+    K = build_real_quad(5)
+    phi = SchwartzFn(2, 1, 1, {(0, 0): K.ring.one()}, K.ring)
+    q = pair_combo(sigma_decompose([_IDENTITY, K.u_matrix]), phi, 4)
+    value = symmetric_laurent_coeff(q, -2, 0, K.transition_images())
+    assert value == K.ring.from_rat(Fraction(3, 4)) - K.ring.sqrtD() * Fraction(1, 4)
+    assert value == symmetric_laurent_coeff_reference(q, -2, 0, K.transition_images())
 
 
 def test_z_sqrt_d_layers_refuse_zeta_components():
