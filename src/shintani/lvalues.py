@@ -46,10 +46,10 @@ from .solomon_hu import (
     _clear_real,
     _combo_laurent_1var,
     _combo_symmetric_laurent,
+    _power_series_ints,
     _split_zeta,
     _symmetric_coeff,
     pair_combo,
-    reduce_to_power_series,
 )
 
 
@@ -455,14 +455,11 @@ def s_coeffs(K: RealQuadField, phi: SchwartzFn, rmax: int) -> SCoeffs:
     if rmax < 0:
         raise ValueError("rmax must be non-negative")
     combo = sigma_decompose([((1, 0), (0, 1)), K.u_matrix])
-    q = pair_combo(combo, phi, 2 * rmax)
-    series = reduce_to_power_series(q)
+    _, den, terms = _power_series_ints(pair_combo(combo, phi, 2 * rmax))
     table = {}
-    for m1 in range(2 * rmax + 1):
-        for m2 in range(2 * rmax + 1 - m1):
-            c = series.coeff((m1, m2))
-            if c:
-                table[(m1, m2)] = c * (factorial(m1) * factorial(m2))
+    for (m1, m2), v in sorted(terms.items()):
+        scale = factorial(m1) * factorial(m2)
+        table[(m1, m2)] = phi.ring.from_ints({k: scale * x for k, x in v.items()}, den)
     return SCoeffs(rmax=rmax, ring=phi.ring, table=table)
 
 

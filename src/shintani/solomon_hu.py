@@ -16,9 +16,10 @@ cone generator, from the pairing to the Laurent coefficient.  The numerator
 is built in integers (``_numerator``), kept by homogeneous component, and
 every component of every product comes from one graded product,
 ``_product``; the kernel returns the ints of each coefficient over one
-denominator, and ``pair_cone`` makes them one Fraction per nonzero
-coefficient.  All coefficients of the represented Laurent expansion up to
-the tracked degree are exact.
+denominator, which a ``QuotSeries`` keeps through the cone sums, the
+reduction and the readers; CoeffElem appears only in ``QuotSeries.num``,
+``to_json`` and the readers' results.  All coefficients of the represented
+Laurent expansion up to the tracked degree are exact.
 
 A Laurent coefficient of total degree m reads only the degree m + rank
 component of each cone's numerator and is linear in the series, so the
@@ -31,13 +32,13 @@ images)``.  Every number that step touches lies in Q(sqrt D) apart from
 the numerator's zeta parts, and the step is linear in the numerator, so
 a coefficient splits by zeta index into slices x + y sqrt D and each
 slice runs on integer pairs (x, y) over one positive denominator
-(``_split_zeta`` on ``CoeffRing.clear``; the images go through the same
-split in ``_clear_real``).  One integer Horner routine, ``_horner``,
-evaluates a homogeneous component for both ``MSeries.substitute_linear``
-and the extraction; each integer form v becomes T^t v as an integer
-combination of the cleared images; and the Laurent coefficient comes
-from a fraction-free inverse series and one division by a Z[sqrt D]
-integer, made rational by its conjugate.  No step multiplies two ring
+(``_zeta_rows`` on the series' ints; the images are cleared by
+``CoeffRing.clear`` and split the same way in ``_clear_real``).  One
+integer Horner routine, ``_horner``, evaluates a homogeneous component for
+both ``MSeries.substitute_linear`` and the extraction; each integer form v
+becomes T^t v as an integer combination of the cleared images; and the
+Laurent coefficient comes from a fraction-free inverse series and one
+division by a Z[sqrt D] integer, made rational by its conjugate.  No step multiplies two ring
 elements or inverts one, and each returns one Fraction per component.
 Both steps refuse a series or image list that is not binary, and an image
 with a zeta component, with ValueError.
@@ -46,7 +47,6 @@ with a zeta component, with ValueError.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from itertools import accumulate, product
 from math import lcm, prod
 from operator import mul
@@ -68,9 +68,11 @@ from .linalg import frac, idot, reduce_rows, solve_columns
 # ---------------------------------------------------------------------------
 
 class MSeries:
-    """Power series in z_1..z_n truncated at a total degree, coefficients
-    in a CoeffRing.  Terms of degree above the truncation are dropped by
-    every operation; the truncation degree is the reliability bound."""
+    """Power series in z_1..z_n truncated at a total degree (the
+    reliability bound), coefficients in a CoeffRing: the ring-element view
+    of QuotSeries.num and reduce_to_power_series.  Values are coerced into
+    the ring (a float or bool raises TypeError); zero terms and terms above
+    the truncation are dropped."""
 
     __slots__ = ("ring", "nvars", "trunc", "terms")
 
@@ -78,69 +80,11 @@ class MSeries:
         self.ring = ring
         self.nvars = nvars
         self.trunc = trunc
-        self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                if sum(e) <= trunc and c:
-                    self.terms[e] = c
-
-    @classmethod
-    def zero(cls, ring, nvars, trunc):
-        return cls(ring, nvars, trunc)
+        coerced = ((e, ring.coerce(c)) for e, c in (terms or {}).items())
+        self.terms = {e: c for e, c in coerced if c and sum(e) <= trunc}
 
     def coeff(self, e) -> CoeffElem:
         return self.terms.get(tuple(e), self.ring.zero())
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "MSeries") -> "MSeries":
-        if self.ring is not other.ring and not self.ring.same(other.ring):
-            raise ShintaniError("mixed series rings")
-        trunc = min(self.trunc, other.trunc)
-        out = {e: c for e, c in self.terms.items() if sum(e) <= trunc}
-        for e, c in other.terms.items():
-            if sum(e) > trunc:
-                continue
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        r = MSeries(self.ring, self.nvars, trunc)
-        r.terms = out
-        return r
-
-    def scale(self, c) -> "MSeries":
-        c = self.ring.coerce(c)
-        r = MSeries(self.ring, self.nvars, self.trunc)
-        if c:
-            r.terms = {e: v * c for e, v in self.terms.items()}
-        return r
-
-    def mul_exact_linear(self, vec) -> "MSeries":
-        """Multiply by the homogeneous polynomial v.z exactly.  Because the
-        form has no constant term, every product coefficient through total
-        degree trunc+1 only involves stored coefficients, so the returned
-        series is reliable one degree further."""
-        vec = [(i, a) for i, a in enumerate(vec) if a]
-        out = {}
-        for e1, c1 in self.terms.items():
-            for i, a in vec:
-                e = list(e1)
-                e[i] += 1
-                e = tuple(e)
-                c = c1 * a
-                s = out.get(e)
-                s = c if s is None else s + c
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        r = MSeries(self.ring, self.nvars, self.trunc + 1)
-        r.terms = out
-        return r
 
     def substitute_linear(self, images) -> "MSeries":
         """Substitute z_j = images[j][0] t_1 + images[j][1] t_2 in a series
@@ -152,7 +96,9 @@ class MSeries:
         denominator P and split by zeta index (_split_zeta); each slice is
         a binary form evaluated by _horner, and each coefficient of the
         result is read over s^m P.  Linearity preserves homogeneous
-        degrees, so the truncation bound carries over exactly."""
+        degrees, so the truncation bound carries over exactly.  Nothing in
+        the package calls it; it stays because the benchmark's tracer wraps
+        it by name."""
         if self.nvars != 2:
             raise ValueError("substitution needs a binary series")
         ring = self.ring
@@ -548,19 +494,32 @@ def _ray_points(g, mod: int):
 
 class QuotSeries:
     """num / prod(v.z over the denominator multiset), with the numerator
-    truncated at dmax + len(denoms) so every represented Laurent
+    truncated at trunc = dmax + len(denoms) so every represented Laurent
     coefficient of total degree <= dmax is exact.
+
+    The numerator is _numerator's integer form: terms maps each exponent
+    to the nonzero ints {key: int} of its coefficient over one den > 0.
+    The constructor clears an MSeries numerator once, and num builds one.
 
     Each denominator form v is a nonzero vector of plain ints (an entry of
     any other type raises TypeError), as pair_cone makes them: f times a
     primitive cone generator.  The multiset is kept sorted entrywise with
     a zero entry before every nonzero one."""
 
-    __slots__ = ("ring", "nvars", "num", "denoms")
+    __slots__ = ("ring", "nvars", "trunc", "den", "terms", "denoms")
 
     def __init__(self, num: MSeries, denoms=()):
-        self.ring = num.ring
-        self.nvars = num.nvars
+        den, ints = num.ring.clear(num.terms.values())
+        self._fill(num.ring, num.nvars, num.trunc, den, dict(zip(num.terms, ints)), denoms)
+
+    @classmethod
+    def _of_ints(cls, ring, nvars, trunc, den, terms, denoms=()):
+        """The series terms / den over the forms, den a nonzero int."""
+        q = cls.__new__(cls)
+        q._fill(ring, nvars, trunc, den, terms, denoms)
+        return q
+
+    def _fill(self, ring, nvars, trunc, den, terms, denoms):
         forms = []
         for form in denoms:
             form = tuple(form)
@@ -571,34 +530,58 @@ class QuotSeries:
                 raise ZeroForm("zero linear form in denominator")
             forms.append(form)
         forms.sort(key=lambda form: [(x != 0, x) for x in form])
-        self.num = num
+        if den < 0:
+            den, terms = -den, {e: {k: -x for k, x in v.items()} for e, v in terms.items()}
+        self.ring = ring
+        self.nvars = nvars
+        self.trunc = trunc
+        self.den = den
+        self.terms = terms
         self.denoms = tuple(forms)
 
     @property
+    def num(self) -> MSeries:
+        return MSeries(self.ring, self.nvars, self.trunc,
+                       {e: self.ring.from_ints(v, self.den) for e, v in self.terms.items()})
+
+    @property
     def dmax(self) -> int:
-        return self.num.trunc - len(self.denoms)
+        return self.trunc - len(self.denoms)
 
     def scale(self, c) -> "QuotSeries":
-        return QuotSeries(self.num.scale(c), self.denoms)
+        """The series times a rational c."""
+        c = frac(c)
+        terms = {e: {k: c.numerator * x for k, x in v.items()}
+                 for e, v in self.terms.items()} if c else {}
+        return QuotSeries._of_ints(self.ring, self.nvars, self.trunc, self.den * c.denominator,
+                                   terms, self.denoms)
 
     def __add__(self, other: "QuotSeries") -> "QuotSeries":
-        """Addition over the least common denominator multiset: each
-        numerator is multiplied by the forms the other side has more of.
-        The tracked degree of the result is the smaller reliable degree."""
+        """Addition over the least common denominator multiset and the lcm
+        of the dens: each numerator is multiplied by the forms the other
+        side has more of.  The tracked degree is the smaller one."""
         if self.nvars != other.nvars:
             raise ShintaniError("mixed variable counts")
+        if not self.ring.same(other.ring):
+            raise ShintaniError("mixed series rings")
         mine = Counter(self.denoms)
         theirs = Counter(other.denoms)
         common = mine | theirs
-        a, b = self.num, other.num
-        for form in (common - mine).elements():
-            a = a.mul_exact_linear(form)
-        for form in (common - theirs).elements():
-            b = b.mul_exact_linear(form)
-        return QuotSeries(a + b, common.elements())
+        forms = list(common.elements())
+        trunc = min(self.dmax, other.dmax) + len(forms)
+        den = lcm(self.den, other.den)
+        out = {}
+        for q, extra in ((self, common - mine), (other, common - theirs)):
+            for e, v in _times_forms(q.terms, den // q.den, extra.elements()).items():
+                if sum(e) <= trunc:
+                    acc = out.setdefault(e, {})
+                    for k, x in v.items():
+                        acc[k] = acc.get(k, 0) + x
+        terms = {e: w for e, v in out.items() if (w := {k: x for k, x in v.items() if x})}
+        return QuotSeries._of_ints(self.ring, self.nvars, trunc, den, terms, forms)
 
     def is_zero_series(self) -> bool:
-        return self.num.is_zero()
+        return not self.terms
 
     def to_json(self) -> dict:
         return {
@@ -608,10 +591,25 @@ class QuotSeries:
             "sqrt": self.ring.D,
             "denoms": [[str(x) for x in form] for form in self.denoms],
             "coeffs": [
-                {"deg": list(e), "value": c.to_json()}
-                for e, c in sorted(self.num.terms.items())
+                {"deg": list(e), "value": self.ring.from_ints(v, self.den).to_json()}
+                for e, v in sorted(self.terms.items())
             ],
         }
+
+
+def _times_forms(terms, c, forms):
+    """Integer terms times the int c and each linear form v.z (no constant
+    term, so exact one degree further), zero ints kept."""
+    out = {e: {k: c * x for k, x in v.items()} for e, v in terms.items()}
+    for form in forms:
+        terms, out = out, {}
+        for e, v in terms.items():
+            for i, a in enumerate(form):
+                if a:
+                    acc = out.setdefault(e[:i] + (e[i] + 1,) + e[i + 1:], {})
+                    for k, x in v.items():
+                        acc[k] = acc.get(k, 0) + a * x
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +660,7 @@ def pair_cone(cone: OpenSimplicialCone, phi: SchwartzFn, dmax: int) -> QuotSerie
     scaled, groups = _cone_points(cone, phi)
     trunc = dmax + cone.dim
     den, terms = _numerator(phi.ring, phi.n, trunc, phi.d, groups, scaled)
-    num = MSeries(phi.ring, phi.n, trunc, {e: phi.ring.from_ints(v, den) for e, v in terms.items()})
-    return QuotSeries(num, scaled)
+    return QuotSeries._of_ints(phi.ring, phi.n, trunc, den, terms, scaled)
 
 
 def _combo_cones(combo: ConeCombo, phi: SchwartzFn):
@@ -696,7 +693,7 @@ def pair_combo(combo: ConeCombo, phi: SchwartzFn, dmax: int) -> QuotSeries:
             q = q.scale(coeff)
         total = q if total is None else total + q
     if total is None:
-        return QuotSeries(MSeries.zero(phi.ring, phi.n, dmax))
+        return QuotSeries._of_ints(phi.ring, phi.n, dmax, 1, {})
     return total
 
 
@@ -721,8 +718,8 @@ def _combo_value(combo: ConeCombo, phi: SchwartzFn, degree: int, read) -> CoeffE
 def _combo_laurent_1var(combo: ConeCombo, phi: SchwartzFn, k: int) -> CoeffElem:
     """laurent_coeff_1var(pair_combo(combo, phi, k), k), phi of one
     variable, built for the one degree it reads (_combo_value)."""
-    return _combo_value(combo, phi, k, lambda den, terms, forms: phi.ring.from_ints(
-        terms.get((k + len(forms),), {}), den * prod(form[0] for form in forms)))
+    return _combo_value(combo, phi, k, lambda den, terms, forms: _laurent_1var(
+        phi.ring, den, terms, forms, k))
 
 
 def _combo_symmetric_laurent(combo: ConeCombo, phi: SchwartzFn, m1: int, m2: int,
@@ -739,50 +736,50 @@ def _combo_symmetric_laurent(combo: ConeCombo, phi: SchwartzFn, m1: int, m2: int
 # Exact reduction to an honest power series
 # ---------------------------------------------------------------------------
 
-def _divide_by_linear(num: MSeries, form) -> MSeries:
-    """Exact polynomial division of the truncated numerator by the linear
-    form; when the represented series has a genuine pole the remainder is
-    nonzero and NotDivisible is raised."""
-    ring = num.ring
+def _divide_by_linear(trunc, den, terms, form):
+    """Exact division of terms / den, truncated at trunc, by the linear
+    form, largest monomial first: (trunc - 1, den |p|^trunc, quotient).
+    Scaling by |p|^trunc, p the pivot entry, makes each step exact, since
+    a remainder of pivot exponent t is a multiple of p^t; it changes no
+    remainder's vanishing, so a genuine pole raises NotDivisible at the
+    monomial a division over the rationals would name."""
     pivot = next(j for j, c in enumerate(form) if c)  # QuotSeries refuses zero forms
-    pivot_inv = Fraction(1, form[pivot])
-    rem = dict(num.terms)
+    p = form[pivot]
+    scale = abs(p) ** trunc
+    others = [(j, a) for j, a in enumerate(form) if a and j != pivot]
+    rem = {e: {k: scale * x for k, x in v.items()} for e, v in terms.items()}
     quo = {}
     while rem:
         e = max(rem)
-        c = rem.pop(e)
+        c = {k: x for k, x in rem.pop(e).items() if x}
+        if not c:  # a remainder that cancelled
+            continue
         if e[pivot] == 0:
             raise NotDivisible(
                 f"pole survives along form {form} at monomial {e}", form=form
             )
-        qe = list(e)
-        qe[pivot] -= 1
-        qe = tuple(qe)
-        qc = c * pivot_inv
-        quo[qe] = quo.get(qe, ring.zero()) + qc
-        for j, a in enumerate(form):
-            if not a or j == pivot:
-                continue
-            ee = list(qe)
-            ee[j] += 1
-            ee = tuple(ee)
-            s = rem.get(ee, ring.zero()) - qc * a
-            if s:
-                rem[ee] = s
-            else:
-                rem.pop(ee, None)
-    out = MSeries(ring, num.nvars, num.trunc - 1)
-    out.terms = {e: c for e, c in quo.items() if c and sum(e) <= out.trunc}
-    return out
+        qe = e[:pivot] + (e[pivot] - 1,) + e[pivot + 1:]
+        quo[qe] = qc = {k: x // p for k, x in c.items()}
+        for j, a in others:
+            acc = rem.setdefault(qe[:j] + (qe[j] + 1,) + qe[j + 1:], {})
+            for k, x in qc.items():
+                acc[k] = acc.get(k, 0) - a * x
+    return trunc - 1, den * scale, quo
+
+
+def _power_series_ints(q: QuotSeries):
+    """(trunc, den, terms) of reduce_to_power_series(q)."""
+    trunc, den, terms = q.trunc, q.den, q.terms
+    for form in q.denoms:
+        trunc, den, terms = _divide_by_linear(trunc, den, terms, form)
+    return trunc, den, terms
 
 
 def reduce_to_power_series(q: QuotSeries) -> MSeries:
     """Divide the numerator by every denominator form; the result is an
     honest power series, exact through the tracked degree."""
-    num = q.num
-    for form in q.denoms:
-        num = _divide_by_linear(num, form)
-    return num
+    trunc, den, terms = _power_series_ints(q)
+    return MSeries(q.ring, q.nvars, trunc, {e: q.ring.from_ints(v, den) for e, v in terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -795,10 +792,12 @@ def laurent_coeff_1var(q: QuotSeries, k: int) -> CoeffElem:
         raise ValueError("one-variable extraction only")
     if k > q.dmax:
         raise TruncationTooSmall(f"coefficient {k} beyond tracked degree {q.dmax}")
-    deg = k + len(q.denoms)
-    if deg < 0:
-        return q.ring.zero()
-    return q.num.coeff((deg,)) * Fraction(1, prod(form[0] for form in q.denoms))
+    return _laurent_1var(q.ring, q.den, q.terms, q.denoms, k)
+
+
+def _laurent_1var(ring, den, terms, forms, k) -> CoeffElem:
+    """The z^k Laurent coefficient of terms / den over one-variable forms."""
+    return ring.from_ints(terms.get((k + len(forms),), {}), den * prod(form[0] for form in forms))
 
 
 def _iterated_coeff(slices, forms, k, main, m_main, m_other, sqd):
@@ -865,9 +864,8 @@ def symmetric_laurent_coeff(q: QuotSeries, m1: int, m2: int, images) -> CoeffEle
     this is the finite part that the two-sided Mellin split produces.
 
     The coefficient is homogeneous of degree k = m1 + m2 + #forms in the
-    numerator, so only that component is read: cleared once to integers
-    over one denominator P and split by zeta index (_split_zeta), and
-    read by _symmetric_coeff.  A series that is not binary, images other
+    numerator, so only that component is read: its ints over the series'
+    den, split by zeta index (_zeta_rows), go to _symmetric_coeff.  A series that is not binary, images other
     than two pairs and an image with a zeta component raise ValueError,
     m1 + m2 past dmax TruncationTooSmall, and a form whose image vanishes
     ZeroForm."""
@@ -878,8 +876,8 @@ def symmetric_laurent_coeff(q: QuotSeries, m1: int, m2: int, images) -> CoeffEle
             f"coefficient degree {m1 + m2} beyond tracked degree {q.dmax}"
         )
     k = m1 + m2 + len(q.denoms)
-    den, rows = _split_zeta(q.ring, {i: c for (i, j), c in q.num.terms.items() if i + j == k})
-    return _symmetric_coeff(q.ring, den, rows, q.denoms, m1, m2, _clear_real(q.ring, images))
+    rows = _zeta_rows((e[0], v) for e, v in q.terms.items() if sum(e) == k)
+    return _symmetric_coeff(q.ring, q.den, rows, q.denoms, m1, m2, _clear_real(q.ring, images))
 
 
 def _symmetric_coeff(ring, den, rows, denoms, m1, m2, cleared) -> CoeffElem:

@@ -33,12 +33,18 @@ is an independent definition of a value the library computes another way:
   * ``solomon_s``, ``coboundary_tau_half``, ``tau_transport`` and
     ``closed_form_sigma_n2``: the dimension-2 half-weighted cocycle, the
     half-ray coboundary function and the closed-form tables.
+  * ``series_add``, ``series_scale`` and ``series_mul_linear``: the sum,
+    the scaling and the product by a linear form of ``MSeries`` in
+    CoeffElem arithmetic, the oracles for the integer series arithmetic
+    of ``QuotSeries``.
   * ``exp_series`` and ``g_series``: exp(v.z) and g(v.z) built through
     the term-by-term product ``series_product``, the oracles for the
     integer numerator of ``exp_sum`` (the kernel ``_numerator`` on single
     points) and ``pair_cone``; ``one_minus_exp``, ``phi_map``,
     ``translate`` and ``quot_equal_as_laurent`` state the pairing
-    identities.
+    identities; ``reduce_to_power_series_reference`` divides by each form
+    with a Fraction pivot, the oracle for the integer division of
+    ``reduce_to_power_series``.
   * ``symmetric_laurent_coeff_reference``: the symmetric Laurent
     extraction in CoeffElem arithmetic (forms T^t v by ring products,
     inverse series and ring inverses), the oracle for the Z[sqrt D]
@@ -60,7 +66,13 @@ from math import comb, gcd, lcm
 
 from shintani.cocycle_core import _integer_columns
 from shintani.cone_algebra import _split_piece, _start_pieces
-from shintani.errors import ShintaniError, SingularMatrix, TruncationTooSmall, ZeroVector
+from shintani.errors import (
+    NotDivisible,
+    ShintaniError,
+    SingularMatrix,
+    TruncationTooSmall,
+    ZeroVector,
+)
 from shintani.exactnum import CoeffElem, CoeffRing, MPoly, QQ, bernoulli_number
 from shintani.linalg import (
     first_nonzero_sign,
@@ -508,6 +520,35 @@ def _linear_form(ring, nvars, trunc, vec) -> MSeries:
     })
 
 
+def series_add(a: MSeries, b: MSeries) -> MSeries:
+    """The sum of two series, truncated at the smaller truncation."""
+    if not a.ring.same(b.ring):
+        raise ShintaniError("mixed series rings")
+    trunc = min(a.trunc, b.trunc)
+    out = dict(a.terms)
+    for e, c in b.terms.items():
+        out[e] = out[e] + c if e in out else c
+    return MSeries(a.ring, a.nvars, trunc, out)
+
+
+def series_scale(a: MSeries, c) -> MSeries:
+    """The series times a ring element or rational c."""
+    c = a.ring.coerce(c)
+    return MSeries(a.ring, a.nvars, a.trunc, {e: v * c for e, v in a.terms.items()})
+
+
+def series_mul_linear(a: MSeries, vec) -> MSeries:
+    """The series times the linear form v.z, exact one degree further
+    since the form has no constant term."""
+    out = {}
+    for e1, c1 in a.terms.items():
+        for i, x in enumerate(vec):
+            if x:
+                e = e1[:i] + (e1[i] + 1,) + e1[i + 1:]
+                out[e] = out[e] + c1 * x if e in out else c1 * x
+    return MSeries(a.ring, a.nvars, a.trunc + 1, out)
+
+
 def series_product(a: MSeries, b: MSeries) -> MSeries:
     """The truncated product of two series, term by term: every pair of
     terms whose degrees sum to at most the smaller truncation."""
@@ -528,10 +569,10 @@ def exp_series(ring, nvars, trunc, vec) -> MSeries:
     acc = _const(ring, nvars, trunc, 1)
     term = _const(ring, nvars, trunc, 1)
     for k in range(1, trunc + 1):
-        term = series_product(term, lin).scale(Fraction(1, k))
-        if term.is_zero():
+        term = series_scale(series_product(term, lin), Fraction(1, k))
+        if not term.terms:
             break
-        acc = acc + term
+        acc = series_add(acc, term)
     return acc
 
 
@@ -542,17 +583,17 @@ def g_series(ring, nvars, trunc, vec) -> MSeries:
     acc = _const(ring, nvars, trunc, bernoulli_number(0))
     power = _const(ring, nvars, trunc, 1)
     for m in range(1, trunc + 1):
-        power = series_product(power, lin).scale(Fraction(1, m))
-        if power.is_zero():
+        power = series_scale(series_product(power, lin), Fraction(1, m))
+        if not power.terms:
             break
         b = bernoulli_number(m)
         if b:
-            acc = acc + power.scale(b)
+            acc = series_add(acc, series_scale(power, b))
     return acc
 
 
 def one_minus_exp(ring, nvars, trunc, vec) -> MSeries:
-    return _const(ring, nvars, trunc, 1) + exp_series(ring, nvars, trunc, vec).scale(-1)
+    return series_add(_const(ring, nvars, trunc, 1), series_scale(exp_series(ring, nvars, trunc, vec), -1))
 
 
 def quot_equal_as_laurent(q1: QuotSeries, q2: QuotSeries) -> bool:
@@ -560,6 +601,37 @@ def quot_equal_as_laurent(q1: QuotSeries, q2: QuotSeries) -> bool:
     to the smaller tracked degree."""
     s = q1 + q2.scale(-1)
     return s.is_zero_series()
+
+
+def reduce_to_power_series_reference(q: QuotSeries) -> MSeries:
+    """reduce_to_power_series in ring arithmetic: the numerator divided by
+    each denominator form in turn with a Fraction pivot, the first nonzero
+    entry p, the largest monomial first; NotDivisible at the first
+    monomial free of the pivot variable."""
+    num = q.num
+    ring = num.ring
+    for form in q.denoms:
+        pivot = next(j for j, c in enumerate(form) if c)
+        inv = Fraction(1, form[pivot])
+        rem = dict(num.terms)
+        quo = {}
+        while rem:
+            e = max(rem)
+            c = rem.pop(e)
+            if e[pivot] == 0:
+                raise NotDivisible(f"pole survives along form {form} at monomial {e}", form=form)
+            qe = e[:pivot] + (e[pivot] - 1,) + e[pivot + 1:]
+            quo[qe] = qc = c * inv
+            for j, a in enumerate(form):
+                if a and j != pivot:
+                    ee = qe[:j] + (qe[j] + 1,) + qe[j + 1:]
+                    rest = rem.get(ee, ring.zero()) - qc * a
+                    if rest:
+                        rem[ee] = rest
+                    else:
+                        rem.pop(ee, None)
+        num = MSeries(ring, num.nvars, num.trunc - 1, quo)
+    return num
 
 
 def exp_sum(ring, nvars, trunc, weighted) -> MSeries:

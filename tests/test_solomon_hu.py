@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -17,7 +18,11 @@ from reference import (
     one_minus_exp,
     phi_map,
     quot_equal_as_laurent,
+    reduce_to_power_series_reference,
+    series_add,
+    series_mul_linear,
     series_product,
+    series_scale,
     symmetric_laurent_coeff_reference,
     translate,
 )
@@ -29,9 +34,9 @@ from shintani.errors import (
     TruncationTooSmall,
     ZeroForm,
 )
-from shintani.exactnum import CoeffRing, QQ, bernoulli_poly
+from shintani.exactnum import CoeffElem, CoeffRing, QQ, bernoulli_poly
 from shintani.linalg import idot, int_det, reduce_rows
-from shintani.lvalues import build_real_quad
+from shintani.lvalues import build_real_quad, s_coeffs, trivial_quad_schwartz
 from shintani.solomon_hu import (
     MSeries,
     QuotSeries,
@@ -358,13 +363,13 @@ def _assert_defining_identity(cone, phi, dmax):
     lhs = q.num
     for vec in q.denoms:
         lhs = series_product(lhs, one_minus_exp(q.ring, n, q.num.trunc, vec))
-    rhs = MSeries.zero(q.ring, n, q.num.trunc)
+    rhs = MSeries(q.ring, n, q.num.trunc)
     for p in rational_points(q.denoms, phi.d, phi.f):
         v = phi.value_at(p)
         if v:
-            rhs = rhs + exp_series(q.ring, n, q.num.trunc, p).scale(v)
+            rhs = series_add(rhs, series_scale(exp_series(q.ring, n, q.num.trunc, p), v))
     for vec in q.denoms:
-        rhs = rhs.mul_exact_linear(vec)
+        rhs = series_mul_linear(rhs, vec)
     assert lhs == rhs
 
 
@@ -458,9 +463,9 @@ def pairing_cases(draw, ambient=(1, 1, 1, 2, 2, 2, 2, 3)):
 
 
 def _exp_series_oracle(ring, nvars, trunc, weighted):
-    acc = MSeries.zero(ring, nvars, trunc)
+    acc = MSeries(ring, nvars, trunc)
     for p, v in weighted:
-        acc = acc + exp_series(ring, nvars, trunc, p).scale(v)
+        acc = series_add(acc, series_scale(exp_series(ring, nvars, trunc, p), v))
     return acc
 
 
@@ -486,7 +491,7 @@ def test_pair_cone_numerator_matches_exp_series_oracle(case):
     for g in scaled:
         num = series_product(num, g_series(phi.ring, phi.n, trunc, g))
     if cone.dim % 2:
-        num = num.scale(-1)
+        num = series_scale(num, -1)
     assert q.num.trunc == num.trunc
     assert q.num.terms == num.terms
 
@@ -706,7 +711,7 @@ def test_pair_combo_starts_from_its_first_cone():
 def test_reduce_exact_quotient():
     A = MSeries(QQ, 1, 4, {(0,): QQ.one(), (1,): QQ.from_rat(Fraction(1, 2)),
                            (3,): QQ.from_rat(2)})
-    zA = MSeries(QQ, 1, 5, A.mul_exact_linear((1,)).terms)
+    zA = series_mul_linear(A, (1,))
     q = QuotSeries(zA, ((1,),))
     assert reduce_to_power_series(q) == A
 
@@ -748,7 +753,7 @@ def test_symmetric_coeff_matches_plain_coefficient_for_honest_series():
             forms.append((a, b))
         num = MSeries(ring, 2, 6 + len(forms), series.terms)
         for fm in forms:
-            num = num.mul_exact_linear(fm)
+            num = series_mul_linear(num, fm)
         q = QuotSeries(num, tuple(forms))
         for m1 in range(3):
             for m2 in range(3):
@@ -810,7 +815,7 @@ def laurent_cases(draw):
     num = series
     if honest:
         for form in forms:
-            num = num.mul_exact_linear(form)
+            num = series_mul_linear(num, form)
     return QuotSeries(num, forms), m1, m2, images, series if honest else None
 
 
@@ -827,6 +832,139 @@ def test_symmetric_laurent_coeff_matches_ring_reference(case):
     assert value == symmetric_laurent_coeff_reference(q, m1, m2, images)
     if honest is not None:
         assert value == honest.substitute_linear(images).coeff((m1, m2))
+
+
+def _reduction(q):
+    """reduce_to_power_series(q), or the message of its NotDivisible."""
+    try:
+        return reduce_to_power_series(q)
+    except NotDivisible as exc:
+        return str(exc)
+
+
+def _assert_reduction_matches_reference(q):
+    # the division scaled by |pivot|^trunc against the division over the
+    # rationals: the same series, or NotDivisible at the same monomial
+    try:
+        expected = reduce_to_power_series_reference(q)
+    except NotDivisible as exc:
+        expected = str(exc)
+    assert _reduction(q) == expected
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(case=laurent_cases())
+def test_integer_reduction_matches_the_fraction_pivot_reference(case):
+    _assert_reduction_matches_reference(case[0])
+
+
+def test_mseries_coerces_its_values():
+    # an int coefficient is stored as the ring element, so an int series
+    # reads like the same series of ring elements
+    num = MSeries(QQ, 2, 1, {(0, 0): 1, (1, 0): Fraction(1, 2), (0, 1): 0})
+    assert num.terms == {(0, 0): QQ.one(), (1, 0): QQ.from_rat(Fraction(1, 2))}
+    q = QuotSeries(MSeries(QQ, 2, 1, {(0, 0): 1}), ((1, 0),))
+    ref = QuotSeries(MSeries(QQ, 2, 1, {(0, 0): QQ.one()}), ((1, 0),))
+    for m1, m2 in ((-1, 0), (0, 0), (-1, 1)):
+        assert (symmetric_laurent_coeff(q, m1, m2, _IDENTITY)
+                == symmetric_laurent_coeff(ref, m1, m2, _IDENTITY))
+    for bad in (1.0, True):
+        with pytest.raises(TypeError):
+            MSeries(QQ, 1, 2, {(0,): bad})
+
+
+def _assert_integer_form(q):
+    assert type(q.den) is int and q.den > 0
+    for e, ints in q.terms.items():
+        assert sum(e) <= q.trunc and ints
+        assert all(type(x) is int and x for x in ints.values())
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_quot_series_keeps_one_integer_form(case):
+    # pairing, scaling and adding keep the ints over one positive den, the
+    # MSeries view clears back to the same series, and combos reduce as
+    # the rational division does
+    combo, phi = _multi_cone_cases()[case]
+    for dmax in (0, 2):
+        q = pair_combo(combo, phi, dmax)
+        _assert_reduction_matches_reference(q)
+        for r in (q, q.scale(Fraction(-3, 4)), q + q.scale(-1), q.scale(0),
+                  *(pair_cone(cone, phi, dmax) for _, cone in combo.terms)):
+            _assert_integer_form(r)
+            back = QuotSeries(r.num, r.denoms)
+            assert (back.to_json(), back.num) == (r.to_json(), r.num)
+        assert (q + q.scale(-1)).is_zero_series() and q.scale(0).is_zero_series()
+
+
+_RING_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__")
+
+
+def _spy_jobs():
+    """Seeded pair jobs of ranks 1 to 3 over rings with zeta and sqrt D,
+    rational coefficients that are not units included."""
+    rng = random.Random(31)
+    ring = CoeffRing(3, 5)
+    table = {k: ring.elem({b: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for b in ring.basis()})
+             for k in product(range(2), repeat=3) if any(k)}
+    three = ConeCombo([(Fraction(-2, 3), OpenSimplicialCone(((1, 0, 0), (1, 1, 0), (1, 0, 1)))),
+                       (3, OpenSimplicialCone(((1, 0, 0), (0, 1, 1)))),
+                       (Fraction(5, 2), OpenSimplicialCone(((0, 1, 1),)))])
+    return _multi_cone_cases() + [(three, SchwartzFn(3, 1, 2, table, ring))]
+
+
+def _edge_reads(K, characters):
+    """What every public reader of the integer series gives on the spy
+    jobs: the JSON, the reduction (or its NotDivisible message), the
+    Laurent coefficients and the s-coefficient tables."""
+    out = []
+    for combo, phi in _spy_jobs():
+        q = pair_combo(combo, phi, 2)
+        out += [q.to_json(), _reduction(q)]
+        if phi.n == 1:
+            out += [laurent_coeff_1var(q, k) for k in range(-2, 3)]
+        if phi.n == 2:
+            out += [symmetric_laurent_coeff(q, m1, m2, _IDENTITY)
+                    for m1 in range(-2, 3) for m2 in range(-2, 3 - m1)]
+    for phi in characters:
+        try:
+            out.append(s_coeffs(K, phi, 2).table)
+        except NotDivisible as exc:
+            out.append(str(exc))
+    return out
+
+
+def test_no_ring_arithmetic_between_the_kernel_and_the_edge(monkeypatch):
+    # with CoeffElem arithmetic made to raise, every reader of a paired
+    # series still gives what it gave: ring elements are only read going
+    # into _numerator and built by from_ints coming out
+    K = build_real_quad(13)
+    ring = CoeffRing(1, 13)
+    characters = [trivial_quad_schwartz(K), SchwartzFn(2, 1, 3, {
+        (0, 1): 1, (0, 2): -1, (1, 0): 1, (1, 1): -1, (2, 0): -1, (2, 2): 1}, ring)]
+    expected = _edge_reads(K, characters)
+
+    def refuse(*args):
+        raise AssertionError("CoeffElem arithmetic between the kernel and the edge")
+    for name in _RING_OPS:
+        monkeypatch.setattr(CoeffElem, name, refuse)
+    assert _edge_reads(K, characters) == expected
+
+
+def test_pair_cone_memory_at_det_10_4():
+    # a scale guard: this cone pairs 10^4 points; its traced peak read
+    # 3.96 MiB when the bound was set (11.5 MiB at det 3 10^4, linear in
+    # |det|, since every point is listed before the moments are summed)
+    cone = OpenSimplicialCone(((1, 0), (1, 10 ** 4)))
+    phi = SchwartzFn(2, 1, 1, {(0, 0): 1})
+    tracemalloc.start()
+    try:
+        q = pair_cone(cone, phi, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q.dmax == 2 and q.denoms == ((1, 0), (1, 10 ** 4))
+    assert peak < 6 * 2 ** 20
 
 
 def test_symmetric_laurent_coeff_reads_a_polar_degree_of_the_unit_combo():
