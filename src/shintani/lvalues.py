@@ -29,7 +29,6 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import comb, factorial, gcd, isqrt, lcm, prod
 
@@ -47,8 +46,8 @@ from .solomon_hu import (
     _combo_laurent_1var,
     _combo_symmetric_laurent,
     _power_series_ints,
-    _split_zeta,
     _symmetric_coeff,
+    _zeta_rows,
     pair_combo,
 )
 
@@ -466,10 +465,15 @@ def s_coeffs(K: RealQuadField, phi: SchwartzFn, rmax: int) -> SCoeffs:
 def l_value_from_s_coeffs(K: RealQuadField, sc: SCoeffs, r: int):
     """Recombine the coefficient table into L(phi, -r): the entries with
     m1 + m2 = 2r, each S / (m1! m2!), form an honest series of degree 2r,
-    read in embedding coordinates like the paired series of quad_L_value."""
+    read in embedding coordinates like the paired series of quad_L_value.
+    The entries are cleared to ints over one den, and (r!)^2 / (m1! m2!)
+    = C(2r, m1) / C(2r, r) scales the ints of S(m1, m2) by C(2r, m1) over
+    den C(2r, r), so no ring element is multiplied."""
     if r > sc.rmax:
         raise TruncationTooSmall("table does not reach degree 2r")
-    den, rows = _split_zeta(sc.ring, {m1: s * Fraction(1, factorial(m1) * factorial(m2))
-                                      for (m1, m2), s in sc.table.items() if m1 + m2 == 2 * r})
+    entries = {m1: s for (m1, m2), s in sc.table.items() if m1 + m2 == 2 * r}
+    den, ints = sc.ring.clear(entries.values())
+    rows = _zeta_rows((m1, {k: comb(2 * r, m1) * x for k, x in v.items()})
+                      for m1, v in zip(entries, ints))
     images = _clear_real(sc.ring, K.transition_images())
-    return _symmetric_coeff(sc.ring, den, rows, (), r, r, images) * factorial(r) ** 2
+    return _symmetric_coeff(sc.ring, den * comb(2 * r, r), rows, (), r, r, images)

@@ -13,13 +13,17 @@ so the numerator is the parallelotope exponential sum times the product
 of the -g factors, with the pole data carried exactly by the denominator
 multiset.  Each form v is a vector of plain ints, f times a primitive
 cone generator, from the pairing to the Laurent coefficient.  The numerator
-is built in integers (``_numerator``), kept by homogeneous component, and
-every component of every product comes from one graded product,
-``_product``; the kernel returns the ints of each coefficient over one
-denominator, which a ``QuotSeries`` keeps through the cone sums, the
-reduction and the readers; CoeffElem appears only in ``QuotSeries.num``,
-``to_json`` and the readers' results.  All coefficients of the represented
-Laurent expansion up to the tracked degree are exact.
+is built in integers (``_numerator``).  In one variable the g-product is
+one int per degree, and each degree's coefficient is a polynomial in the
+point k, read by Horner's rule per point and summed per value group
+(``_series_1var``); in more, the series is kept by homogeneous component,
+and every component of every product comes from one graded product,
+``_product`` (``_series_graded``).  The kernel returns the ints of each
+coefficient over one denominator, which a ``QuotSeries`` keeps through the
+cone sums, the reduction and the readers; CoeffElem appears only in
+``QuotSeries.num``, ``to_json`` and the readers' results.  All
+coefficients of the represented Laurent expansion up to the tracked degree
+are exact.
 
 A Laurent coefficient of total degree m reads only the degree m + rank
 component of each cone's numerator and is linear in the series, so the
@@ -48,7 +52,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import accumulate, product
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 from .cone_algebra import ConeCombo, OpenSimplicialCone
@@ -214,7 +218,7 @@ def _zeta_rows(entries):
 
 def _moments(points, weights, trunc, layout):
     """sum_k w_k k^e over integer vectors k with weights w_k, for every
-    entry (c, i, j) of a layout (see _numerator): k^e is the product of
+    entry (c, i, j) of a layout (see _series_graded): k^e is the product of
     the powers of k_1 .. k_(n-1) that index i spells, times k_n^j, and a
     hole (j < 0) holds 0.  weights maps each basis key to its column of
     w_k, and the result maps it to its list of moments.  Every power is
@@ -273,26 +277,72 @@ def _numerator(ring, nvars, trunc, d, groups, gens=(), low=0):
     coefficient to that coefficient's ints {key: int} over den, as
     CoeffRing.clear gives them (CoeffRing.from_ints reads one back).
 
-    A degree-c component is one list of ints indexed by the exponents of
-    z_1 .. z_(n-1) as the digits of a number in base trunc + 1, z_1 the
-    most significant (an index whose digits sum past c holds 0), and z_n
-    takes the rest of the degree: one int in one variable, c + 1 by the
-    power of z_1 in two.  No digit of a product index carries, so
-    components multiply by 1-D convolution (_product), with no table of
-    exponent pairs.
-
-    The moments sum_k value(k) k^e (_moments) give the z^e coefficient of
-    the exponential sum as moment / (d^|e| e!), an integer weight
-    d^(trunc-|e|) trunc!/e! over d^trunc trunc!; a factor g(v.z) has the
-    z^e coefficient B_|e| v^e / e!, an integer over B trunc! with B the
-    lcm of the Bernoulli denominators.  The values are cleared to integers
-    over the lcm D of their denominators, and per basis key _product
-    multiplies the weighted moments by the g-product, kept as its taps, in
-    the degrees low .. trunc; a lower degree of either factor still feeds
-    a higher degree of the product.  den is d^trunc trunc! D
-    (-B trunc!)^len(gens)."""
-    width = (trunc + 1) ** (nvars - 2) if nvars > 1 else 0  # index growth per degree
+    The z^e coefficient of the exponential sum is sum_k value(k) k^e /
+    (d^|e| e!), an integer weight d^(trunc-|e|) trunc!/e! over d^trunc
+    trunc!; a factor g(v.z) has the z^e coefficient B_|e| v^e / e!, an
+    integer over B trunc! with B the lcm of the Bernoulli denominators.
+    The values are cleared to integers over the lcm D of their
+    denominators, so den is d^trunc trunc! D (-B trunc!)^len(gens).  One
+    variable takes _series_1var and more take _series_graded."""
     fact = list(accumulate(range(1, trunc + 1), mul, initial=1))
+    bern = [bernoulli_number(c) for c in range(trunc + 1)]
+    bden = lcm(*(b.denominator for b in bern))
+    bern = [b.numerator * (bden // b.denominator) for b in bern]
+    den, values = ring.clear([value for value, _ in groups])
+    den *= d ** trunc * fact[trunc] * (-bden * fact[trunc]) ** len(gens)
+    if nvars == 1:
+        return den, _series_1var(trunc, d, groups, values, gens, low, fact, bern)
+    return den, _series_graded(nvars, trunc, d, groups, values, gens, low, fact, bern)
+
+
+def _series_1var(trunc, d, groups, values, gens, low, fact, bern):
+    """_numerator's terms in one variable, where the g-product is one int
+    G_c per degree, each factor's ints convolved into it: the degree-c
+    coefficient is the sum over groups of the value's ints times sum_k
+    P_c(k), P_c(k) = sum_(a <= c) d^(trunc-a) (trunc!/a!) G_(c-a) k^a read
+    by Horner's rule at each point, and each group's sum goes into its
+    value's nonzero ints only: no moment is kept and no key loops over
+    the points."""
+    g = [1] + [0] * trunc  # the g-product, from the empty product
+    for (v,) in gens:
+        powers = accumulate([v] * trunc, mul, initial=1)
+        h = [b * (fact[trunc] // fact[c]) * x for c, (b, x) in enumerate(zip(bern, powers))]
+        g = [sum(map(mul, g[:c + 1], h[c::-1])) for c in range(trunc + 1)]
+    weights = [d ** (trunc - a) * (fact[trunc] // fact[a]) for a in range(trunc + 1)]
+    terms = {}
+    for c in range(low, trunc + 1):
+        poly = [w * x for w, x in zip(weights[c::-1], g)]  # highest power of k first
+        acc = {}
+        for (_, pts), value in zip(groups, values):
+            total = 0
+            for (k,) in pts:
+                p = 0
+                for x in poly:
+                    p = p * k + x
+                total += p
+            if total:
+                for b, x in value.items():
+                    acc[b] = acc.get(b, 0) + x * total
+        acc = {b: x for b, x in acc.items() if x}
+        if acc:
+            terms[(c,)] = acc
+    return terms
+
+
+def _series_graded(nvars, trunc, d, groups, values, gens, low, fact, bern):
+    """_numerator's terms in two or more variables.  A degree-c component
+    is one list of ints indexed by the exponents of z_1 .. z_(n-1) as the
+    digits of a number in base trunc + 1, z_1 the most significant (an
+    index whose digits sum past c holds 0), and z_n takes the rest of the
+    degree: c + 1 ints by the power of z_1 in two variables.  No digit of
+    a product index carries, so components multiply by 1-D convolution
+    (_product), with no table of exponent pairs.
+
+    The moments sum_k value(k) k^e (_moments) are weighted as _numerator
+    says, and per basis key _product multiplies them by the g-product,
+    kept as its taps, in the degrees low .. trunc; a lower degree of
+    either factor still feeds a higher degree of the product."""
+    width = (trunc + 1) ** (nvars - 2)  # index growth per degree
     digit_sum, digit_fact = [0], [1]  # by index, over the exponents of z_1 .. z_(n-1)
     for _ in range(nvars - 1):
         digit_sum = [x + y for x in range(trunc + 1) for y in digit_sum]
@@ -303,11 +353,6 @@ def _numerator(ring, nvars, trunc, d, groups, gens=(), low=0):
              for c in range(trunc + 1)]  # of each component in the layout
     rel = [fact[trunc] // (digit_fact[i] * fact[j]) if j >= 0 else 0
            for _, i, j in layout]  # trunc! / e!
-    bern = [bernoulli_number(c) for c in range(trunc + 1)]
-    bden = lcm(*(b.denominator for b in bern))
-    bern = [b.numerator * (bden // b.denominator) for b in bern]
-    den, values = ring.clear([value for value, _ in groups])
-    den *= d ** trunc * fact[trunc]
     taps = [[(0, 1)]] + [[]] * trunc  # of the g-product, from the empty product
     for i, v in enumerate(gens):
         powers = _moments([v], {0: [1]}, trunc, layout)[0]
@@ -315,7 +360,6 @@ def _numerator(ring, nvars, trunc, d, groups, gens=(), low=0):
         g = [g[span] for span in spans]
         g = _product(g, taps) if i else g
         taps = [[(j, t) for j, t in enumerate(comp) if t] for comp in g]
-        den *= -bden * fact[trunc]
     points = [k for _, pts in groups for k in pts]
     owner = [value for (_, pts), value in zip(groups, values) for _ in pts]
     moments = _moments(points, {b: [value.get(b, 0) for value in owner]
@@ -331,7 +375,7 @@ def _numerator(ring, nvars, trunc, d, groups, gens=(), low=0):
             for i, a in enumerate(comp):
                 if a:
                     terms.setdefault((*digits[i], c - digit_sum[i]), {})[b] = a
-    return den, terms
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -768,10 +812,16 @@ def _divide_by_linear(trunc, den, terms, form):
 
 
 def _power_series_ints(q: QuotSeries):
-    """(trunc, den, terms) of reduce_to_power_series(q)."""
+    """(trunc, den, terms) of reduce_to_power_series(q), the ints and den
+    divided by their gcd after each division, so that the pivot powers
+    _divide_by_linear scales by do not pile up from form to form."""
     trunc, den, terms = q.trunc, q.den, q.terms
     for form in q.denoms:
         trunc, den, terms = _divide_by_linear(trunc, den, terms, form)
+        g = gcd(den, *(x for v in terms.values() for x in v.values()))
+        if g > 1:
+            den //= g
+            terms = {e: {k: x // g for k, x in v.items()} for e, v in terms.items()}
     return trunc, den, terms
 
 

@@ -679,6 +679,24 @@ def test_quad_value_at_r41_stays_small():
     assert peak < 3 * 2 ** 20
 
 
+@pytest.mark.parametrize("route", [dirichlet_L_via_cocycle, dirichlet_L_closed],
+                         ids=["cocycle", "closed"])
+def test_lvalue_q_at_f2003_stays_small(route):
+    # a scale guard at index 1, r = 2: the ring Q(zeta_2002) has 720 basis
+    # keys and the ray 2002 valued points.  The traced peaks read 6.2 MiB
+    # (cocycle) and 5.8 MiB (closed) when the bound was set, about 45 %
+    # headroom; the cocycle route read 17.7 MiB while its kernel built a
+    # weight column per basis key over every point
+    chi = DirichletChar.enumerate(2003)[1]
+    tracemalloc.start()
+    try:
+        route(chi, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 2 ** 20
+
+
 def test_cocycle_route_at_r200_matches_closed_form():
     for chi in DirichletChar.enumerate(5):
         for r in (199, 200):

@@ -36,7 +36,12 @@ from shintani.errors import (
 )
 from shintani.exactnum import CoeffElem, CoeffRing, QQ, bernoulli_poly
 from shintani.linalg import idot, int_det, reduce_rows
-from shintani.lvalues import build_real_quad, s_coeffs, trivial_quad_schwartz
+from shintani.lvalues import (
+    build_real_quad,
+    l_value_from_s_coeffs,
+    s_coeffs,
+    trivial_quad_schwartz,
+)
 from shintani.solomon_hu import (
     MSeries,
     QuotSeries,
@@ -45,6 +50,7 @@ from shintani.solomon_hu import (
     _combo_symmetric_laurent,
     _cone_points,
     _numerator,
+    _power_series_ints,
     _ray_points,
     laurent_coeff_1var,
     pair_cone,
@@ -469,6 +475,25 @@ def _exp_series_oracle(ring, nvars, trunc, weighted):
     return acc
 
 
+_R5 = CoeffRing(5)
+_V5 = _R5.elem({(0, 0): Fraction(1, 3), (1, 0): Fraction(-2, 5)})
+
+
+# one-variable cases: the values of Q(zeta_5), zeta^4 = -1 - zeta - zeta^2
+# - zeta^3 dense in the basis
+_ZETA5_RAY = (OpenSimplicialCone(((1,),)),
+              SchwartzFn(1, 1, 5, {(k,): _R5.zeta(k) for k in range(1, 5)}, _R5), 3)
+# the points 1/2 .. 6/2 of d = 2, f = 3, with rational values
+_D2_F3_RAY = (OpenSimplicialCone(((1,),)),
+              SchwartzFn(1, 2, 3, {(k,): Fraction(k - 2, 3) for k in range(6)}), 3)
+# a negative generator: the points -1/2 .. -4/2
+_NEGATIVE_RAY = (OpenSimplicialCone(((-1,),)),
+                 SchwartzFn(1, 2, 2, {(1,): _V5, (2,): -_V5, (3,): _R5.zeta(4)}, _R5), 2)
+# the table drops its zero values, so every class is absent and the
+# series is empty
+_ABSENT_RAY = (OpenSimplicialCone(((1,),)), SchwartzFn(1, 1, 3, {(0,): 0, (1,): 0}), 2)
+
+
 # the ray hits only the classes (1, 0) and (0, 0), both absent from the
 # table: every point of the parallelotope has value zero
 @example(case=(OpenSimplicialCone(((1, 0),)), SchwartzFn(2, 1, 2, {(0, 1): 1}), 2))
@@ -478,6 +503,10 @@ def _exp_series_oracle(ring, nvars, trunc, weighted):
                SchwartzFn(2, 2, 1, {(i, j): 1 for i in range(2) for j in range(2)}), 3))
 # values 1 and -1 on the points 1 and 2: the constant terms cancel
 @example(case=(OpenSimplicialCone(((1,),)), SchwartzFn(1, 1, 2, {(1,): 1, (0,): -1}), 2))
+@example(case=_ZETA5_RAY)
+@example(case=_D2_F3_RAY)
+@example(case=_NEGATIVE_RAY)
+@example(case=_ABSENT_RAY)
 @settings(deadline=None, derandomize=True, max_examples=100)
 @given(case=pairing_cases())
 def test_pair_cone_numerator_matches_exp_series_oracle(case):
@@ -512,6 +541,10 @@ def test_pair_cone_numerator_coefficients_are_fractions(case):
                SchwartzFn(2, 2, 2, {(i, j): (i + 2 * j) % 3 - 1
                                     for i in range(4) for j in range(4)}),
                6))
+@example(case=_ZETA5_RAY)
+@example(case=_D2_F3_RAY)
+@example(case=_NEGATIVE_RAY)
+@example(case=_ABSENT_RAY)
 @settings(deadline=None, derandomize=True, max_examples=150)
 @given(case=pairing_cases(ambient=(1, 2)))
 def test_top_degree_numerator_is_the_top_of_the_full_series(case):
@@ -537,10 +570,6 @@ def test_top_degree_numerator_is_the_top_of_the_full_series(case):
         images, m1 = ((1, 2), (-1, 3)), dmax // 2
         assert (_combo_symmetric_laurent(combo, phi, m1, dmax - m1, images)
                 == symmetric_laurent_coeff(pair_combo(combo, phi, dmax), m1, dmax - m1, images))
-
-
-_R5 = CoeffRing(5)
-_V5 = _R5.elem({(0, 0): Fraction(1, 3), (1, 0): Fraction(-2, 5)})
 
 
 @st.composite
@@ -916,7 +945,8 @@ def _spy_jobs():
 def _edge_reads(K, characters):
     """What every public reader of the integer series gives on the spy
     jobs: the JSON, the reduction (or its NotDivisible message), the
-    Laurent coefficients and the s-coefficient tables."""
+    Laurent coefficients, the s-coefficient tables and the L-values
+    l_value_from_s_coeffs reads from them."""
     out = []
     for combo, phi in _spy_jobs():
         q = pair_combo(combo, phi, 2)
@@ -928,10 +958,18 @@ def _edge_reads(K, characters):
                     for m1 in range(-2, 3) for m2 in range(-2, 3 - m1)]
     for phi in characters:
         try:
-            out.append(s_coeffs(K, phi, 2).table)
+            sc = s_coeffs(K, phi, 2)
         except NotDivisible as exc:
             out.append(str(exc))
+        else:
+            out += [sc.table] + [l_value_from_s_coeffs(K, sc, r) for r in (1, 2)]
     return out
+
+
+def _quad_f3(ring):
+    """The f = 3 residue function of the spy and size checks at D = 13."""
+    return SchwartzFn(2, 1, 3, {(0, 1): 1, (0, 2): -1, (1, 0): 1, (1, 1): -1,
+                                (2, 0): -1, (2, 2): 1}, ring)
 
 
 def test_no_ring_arithmetic_between_the_kernel_and_the_edge(monkeypatch):
@@ -939,9 +977,7 @@ def test_no_ring_arithmetic_between_the_kernel_and_the_edge(monkeypatch):
     # series still gives what it gave: ring elements are only read going
     # into _numerator and built by from_ints coming out
     K = build_real_quad(13)
-    ring = CoeffRing(1, 13)
-    characters = [trivial_quad_schwartz(K), SchwartzFn(2, 1, 3, {
-        (0, 1): 1, (0, 2): -1, (1, 0): 1, (1, 1): -1, (2, 0): -1, (2, 2): 1}, ring)]
+    characters = [trivial_quad_schwartz(K), _quad_f3(CoeffRing(1, 13))]
     expected = _edge_reads(K, characters)
 
     def refuse(*args):
@@ -949,6 +985,21 @@ def test_no_ring_arithmetic_between_the_kernel_and_the_edge(monkeypatch):
     for name in _RING_OPS:
         monkeypatch.setattr(CoeffElem, name, refuse)
     assert _edge_reads(K, characters) == expected
+
+
+def test_power_series_ints_stay_near_the_canonical_size():
+    # the D = 13 unit combo against the f = 3 function at rmax 6, forms
+    # (3, 0) and (12, 9): without the gcd after each division the ints of
+    # the reduced series reached 225 bits and den 208, while the table's
+    # fractions in lowest terms need at most 34 bits; with it they read
+    # 48 and 31 bits when the bound was set
+    K = build_real_quad(13)
+    q = pair_combo(sigma_decompose([_IDENTITY, K.u_matrix]), _quad_f3(K.ring), 12)
+    assert q.denoms == ((3, 0), (12, 9))
+    _, den, terms = _power_series_ints(q)
+    assert den.bit_length() <= 64
+    assert max(abs(x).bit_length() for v in terms.values() for x in v.values()) <= 64
+    assert reduce_to_power_series(q) == reduce_to_power_series_reference(q)
 
 
 def test_pair_cone_memory_at_det_10_4():
