@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .cocycle_core import CocycleChecker, sigma_eval
 from .cone_algebra import ConeCombo, sigma_decompose
-from .errors import SchemaError, ShintaniError, TruncationTooSmall
+from .errors import BudgetExceeded, SchemaError, ShintaniError, TruncationTooSmall
 from .exactnum import MAX_D, MAX_ZETA_ORDER, CoeffRing
 from .linalg import frac, int_det, int_rows
 from .lvalues import (
@@ -34,6 +34,13 @@ EXIT_OK = 0
 EXIT_SCHEMA = 64
 EXIT_MATH = 65
 EXIT_TRUNCATION = 66
+
+# Work bounds of one verify-cocycle job, checked before it starts: a job
+# builds trials x (n + 1) face kernels and reads trials x samples x (n + 1)
+# point checks.  At n = 3 the largest job both bounds allow (25000 trials
+# of 20 samples) takes about 16 s on a 2-CPU x86-64 host.
+MAX_POINT_CHECKS = 2_000_000
+MAX_FACE_KERNELS = 100_000
 
 
 def _require(doc, key, kind=None):
@@ -195,6 +202,21 @@ def _cmd_pair(doc):
     return {"series": q.to_json()}
 
 
+def _verify_budget(n, trials, samples):
+    """Refuse a verify-cocycle job whose face kernels or point checks
+    exceed their bounds, before any of them is built or read."""
+    checks = trials * samples * (n + 1)
+    if checks > MAX_POINT_CHECKS:
+        raise BudgetExceeded(
+            f"fields 'trials' and 'samples' ask for {checks} point checks "
+            f"(trials x samples x (n + 1)), above the bound of {MAX_POINT_CHECKS}")
+    kernels = trials * (n + 1)
+    if kernels > MAX_FACE_KERNELS:
+        raise BudgetExceeded(
+            f"field 'trials' asks for {kernels} face kernels "
+            f"(trials x (n + 1)), above the bound of {MAX_FACE_KERNELS}")
+
+
 def _cmd_verify_cocycle(doc):
     n = _int_field(doc, "n", None, 1)
     trials = _int_field(doc, "trials", 100, 0)
@@ -202,6 +224,7 @@ def _cmd_verify_cocycle(doc):
     if doc.get("seed") is None:
         raise SchemaError("verify-cocycle requires a seed for reproducibility")
     seed = _int_field(doc, "seed")
+    _verify_budget(n, trials, samples)
     rng = random.Random(seed)
     failures = 0
     degenerate = 0

@@ -13,8 +13,13 @@ The refinement step is a sequential split of relatively open simplicial
 cones along hyperplanes.  Each split keeps the pieces disjoint,
 relatively open and simplicial; in ambient dimension <= 3 a case table
 covers every mixed-sign pattern of a hyperplane on at most three
-generators.  A split piece goes on from the list that split it, so each
-sign list is read on a piece only when no larger cone has settled it.
+generators.  Each piece of a split comes with its side, the split form's
+strict sign on it or 0 inside the hyperplane.  The splitting list reads
+that side on the piece, so a piece on the target's side goes on from the
+next list, one on the other side is dropped, and only a piece inside the
+hyperplane reads the splitting list again: each sign list is read on a
+piece only when no larger cone has settled it.  The kept pieces become
+cones from their primitive generators as they are.
 """
 
 from __future__ import annotations
@@ -118,7 +123,7 @@ class ConeCombo:
             raise ZeroVector("combos are functions on nonzero points")
         if self.ambient is not None and len(wi) != self.ambient:
             raise ValueError("point dimension mismatch")
-        total = Fraction(self.constant)
+        total = self.constant
         for c, cone in self.terms:
             if cone._contains_scaled(wi):
                 total += c
@@ -203,12 +208,15 @@ def _cross(vp, vq, hp, hq):
 
 def _split_piece(gens, form):
     """Split one relatively open simplicial cone along a hyperplane into
-    relatively open simplicial pieces (dimension of the cone <= 3)."""
+    relatively open simplicial pieces (dimension of the cone <= 3), each
+    with its side: the sign, +1 or -1, the form has on the open piece, or
+    0 for a piece inside the hyperplane.  A cone the form does not cut
+    comes back whole, with the form's sign on it."""
     vals = [idot(form, g) for g in gens]
     pos = [i for i, v in enumerate(vals) if v > 0]
     neg = [i for i, v in enumerate(vals) if v < 0]
     if not pos or not neg:
-        return (gens,)
+        return ((gens, 1 if pos else -1 if neg else 0),)
     if len(gens) > 3:
         raise UnsupportedDimension("splitting supports cones of dimension <= 3")
     if len(pos) == len(neg) == 1:
@@ -216,17 +224,17 @@ def _split_piece(gens, form):
         p, q = pos[0], neg[0]
         m = _cross(gens[p], gens[q], vals[p], vals[q])
         z = tuple(g for g, v in zip(gens, vals) if not v)
-        return ((gens[p], m) + z, (m,) + z, (m, gens[q]) + z)
+        return (((gens[p], m) + z, 1), ((m,) + z, 0), ((m, gens[q]) + z, -1))
     # three generators, s alone on its side of the hyperplane
-    s, (a, b) = (pos[0], neg) if len(pos) == 1 else (neg[0], pos)
+    s, (a, b), side = (pos[0], neg, 1) if len(pos) == 1 else (neg[0], pos, -1)
     m1 = _cross(gens[s], gens[a], vals[s], vals[a])
     m2 = _cross(gens[s], gens[b], vals[s], vals[b])
     return (
-        (gens[s], m1, m2),
-        (m1, m2),
-        (m1, gens[a], gens[b]),
-        (m1, gens[b]),
-        (m1, m2, gens[b]),
+        ((gens[s], m1, m2), side),
+        ((m1, m2), 0),
+        ((m1, gens[a], gens[b]), -side),
+        ((m1, gens[b]), -side),
+        ((m1, m2, gens[b]), -side),
     )
 
 
@@ -242,10 +250,16 @@ def _decompose_region(n, int_lists, target):
     the target, split along the form of the first list whose sign is not
     constant on it, and kept when every list has the target sign.
 
-    A split piece resumes at the list that split it.  The pieces of a
+    A split piece resumes from its side of the split.  The pieces of a
     split partition the open cone they came from, and a list with one
     sign on an open cone has that sign on each open cone inside it, so
-    every earlier list still reads the target on every piece.
+    every earlier list still reads the target on every piece.  The forms
+    of list j before the split form vanish on the cone, so on a piece off
+    the hyperplane list j reads the piece's side: a piece on the target's
+    side resumes at list j + 1, one on the other side is dropped, and
+    only a piece inside the hyperplane reads list j again.  A dropped
+    piece would only be dropped when read, so the kept pieces and their
+    order are those of reading every piece from list 0.
     """
     work = [(gens, 0) for gens in _start_pieces(n)]
     kept = []
@@ -254,7 +268,11 @@ def _decompose_region(n, int_lists, target):
         for j in range(start, len(int_lists)):
             s, form = first_nonzero_sign(int_lists[j], gens)
             if s is None:
-                work.extend((piece, j) for piece in _split_piece(gens, form))
+                for piece, side in _split_piece(gens, form):
+                    if not side:
+                        work.append((piece, j))
+                    elif side == target:
+                        work.append((piece, j + 1))
             if s != target:
                 break
         else:
@@ -277,5 +295,6 @@ def sigma_decompose(alphas) -> ConeCombo:
     target = kernel.det_sign
     pieces = _decompose_region(n, kernel.forms, target)
     cones = sorted(map(OpenSimplicialCone, pieces), key=lambda cone: cone.generators)
-    return ConeCombo([(target, cone) for cone in cones])
+    coeff = Fraction(target)
+    return ConeCombo([(coeff, cone) for cone in cones])
 

@@ -53,3 +53,8 @@ class NarrowClassNumberNotOne(ShintaniError):
 
 class SchemaError(ShintaniError):
     """A CLI job document does not match the expected schema."""
+
+
+class BudgetExceeded(SchemaError):
+    """A CLI job asks for more work than its stated bound; refused before
+    any of it starts, with the schema's exit code."""

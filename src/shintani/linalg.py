@@ -11,6 +11,7 @@ denominator.  Everything is immutable and all arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 from math import gcd, lcm
 from operator import mul
@@ -121,9 +122,12 @@ def int_scale_point(w):
 
 
 def primitive(vec):
-    """Primitive integer vector (plain ints) in the same direction."""
+    """Primitive integer vector (plain ints) in the same direction; a
+    tuple of ints that is primitive already is returned as it is."""
     ints = int_scale_point(vec)
     g = gcd(*ints)
+    if g == 1 and type(ints) is tuple:
+        return ints
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(v // g for v in ints)
@@ -186,6 +190,12 @@ def cofactor_form(cols, slot):
     return tuple(row) if (swaps + n - 1 - slot) % 2 == 0 else tuple(-x for x in row)
 
 
+@cache
+def _unit_vectors(n):
+    """The standard basis of Z^n, as int tuples."""
+    return tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+
+
 def coordinate_rows(gens):
     """Integer rows deciding coordinates in r independent integer vectors.
 
@@ -200,8 +210,9 @@ def coordinate_rows(gens):
     """
     n = len(gens[0])
     r = len(gens)
-    for extra in combinations(range(n), n - r) if r <= n else ():
-        cols = list(gens) + [tuple(int(i == j) for i in range(n)) for j in extra]
+    units = _unit_vectors(n)
+    for extra in combinations(units, n - r) if r <= n else ():
+        cols = list(gens) + list(extra)
         row0 = cofactor_form(cols[1:], 0)
         den = sum(map(mul, row0, cols[0]))
         if den:

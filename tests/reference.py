@@ -238,7 +238,7 @@ def decompose_region_reference(n, int_lists, target):
         for forms in int_lists:
             s, form = first_nonzero_sign(forms, gens)
             if s is None:
-                work.extend(_split_piece(gens, form))
+                work.extend(piece for piece, _ in _split_piece(gens, form))
             if s != target:
                 break
         else:

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from shintani import cli
 from shintani.cli import main
+from shintani.errors import BudgetExceeded
 
 
 def run_cli(args, capsys):
@@ -68,6 +70,38 @@ def test_verify_cocycle_requires_seed(capsys):
     code, out = run_cli(["verify-cocycle", "--inline", '{"n": 2}'], capsys)
     assert code == 64
     assert json.loads(out)["error"]["code"] == 64
+
+
+@pytest.mark.parametrize("n,trials,samples,field", [
+    (3, 25000, 20, None),            # the largest n = 3 job both bounds allow
+    (3, 25001, 20, "'trials' and 'samples'"),
+    (1, 10 ** 6, 2, "'trials' and 'samples'"),
+    (3, 25001, 0, "'trials'"),
+    (2, 10 ** 8, 0, "'trials'"),
+])
+def test_verify_cocycle_budget_estimate(n, trials, samples, field):
+    if field is None:
+        cli._verify_budget(n, trials, samples)
+        return
+    with pytest.raises(BudgetExceeded, match=f"field.? {field} .*above the bound of"):
+        cli._verify_budget(n, trials, samples)
+
+
+def test_verify_cocycle_over_budget_exits_64_before_any_trial(monkeypatch, capsys):
+    # 10^8 trials at n = 3 ran until killed; the pre-flight estimate now
+    # refuses the job without building a single tuple
+    def no_trials(*_):
+        raise AssertionError("an over-budget job must not start")
+
+    monkeypatch.setattr(cli, "CocycleChecker", no_trials)
+    monkeypatch.setattr(cli, "random_invertible", no_trials)
+    job = '{"n": 3, "trials": 100000000, "samples": 20, "seed": 7}'
+    code, out = run_cli(["verify-cocycle", "--inline", job], capsys)
+    assert code == 64
+    error = json.loads(out)["error"]
+    assert error["context"] == "verify-cocycle"
+    assert "'trials'" in error["message"]
+    assert f"above the bound of {cli.MAX_POINT_CHECKS}" in error["message"]
 
 
 def test_decompose_pair_round_trip(capsys):

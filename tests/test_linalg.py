@@ -201,6 +201,9 @@ def test_integer_points_keep_their_entries_and_refuse_floats_and_bools():
     assert int_scale_point(()) == ()
     assert primitive((3, -6, 0)) == (1, -2, 0)
     assert all(type(x) is int for x in primitive((Fraction(2, 3), 4)))
+    prim = (1, -2, 0)
+    assert primitive(prim) is prim
+    assert primitive([1, -2]) == (1, -2) and type(primitive([1, -2])) is tuple
     for bad in ((True, 2), (1, 0.5), [False, 1], (Fraction(1, 2), 0.5), ("1/2", True)):
         with pytest.raises(TypeError, match="inexact or boolean"):
             int_scale_point(bad)
