@@ -36,11 +36,13 @@ EXIT_MATH = 65
 EXIT_TRUNCATION = 66
 
 # Work bounds of one verify-cocycle job, checked before it starts: a job
-# builds trials x (n + 1) face kernels and reads trials x samples x (n + 1)
-# point checks.  At n = 3 the largest job both bounds allow (25000 trials
-# of 20 samples) takes about 16 s on a 2-CPU x86-64 host.
+# builds trials x (n + 1) face kernels of n^n cofactor forms each (see
+# _kernel_work) and reads trials x samples x (n + 1) point checks.  At
+# n = 3 the largest job the bounds allow (25000 trials of 20 samples) takes
+# about 16 s on a 2-CPU x86-64 host; the form bound is that job's count.
 MAX_POINT_CHECKS = 2_000_000
 MAX_FACE_KERNELS = 100_000
+MAX_FORM_WORK = 2_700_000
 
 
 def _require(doc, key, kind=None):
@@ -202,9 +204,20 @@ def _cmd_pair(doc):
     return {"series": q.to_json()}
 
 
+def _kernel_work(n):
+    """Cost of one face kernel of dimension n in form units: n slots of
+    n^(n-1) cofactor forms, a form costing 1 in closed form (n <= 3) and
+    3n // 2 by elimination (n >= 4), close to the measured 4-9 times the
+    closed form's cost at n = 4..6.  Past n = 8 the count stops at n^8
+    forms, already far above MAX_FORM_WORK."""
+    forms = n ** min(n, 8)
+    return forms if n <= 3 else forms * (3 * n // 2)
+
+
 def _verify_budget(n, trials, samples):
-    """Refuse a verify-cocycle job whose face kernels or point checks
-    exceed their bounds, before any of them is built or read."""
+    """Refuse a verify-cocycle job whose face kernels, their cofactor
+    forms or its point checks exceed their bounds, before any of them is
+    built or read."""
     checks = trials * samples * (n + 1)
     if checks > MAX_POINT_CHECKS:
         raise BudgetExceeded(
@@ -215,6 +228,12 @@ def _verify_budget(n, trials, samples):
         raise BudgetExceeded(
             f"field 'trials' asks for {kernels} face kernels "
             f"(trials x (n + 1)), above the bound of {MAX_FACE_KERNELS}")
+    work = kernels * _kernel_work(n)
+    if work > MAX_FORM_WORK:
+        raise BudgetExceeded(
+            f"fields 'n' and 'trials' ask for {work} units of cofactor-form work "
+            f"(trials x (n + 1) face kernels of n^n weighted forms), "
+            f"above the bound of {MAX_FORM_WORK}")
 
 
 def _cmd_verify_cocycle(doc):

@@ -295,12 +295,14 @@ class CoeffRing:
     m = 1 and D = None degenerate to Q itself.  Only positive square-free
     D > 1 is accepted.  Basis monomials are g1^i * g2^j with
     0 <= i < deg(Phi_m) and j in {0} or {0, 1}.  One integer table of the
-    reduced powers g1^k, k = 0..m-1, serves zeta, coerce and the product,
-    where a rational right factor multiplies as a scalar.  Rationals enter
-    through linalg.frac, so a float or bool raises TypeError; other modules
-    read and build elements only through clear, from_ints and
-    CoeffElem.to_json.  The ring has no inverse and no power (the tests'
-    coeff_inv and coeff_pow supply both).
+    reduced powers g1^k, k = 0..m-1, built with the ring in work
+    proportional to its nonzero entries, serves zeta, coerce and the
+    product, where a rational right factor multiplies as a scalar; its
+    elements refer back to the ring, so the collector, not the reference
+    count, frees a ring.  Rationals enter through linalg.frac, so a float
+    or bool raises TypeError; other modules read and build elements only
+    through clear, from_ints and CoeffElem.to_json.  The ring has no
+    inverse and no power (the tests' coeff_inv and coeff_pow supply both).
     """
 
     def __init__(self, m: int = 1, D=None):
@@ -317,17 +319,29 @@ class CoeffRing:
         self.m = m
         self.D = D
         phi = cyclotomic_poly(m)
-        self.deg = len(phi) - 1
-        # g1^k reduced into the basis, k = 0..m-1 (g1^m = 1): shift by g1,
-        # then replace g1^deg by minus the lower coefficients of the monic
-        # Phi_m.  Every entry is an integer vector.
-        vec = [1] + [0] * (self.deg - 1)
-        powers = []
-        for _ in range(m):
-            powers.append(CoeffElem(
-                self, {(i, 0): Fraction(c) for i, c in enumerate(vec) if c}))
-            top = vec[-1]
-            vec = [c - top * p for c, p in zip([0] + vec[:-1], phi)]
+        self.deg = deg = len(phi) - 1
+        # g1^k reduced into the basis, k = 0..m-1 (g1^m = 1), as a dict of
+        # its nonzero integer coefficients: g1^k is a basis monomial for
+        # k < deg and g1^deg = -sum phi_i g1^i; each later power shifts the
+        # dict by g1 and, when its top entry is nonzero, adds top times that
+        # sparse low part, the keys kept ascending.  Equal coefficients
+        # share one Fraction and equal keys one tuple.
+        fracs = {1: Fraction(1)}
+        one = fracs[1]
+        keys = [(i, 0) for i in range(deg)]
+        powers = [CoeffElem(self, {k: one}) for k in keys]
+        low = [(i, -c) for i, c in enumerate(phi[:-1]) if c]
+        vec = {deg - 1: 1}
+        for _ in range(deg, m):
+            top = vec.pop(deg - 1, 0)
+            vec = {i + 1: c for i, c in vec.items()}
+            if top:
+                for i, c in low:
+                    vec[i] = vec.get(i, 0) + top * c
+                vec = {i: c for i in sorted(vec) if (c := vec[i])}
+            powers.append(CoeffElem(self, {
+                keys[i]: fracs[c] if c in fracs else fracs.setdefault(c, Fraction(c))
+                for i, c in vec.items()}))
         self._powers = powers
         self._jrange = (0, 1) if D is not None else (0,)
 

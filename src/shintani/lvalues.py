@@ -30,7 +30,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
-from math import comb, factorial, gcd, isqrt, lcm, prod
+from math import comb, factorial, gcd, isqrt, lcm
 
 from .cone_algebra import sigma_decompose
 from .errors import (
@@ -110,9 +110,9 @@ class DirichletChar(SchwartzFn):
     be multiplicative there, checked at every unit times every generator
     of ``unit_group_generators`` (phi(f) * #generators ring products),
     and the residue table then gets SchwartzFn's key and value checks.
-    Without validate the keys are trusted to be the units 0 <= u < f and
-    the residue table is built directly, each value coerced into the ring
-    and zeros dropped as SchwartzFn does: ``trivial`` and
+    Without validate the argument is the residue table itself, {(u,): v}
+    with 0 <= u < f and each v a nonzero element of the ring, and it is
+    kept as given, with no check or copy: ``trivial`` and
     ``CharacterTable`` build exact unit tables this way.
     """
 
@@ -132,8 +132,7 @@ class DirichletChar(SchwartzFn):
                         raise ValueError("character table is not multiplicative")
             super().__init__(1, 1, f, {(n,): v for n, v in values.items()}, ring)
         else:
-            self.n, self.d, self.f, self.ring = 1, 1, f, ring
-            self.table = {(u,): c for u, v in values.items() if (c := ring.coerce(v))}
+            self.n, self.d, self.f, self.ring, self.table = 1, 1, f, ring, values
 
     @property
     def values(self) -> dict:
@@ -175,8 +174,8 @@ class DirichletChar(SchwartzFn):
     @classmethod
     def trivial(cls, f: int = 1) -> "DirichletChar":
         ring = CoeffRing(1)
-        vals = {n: ring.one() for n in range(f) if gcd(n, f) == 1}
-        return cls(f, vals, ring, validate=False)
+        one = ring.one()
+        return cls(f, {(n,): one for n in range(f) if gcd(n, f) == 1}, ring, validate=False)
 
     @classmethod
     def enumerate(cls, f: int) -> "CharacterTable":
@@ -187,8 +186,9 @@ class DirichletChar(SchwartzFn):
 
 class CharacterTable(Sequence):
     """The characters of modulus f, each built when it is indexed.  Exponent
-    vectors run in mixed radix, first generator most significant; one list
-    indexes both the units (discrete logs) and the characters."""
+    vectors run in mixed radix, first generator most significant; the units
+    are walked in that order as products of generator powers, one modular
+    multiply each, so one list indexes both the units and the characters."""
 
     def __init__(self, f: int):
         self.f = f
@@ -196,19 +196,37 @@ class CharacterTable(Sequence):
         self.expo = lcm(*self.orders)
         self.ring = CoeffRing(self.expo)
         self.exps = list(product(*(range(o) for o in self.orders)))
-        self.dlog = {prod(pow(g, a, f) for g, a in zip(gens, e)) % f: e for e in self.exps}
+        self.units = _radix_walk(gens, self.orders, 1 % f, operator.mul, f)
 
     def __len__(self) -> int:
         return len(self.exps)
 
     def __getitem__(self, i) -> DirichletChar:
         choice = self.exps[operator.index(i)]
-        expo, ring = self.expo, self.ring
-        vals = {}
-        for u, a in self.dlog.items():
-            k = sum(c * ai * (expo // o) for c, ai, o in zip(choice, a, self.orders))
-            vals[u] = ring.zeta(k % expo)
-        return DirichletChar(self.f, vals, ring, validate=False)
+        expo = self.expo
+        # chi(g_j) = zeta^(c_j expo / o_j): the exponent at each unit is a
+        # sum of generator steps, walked like the units
+        steps = [c * (expo // o) for c, o in zip(choice, self.orders)]
+        ks = _radix_walk(steps, self.orders, 0, operator.add, expo)
+        zeta = self.ring.zeta
+        return DirichletChar(self.f, {(u,): zeta(k) for u, k in zip(self.units, ks)},
+                             self.ring, validate=False)
+
+
+def _radix_walk(steps, orders, start, op, mod):
+    """start combined by op with a_j copies of each steps[j], mod mod, for
+    every a with 0 <= a_j < orders[j] in mixed radix, first step most
+    significant: one op per entry after the first."""
+    walk = [start]
+    for s, o in zip(steps, orders):
+        out = []
+        for x in walk:
+            out.append(x)
+            for _ in range(1, o):
+                x = op(x, s) % mod
+                out.append(x)
+        walk = out
+    return walk
 
 
 # ---------------------------------------------------------------------------

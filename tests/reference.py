@@ -27,9 +27,15 @@ is an independent definition of a value the library computes another way:
     behind ``bernoulli_number``.
   * ``cyclotomic_poly_reference``, Phi_m by dense division of x^m - 1 by
     the cyclotomic polynomials of the proper divisors, the oracle for the
-    Moebius product of ``cyclotomic_poly``; ``coeff_inv`` and
+    Moebius product of ``cyclotomic_poly``; ``zeta_powers_reference``,
+    the powers of zeta_m by the dense shift-and-subtract recurrence, the
+    oracle for the sparse table of ``CoeffRing``; ``coeff_inv`` and
     ``coeff_pow``, ring inverses by a Gauss-Jordan solve over the rational
     basis and powers by repeated squaring.
+  * ``character_exponents_reference``: a character's zeta exponent at
+    each unit from discrete logs found by one pow product per exponent
+    vector, the oracle for the unit and exponent walks of
+    ``CharacterTable``.
   * ``solomon_s``, ``coboundary_tau_half``, ``tau_transport`` and
     ``closed_form_sigma_n2``: the dimension-2 half-weighted cocycle, the
     half-ray coboundary function and the closed-form tables.
@@ -62,7 +68,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 
 from shintani.cocycle_core import _integer_columns
 from shintani.cone_algebra import _split_piece, _start_pieces
@@ -73,14 +79,14 @@ from shintani.errors import (
     TruncationTooSmall,
     ZeroVector,
 )
-from shintani.exactnum import CoeffElem, CoeffRing, MPoly, QQ, bernoulli_number
+from shintani.exactnum import CoeffElem, CoeffRing, MPoly, QQ, bernoulli_number, cyclotomic_poly
 from shintani.linalg import (
     first_nonzero_sign,
     frac,
     int_det,
     sign as rsign,
 )
-from shintani.lvalues import DirichletChar, dirichlet_L_closed
+from shintani.lvalues import DirichletChar, dirichlet_L_closed, unit_group_generators
 from shintani.ordered_field import (
     as_elem,
     clear_denominators,
@@ -473,6 +479,22 @@ def cyclotomic_poly_reference(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+def zeta_powers_reference(m: int) -> list[dict]:
+    """The coefficient dicts {(i, 0): Fraction} of g1^k, k = 0..m-1, in
+    Q[g1] / Phi_m(g1) by the dense recurrence: shift the length-deg
+    coefficient vector by g1 and subtract its top entry times Phi_m; keys
+    ascending, zeros dropped.  The oracle for CoeffRing's sparse table;
+    Phi_m is the library's, which has its own oracle above."""
+    phi = cyclotomic_poly(m)
+    vec = [1] + [0] * (len(phi) - 2)
+    out = []
+    for _ in range(m):
+        out.append({(i, 0): Fraction(c) for i, c in enumerate(vec) if c})
+        top = vec[-1]
+        vec = [c - top * p for c, p in zip([0] + vec[:-1], phi)]
+    return out
+
+
 def coeff_inv(x: CoeffElem) -> CoeffElem:
     """Multiplicative inverse: 1/c for a rational c, otherwise the solution
     y of x * y = 1 over the rational basis.  Raises ZeroDivisionError if x
@@ -738,6 +760,27 @@ def symmetric_laurent_coeff_reference(q: QuotSeries, m1: int, m2: int, images):
     a = _iterated_coeff(num, forms, 0, m1, m2)
     b = _iterated_coeff(num, forms, 1, m2, m1)
     return (a + b) * Fraction(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# Dirichlet characters
+# ---------------------------------------------------------------------------
+
+def character_exponents_reference(f: int, index: int) -> dict:
+    """Character number index of modulus f as {unit: k}, chi(unit) =
+    zeta^k with zeta of the group exponent's order: each unit's discrete
+    log by one product of generator powers (pow) per exponent vector, in
+    mixed-radix order with the first generator most significant, and
+    k = sum_j c_j a_j expo / o_j mod expo for the character's digits c,
+    the unit's digits a and the orders o.  The oracle for CharacterTable's
+    walks, key order included."""
+    gens, orders = unit_group_generators(f)
+    expo = lcm(*orders)
+    exps = list(product(*(range(o) for o in orders)))
+    dlog = {prod(pow(g, a, f) for g, a in zip(gens, e)) % f: e for e in exps}
+    choice = exps[index]
+    return {u: sum(c * a * (expo // o) for c, a, o in zip(choice, e, orders)) % expo
+            for u, e in dlog.items()}
 
 
 # ---------------------------------------------------------------------------

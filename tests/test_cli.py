@@ -78,6 +78,13 @@ def test_verify_cocycle_requires_seed(capsys):
     (1, 10 ** 6, 2, "'trials' and 'samples'"),
     (3, 25001, 0, "'trials'"),
     (2, 10 ** 8, 0, "'trials'"),
+    (4, 351, 20, None),              # the largest n = 4 and n = 5 jobs the
+    (5, 20, 20, None),               # cofactor-form bound allows
+    (4, 352, 0, "'n' and 'trials'"),
+    (5, 21, 0, "'n' and 'trials'"),
+    (6, 0, 20, None),                # n >= 6 builds no kernel within the bound...
+    (6, 1, 1, "'n' and 'trials'"),   # ...and one trial ran 18 s before the bound
+    (10 ** 4, 1, 0, "'n' and 'trials'"),
 ])
 def test_verify_cocycle_budget_estimate(n, trials, samples, field):
     if field is None:
@@ -102,6 +109,20 @@ def test_verify_cocycle_over_budget_exits_64_before_any_trial(monkeypatch, capsy
     assert error["context"] == "verify-cocycle"
     assert "'trials'" in error["message"]
     assert f"above the bound of {cli.MAX_POINT_CHECKS}" in error["message"]
+
+
+def test_verify_cocycle_dimension_six_exits_64_before_any_kernel(monkeypatch, capsys):
+    # one n = 6 trial builds 7 face kernels of 6^6 cofactor forms each
+    def no_kernels(*_):
+        raise AssertionError("an over-budget job must not build a kernel")
+
+    monkeypatch.setattr(cli, "CocycleChecker", no_kernels)
+    job = '{"n": 6, "trials": 1, "samples": 1, "seed": 1}'
+    code, out = run_cli(["verify-cocycle", "--inline", job], capsys)
+    assert code == 64
+    error = json.loads(out)["error"]
+    assert "'n' and 'trials'" in error["message"]
+    assert f"above the bound of {cli.MAX_FORM_WORK}" in error["message"]
 
 
 def test_decompose_pair_round_trip(capsys):

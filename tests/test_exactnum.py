@@ -12,6 +12,7 @@ from reference import (
     coeff_pow,
     cyclotomic_poly_reference,
     mat_det,
+    zeta_powers_reference,
 )
 from shintani import exactnum
 from shintani.exactnum import (
@@ -205,6 +206,37 @@ def test_coeff_ring_zeta_is_x_power_mod_cyclotomic():
             assert z == ring.elem({(i, 0): c for i, c in enumerate(rem)}), (m, k)
             assert all(c.denominator == 1 for c in z.coeffs.values())
             assert z * ring.zeta(1) == ring.zeta(k + 1), (m, k)
+
+
+@pytest.mark.parametrize("orders,orders_with_sqrt5", [
+    ([*range(1, 301), 2002, 4006], (1, 2, 3, 4, 5, 12, 20)),
+    ([10006], ()),
+], ids=["m<=300,2002,4006", "m=10006"])
+def test_zeta_table_matches_the_dense_recurrence(orders, orders_with_sqrt5):
+    # the sparse reduction gives the dense recurrence's entries, as
+    # Fractions, in its key order; the sqrt generator leaves them alone
+    rings = [CoeffRing(m) for m in orders] + [CoeffRing(m, 5) for m in orders_with_sqrt5]
+    for ring in rings:
+        want = zeta_powers_reference(ring.m)
+        got = [z.coeffs for z in ring._powers]
+        assert got == want, ring
+        assert [list(z) for z in got] == [list(z) for z in want], ring
+        assert all(type(c) is Fraction for z in got for c in z.values())
+
+
+def test_zeta_table_builds_one_fraction_per_distinct_coefficient(monkeypatch):
+    # the dense table built one Fraction per nonzero entry, 20008 at
+    # m = 10006 (2 * 5003); the sparse one shares one per distinct value
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(exactnum, "Fraction", counted)
+    ring = CoeffRing(10006)
+    distinct = {c for z in ring._powers for c in z.coeffs.values()}
+    assert len(made) == len(distinct) <= 2
 
 
 def test_coeff_ring_sqrt():

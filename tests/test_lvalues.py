@@ -1,4 +1,5 @@
 import gc
+import random
 import tracemalloc
 from fractions import Fraction
 from math import comb, factorial
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from reference import (
     base_change_L,
+    character_exponents_reference,
     coeff_pow,
     norm_character_schwartz,
     symmetric_laurent_coeff_reference,
@@ -296,7 +298,9 @@ def test_closed_form_clears_fractional_values():
         (12, {1: i + Fraction(1, 10), 5: Fraction(-1, 10), 7: -i, 11: Fraction(2, 7)}),
     ]
     for f, values in tables:
-        chi = DirichletChar(f, values, ring, validate=False)
+        # an unvalidated character is handed its residue table, zeros dropped
+        table = {(n,): c for n, v in values.items() if (c := ring.coerce(v))}
+        chi = DirichletChar(f, table, ring, validate=False)
         for r in range(1, 7):
             b = [bernoulli_poly(r, Fraction(n, f)) for n in range(1, f + 1)]
             value = dirichlet_L_closed(chi, r)
@@ -314,6 +318,24 @@ def test_character_table_builds_a_fresh_character_per_index():
         first.table.pop((1 % f,))
         again = chars[len(chars) - 1]
         assert again.table == before and again.table is not first.table
+
+
+@pytest.mark.parametrize("moduli", [range(1, 151), range(151, 301), [2003]],
+                         ids=["f<=150", "150<f<=300", "f=2003"])
+def test_character_table_matches_the_discrete_log_reference(moduli):
+    # the unit and exponent walks give the pow-based enumeration's values
+    # in its key order: every character up to phi(f) = 48, else the first
+    # two, the last and eight seeded indices
+    rng = random.Random(34)
+    for f in moduli:
+        chars = DirichletChar.enumerate(f)
+        n = len(chars)
+        picks = range(n) if n <= 48 else sorted({0, 1, n - 1, *rng.sample(range(n), 8)})
+        for i in picks:
+            want = character_exponents_reference(f, i)
+            table = chars[i].table
+            assert list(table) == [(u,) for u in want], (f, i)
+            assert all(table[(u,)] == chars.ring.zeta(k) for u, k in want.items()), (f, i)
 
 
 def test_unchecked_character_tables_equal_the_validated_ones():
