@@ -10,10 +10,16 @@ positive scale changes no sign), and by multilinearity the coefficient of
 e^k in any of the determinants is the integer determinant of the columns
 alpha_j[:, k_j].  So each Cramer numerator is a list of integer cofactor
 forms in w in the exponent order (compare the highest index first), which
-``_cramer_forms`` emits in that order with no sort, and every sign is the
+``_cramer_walk`` emits in that order with no sort, and every sign is the
 first nonzero sign of such a list, read by ``linalg.first_nonzero_sign``
 on the one-generator cone (w,).  For n <= 3 each cofactor form is a closed
 form (``linalg.cofactor_form``).
+A sign needs a form only when every form before it vanishes, and the
+first form nearly always decides, so a kernel builds each slot's list on
+demand: a built prefix, extended from the slot's walk by ``_lazy_sign``
+only while every built form vanishes on the cone read.  A list is built
+in full only when a caller reads ``SigmaKernel.forms``, as the fan
+decomposition does.
 ``CocycleChecker`` clears each matrix of its tuple once, builds the face
 kernels from those columns, reads tau as the alternating sign of their
 determinants and clears each point of ``alternating_sum`` once for all
@@ -58,8 +64,9 @@ def _integer_columns(alphas):
     return out
 
 
-def _cramer_forms(cols, slot):
-    """Cramer numerator of one slot as integer cofactor forms in w.
+def _cramer_walk(cols, slot):
+    """Cramer numerator of one slot as integer cofactor forms in w, one at
+    a time.
 
     ``cols[j][k]`` is column k of the integer matrix of slot j.  By
     multilinearity the coefficient of e^k in the determinant with the
@@ -68,26 +75,46 @@ def _cramer_forms(cols, slot):
     slot, in closed form for n <= 3.  The other slots' columns are walked
     with the highest slot varying slowest, so the forms come out in the
     infinitesimal exponent order with no sort; each is made primitive and
-    zero forms are dropped.
+    zero forms are dropped.  The generator holds only the columns and the
+    slot.
     """
     others = [cols[j] for j in range(len(cols)) if j != slot]
-    out = []
     for picked in product(*reversed(others)):
         form = cofactor_form(picked[::-1], slot)
         g = gcd(*form)
         if g:
-            out.append(tuple(v // g for v in form))
-    return tuple(out)
+            yield tuple(v // g for v in form)
 
 
-def _det_sign(cols, last_forms):
-    """Sign of the perturbed determinant, given the Cramer forms of the
-    last slot.  Its coefficient at e^k is the last slot's form for the
-    other exponents at column k_last of the last matrix; the last slot is
-    the most significant infinitesimal, so its columns are scanned first.
-    Raises SingularMatrix when every coefficient vanishes."""
+def _cramer_forms(cols, slot):
+    """The whole Cramer list of one slot, as a tuple (``_cramer_walk``)."""
+    return tuple(_cramer_walk(cols, slot))
+
+
+def _lazy_sign(built, rest, gens):
+    """``first_nonzero_sign`` of the form list built + rest on the open cone
+    of gens.  The built prefix is read first; only while every form read
+    vanishes on the cone is the next form taken from the iterator rest and
+    appended to built, so later reads reuse it."""
+    found = first_nonzero_sign(built, gens)
+    while not found[0]:
+        form = next(rest, None)
+        if form is None:
+            break
+        built.append(form)
+        found = first_nonzero_sign((form,), gens)
+    return found
+
+
+def _det_sign(cols, built, rest):
+    """Sign of the perturbed determinant, given the last slot's Cramer list
+    as a built prefix and the rest of its walk (``_lazy_sign``).  Its
+    coefficient at e^k is the last slot's form for the other exponents at
+    column k_last of the last matrix; the last slot is the most
+    significant infinitesimal, so its columns are scanned first.  Raises
+    SingularMatrix when every coefficient vanishes."""
     for col in cols[-1]:
-        s = first_nonzero_sign(last_forms, (col,))[0]
+        s = _lazy_sign(built, rest, (col,))[0]
         if s:
             return s
     raise SingularMatrix("perturbed column matrix is singular")
@@ -100,8 +127,12 @@ class SigmaKernel:
     vector of infinitesimal slot i.  The kernel keeps the sign of its
     determinant and, per slot, the integer cofactor forms of the Cramer
     numerator; the value at w is the determinant sign when every slot's
-    form list has that first nonzero sign at w, else 0.  A caller holding
-    the ``_integer_columns`` output passes it as ``columns`` instead.
+    form list has that first nonzero sign at w, else 0.  Each slot's list
+    is held as the prefix built so far and the rest of its walk, and a
+    read builds further forms only while every built form vanishes at the
+    point (``_lazy_sign``); ``forms`` builds every list in full on first
+    access and is then a tuple of tuples.  A caller holding the
+    ``_integer_columns`` output passes it as ``columns`` instead.
     """
 
     def __init__(self, alphas=None, *, columns=None):
@@ -110,8 +141,18 @@ class SigmaKernel:
         if len(cols[0]) != n:
             raise ValueError("need n matrices of size n x n")
         self.n = n
-        self.forms = tuple(_cramer_forms(cols, i) for i in range(n))
-        self.det_sign = _det_sign(cols, self.forms[-1])
+        self._slots = [([], _cramer_walk(cols, i)) for i in range(n)]
+        self._forms = None
+        self.det_sign = _det_sign(cols, *self._slots[-1])
+
+    @property
+    def forms(self):
+        """Every slot's Cramer list in full, as a tuple of tuples."""
+        if self._forms is None:
+            for built, rest in self._slots:
+                built.extend(rest)
+            self._forms = tuple(tuple(built) for built, _ in self._slots)
+        return self._forms
 
     def eval(self, w) -> int:
         w = int_scale_point(w)
@@ -120,8 +161,11 @@ class SigmaKernel:
         if not any(w):
             raise ZeroVector("evaluation point must be nonzero")
         point = (w,)
-        for forms in self.forms:
-            if first_nonzero_sign(forms, point)[0] != self.det_sign:
+        for built, rest in self._slots:
+            s = first_nonzero_sign(built, point)[0]
+            if not s:
+                s = _lazy_sign(built, rest, point)[0]
+            if s != self.det_sign:
                 return 0
         return self.det_sign
 
@@ -176,5 +220,5 @@ def tau_cocycle(alphas) -> int:
     read here from the face's last slot alone; ``CocycleChecker`` reads
     the same signs from its full face kernels."""
     return _alternating_sign(
-        _det_sign(face, _cramer_forms(face, len(face) - 1)) for face in _faces(alphas)
+        _det_sign(face, [], _cramer_walk(face, len(face) - 1)) for face in _faces(alphas)
     )

@@ -56,5 +56,6 @@ class SchemaError(ShintaniError):
 
 
 class BudgetExceeded(SchemaError):
-    """A CLI job asks for more work than its stated bound; refused before
-    any of it starts, with the schema's exit code."""
+    """A job asks for more work than its stated bound, with the schema's
+    exit code: the CLI refuses it before any of the work starts, and a
+    coefficient ring as soon as its zeta table passes its entry bound."""

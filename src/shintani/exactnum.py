@@ -18,7 +18,7 @@ from functools import cache
 from itertools import product
 from math import comb, gcd, lcm, prod
 
-from .errors import ShintaniError
+from .errors import BudgetExceeded, ShintaniError
 from .linalg import frac
 
 Rat = Fraction
@@ -264,11 +264,15 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-# Largest sqrt(D) generator and largest cyclotomic order accepted: D is
-# checked square-free and the order is factored by trial division, at most
-# 10^6 divisions up to the square root.
+# Largest sqrt(D) generator accepted: D is checked square-free by trial
+# division, at most 10^6 divisions up to the square root.  Largest
+# cyclotomic order, and most nonzero entries of a ring's zeta power table:
+# a prime order p holds 2(p - 1) entries, but an order with several odd
+# prime factors has dense powers (15015 holds 48 million), so the table is
+# refused as soon as its entries pass the bound, at about 50 MB.
 MAX_D = 10 ** 12
-MAX_ZETA_ORDER = 10 ** 12
+MAX_ZETA_ORDER = 30011
+MAX_ZETA_ENTRIES = 10 ** 6
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -303,6 +307,9 @@ class CoeffRing:
     or bool raises TypeError; other modules read and build elements only
     through clear, from_ints and CoeffElem.to_json.  The ring has no
     inverse and no power (the tests' coeff_inv and coeff_pow supply both).
+    An order above MAX_ZETA_ORDER raises ValueError before any work, and a
+    table whose nonzero entries pass MAX_ZETA_ENTRIES raises
+    BudgetExceeded as soon as they do.
     """
 
     def __init__(self, m: int = 1, D=None):
@@ -332,6 +339,7 @@ class CoeffRing:
         powers = [CoeffElem(self, {k: one}) for k in keys]
         low = [(i, -c) for i, c in enumerate(phi[:-1]) if c]
         vec = {deg - 1: 1}
+        entries = deg
         for _ in range(deg, m):
             top = vec.pop(deg - 1, 0)
             vec = {i + 1: c for i, c in vec.items()}
@@ -339,6 +347,10 @@ class CoeffRing:
                 for i, c in low:
                     vec[i] = vec.get(i, 0) + top * c
                 vec = {i: c for i in sorted(vec) if (c := vec[i])}
+            entries += len(vec)
+            if entries > MAX_ZETA_ENTRIES:
+                raise BudgetExceeded(f"the zeta table of cyclotomic order {m} passes "
+                                     f"{MAX_ZETA_ENTRIES} nonzero entries")
             powers.append(CoeffElem(self, {
                 keys[i]: fracs[c] if c in fracs else fracs.setdefault(c, Fraction(c))
                 for i, c in vec.items()}))

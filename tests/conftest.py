@@ -84,10 +84,10 @@ def _invertible(draw, n, first=None):
 
 
 @st.composite
-def cocycle_cases(draw):
-    """An (n+1)-tuple from one explicit family, and a nonzero point, at
-    times a first column of the tuple."""
-    n = draw(st.sampled_from([2, 3]))
+def cocycle_cases(draw, sizes=(2, 3)):
+    """An (n+1)-tuple from one explicit family, n drawn from sizes, and a
+    nonzero point, at times a first column of the tuple."""
+    n = draw(st.sampled_from(sizes))
     family = draw(st.sampled_from(["generic", "repeated", "parallel", "plane"]))
     if family in ("generic", "repeated"):
         alphas = [draw(_invertible(n)) for _ in range(n + 1)]

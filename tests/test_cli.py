@@ -125,6 +125,59 @@ def test_verify_cocycle_dimension_six_exits_64_before_any_kernel(monkeypatch, ca
     assert f"above the bound of {cli.MAX_FORM_WORK}" in error["message"]
 
 
+def test_verify_cocycle_builds_forms_on_demand(monkeypatch):
+    # the budget counts 375000 cofactor forms for this job, and every one
+    # was built when each kernel listed its forms up front; a kernel now
+    # builds a form only when a sign reads it: 3302 calls, bound 5000
+    import shintani.cocycle_core as core
+    calls = [0]
+    real = core.cofactor_form
+
+    def counting(cols, slot):
+        calls[0] += 1
+        return real(cols, slot)
+
+    monkeypatch.setattr(core, "cofactor_form", counting)
+    doc = cli.run("verify-cocycle", {"n": 5, "trials": 20, "samples": 5, "seed": 1})
+    assert doc == {"degenerate": 2, "failures": 0, "n": 5, "samples": 5, "seed": 1, "trials": 20}
+    assert calls[0] <= 5000
+
+
+@pytest.mark.parametrize("char", [
+    {"modulus": 30012, "index": 1},
+    {"f": 30012, "index": 1},
+    {"modulus": 10 ** 18 + 9, "index": 1},  # trial division would not finish
+    {"modulus": 10 ** 7 + 19},
+], ids=["modulus", "f", "modulus-10^18", "trivial-10^7"])
+def test_lvalue_q_modulus_above_bound_exits_64_before_factoring(char, monkeypatch, capsys):
+    import shintani.lvalues as lvalues
+
+    def no_factoring(*_):
+        raise AssertionError("a modulus over the bound must not be factored")
+
+    monkeypatch.setattr(lvalues, "unit_group_generators", no_factoring)
+    monkeypatch.setattr(lvalues.DirichletChar, "trivial", no_factoring)
+    code, out = run_cli(["lvalue-q", "--inline", json.dumps({"char": char, "r": 1})], capsys)
+    assert code == 64
+    key = "modulus" if "modulus" in char else "f"
+    assert json.loads(out)["error"]["message"] == f"field '{key}' must be at most {cli.MAX_ZETA_ORDER}"
+
+
+@pytest.mark.parametrize("command,job,message", [
+    ("lvalue-q", {"char": {"modulus": 5, "zeta_order": 30012, "values": {"1": 0}}, "r": 1},
+     "field 'zeta_order' must be at most 30011"),
+    ("pair", {"combo": {"cones": []}, "phi": {"n": 1, "zeta_order": 10000019, "values": []}},
+     "field 'zeta_order' must be at most 30011"),
+    # an order within the bound whose zeta powers are dense
+    ("lvalue-q", {"char": {"modulus": 5, "zeta_order": 15015, "values": {"1": 0}}, "r": 1},
+     "the zeta table of cyclotomic order 15015 passes 1000000 nonzero entries"),
+], ids=["lvalue-q-order", "pair-order", "lvalue-q-dense"])
+def test_zeta_table_budget_exits_64(command, job, message, capsys):
+    code, out = run_cli([command, "--inline", json.dumps(job)], capsys)
+    assert code == 64
+    assert json.loads(out)["error"]["message"] == message
+
+
 def test_decompose_pair_round_trip(capsys):
     code, out = run_cli(
         ["decompose", "--inline", '{"alphas": [[[1,0],[0,1]], [[1,0],[0,-1]]]}'],

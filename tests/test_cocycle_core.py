@@ -27,13 +27,14 @@ from shintani.cocycle_core import (
     CocycleChecker,
     SigmaKernel,
     _cramer_forms,
+    _faces,
     sigma_eval,
     tau_cocycle,
 )
 from shintani.cone_algebra import sigma_decompose
 from shintani.errors import SingularMatrix, ZeroVector
 from shintani.exactnum import MPoly
-from shintani.linalg import sign
+from shintani.linalg import first_nonzero_sign, int_scale_point, sign
 from shintani.ordered_field import OrderedElem, iota
 
 
@@ -347,6 +348,59 @@ def test_cramer_forms_match_the_sorted_reference(case):
     # determinants, keyed by exponent and sorted
     cols, slot = case
     assert _cramer_forms(cols, slot) == cramer_forms_reference(cols, slot)
+
+
+def _vanishing_points(form, count=2):
+    """The first nonzero integer points f_j e_i - f_i e_j (i < j) on the
+    hyperplane of a form."""
+    n = len(form)
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if form[i] or form[j]:
+                w = [0] * n
+                w[i], w[j] = form[j], -form[i]
+                out.append(tuple(w))
+    return out[:count]
+
+
+def _check_lazy_kernel(alphas, w, face, seed):
+    # a kernel builds a slot's forms only while every form built so far
+    # vanishes at the point read; its signs must be those of the full
+    # lists, at seeded points, first columns and points on which form 0 of
+    # a slot vanishes, and once read in full its lists are the reference's
+    n = len(alphas) - 1
+    checker = CocycleChecker(alphas)
+    assert tau_cocycle(alphas) == checker.tau
+    cols = _faces(alphas)[face % (n + 1)]
+    kernel = checker.kernels[face % (n + 1)]
+    full = [_cramer_forms(cols, i) for i in range(n)]
+    det = next(s for col in cols[-1] if (s := first_nonzero_sign(full[-1], (col,))[0]))
+    assert kernel.det_sign == det
+    rng = random.Random(seed)
+    points = [w] + [random_nonzero_vector(rng, n) for _ in range(3)]
+    points += [tuple(row[0] for row in a) for a in alphas]
+    for forms in full:
+        points += _vanishing_points(forms[0])
+    for p in points:
+        q = (int_scale_point(p),)
+        want = det if all(first_nonzero_sign(f, q)[0] == det for f in full) else 0
+        assert kernel.eval(p) == want
+    assert kernel.forms == tuple(cramer_forms_reference(cols, i) for i in range(n))
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(case=cocycle_cases(sizes=(1, 2, 3, 4)), face=st.integers(0, 4),
+       seed=st.integers(0, 2 ** 16))
+def test_lazy_kernel_matches_the_full_form_lists(case, face, seed):
+    _check_lazy_kernel(*case, face, seed)
+
+
+@settings(deadline=None, derandomize=True, max_examples=5)
+@given(case=cocycle_cases(sizes=(5,)), face=st.integers(0, 5), seed=st.integers(0, 2 ** 16))
+def test_lazy_kernel_matches_the_full_form_lists_at_n5(case, face, seed):
+    # one n = 5 kernel's reference lists take about 0.7 s, so fewer examples
+    _check_lazy_kernel(*case, face, seed)
 
 
 _SING = ((1, 0), (2, 0))

@@ -16,6 +16,7 @@ from reference import (
 )
 from shintani import exactnum
 from shintani.exactnum import (
+    MAX_ZETA_ENTRIES,
     MAX_ZETA_ORDER,
     CoeffRing,
     MPoly,
@@ -23,7 +24,7 @@ from shintani.exactnum import (
     bernoulli_poly,
     cyclotomic_poly,
 )
-from shintani.errors import ShintaniError
+from shintani.errors import BudgetExceeded, ShintaniError
 from shintani.solomon_hu import QQ, SchwartzFn
 
 
@@ -172,6 +173,18 @@ def test_cyclotomic_order_bound():
             cyclotomic_poly(m)
         with pytest.raises(ValueError):
             CoeffRing(m)
+
+
+def test_zeta_table_entry_bound():
+    # the largest order admitted (a prime, 2(p - 1) entries) and the group
+    # exponent of the units mod 30011 build; the powers of an order with
+    # several odd prime factors are dense (15015 would hold 48 million
+    # entries), and the table is refused as soon as it passes the bound
+    for m in (MAX_ZETA_ORDER, 30010):
+        ring = CoeffRing(m)
+        assert sum(len(ring.zeta(k).coeffs) for k in range(m)) <= MAX_ZETA_ENTRIES
+    with pytest.raises(BudgetExceeded, match=f"order 15015 passes {MAX_ZETA_ENTRIES} "):
+        CoeffRing(15015)
 
 
 def test_coeff_ring_root_of_unity():
