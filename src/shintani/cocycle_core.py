@@ -33,6 +33,7 @@ reference the kernel and tau must reproduce.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
 from math import gcd
 
@@ -86,11 +87,6 @@ def _cramer_walk(cols, slot):
             yield tuple(v // g for v in form)
 
 
-def _cramer_forms(cols, slot):
-    """The whole Cramer list of one slot, as a tuple (``_cramer_walk``)."""
-    return tuple(_cramer_walk(cols, slot))
-
-
 def _lazy_sign(built, rest, gens):
     """``first_nonzero_sign`` of the form list built + rest on the open cone
     of gens.  The built prefix is read first; only while every form read
@@ -142,17 +138,14 @@ class SigmaKernel:
             raise ValueError("need n matrices of size n x n")
         self.n = n
         self._slots = [([], _cramer_walk(cols, i)) for i in range(n)]
-        self._forms = None
         self.det_sign = _det_sign(cols, *self._slots[-1])
 
-    @property
+    @cached_property
     def forms(self):
         """Every slot's Cramer list in full, as a tuple of tuples."""
-        if self._forms is None:
-            for built, rest in self._slots:
-                built.extend(rest)
-            self._forms = tuple(tuple(built) for built, _ in self._slots)
-        return self._forms
+        for built, rest in self._slots:
+            built.extend(rest)
+        return tuple(tuple(built) for built, _ in self._slots)
 
     def eval(self, w) -> int:
         w = int_scale_point(w)

@@ -212,7 +212,7 @@ def cramer_forms_reference(cols, slot):
     integer determinant with column j = cols[j][k_j] and the unit vector
     e_r at the slot; primitive, zero forms dropped, sorted by the exponent
     order (the highest slot compared first).  The oracle for
-    ``cocycle_core._cramer_forms``, which builds the same list in order
+    ``cocycle_core._cramer_walk``, which builds the same list in order
     from closed-form cofactors."""
     n = len(cols)
     others = [j for j in range(n) if j != slot]

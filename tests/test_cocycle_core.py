@@ -26,7 +26,7 @@ from shintani.cli import random_degenerate_tuple, random_invertible
 from shintani.cocycle_core import (
     CocycleChecker,
     SigmaKernel,
-    _cramer_forms,
+    _cramer_walk,
     _faces,
     sigma_eval,
     tau_cocycle,
@@ -347,7 +347,7 @@ def test_cramer_forms_match_the_sorted_reference(case):
     # cofactors; the reference builds each form from unit-vector
     # determinants, keyed by exponent and sorted
     cols, slot = case
-    assert _cramer_forms(cols, slot) == cramer_forms_reference(cols, slot)
+    assert tuple(_cramer_walk(cols, slot)) == cramer_forms_reference(cols, slot)
 
 
 def _vanishing_points(form, count=2):
@@ -374,7 +374,7 @@ def _check_lazy_kernel(alphas, w, face, seed):
     assert tau_cocycle(alphas) == checker.tau
     cols = _faces(alphas)[face % (n + 1)]
     kernel = checker.kernels[face % (n + 1)]
-    full = [_cramer_forms(cols, i) for i in range(n)]
+    full = [tuple(_cramer_walk(cols, i)) for i in range(n)]
     det = next(s for col in cols[-1] if (s := first_nonzero_sign(full[-1], (col,))[0]))
     assert kernel.det_sign == det
     rng = random.Random(seed)
