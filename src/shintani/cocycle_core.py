@@ -33,7 +33,6 @@ reference the kernel and tau must reproduce.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import product
 from math import gcd
 
@@ -75,15 +74,17 @@ def _cramer_walk(cols, slot):
     equal to cols[j][k_j]; as a form in w it is the cofactor vector of the
     slot, in closed form for n <= 3.  The other slots' columns are walked
     with the highest slot varying slowest, so the forms come out in the
-    infinitesimal exponent order with no sort; each is made primitive and
-    zero forms are dropped.  The generator holds only the columns and the
-    slot.
+    infinitesimal exponent order with no sort; each is made primitive (a
+    primitive cofactor tuple is kept as it is) and zero forms are dropped.
+    The generator holds only the columns and the slot.
     """
     others = [cols[j] for j in range(len(cols)) if j != slot]
     for picked in product(*reversed(others)):
         form = cofactor_form(picked[::-1], slot)
         g = gcd(*form)
-        if g:
+        if g == 1:
+            yield form
+        elif g:
             yield tuple(v // g for v in form)
 
 
@@ -92,13 +93,13 @@ def _lazy_sign(built, rest, gens):
     of gens.  The built prefix is read first; only while every form read
     vanishes on the cone is the next form taken from the iterator rest and
     appended to built, so later reads reuse it."""
-    found = first_nonzero_sign(built, gens)
-    while not found[0]:
-        form = next(rest, None)
-        if form is None:
-            break
-        built.append(form)
-        found = first_nonzero_sign((form,), gens)
+    found = first_nonzero_sign(built, gens) if built else (0, None)
+    if not found[0]:
+        for form in rest:
+            built.append(form)
+            found = first_nonzero_sign((form,), gens)
+            if found[0]:
+                break
     return found
 
 
@@ -138,14 +139,17 @@ class SigmaKernel:
             raise ValueError("need n matrices of size n x n")
         self.n = n
         self._slots = [([], _cramer_walk(cols, i)) for i in range(n)]
+        self._forms = None
         self.det_sign = _det_sign(cols, *self._slots[-1])
 
-    @cached_property
+    @property
     def forms(self):
         """Every slot's Cramer list in full, as a tuple of tuples."""
-        for built, rest in self._slots:
-            built.extend(rest)
-        return tuple(tuple(built) for built, _ in self._slots)
+        if self._forms is None:
+            for built, rest in self._slots:
+                built.extend(rest)
+            self._forms = tuple([tuple(built) for built, _ in self._slots])
+        return self._forms
 
     def eval(self, w) -> int:
         w = int_scale_point(w)

@@ -339,7 +339,7 @@ class CoeffRing:
         powers = [CoeffElem(self, {k: one}) for k in keys]
         low = [(i, -c) for i, c in enumerate(phi[:-1]) if c]
         vec = {deg - 1: 1}
-        entries = deg
+        room = MAX_ZETA_ENTRIES - deg
         for _ in range(deg, m):
             top = vec.pop(deg - 1, 0)
             vec = {i + 1: c for i, c in vec.items()}
@@ -347,8 +347,8 @@ class CoeffRing:
                 for i, c in low:
                     vec[i] = vec.get(i, 0) + top * c
                 vec = {i: c for i in sorted(vec) if (c := vec[i])}
-            entries += len(vec)
-            if entries > MAX_ZETA_ENTRIES:
+            room -= len(vec)
+            if room < 0:
                 raise BudgetExceeded(f"the zeta table of cyclotomic order {m} passes "
                                      f"{MAX_ZETA_ENTRIES} nonzero entries")
             powers.append(CoeffElem(self, {
