@@ -94,11 +94,11 @@ def _lazy_sign(built, rest, gens):
     vanishes on the cone is the next form taken from the iterator rest and
     appended to built, so later reads reuse it."""
     found = first_nonzero_sign(built, gens) if built else (0, None)
-    if not found[0]:
+    if found[0] == 0:
         for form in rest:
             built.append(form)
             found = first_nonzero_sign((form,), gens)
-            if found[0]:
+            if found[0] != 0:
                 break
     return found
 

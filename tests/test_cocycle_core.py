@@ -28,6 +28,7 @@ from shintani.cocycle_core import (
     SigmaKernel,
     _cramer_walk,
     _faces,
+    _lazy_sign,
     sigma_eval,
     tau_cocycle,
 )
@@ -401,6 +402,17 @@ def test_lazy_kernel_matches_the_full_form_lists(case, face, seed):
 def test_lazy_kernel_matches_the_full_form_lists_at_n5(case, face, seed):
     # one n = 5 kernel's reference lists take about 0.7 s, so fewer examples
     _check_lazy_kernel(*case, face, seed)
+
+
+def test_lazy_sign_stops_at_a_form_of_mixed_sign():
+    # on a cone of several generators a form taking both signs ends the
+    # read as first_nonzero_sign does: no later form is built or read
+    gens = ((1, 0, 0), (0, 1, 0))
+    built, rest = [], iter([(0, 0, 1), (1, -1, 0), (1, 1, 0)])
+    assert _lazy_sign(built, rest, gens) == (None, (1, -1, 0))
+    assert built == [(0, 0, 1), (1, -1, 0)]
+    assert _lazy_sign(built, rest, gens) == (None, (1, -1, 0))
+    assert list(rest) == [(1, 1, 0)]
 
 
 _SING = ((1, 0), (2, 0))
